@@ -9,20 +9,19 @@ boolean meaning sets.
 
 from .kernel import (Abs, App, BOOL, BaseType, Const, FunType, IND, KernelError,
                      PHON, PROP, Pair, ProdType, Proj, RuleError, Term, Theorem,
-                     Theory, TheoryError, Type, TypingError, Var, alpha_equal,
-                     axiom, beta_normalize, core_theory, free_vars, substitute,
-                     type_of)
+                     Theory, TheoryError, Type, TypingError, Var, axiom,
+                     beta_normalize, core_theory, free_vars, substitute, type_of)
 from .syntax import ParseError, TermEnv, canonical_term, canonical_theorem, \
-    parse_term, parse_type, pretty_term, pretty_theorem
+    parse_term, pretty_term, pretty_theorem
 from .grammar import Grammar, GrammarError, GrammarSpec, Word, elaborate, \
     load_grammar, phon_homomorphism, phon_norm, phon_to_word, word_to_phon
 from .parser import ParseResult, check_membership, enumerate_signs, parse
-from .closure import (ClosureCertificate, ClosureError, FragmentError,
-                      TermUniverse, bool_valid, certificate_cases,
-                      certificate_from_script, certificate_left,
-                      certificate_right, certificate_taut, closure_report,
-                      closure_saturate, closure_violation, identity_language,
-                      in_fragment, is_logically_closed,
+from .rules import FragmentError
+from .closure import (ClosureCertificate, ClosureError, TermUniverse,
+                      bool_valid, certificate_cases, certificate_from_script,
+                      certificate_left, certificate_right, certificate_taut,
+                      closure_report, closure_saturate, closure_violation,
+                      identity_language, in_fragment, is_logically_closed,
                       language_logically_closed, logical_singleton,
                       merge_parses, sets_equivalent)
 from .trace import TraceError, export_trace, theory_fingerprint, verify_trace
@@ -32,18 +31,19 @@ __version__ = '0.1.0'
 __all__ = [
     'Abs', 'App', 'BOOL', 'BaseType', 'ClosureCertificate', 'ClosureError',
     'Const', 'FragmentError', 'FunType', 'Grammar', 'GrammarError',
-    'GrammarSpec', 'IND', 'KernelError', 'PHON', 'PROP', 'Pair', 'ParseError',
-    'ParseResult', 'ProdType', 'Proj', 'RuleError', 'Term', 'TermEnv',
-    'TermUniverse', 'Theorem', 'Theory', 'TheoryError', 'TraceError', 'Type',
-    'TypingError', 'Var', 'Word', 'alpha_equal', 'axiom', 'beta_normalize',
-    'bool_valid', 'canonical_term', 'canonical_theorem', 'certificate_cases',
-    'certificate_from_script', 'certificate_left', 'certificate_right',
-    'certificate_taut', 'check_membership', 'closure_report',
-    'closure_saturate', 'closure_violation', 'core_theory', 'elaborate',
-    'enumerate_signs', 'export_trace', 'free_vars', 'identity_language',
-    'in_fragment', 'is_logically_closed', 'language_logically_closed',
-    'load_grammar', 'logical_singleton', 'merge_parses', 'parse', 'parse_term',
-    'parse_type', 'phon_homomorphism', 'phon_norm', 'phon_to_word',
-    'pretty_term', 'pretty_theorem', 'sets_equivalent', 'substitute',
-    'theory_fingerprint', 'type_of', 'verify_trace', 'word_to_phon',
+    'GrammarSpec', 'IND', 'KernelError', 'PHON', 'PROP', 'Pair',
+    'ParseError', 'ParseResult', 'ProdType', 'Proj', 'RuleError', 'Term',
+    'TermEnv', 'TermUniverse', 'Theorem', 'Theory', 'TheoryError',
+    'TraceError', 'Type', 'TypingError', 'Var', 'Word', 'axiom',
+    'beta_normalize', 'bool_valid', 'canonical_term', 'canonical_theorem',
+    'certificate_cases', 'certificate_from_script', 'certificate_left',
+    'certificate_right', 'certificate_taut', 'check_membership',
+    'closure_report', 'closure_saturate', 'closure_violation',
+    'core_theory', 'elaborate', 'enumerate_signs', 'export_trace',
+    'free_vars', 'identity_language', 'in_fragment', 'is_logically_closed',
+    'language_logically_closed', 'load_grammar', 'logical_singleton',
+    'merge_parses', 'parse', 'parse_term', 'phon_homomorphism',
+    'phon_norm', 'phon_to_word', 'pretty_term', 'pretty_theorem',
+    'sets_equivalent', 'substitute', 'theory_fingerprint', 'type_of',
+    'verify_trace', 'word_to_phon',
 ]

@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import closure as cmod
 from . import grammar as gmod
@@ -218,8 +218,8 @@ def run(config):
     rep = _Report(config)
     try:
         status = _RUNNERS[config.command](config, rep)
-    except (gmod.GrammarError, cmod.ClosureError, cmod.FragmentError,
-            syntax.ParseError, kernel.KernelError, trace.TraceError) as e:
+    except (gmod.GrammarError, cmod.ClosureError, syntax.ParseError,
+            kernel.KernelError, trace.TraceError) as e:
         rep.add('%s error: %s' % (config.command, e))
         rep.emit()
         return 2
@@ -275,19 +275,8 @@ def _build_argparser():
 
 def main(argv=None):
     ns = _build_argparser().parse_args(argv)
-    config = RunConfig(command=ns.command,
-                       grammar=getattr(ns, 'grammar', None),
-                       word=getattr(ns, 'word', None),
-                       meaning=getattr(ns, 'meaning', None),
-                       depth=getattr(ns, 'depth', 3),
-                       universe=getattr(ns, 'universe', None),
-                       out=getattr(ns, 'out', None),
-                       emit_proof=getattr(ns, 'emit_proof', None),
-                       cert=getattr(ns, 'cert', None),
-                       indices=tuple(getattr(ns, 'indices', ()) or ()) or None,
-                       terms=tuple(getattr(ns, 'terms', ()) or ()),
-                       trace_path=getattr(ns, 'trace_path', None),
-                       color=getattr(ns, 'color', None))
+    config = RunConfig(**{f.name: getattr(ns, f.name) for f in fields(RunConfig)
+                          if hasattr(ns, f.name)})
     return run(config)
 
 

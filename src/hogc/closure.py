@@ -1,10 +1,11 @@
 """Logical closure over the decidable boolean fragment, and parse merging.
 
 The fragment consists of boolean variables, ``true``, ``false``, ``~``,
-``/\\``, ``\\/``, ``=`` between booleans, and the boolean conditional.
-Validity in the fragment is decided by ``bool_valid``, a plain truth-table
-evaluator with no connection to the proof kernel; the kernel only enters
-when a certificate theorem is built from a decision.
+``/\\``, ``\\/``, ``=`` between booleans, and the boolean conditional; it
+is defined once, by ``rules.fragment_vars``.  Validity in the fragment is
+decided by ``bool_valid``, a bit-parallel truth-table evaluator with no
+connection to the proof kernel; the kernel only enters when a certificate
+theorem is built from a decision.
 
 A *universe* is a finite set of fragment terms.  A subset M of the universe
 is logically closed when every universe term a with ``|= (a = b) \\/ (a = c)``
@@ -21,7 +22,6 @@ concluding ``= a``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from . import kernel, rules, syntax
 from .grammar import Word
@@ -30,10 +30,7 @@ from .kernel import (App, Abs, Var, Term, Theorem, BOOL, beta_normalize,
                      fresh_name, is_false, is_true, mk_cond, mk_disj, mk_eq,
                      substitute, true_c, false_c)
 from .parser import ParseResult
-
-
-class FragmentError(Exception):
-    pass
+from .rules import FragmentError, fragment_vars
 
 
 class ClosureError(Exception):
@@ -41,113 +38,85 @@ class ClosureError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# The decidable fragment and its truth-table oracle
-
-def _scan_fragment(t, out):
-    if isinstance(t, Var):
-        if t.ty != BOOL:
-            raise FragmentError('variable %s is not Bool' % t.name)
-        out.add(t)
-        return
-    if is_true(t) or is_false(t):
-        return
-    a = dest_not(t)
-    if a is not None:
-        _scan_fragment(a, out)
-        return
-    for dest in (dest_conj, dest_disj):
-        d = dest(t)
-        if d is not None:
-            _scan_fragment(d[0], out)
-            _scan_fragment(d[1], out)
-            return
-    d = dest_eq(t)
-    if d is not None:
-        if d[0].ty != BOOL:
-            raise FragmentError('equation not at Bool')
-        _scan_fragment(d[0], out)
-        _scan_fragment(d[1], out)
-        return
-    d = dest_cond(t)
-    if d is not None:
-        if d[0].ty != BOOL:
-            raise FragmentError('conditional not at Bool')
-        for u in d:
-            _scan_fragment(u, out)
-        return
-    raise FragmentError('term outside the boolean fragment: %s'
-                        % syntax.pretty_term(t))
-
-
-def fragment_vars(t):
-    """The free variables of a fragment term, sorted by name."""
-    out = set()
-    _scan_fragment(t, out)
-    return sorted(out, key=lambda v: v.name)
-
+# The truth-table oracle
 
 def in_fragment(t):
     try:
-        _scan_fragment(t, set())
+        fragment_vars(t)
     except FragmentError:
         return False
     return True
 
 
-def _eval(t, env):
+def _var_masks(vs):
+    """Each variable's column of the truth table over ``vs`` as an int, and
+    the all-true vector.  Bit i is the value under the i-th assignment in
+    ``itertools.product`` order, so the first variable is the most
+    significant bit of i."""
+    rows = 1 << len(vs)
+    masks = {v: sum(1 << i for i in range(rows) if i >> (len(vs) - 1 - k) & 1)
+             for k, v in enumerate(vs)}
+    return masks, (1 << rows) - 1
+
+
+def _truth_vector(t, masks, full):
+    """The truth vector of a fragment term in one walk, all assignments at
+    once: each connective is a bitwise operation on the columns."""
     if isinstance(t, Var):
-        return env[t]
+        return masks[t]
     if is_true(t):
-        return True
+        return full
     if is_false(t):
-        return False
+        return 0
     a = dest_not(t)
     if a is not None:
-        return not _eval(a, env)
+        return full ^ _truth_vector(a, masks, full)
     d = dest_conj(t)
     if d is not None:
-        return _eval(d[0], env) and _eval(d[1], env)
+        return _truth_vector(d[0], masks, full) & _truth_vector(d[1], masks, full)
     d = dest_disj(t)
     if d is not None:
-        return _eval(d[0], env) or _eval(d[1], env)
+        return _truth_vector(d[0], masks, full) | _truth_vector(d[1], masks, full)
     d = dest_eq(t)
     if d is not None:
-        return _eval(d[0], env) == _eval(d[1], env)
-    d = dest_cond(t)
-    if d is not None:
-        return _eval(d[0], env) if _eval(d[2], env) else _eval(d[1], env)
-    raise FragmentError('term outside the boolean fragment')
+        return full ^ _truth_vector(d[0], masks, full) ^ _truth_vector(d[1], masks, full)
+    x, y, z = (_truth_vector(u, masks, full) for u in dest_cond(t))
+    return (z & x) | ((full ^ z) & y)
 
 
 def bool_valid(t):
     """Truth-table validity for a fragment term.  Independent of the kernel."""
-    vs = fragment_vars(t)
-    for bits in product((False, True), repeat=len(vs)):
-        if not _eval(t, dict(zip(vs, bits))):
-            return False
-    return True
+    masks, full = _var_masks(fragment_vars(t))
+    return _truth_vector(t, masks, full) == full
 
 
 # ---------------------------------------------------------------------------
 # Term universes
 
 class TermUniverse:
-    """A finite, duplicate-free, ordered set of fragment terms."""
+    """A finite, duplicate-free, ordered set of fragment terms.
+
+    ``vectors`` maps each term to its truth vector over ``vars``, an int
+    whose bit i is the term's value under the i-th assignment of
+    ``itertools.product((False, True), repeat=len(vars))``.
+    """
 
     def __init__(self, terms):
         seen = {}
+        vs = set()
         for t in terms:
-            if t.ty != BOOL:
-                raise FragmentError('universe terms must be Bool')
-            _scan_fragment(t, set())
             if t not in seen:
+                vs.update(fragment_vars(t))
                 seen[t] = None
         self.type = BOOL
         self.terms = tuple(seen)
-        vs = set()
-        for t in self.terms:
-            _scan_fragment(t, vs)
         self.vars = tuple(sorted(vs, key=lambda v: v.name))
+        masks, full = _var_masks(self.vars)
+        self.vectors = {t: _truth_vector(t, masks, full) for t in self.terms}
+        # realized vector -> first universe term realizing it, in first-seen order
+        self._rep = {}
+        for t in self.terms:
+            self._rep.setdefault(self.vectors[t], t)
 
     @classmethod
     def from_text(cls, text, theory=None):
@@ -172,26 +141,7 @@ class TermUniverse:
         return iter(self.terms)
 
     def __contains__(self, t):
-        return any(t == u for u in self.terms)
-
-    def _vector(self, t):
-        assigns = product((False, True), repeat=len(self.vars))
-        return tuple(_eval(t, dict(zip(self.vars, bits))) for bits in assigns)
-
-    def _vector_table(self):
-        """term -> truth vector; realized vectors in first-seen order; and
-        vector -> first universe term realizing it.  Cached."""
-        if not hasattr(self, '_vt'):
-            vt = {t: self._vector(t) for t in self.terms}
-            order = []
-            rep = {}
-            for t in self.terms:
-                v = vt[t]
-                if v not in rep:
-                    rep[v] = t
-                    order.append(v)
-            self._vt = (vt, tuple(order), rep)
-        return self._vt
+        return t in self.vectors
 
 
 def _check_subset(universe, subset):
@@ -215,26 +165,21 @@ def _saturate(universe, subset):
     vectors of the universe, then one scan assigns terms to vector classes.
     """
     subset = _check_subset(universe, subset)
-    vt, realized, universe_rep = universe._vector_table()
+    vt, universe_rep = universe.vectors, universe._rep
     rep = {}
     for t in subset:
         rep.setdefault(vt[t], t)
-    active = [v for v in realized if v in rep]
+    active = [v for v in universe_rep if v in rep]
     wit_vec = {}
     changed = True
     while changed:
         changed = False
-        for u in realized:
+        for u in universe_rep:
             if u in rep:
                 continue
-            found = None
-            for b in active:
-                for c in active:
-                    if all(x == y or x == z for x, y, z in zip(u, b, c)):
-                        found = (b, c)
-                        break
-                if found:
-                    break
+            # u agrees with b or with c at every assignment
+            found = next(((b, c) for b in active for c in active
+                          if not (u ^ b) & (u ^ c)), None)
             if found:
                 rep[u] = universe_rep[u]
                 wit_vec[u] = found
@@ -400,7 +345,7 @@ def certificate_cases(th, a1, a2, q):
     """target = C(a1, a2, q), by case analysis on the boolean q."""
     if q.ty != BOOL:
         raise ClosureError('case condition must be Bool')
-    avoid = _names(a1) | _names(a2) | _names(q)
+    avoid = rules._avoid_from(a1, a2, q)
     h = Var(fresh_name('h', avoid), BOOL)
     tmpl = mk_disj(mk_eq(mk_cond(a1, a2, h), a1), mk_eq(mk_cond(a1, a2, h), a2))
     t_true = substitute(tmpl, h, true_c())
@@ -416,10 +361,6 @@ def certificate_taut(th, target, a1, a2):
     inside the kernel."""
     thm = rules.taut(th, mk_disj(mk_eq(target, a1), mk_eq(target, a2)))
     return ClosureCertificate(target, a1, a2, thm)
-
-
-def _names(t):
-    return {n for n, _ty in t.free_vars}
 
 
 def certificate_from_script(th, text, a1, a2):
@@ -488,7 +429,7 @@ def _rewrite_branches(th, thm, eq_left, eq_right):
     lv, rv = dest_eq(eq_right.concl)
     if lu != u or lv != v:
         raise ClosureError('branch equations do not match the conditional')
-    avoid = _names(rules.rhs(thm)) | _names(ru) | _names(rv)
+    avoid = rules._avoid_from(rules.rhs(thm), ru, rv)
     hole = Var(fresh_name('slot', avoid), u.ty)
     thm = kernel.transitivity(
         thm, rules.subst_context(th, mk_cond(hole, v, z), hole, eq_left))
@@ -532,7 +473,7 @@ def merge_parses(th, p1, p2, cert):
     k = kernel.modus_ponens_eq(rules.or_as_cond(th, c, mk_eq(a, a2)),
                                cert.proof)
     # distribute \x. a = x over C(a1, a2, c) and collapse the betas
-    x = Var(fresh_name('x', _names(a) | _names(a1) | _names(a2)), a1.ty)
+    x = Var(fresh_name('x', rules._avoid_from(a, a1, a2)), a1.ty)
     f = Abs(x, mk_eq(a, x))
     d = rules.cond_distrib(th, f, a1, a2, c)
     d = _rewrite_branches(th, d,

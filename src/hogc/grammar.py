@@ -257,16 +257,10 @@ class Grammar:
         return None
 
     def phon_fn(self, t):
-        sty = self.sign_type_of(t)
-        if sty is None:
-            raise GrammarError('phon(...) applied to non-sign term %r' % t)
-        return App(self.theory.const('phon_%s' % sty), t)
+        return _projection(self.theory, self.sem_types, 'phon', t)
 
     def sem_fn(self, t):
-        sty = self.sign_type_of(t)
-        if sty is None:
-            raise GrammarError('sem(...) applied to non-sign term %r' % t)
-        return App(self.theory.const('sem_%s' % sty), t)
+        return _projection(self.theory, self.sem_types, 'sem', t)
 
     def term_env(self, **kw):
         kw.setdefault('theory', self.theory)
@@ -277,6 +271,13 @@ class Grammar:
 
     def parse_term(self, src, **kw):
         return syntax.parse_term(src, self.term_env(**kw))
+
+
+def _projection(th, sem_types, kind, t):
+    """``phon_T(t)`` or ``sem_T(t)`` for a term t of sign type T."""
+    if isinstance(t.ty, BaseType) and t.ty.name in sem_types:
+        return App(th.const('%s_%s' % (kind, t.ty.name)), t)
+    raise syntax.ParseError('%s(...) needs a sign-typed argument' % kind)
 
 
 def _sem_type(spec, sem_types, name, seen):
@@ -364,7 +365,7 @@ def elaborate(spec, name='g'):
     th.add_axiom('phon.lunit', mk_forall(x, mk_eq(cat(unit, x), x)))
     th.add_axiom('phon.runit', mk_forall(x, mk_eq(cat(x, unit), x)))
 
-    resolver = _spec_phon_resolver(spec, th)
+    resolver = syntax.theory_phon_resolver(th)
     lex_items = []
     for lx in spec.lexicon:
         word, phon_term = _parse_lex_phon(lx, resolver)
@@ -388,6 +389,12 @@ def elaborate(spec, name='g'):
         th.add_axiom('lex.%s' % lx.name, prop)
         lex_items.append(LexItem(lx.name, lx.sign_type, word, sem, k))
 
+    def sem_fn(t):
+        return _projection(th, sem_types, 'sem', t)
+
+    def phon_fn(t):
+        return _projection(th, sem_types, 'phon', t)
+
     rule_items = []
     for r in spec.rules:
         n = len(r.operands)
@@ -397,17 +404,6 @@ def elaborate(spec, name='g'):
         sign = th.const(r.name)
         for v in opvars:
             sign = App(sign, v)
-
-        def sem_fn(t, _sem_types=sem_types):
-            if isinstance(t.ty, BaseType) and t.ty.name in _sem_types:
-                return App(th.const('sem_%s' % t.ty.name), t)
-            raise syntax.ParseError('sem(...) needs a sign-typed argument')
-
-        def phon_fn(t, _sem_types=sem_types):
-            if isinstance(t.ty, BaseType) and t.ty.name in _sem_types:
-                return App(th.const('phon_%s' % t.ty.name), t)
-            raise syntax.ParseError('phon(...) needs a sign-typed argument')
-
         env = syntax.TermEnv(theory=th, phon_resolver=resolver,
                              placeholders={i + 1: v for i, v in enumerate(opvars)},
                              sem_fn=sem_fn, phon_fn=phon_fn)
@@ -443,15 +439,6 @@ def elaborate(spec, name='g'):
     return Grammar(spec, th, sem_types, lex_items, rule_items)
 
 
-def _spec_phon_resolver(spec, th):
-    def resolve(tokens):
-        for tok in tokens:
-            if tok not in spec.alphabet:
-                raise syntax.ParseError('token %r not in the alphabet' % tok)
-        return syntax.theory_phon_resolver(th)(tokens)
-    return resolve
-
-
 def _parse_lex_phon(lx, resolver):
     src = lx.phon_src.strip()
     m = re.match(r'^/([^/]*)/$', src)
@@ -481,10 +468,10 @@ def word_to_phon(g, word):
     token constant for one token, right-nested concatenation otherwise."""
     if isinstance(word, str):
         word = Word(word)
-    for tok in word.tokens:
-        if tok not in g.alphabet:
-            raise GrammarError('token %r not in the alphabet' % tok)
-    return g._phon_resolver(word.tokens)
+    try:
+        return g._phon_resolver(word.tokens)
+    except syntax.ParseError as e:
+        raise GrammarError(str(e))
 
 
 def _phon_schemas(g):

@@ -25,6 +25,7 @@ safe to share across threads; theory construction is single-threaded.
 from __future__ import annotations
 
 import itertools
+from types import MappingProxyType
 
 
 class KernelError(Exception):
@@ -373,11 +374,6 @@ def _alpha_hash(t, env, depth):
     if isinstance(t, Proj):
         return hash(('j', t.index, _alpha_hash(t.arg, env, depth)))
     raise KernelError('not a term: %r' % (t,))
-
-
-def alpha_equal(t1, t2):
-    """True iff the two terms are identical up to renaming of bound variables."""
-    return t1 == t2
 
 
 def free_vars(t):
@@ -750,7 +746,12 @@ class Theory:
         self.axioms[name] = prop
 
     def freeze(self):
+        """Fix the signature and axioms; only the derived-rule cache stays
+        writable."""
         self.frozen = True
+        self.base_types = frozenset(self.base_types)
+        self.constants = MappingProxyType(self.constants)
+        self.axioms = MappingProxyType(self.axioms)
         return self
 
     def const(self, name):
@@ -758,9 +759,6 @@ class Theory:
         if name not in self.constants:
             raise TheoryError('unknown constant %s' % name)
         return Const(name, self.constants[name])
-
-    def axiom_names(self):
-        return list(self.axioms)
 
     def _check_mutable(self):
         if self.frozen:

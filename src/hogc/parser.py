@@ -189,9 +189,7 @@ def parse(g, word, depth_bound):
     """All parses of a word up to the derivation depth bound."""
     if isinstance(word, (str, tuple, list)):
         word = Word(word)
-    for tok in word.tokens:
-        if tok not in g.alphabet:
-            raise GrammarError('token %r not in the alphabet' % tok)
+    word_to_phon(g, word)  # rejects tokens outside the alphabet
     chart = _Chart(g, word, depth_bound)
     builder = _ProofBuilder(g)
     results = []

@@ -6,7 +6,9 @@ The layer covers the standard propositional toolkit for the equality-based
 connectives, a small conversion framework (context substitution, full
 beta/projection normalization, bottom-up rewriting), the derived rules for
 the if-then-else constants C and their laws, and a case-split tautology
-prover for the quantifier-free boolean fragment.
+prover for the quantifier-free boolean fragment.  That fragment is defined
+here once, by ``fragment_vars``; the closure lab decides it with the same
+scanner.
 
 Rule schemas (the C laws, the boolean simplification lemmas) are derived
 once per theory and type and cached on the theory; requests at concrete
@@ -588,6 +590,40 @@ def or_as_cond(th, x, y):
 
 
 # ---------------------------------------------------------------------------
+# The decidable boolean fragment
+
+class FragmentError(RuleError):
+    """A term outside the decidable boolean fragment."""
+
+
+def fragment_vars(t):
+    """The variables of a boolean-fragment term, sorted by name.
+
+    The fragment is Bool variables, true, false, ~, /\\, \\/, and = and C
+    at Bool.  Raises FragmentError for any other term.  = and C need no
+    type test: every term accepted here is Bool, so operands at another
+    type are rejected when they are scanned.
+    """
+    found = set()
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, Var):
+            if t.ty != BOOL:
+                raise FragmentError('variable %s is not Bool' % t.name)
+            found.add(t)
+        elif is_true(t) or is_false(t):
+            pass
+        elif (a := dest_not(t)) is not None:
+            todo.append(a)
+        elif d := dest_conj(t) or dest_disj(t) or dest_eq(t) or dest_cond(t):
+            todo.extend(d)
+        else:
+            raise FragmentError('term outside the boolean fragment: %r' % (t,))
+    return sorted(found, key=lambda v: v.name)
+
+
+# ---------------------------------------------------------------------------
 # Ground boolean evaluation and the tautology rule
 
 def _ground_simp(th, t):
@@ -645,51 +681,22 @@ def ground_eval(th, t):
     return e
 
 
-_TAUT_CONNECTIVES = frozenset(('true', 'false', 'not', 'and', 'or', 'eq', 'cond'))
-
-
-def _check_taut_fragment(t):
-    if isinstance(t, Var):
-        if t.ty != BOOL:
-            raise RuleError('non-boolean variable %s in taut' % t.name)
-        return
-    if isinstance(t, kernel.Const):
-        if t.name not in _TAUT_CONNECTIVES:
-            raise RuleError('constant %s outside the taut fragment' % t.name)
-        if t.targs and t.targs != (BOOL,):
-            raise RuleError('%s instance outside the taut fragment' % t.display_name)
-        return
-    if isinstance(t, App):
-        _check_taut_fragment(t.fn)
-        _check_taut_fragment(t.arg)
-        return
-    if isinstance(t, Pair):
-        _check_taut_fragment(t.left)
-        _check_taut_fragment(t.right)
-        return
-    raise RuleError('term shape outside the taut fragment: %r' % (t,))
-
-
 def taut(th, t):
-    """|- t for a valid quantifier-free boolean term, by case splitting.
+    """|- t for a valid term of the boolean fragment, by case splitting.
 
-    The fragment is boolean variables with true, false, ~, /\\, \\/, = and
-    C at Bool.  Raises RuleError when t is not valid.
+    Raises FragmentError when t is outside the fragment and RuleError when
+    it is not valid.
     """
-    if t.ty != BOOL:
-        raise RuleError('taut needs a Bool term')
-    _check_taut_fragment(t)
-    return _taut(th, t)
+    return _taut(th, t, fragment_vars(t))
 
 
-def _taut(th, t):
-    fvs = sorted(t.free_vars, key=lambda nt: nt[0])
-    if not fvs:
+def _taut(th, t, vs):
+    if not vs:
         e = ground_eval(th, t)
         if not is_true(rhs(e)):
             raise RuleError('not a tautology: %r' % (t,))
         return eqt_elim(e)
-    v = Var(fvs[0][0], fvs[0][1])
-    tt = _taut(th, substitute(t, v, true_c()))
-    tf = _taut(th, substitute(t, v, false_c()))
+    v = vs[0]
+    tt = _taut(th, substitute(t, v, true_c()), vs[1:])
+    tf = _taut(th, substitute(t, v, false_c()), vs[1:])
     return bool_cases_split(th, v, v, t, tt, tf)

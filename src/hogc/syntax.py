@@ -36,10 +36,6 @@ class ParseError(Exception):
 # ---------------------------------------------------------------------------
 # Canonical printing
 
-def canonical_type(ty):
-    return type_to_str(ty)
-
-
 def canonical_term(t):
     """Alpha-canonical fully parenthesized rendering; parseable."""
     avoid = {n for (n, _ty) in t.free_vars}
@@ -58,7 +54,7 @@ def _canon(t, env, depth, avoid):
         bound = env.get((t.name, t.ty))
         if bound is not None:
             return bound
-        return '%s:%s' % (t.name, canonical_type(t.ty))
+        return '%s:%s' % (t.name, type_to_str(t.ty))
     if isinstance(t, Const):
         return t.display_name
     if isinstance(t, App):
@@ -68,7 +64,7 @@ def _canon(t, env, depth, avoid):
         name = _canon_bound_name(depth, avoid)
         env2 = dict(env)
         env2[(t.var.name, t.var.ty)] = name
-        return '(\\%s:%s. %s)' % (name, canonical_type(t.var.ty),
+        return '(\\%s:%s. %s)' % (name, type_to_str(t.var.ty),
                                   _canon(t.body, env2, depth + 1, avoid))
     if isinstance(t, Pair):
         return '<%s, %s>' % (_canon(t.left, env, depth, avoid),
@@ -443,6 +439,12 @@ class _Parser:
         for v in reversed(self.bound):
             if v.name == name:
                 return self._maybe_annotated_bound(v)
+        # an annotated identifier is a free variable, even if a constant
+        # shares its name: that is how canonical_term prints variables
+        ty = self._annotation()
+        if ty is not None:
+            self.env.var_types.setdefault(name, ty)
+            return Var(name, ty)
         if name in kernel.LOGICAL_NAMES:
             c = kernel._NULLARY_LOGICAL.get(name)
             if c is None:
@@ -451,13 +453,9 @@ class _Parser:
         th = self.env.theory
         if th is not None and name in th.constants:
             return th.const(name)
-        ty = self._annotation()
+        ty = self.env.var_types.get(name, self.env.default_var_type)
         if ty is None:
-            ty = self.env.var_types.get(name, self.env.default_var_type)
-            if ty is None:
-                raise ParseError('unknown identifier %s' % name)
-        else:
-            self.env.var_types.setdefault(name, ty)
+            raise ParseError('unknown identifier %s' % name)
         return Var(name, ty)
 
     def _maybe_annotated_bound(self, v):
@@ -528,12 +526,18 @@ def theory_phon_resolver(th):
     """A /word/ resolver against a theory's phonology constants.
 
     The empty literal maps to the unit constant ``//``; a multi-token word
-    becomes a right-nested concatenation of its token constants.
+    becomes a right-nested concatenation of its token constants.  This is
+    the one alphabet check: a token without a ``/token/`` constant raises
+    ParseError.
     """
     def resolve(tokens):
         if not tokens:
             return th.const('//')
-        parts = [th.const('/%s/' % tok) for tok in tokens]
+        parts = []
+        for tok in tokens:
+            if '/%s/' % tok not in th.constants:
+                raise ParseError('token %r not in the alphabet' % tok)
+            parts.append(th.const('/%s/' % tok))
         t = parts[-1]
         for left in reversed(parts[:-1]):
             t = _mk_conc(left, t)
@@ -551,7 +555,3 @@ def parse_term(s, env=None):
         tok = p.peek()
         raise ParseError('trailing input at %d: %r' % (tok.pos, tok.val))
     return t
-
-
-def parse_type(s):
-    return kernel.type_from_str(s)

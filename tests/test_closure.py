@@ -1,9 +1,10 @@
 """Boolean fragment, term universes, closure saturation, certificates, merging."""
 
+import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from hogc import closure, grammar, kernel, parser, rules, syntax
 from hogc.closure import (
@@ -57,11 +58,44 @@ def test_bool_valid_rejects_non_fragment():
         bool_valid(mk_imp(P, P))
 
 
+@pytest.mark.parametrize('t', [
+    mk_imp(P, Q),
+    mk_forall(P, P),
+    kernel.Abs(P, P),
+    Var('x', IND),
+    kernel.Const('c', BOOL),
+    mk_eq(Var('x', IND), Var('y', IND)),
+], ids=['imp', 'forall', 'lambda', 'ind-var', 'bool-const', 'eq-at-ind'])
+def test_one_fragment_for_closure_and_taut(t):
+    with pytest.raises(FragmentError):
+        bool_valid(t)
+    with pytest.raises(FragmentError):
+        TermUniverse([P, t])
+    with pytest.raises(FragmentError):
+        rules.taut(kernel.core_theory(), t)
+    assert issubclass(FragmentError, kernel.RuleError)
+
+
+@given(st.randoms(use_true_random=False), st.integers(0, 5))
+@settings(max_examples=60, deadline=None)
+def test_universe_vectors_match_local_evaluator(rng, nvars):
+    # every variable is in the universe, so each column of the layout is
+    # checked; nvars = 0 gives closed terms only
+    names = ('p', 'q', 'r', 's', 't')[:nvars]
+    terms = [Var(n, BOOL) for n in names]
+    terms += [helpers.random_fragment(rng, names, 3) for _ in range(6)]
+    u = TermUniverse(terms)
+    assert [v.name for v in u.vars] == list(names)
+    for t in u.terms:
+        for i, bits in enumerate(itertools.product((False, True), repeat=nvars)):
+            want = helpers.eval_fragment(t, dict(zip(names, bits)))
+            assert (u.vectors[t] >> i & 1) == want, (t, bits)
+
+
 @given(FRAG)
 @settings(max_examples=80, deadline=None)
 def test_bool_valid_matches_local_evaluator(t):
     names = sorted({n for n, _ in t.free_vars})
-    import itertools
     want = all(helpers.eval_fragment(t, dict(zip(names, bits)))
                for bits in itertools.product((False, True), repeat=len(names)))
     assert bool_valid(t) == want

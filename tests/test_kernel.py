@@ -94,7 +94,7 @@ def test_alpha_equality_and_hash():
     assert Abs(x, x) == Abs(y, y)
     assert hash(Abs(x, x)) == hash(Abs(y, y))
     assert Abs(x, Abs(y, x)) != Abs(x, Abs(y, y))
-    assert kernel.alpha_equal(Abs(x, App(f, x)), Abs(y, App(f, y)))
+    assert Abs(x, App(f, x)) == Abs(y, App(f, y))
     assert Abs(x, x) != Abs(Var('b', BOOL), Var('b', BOOL))
 
 
@@ -191,7 +191,7 @@ def test_beta_normalize_contracts_and_is_idempotent(t):
 @given(FRAG)
 @settings(max_examples=60, deadline=None)
 def test_alpha_reflexive_and_hash_consistent(t):
-    assert kernel.alpha_equal(t, t)
+    assert t == t
     assert hash(t) == hash(t)
 
 
@@ -201,6 +201,17 @@ def test_alpha_reflexive_and_hash_consistent(t):
 def test_theory_frozen_rejects_mutation(th):
     with pytest.raises(kernel.TheoryError):
         th.add_constant('c', IND)
+
+
+def test_frozen_theory_tables_are_read_only(th):
+    with pytest.raises(TypeError):
+        th.axioms['x'] = false_c()
+    with pytest.raises(TypeError):
+        th.constants['c'] = IND
+    with pytest.raises(AttributeError):
+        th.base_types.add('T')
+    with pytest.raises(kernel.TheoryError):
+        kernel.axiom(th, 'x')
 
 
 def test_theory_duplicate_and_reserved_names():

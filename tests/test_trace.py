@@ -101,6 +101,26 @@ def test_roundtrip_merged_parse(ambig):
     assert [t.concl for t in got] == [m.phon_proof.concl, m.sem_proof.concl]
 
 
+@pytest.mark.parametrize('route', ['left', 'cases q', 'cases p'])
+def test_roundtrip_merge_with_constant_named_like_a_schema_variable(route):
+    # derived-rule schemas use a variable p, printed p:Bool in traces; the
+    # grammar constant p must not capture it on replay
+    src = helpers.AMBIG + 'const p : Bool\n'
+    g = grammar.elaborate(src, name='ambig')
+    p1, p2 = parser.parse(g, helpers.AMBIG_WORD, 2)
+    th = g.theory
+    if route == 'left':
+        cert = closure.certificate_left(th, p1.meaning, p2.meaning)
+    else:
+        q = th.const('p') if route == 'cases p' else Var('q', BOOL)
+        cert = closure.certificate_cases(th, p1.meaning, p2.meaning, q)
+    m = closure.merge_parses(g, p1, p2, cert)
+    text = export_trace([m.phon_proof, m.sem_proof])
+    fresh = grammar.elaborate(src, name='ambig')
+    got = verify_trace(text, fresh.theory, strict_fingerprint=True)
+    assert [t.concl for t in got] == [m.phon_proof.concl, m.sem_proof.concl]
+
+
 def test_roundtrip_every_primitive_rule():
     th = kernel.core_theory()
     assume_p = kernel.assume(th, P)
