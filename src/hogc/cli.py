@@ -78,6 +78,11 @@ def _load_grammar(config):
     return gmod.load_grammar(config.grammar)
 
 
+def _load_theory(config):
+    """The grammar's theory, or the core theory when no grammar is given."""
+    return _load_grammar(config).theory if config.grammar else kernel.core_theory()
+
+
 def _meaning_env(g):
     return g.term_env(default_var_type=kernel.BOOL)
 
@@ -149,6 +154,8 @@ def _run_merge(config, rep):
     word = gmod.Word(config.word or '')
     if not config.cert:
         raise cmod.ClosureError('merge needs a certificate script (--cert)')
+    if not config.indices or len(config.indices) != 2:
+        raise cmod.ClosureError('merge needs two parse indices')
     i, j = config.indices
     results = parser.parse(g, word, config.depth)
     if not (0 <= i < len(results) and 0 <= j < len(results)):
@@ -172,10 +179,7 @@ def _run_merge(config, rep):
 def _run_closure(config, rep):
     if not config.universe:
         raise cmod.ClosureError('a universe file is required (-u)')
-    if config.grammar:
-        th = _load_grammar(config).theory
-    else:
-        th = kernel.core_theory()
+    th = _load_theory(config)
     u = cmod.TermUniverse.from_file(config.universe, theory=th)
     env = syntax.TermEnv(theory=th, default_var_type=kernel.BOOL)
     subset = [syntax.parse_term(s, env) for s in config.terms]
@@ -185,10 +189,9 @@ def _run_closure(config, rep):
 
 
 def _run_trace_verify(config, rep):
-    if config.grammar:
-        th = _load_grammar(config).theory
-    else:
-        th = kernel.core_theory()
+    if not config.trace_path:
+        raise trace.TraceError('a trace file is required')
+    th = _load_theory(config)
     with open(config.trace_path) as f:
         text = f.read()
     try:

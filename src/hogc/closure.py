@@ -25,10 +25,10 @@ from dataclasses import dataclass
 
 from . import kernel, rules, syntax
 from .grammar import Word
-from .kernel import (App, Abs, Var, Term, Theorem, BOOL, beta_normalize,
-                     dest_conj, dest_disj, dest_eq, dest_not, dest_cond,
-                     fresh_name, is_false, is_true, mk_cond, mk_disj, mk_eq,
-                     substitute, true_c, false_c)
+from .kernel import (App, Abs, Var, Term, Theorem, BOOL, dest_conj,
+                     dest_disj, dest_eq, dest_not, dest_cond, fresh_name,
+                     is_false, is_true, mk_cond, mk_disj, mk_eq, substitute,
+                     true_c, false_c)
 from .parser import ParseResult
 from .rules import FragmentError, fragment_vars
 
@@ -483,9 +483,6 @@ def merge_parses(th, p1, p2, cert):
         th, App(f, mk_cond(a1, a2, c))))
     # eq : |- C(a = a1, a = a2, c) = (a = C(a1, a2, c))
     final = kernel.symmetry(kernel.modus_ponens_eq(eq, k))
-    sem = kernel.transitivity(sem, final)
-    meaning = beta_normalize(a)
-    if rules.rhs(sem) != meaning:
-        sem = kernel.transitivity(sem, rules.bp_norm(th, a))
-    return ParseResult(p1.word, sign, sty, meaning, phon, sem,
+    sem = rules.rewrite_rhs(kernel.transitivity(sem, final), rules._bp_step)
+    return ParseResult(p1.word, sign, sty, rules.rhs(sem), phon, sem,
                        max(p1.depth, p2.depth))

@@ -25,6 +25,7 @@ may use ``sem($i)`` and ``phon($i)``.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 
@@ -366,6 +367,8 @@ def elaborate(spec, name='g'):
     th.add_axiom('phon.runit', mk_forall(x, mk_eq(cat(x, unit), x)))
 
     resolver = syntax.theory_phon_resolver(th)
+    projections = {'%s_%s' % (kind, sty) for kind in ('phon', 'sem')
+                   for sty in spec.sign_types}
     lex_items = []
     for lx in spec.lexicon:
         word, phon_term = _parse_lex_phon(lx, resolver)
@@ -383,18 +386,15 @@ def elaborate(spec, name='g'):
             raise GrammarError('lex %s: meaning must be closed (free: %s); '
                                'declare constants instead'
                                % (lx.name, ' '.join(sorted(n for n, _t in sem.free_vars))))
+        _check_projections('lex %s' % lx.name, sem, projections, ())
         k = th.const(lx.name)
         prop = mk_conj(mk_eq(App(th.const('phon_%s' % lx.sign_type), k), phon_term),
                        mk_eq(App(th.const('sem_%s' % lx.sign_type), k), sem))
         th.add_axiom('lex.%s' % lx.name, prop)
         lex_items.append(LexItem(lx.name, lx.sign_type, word, sem, k))
 
-    def sem_fn(t):
-        return _projection(th, sem_types, 'sem', t)
-
-    def phon_fn(t):
-        return _projection(th, sem_types, 'phon', t)
-
+    sem_fn = functools.partial(_projection, th, sem_types, 'sem')
+    phon_fn = functools.partial(_projection, th, sem_types, 'phon')
     rule_items = []
     for r in spec.rules:
         n = len(r.operands)
@@ -422,6 +422,7 @@ def elaborate(spec, name='g'):
             raise GrammarError('rule %s: meaning may only use operands $1..$%d '
                                '(free: %s)' % (r.name, n,
                                                ' '.join(sorted(nm for nm, _t in extra))))
+        _check_projections('rule %s' % r.name, sem_tmpl, projections, opvars)
         phon_parts = [App(th.const('phon_%s' % r.operands[i - 1]), opvars[i - 1])
                       for i in pattern]
         rhs = phon_parts[-1]
@@ -437,6 +438,25 @@ def elaborate(spec, name='g'):
 
     th.freeze()
     return Grammar(spec, th, sem_types, lex_items, rule_items)
+
+
+def _check_projections(where, t, projections, operands):
+    """Meanings may use phon_T/sem_T only as phon($i)/sem($i): applied to a
+    free operand variable, so parse proofs can replace every one of them by
+    the operand's proven value and none is left for a parent to rewrite."""
+    if isinstance(t, kernel.Const) and t.name in projections:
+        raise GrammarError('%s: meaning mentions %s; sign projections may '
+                           'only appear as phon($i) or sem($i)' % (where, t.name))
+    if isinstance(t, App) and isinstance(t.fn, kernel.Const) and t.arg in operands:
+        return
+    if isinstance(t, kernel.Abs):
+        operands = [v for v in operands if v != t.var]
+    for f in _CHILDREN.get(type(t), ()):
+        _check_projections(where, getattr(t, f), projections, operands)
+
+
+_CHILDREN = {App: ('fn', 'arg'), kernel.Abs: ('body',), Pair: ('left', 'right'),
+             kernel.Proj: ('arg',)}
 
 
 def _parse_lex_phon(lx, resolver):

@@ -17,6 +17,7 @@ provably equal boolean meanings through a certificate.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from . import grammar as gmod
@@ -61,7 +62,7 @@ class _Chart:
         for i in range(n + 1):
             for j in range(i, n + 1):
                 self.spans[(i, j)] = {}
-        self.deriv = {}
+        self.deriv = {}     # sign -> (axiom name, operand variables, children)
         self._fill()
 
     def _add(self, span, sign, sty, depth, deriv):
@@ -78,14 +79,11 @@ class _Chart:
         if self.bound < 1:
             return
         for lx in g.lexicon:
+            lex = ('lex.%s' % lx.name, (), ())
             k = len(lx.word)
-            if k == 0:
-                for i in range(n + 1):
-                    self._add((i, i), lx.const, lx.sign_type, 1, ('lex', lx))
-            else:
-                for i in range(n - k + 1):
-                    if word.tokens[i:i + k] == lx.word.tokens:
-                        self._add((i, i + k), lx.const, lx.sign_type, 1, ('lex', lx))
+            for i in range(n - k + 1):
+                if word.tokens[i:i + k] == lx.word.tokens:
+                    self._add((i, i + k), lx.const, lx.sign_type, 1, lex)
         for d in range(2, self.bound + 1):
             pending = []
             for rule in g.rules:
@@ -103,7 +101,8 @@ class _Chart:
                             for c in children:
                                 sign = App(sign, c)
                             pending.append((span, sign, rule.result, d,
-                                            (rule, tuple(children))))
+                                            ('rule.%s' % rule.name,
+                                             rule.operand_vars, tuple(children))))
             for span, sign, sty, depth, deriv in pending:
                 self._add(span, sign, sty, depth, deriv)
 
@@ -112,19 +111,9 @@ class _Chart:
         slots = []
         for s, span in enumerate(cuts):
             want = rule.operands[rule.pattern[s] - 1]
-            cell = self.spans[span]
-            cands = [sign for sign, (sty, _d) in cell.items() if sty == want]
-            if not cands:
-                return
-            slots.append(cands)
-        def go(s):
-            if s == len(slots):
-                yield ()
-                return
-            for c in slots[s]:
-                for rest in go(s + 1):
-                    yield (c,) + rest
-        yield from go(0)
+            slots.append([sign for sign, (sty, _d) in self.spans[span].items()
+                          if sty == want])
+        return itertools.product(*slots)
 
     def _operand_order(self, rule, combo):
         children = [None] * len(rule.operands)
@@ -133,54 +122,45 @@ class _Chart:
         return children
 
 
+def _sign_conjuncts(th, axname):
+    """The phon and sem conjuncts of a lexeme or rule axiom, specialised to
+    the axiom's own operand variables; derived once per theory."""
+    def build():
+        ax = rules.spec_all(kernel.axiom(th, axname))
+        return rules.conjunct1(ax), rules.conjunct2(ax)
+    return rules._cached(th, ('sign_conjuncts', axname), build)
+
+
+def _with_children(child_eqs, step):
+    """A node function: a child's equation at its left-hand side, else step."""
+    return lambda th, t: child_eqs.get(t) or step(th, t)
+
+
 class _ProofBuilder:
     def __init__(self, g):
         self.g = g
+        self.phon_step = gmod._phon_step(g)
         self.memo = {}
 
     def build(self, sign, deriv_map):
-        """(phon_proof, sem_proof, word, meaning) for a chart sign."""
+        """(phon_proof, sem_proof) for a chart sign: the axiom's conjuncts
+        at the children, each side then rewritten in one bottom-up pass that
+        puts in the children's proven values and normalizes."""
         if sign in self.memo:
             return self.memo[sign]
-        g = self.g
-        th = g.theory
-        deriv = deriv_map[sign]
-        if deriv[0] == 'lex':
-            lx = deriv[1]
-            ax = kernel.axiom(th, 'lex.%s' % lx.name)
-            phon = rules.conjunct1(ax)
-            sem = rules.conjunct2(ax)
-            meaning = beta_normalize(lx.sem)
-            if rules.rhs(sem) != meaning:
-                sem = kernel.transitivity(sem, rules.bp_norm(th, rules.rhs(sem)))
-            out = (phon, sem, lx.word, meaning)
-        else:
-            rule, children = deriv
-            parts = [self.build(c, deriv_map) for c in children]
-            ax = kernel.axiom(th, 'rule.%s' % rule.name)
-            for c in children:
-                ax = rules.spec(c, ax)
-            phon = rules.conjunct1(ax)
-            sem = rules.conjunct2(ax)
-            for cp, _cs, _w, _m in parts:
-                e = rules.rewrite_all_occurrences(th, rules.rhs(phon), cp)
-                if e is not None:
-                    phon = kernel.transitivity(phon, e)
-            norm = gmod.phon_norm(g, rules.rhs(phon))
-            phon = kernel.transitivity(phon, norm)
-            word = Word(())
-            for s in range(len(children)):
-                word = word + parts[rule.pattern[s] - 1][2]
-            if rules.rhs(phon) != word_to_phon(g, word):
-                raise GrammarError('phonology proof does not match the word')
-            for cp, cs, _w, _m in parts:
-                for child_eq in (cs, cp):
-                    e = rules.rewrite_all_occurrences(th, rules.rhs(sem), child_eq)
-                    if e is not None:
-                        sem = kernel.transitivity(sem, e)
-            n = rules.bp_norm(th, rules.rhs(sem))
-            sem = kernel.transitivity(sem, n)
-            out = (phon, sem, word, rules.rhs(sem))
+        axname, opvars, children = deriv_map[sign]
+        phon, sem = _sign_conjuncts(self.g.theory, axname)
+        if children:
+            inst = dict(zip(opvars, children))
+            phon = kernel.instantiate(phon, inst)
+            sem = kernel.instantiate(sem, inst)
+        child_phon, child_eqs = {}, {}
+        for c in children:
+            cp, cs = self.build(c, deriv_map)
+            child_phon[rules.lhs(cp)] = child_eqs[rules.lhs(cp)] = cp
+            child_eqs[rules.lhs(cs)] = cs
+        out = (rules.rewrite_rhs(phon, _with_children(child_phon, self.phon_step)),
+               rules.rewrite_rhs(sem, _with_children(child_eqs, rules._bp_step)))
         self.memo[sign] = out
         return out
 
@@ -189,15 +169,16 @@ def parse(g, word, depth_bound):
     """All parses of a word up to the derivation depth bound."""
     if isinstance(word, (str, tuple, list)):
         word = Word(word)
-    word_to_phon(g, word)  # rejects tokens outside the alphabet
+    phon_term = word_to_phon(g, word)  # rejects tokens outside the alphabet
     chart = _Chart(g, word, depth_bound)
     builder = _ProofBuilder(g)
     results = []
     n = len(word)
     for sign, (sty, depth) in chart.spans[(0, n)].items():
-        phon, sem, w, meaning = builder.build(sign, chart.deriv)
-        assert w == word
-        results.append(ParseResult(word, sign, sty, meaning, phon, sem, depth))
+        phon, sem = builder.build(sign, chart.deriv)
+        if rules.rhs(phon) != phon_term:
+            raise GrammarError('phonology proof does not match the word')
+        results.append(ParseResult(word, sign, sty, rules.rhs(sem), phon, sem, depth))
     results.sort(key=lambda r: (r.depth, syntax.canonical_term(r.sign)))
     return results
 

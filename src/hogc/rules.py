@@ -4,7 +4,8 @@ Everything here bottoms out in kernel rules, so every theorem produced
 carries a full primitive-step provenance and can be exported as a trace.
 The layer covers the standard propositional toolkit for the equality-based
 connectives, a small conversion framework (context substitution, full
-beta/projection normalization, bottom-up rewriting), the derived rules for
+beta/projection normalization, bottom-up rewriting that proves nothing
+about the subterms it leaves unchanged), the derived rules for
 the if-then-else constants C and their laws, and a case-split tautology
 prover for the quantifier-free boolean fragment.  That fragment is defined
 here once, by ``fragment_vars``; the closure lab decides it with the same
@@ -378,77 +379,72 @@ def _hole(ty, *sources):
     return Var(fresh_name('hole', _avoid_from(*sources)), ty)
 
 
-def rewrite_all_occurrences(th, t, eqthm):
-    """A |- t = t' replacing every free occurrence of the lhs of eqthm; None
-    when the lhs does not occur in t."""
-    a, _b = dest_eq(eqthm.concl)
-    hole = _hole(a.ty, t, eqthm)
-
-    def repl(u, bound):
-        if not (u.free_vars & bound) and u == a:
-            return hole
-        if isinstance(u, App):
-            return App(repl(u.fn, bound), repl(u.arg, bound))
-        if isinstance(u, Abs):
-            return Abs(u.var, repl(u.body, bound | {(u.var.name, u.var.ty)}))
-        if isinstance(u, Pair):
-            return Pair(repl(u.left, bound), repl(u.right, bound))
-        if isinstance(u, Proj):
-            return Proj(u.index, repl(u.arg, bound))
-        return u
-
-    tmpl = repl(t, frozenset())
-    if tmpl == t:
-        return None
-    return subst_context(th, tmpl, hole, eqthm)
-
-
 def depth_rewrite(th, t, node_fn):
     """|- t = t' by applying node_fn bottom-up until no rule applies.
 
     node_fn(th, u) returns an equation theorem for a single node or None;
     its results must have no hypotheses.  Rewritten results are descended
     into again, so node_fn must be terminating (e.g. size-decreasing or
-    normalizing).
+    normalizing).  A term that nothing rewrites gets |- t = t by one
+    reflexivity step.
     """
+    e = _rewrite(th, t, node_fn)
+    return reflexivity(th, t) if e is None else e
+
+
+def rewrite_rhs(thm, node_fn):
+    """From A |- a = b derive A |- a = b' with b rewritten as by
+    depth_rewrite; thm itself when nothing rewrites."""
+    e = _rewrite(thm.theory, rhs(thm), node_fn)
+    return thm if e is None else transitivity(thm, e)
+
+
+def _rewrite(th, t, node_fn):
+    # |- t = t', or None when t is left unchanged: unchanged subterms get
+    # no proof at all, so no reflexivity or congruence step concludes t = t
     e = _children_rewrite(th, t, node_fn)
-    t1 = rhs(e)
-    r = node_fn(th, t1)
+    r = node_fn(th, t if e is None else rhs(e))
     if r is None:
         return e
     if r.hyps:
         raise RuleError('rewrite rules must be hypothesis-free')
-    e2 = depth_rewrite(th, rhs(r), node_fn)
-    return transitivity(e, transitivity(r, e2))
+    e2 = _rewrite(th, rhs(r), node_fn)
+    if e2 is not None:
+        r = transitivity(r, e2)
+    return r if e is None else transitivity(e, r)
 
 
 def _children_rewrite(th, t, node_fn):
     if isinstance(t, App):
-        ef = depth_rewrite(th, t.fn, node_fn)
-        ea = depth_rewrite(th, t.arg, node_fn)
-        return congruence(ef, ea)
+        ef = _rewrite(th, t.fn, node_fn)
+        ea = _rewrite(th, t.arg, node_fn)
+        if ef is None and ea is None:
+            return None
+        return congruence(reflexivity(th, t.fn) if ef is None else ef,
+                          reflexivity(th, t.arg) if ea is None else ea)
     if isinstance(t, Abs):
-        eb = depth_rewrite(th, t.body, node_fn)
-        return abstraction(t.var, eb)
+        eb = _rewrite(th, t.body, node_fn)
+        return None if eb is None else abstraction(t.var, eb)
     if isinstance(t, Pair):
-        el = depth_rewrite(th, t.left, node_fn)
-        er = depth_rewrite(th, t.right, node_fn)
-        e = reflexivity(th, t)
-        if rhs(el) != t.left:
+        el = _rewrite(th, t.left, node_fn)
+        er = _rewrite(th, t.right, node_fn)
+        e = None
+        if el is not None:
             hole = _hole(t.left.ty, t, el)
-            e = transitivity(e, subst_context(th, Pair(hole, t.right), hole, el))
-        cur = rhs(e)
-        if rhs(er) != t.right:
+            e = subst_context(th, Pair(hole, t.right), hole, el)
+        if er is not None:
+            cur = t if e is None else rhs(e)
             hole = _hole(t.right.ty, cur, er)
-            e = transitivity(e, subst_context(th, Pair(cur.left, hole), hole, er))
+            e2 = subst_context(th, Pair(cur.left, hole), hole, er)
+            e = e2 if e is None else transitivity(e, e2)
         return e
     if isinstance(t, Proj):
-        ea = depth_rewrite(th, t.arg, node_fn)
-        if rhs(ea) != t.arg:
-            hole = _hole(t.arg.ty, t, ea)
-            return subst_context(th, Proj(t.index, hole), hole, ea)
-        return reflexivity(th, t)
-    return reflexivity(th, t)
+        ea = _rewrite(th, t.arg, node_fn)
+        if ea is None:
+            return None
+        hole = _hole(t.arg.ty, t, ea)
+        return subst_context(th, Proj(t.index, hole), hole, ea)
+    return None
 
 
 def _bp_step(th, t):
@@ -466,50 +462,36 @@ def bp_norm(th, t):
 
 def rewrite_sides(thm, node_fn):
     """From A |- a = b derive A |- a' = b' with both sides rewritten."""
-    th = thm.theory
-    a, b = dest_eq(thm.concl)
-    ea = depth_rewrite(th, a, node_fn)
-    eb = depth_rewrite(th, b, node_fn)
-    return transitivity(symmetry(ea), transitivity(thm, eb))
+    ea = _rewrite(thm.theory, lhs(thm), node_fn)
+    thm = rewrite_rhs(thm, node_fn)
+    return thm if ea is None else transitivity(symmetry(ea), thm)
 
 
 # ---------------------------------------------------------------------------
 # The if-then-else constant family
 
-def _cond_true_schema(th, ty):
+def _cond_schema(th, ty, z):
+    """|- C(x, y, z) = x for z = true, |- C(x, y, z) = y for z = false."""
     def build():
         x, y = Var('x', ty), Var('y', ty)
-        goal = mk_cond(x, y, true_c())
-        u = unfold_head(th, goal)
-        n = bp_norm(th, rhs(u))
-        s = depth_rewrite(th, rhs(n), _ground_simp)
-        desc = spec(x, axiom(th, 'description[%s]' % type_to_str(ty)))
-        return transitivity(u, transitivity(n, transitivity(s, desc)))
-    return _cached(th, ('cond_true', ty), build)
-
-
-def _cond_false_schema(th, ty):
-    def build():
-        x, y = Var('x', ty), Var('y', ty)
-        goal = mk_cond(x, y, false_c())
-        u = unfold_head(th, goal)
-        n = bp_norm(th, rhs(u))
-        s = depth_rewrite(th, rhs(n), _ground_simp)
-        desc = spec(y, axiom(th, 'description[%s]' % type_to_str(ty)))
-        return transitivity(u, transitivity(n, transitivity(s, desc)))
-    return _cached(th, ('cond_false', ty), build)
+        u = unfold_head(th, mk_cond(x, y, z))
+        u = rewrite_rhs(rewrite_rhs(u, _bp_step), _ground_simp)
+        desc = spec(x if is_true(z) else y,
+                    axiom(th, 'description[%s]' % type_to_str(ty)))
+        return transitivity(u, desc)
+    return _cached(th, ('cond_true' if is_true(z) else 'cond_false', ty), build)
 
 
 def cond_true(th, x, y):
     """|- C(x, y, true) = x"""
     sx, sy = Var('x', x.ty), Var('y', x.ty)
-    return instantiate(_cond_true_schema(th, x.ty), {sx: x, sy: y})
+    return instantiate(_cond_schema(th, x.ty, true_c()), {sx: x, sy: y})
 
 
 def cond_false(th, x, y):
     """|- C(x, y, false) = y"""
     sx, sy = Var('x', x.ty), Var('y', x.ty)
-    return instantiate(_cond_false_schema(th, x.ty), {sx: x, sy: y})
+    return instantiate(_cond_schema(th, x.ty, false_c()), {sx: x, sy: y})
 
 
 def bool_cases_split(th, z, hole, tmpl, thm_true, thm_false):

@@ -24,9 +24,11 @@ variables may be annotated with their type (``x:(Ind -> Bool)``).
 
 from __future__ import annotations
 
+import re
+
 from . import kernel
-from .kernel import (App, Abs, BOOL, Const, FunType, Pair, PHON, ProdType,
-                     Proj, Term, Type, Var, type_to_str)
+from .kernel import (App, Abs, Const, FunType, Pair, PHON, ProdType, Proj,
+                     Var, type_to_str)
 
 
 class ParseError(Exception):
@@ -36,10 +38,20 @@ class ParseError(Exception):
 # ---------------------------------------------------------------------------
 # Canonical printing
 
+_BOUND_LIKE = re.compile(r'b[0-9]+_*$')
+
+
 def canonical_term(t):
-    """Alpha-canonical fully parenthesized rendering; parseable."""
+    """Alpha-canonical fully parenthesized rendering; parseable.  Bound
+    variables print as b<depth>, primed with _ while that names a free
+    variable or a constant of the term, so each reads back as bound."""
     avoid = {n for (n, _ty) in t.free_vars}
-    return _canon(t, {}, 0, avoid)
+    consts = set()
+    s = _canon(t, {}, 0, avoid, consts)
+    if '\\' in s and any(_BOUND_LIKE.match(c) for c in consts):
+        # a constant may share a bound name: print again avoiding them all
+        s = _canon(t, {}, 0, avoid | consts, consts)
+    return s
 
 
 def _canon_bound_name(depth, avoid):
@@ -49,29 +61,31 @@ def _canon_bound_name(depth, avoid):
     return name
 
 
-def _canon(t, env, depth, avoid):
+def _canon(t, env, depth, avoid, consts):
+    # applications are most of the nodes, so they are tested first
+    if isinstance(t, App):
+        return '(%s %s)' % (_canon(t.fn, env, depth, avoid, consts),
+                            _canon(t.arg, env, depth, avoid, consts))
+    if isinstance(t, Const):
+        consts.add(t.name)
+        return t.display_name
     if isinstance(t, Var):
         bound = env.get((t.name, t.ty))
         if bound is not None:
             return bound
         return '%s:%s' % (t.name, type_to_str(t.ty))
-    if isinstance(t, Const):
-        return t.display_name
-    if isinstance(t, App):
-        return '(%s %s)' % (_canon(t.fn, env, depth, avoid),
-                            _canon(t.arg, env, depth, avoid))
     if isinstance(t, Abs):
         name = _canon_bound_name(depth, avoid)
         env2 = dict(env)
         env2[(t.var.name, t.var.ty)] = name
         return '(\\%s:%s. %s)' % (name, type_to_str(t.var.ty),
-                                  _canon(t.body, env2, depth + 1, avoid))
+                                  _canon(t.body, env2, depth + 1, avoid, consts))
     if isinstance(t, Pair):
-        return '<%s, %s>' % (_canon(t.left, env, depth, avoid),
-                             _canon(t.right, env, depth, avoid))
+        return '<%s, %s>' % (_canon(t.left, env, depth, avoid, consts),
+                             _canon(t.right, env, depth, avoid, consts))
     if isinstance(t, Proj):
         return '(%s %s)' % ('fst' if t.index == 1 else 'snd',
-                            _canon(t.arg, env, depth, avoid))
+                            _canon(t.arg, env, depth, avoid, consts))
     raise ParseError('not a term: %r' % (t,))
 
 

@@ -167,6 +167,11 @@ def test_trace_verify_missing_file(capsys):
     assert code == 2
 
 
+def test_trace_verify_config_without_trace_path(capsys):
+    assert cli.run(RunConfig(command='trace-verify')) == 2
+    assert capsys.readouterr().out == 'trace-verify error: a trace file is required\n'
+
+
 # ---------------------------------------------------------------------------
 # merge
 
@@ -207,6 +212,15 @@ def test_merge_errors(files, capsys):
                               '-w', 'fajdo blt', '0', '5',
                               '--cert', str(cert)])
     assert code == 2 and 'out of range' in out
+
+
+def test_merge_config_without_indices(files, capsys):
+    cert = files['dir'] / 'left.cert'
+    cert.write_text('target barks(fido)\nby left\n')
+    code = cli.run(RunConfig(command='merge', grammar=files['ambig'],
+                             word='fajdo blt', cert=str(cert)))
+    assert code == 2
+    assert capsys.readouterr().out == 'merge error: merge needs two parse indices\n'
 
 
 # ---------------------------------------------------------------------------

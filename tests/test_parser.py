@@ -2,9 +2,11 @@
 
 import pytest
 
-from hogc import closure, grammar, kernel, parser, syntax
+from hogc import grammar, kernel, parser, rules, syntax
 from hogc.grammar import GrammarError, Word, word_to_phon
 from hogc.kernel import App, mk_eq
+
+import helpers
 
 
 def _sign_word_meaning(g, results):
@@ -175,3 +177,69 @@ def test_proofs_replay_under_composition(boolsem):
     assert r.depth == 3
     assert r.sem_proof.concl == mk_eq(
         App(boolsem.theory.const('sem_S'), r.sign), r.meaning)
+
+
+def _steps(thm):
+    """Every theorem in a proof DAG, once each."""
+    seen, todo = {}, [thm]
+    while todo:
+        t = todo.pop()
+        if id(t) not in seen:
+            seen[id(t)] = t
+            todo.extend(a for a in t.args if isinstance(a, kernel.Theorem))
+    return seen.values()
+
+
+def _instance_premise(thm):
+    """The premise of the instantiate step a parse proof starts from."""
+    while thm.rule == 'transitivity':
+        thm = thm.args[0]
+    assert thm.rule == 'instantiate'
+    return thm.args[0]
+
+
+def test_parses_share_cached_axiom_conjuncts(boolsem):
+    # the rule axiom's conjuncts are derived once per theory; every sign
+    # instantiates the same theorem objects
+    r1, = parser.parse(boolsem, 'nicht ja', 2)
+    r2, = parser.parse(boolsem, 'nicht ja', 2)
+    assert r1.sem_proof is not r2.sem_proof
+    for a, b in ((r1.phon_proof, r2.phon_proof), (r1.sem_proof, r2.sem_proof)):
+        assert _instance_premise(a) is _instance_premise(b)
+    # the premise is the sem conjunct at the rule's operand variables
+    conj = _instance_premise(r1.sem_proof).concl
+    assert {n for n, _ty in conj.free_vars} == {'x1', 'x2'}
+
+
+@pytest.mark.parametrize('name,word,k', [
+    ('toy', 'fajdo blt', 2), ('ambig', 'fajdo blt', 3),
+    ('boolsem', 'nicht ja en nee', 4), ('eps', 'blt', 4),
+])
+def test_parse_proofs_have_no_identity_congruences(name, word, k):
+    g = grammar.elaborate(helpers.GRAMMARS[name], name=name)
+    results = parser.parse(g, word, k)
+    assert results
+    for r in results:
+        for proof in (r.phon_proof, r.sem_proof):
+            for t in _steps(proof):
+                if t.rule in ('congruence', 'abstraction'):
+                    assert rules.lhs(t) != rules.rhs(t), t
+
+
+def test_meanings_mentioning_sign_projections_rejected():
+    # a lexeme meaning naming a sign projection would make a parent
+    # sign's rewrite substitute the lexeme's meaning into itself forever
+    bad = helpers.BOOLSEM + 'lex FOO : S { phon = /ja/; sem = ~sem_S(FOO); }\n'
+    with pytest.raises(GrammarError, match='lex FOO: meaning mentions sem_S'):
+        grammar.elaborate(bad)
+    bad = helpers.BOOLSEM + ('rule R : S -> S { phon = $1; '
+                             'sem = sem($1) /\\ sem_S(YES); }\n')
+    with pytest.raises(GrammarError, match='rule R: meaning mentions sem_S'):
+        grammar.elaborate(bad)
+    bad = helpers.BOOLSEM + ('rule R : S -> S { phon = $1; '
+                             'sem = (\\x1:S. sem_S(x1))($1); }\n')
+    with pytest.raises(GrammarError, match='rule R: meaning mentions sem_S'):
+        grammar.elaborate(bad)
+    ok = helpers.BOOLSEM + 'rule R : S -> S { phon = $1; sem = sem_S(x1:S); }\n'
+    assert [r.meaning for r in parser.parse(grammar.elaborate(ok), 'ja', 2)
+            if r.depth == 2] == [kernel.true_c()]

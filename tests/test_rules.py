@@ -132,14 +132,39 @@ def test_subst_context(th):
     assert r.concl == mk_eq(App(f, x), App(f, y))
 
 
-def test_rewrite_all_occurrences(th):
-    x, y = Var('x', IND), Var('y', IND)
-    f = Var('f', FunType(IND, FunType(IND, BOOL)))
-    eq = kernel.assume(th, mk_eq(x, y))
-    t = App(App(f, x), x)
-    r = rules.rewrite_all_occurrences(th, t, eq)
-    assert r.concl == mk_eq(t, App(App(f, y), y))
-    assert rules.rewrite_all_occurrences(th, App(App(f, y), y), eq) is None
+def test_rewrite_rhs_unchanged_is_the_same_theorem(th):
+    x = Var('x', BOOL)
+    thm = kernel.assume(th, mk_eq(x, mk_conj(x, x)))
+    assert rules.rewrite_rhs(thm, rules._bp_step) is thm
+    redex = App(Abs(x, mk_not(x)), true_c())
+    thm = kernel.assume(th, mk_eq(mk_not(true_c()), redex))
+    e = rules.rewrite_rhs(thm, rules._bp_step)
+    assert e.concl == mk_eq(mk_not(true_c()), mk_not(true_c()))
+    assert e.rule == 'transitivity' and e.args[0] is thm
+
+
+def test_depth_rewrite_normal_term_is_one_reflexivity_step(th):
+    x = Var('x', BOOL)
+    t = mk_conj(mk_cond(x, true_c(), x), mk_eq(Abs(x, mk_not(x)), Abs(x, x)))
+    e = rules.depth_rewrite(th, t, rules._bp_step)
+    assert e.rule == 'reflexivity' and e.args == (t,)
+
+
+def test_depth_rewrite_proves_nothing_about_unchanged_subterms(th):
+    # only the path from the root to the rewritten redex gets congruences
+    x = Var('x', BOOL)
+    big = mk_disj(mk_conj(x, x), mk_not(x))
+    redex = App(Abs(x, x), true_c())
+    e = rules.depth_rewrite(th, mk_conj(big, redex), rules._bp_step)
+    assert rules.rhs(e) == mk_conj(big, true_c())
+    rules_used = []
+    todo = [e]
+    while todo:
+        s = todo.pop()
+        rules_used.append(s.rule)
+        todo.extend(a for a in s.args if isinstance(a, kernel.Theorem))
+    # congruence(refl(/\ big), beta) with one reflexivity for the fixed side
+    assert sorted(rules_used) == ['beta_conversion', 'congruence', 'reflexivity']
 
 
 def test_bp_norm_matches_beta_normalize(th):

@@ -121,6 +121,26 @@ def test_roundtrip_merge_with_constant_named_like_a_schema_variable(route):
     assert [t.concl for t in got] == [m.phon_proof.concl, m.sem_proof.concl]
 
 
+B0 = ('alphabet: a\nsigntype S sem Bool\n'
+      'const b0 : Ind\nconst likes : Ind -> Ind -> Bool\n'
+      'lex A : S { phon = /a/; sem = %s; }\n')
+
+
+def test_bound_names_avoid_constant_names():
+    # canonical bound names are b<depth>; they must not print as the
+    # constant b0, or both sides below read back the same
+    src = B0 % '(\\x:Ind. likes x b0) = (\\x:Ind. likes x x)'
+    swapped = B0 % '(\\x:Ind. likes x x) = (\\x:Ind. likes x b0)'
+    g = grammar.elaborate(src, name='b')
+    assert (theory_fingerprint(g.theory)
+            != theory_fingerprint(grammar.elaborate(swapped, name='b').theory))
+    r = parser.parse(g, 'a', 1)[0]
+    text = export_trace([r.phon_proof, r.sem_proof])
+    fresh = grammar.elaborate(src, name='b')
+    got = verify_trace(text, fresh.theory, strict_fingerprint=True)
+    assert [t.concl for t in got] == [r.phon_proof.concl, r.sem_proof.concl]
+
+
 def test_roundtrip_every_primitive_rule():
     th = kernel.core_theory()
     assume_p = kernel.assume(th, P)
