@@ -8,7 +8,7 @@ boolean meaning sets.
 """
 
 from .kernel import (Abs, App, BOOL, BaseType, Const, FunType, IND, KernelError,
-                     PHON, PROP, Pair, ProdType, Proj, RuleError, Term, Theorem,
+                     PHON, Pair, ProdType, Proj, RuleError, Term, Theorem,
                      Theory, TheoryError, Type, TypingError, Var, axiom,
                      beta_normalize, core_theory, free_vars, substitute, type_of)
 from .syntax import ParseError, TermEnv, canonical_term, canonical_theorem, \
@@ -31,7 +31,7 @@ __version__ = '0.1.0'
 __all__ = [
     'Abs', 'App', 'BOOL', 'BaseType', 'ClosureCertificate', 'ClosureError',
     'Const', 'FragmentError', 'FunType', 'Grammar', 'GrammarError',
-    'GrammarSpec', 'IND', 'KernelError', 'PHON', 'PROP', 'Pair',
+    'GrammarSpec', 'IND', 'KernelError', 'PHON', 'Pair',
     'ParseError', 'ParseResult', 'ProdType', 'Proj', 'RuleError', 'Term',
     'TermEnv', 'TermUniverse', 'Theorem', 'Theory', 'TheoryError',
     'TraceError', 'Type', 'TypingError', 'Var', 'Word', 'axiom',

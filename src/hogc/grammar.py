@@ -42,7 +42,7 @@ _NAME_RE = re.compile(r'^[A-Za-z_][A-Za-z0-9_]*$')
 _TOKEN_RE = re.compile(r"^[a-z0-9'][a-z0-9'_-]*$")
 _RESERVED = frozenset(('fst', 'snd', 'sem', 'phon', 'conc', 'true', 'false',
                        'not', 'and', 'or', 'imp', 'eq', 'iota', 'forall',
-                       'exists', 'cond', 'Bool', 'Ind', 'Prop', 'Phon'))
+                       'exists', 'cond', 'Bool', 'Ind', 'Phon'))
 
 
 class Word:
@@ -281,7 +281,7 @@ def _projection(th, sem_types, kind, t):
     raise syntax.ParseError('%s(...) needs a sign-typed argument' % kind)
 
 
-def _sem_type(spec, sem_types, name, seen):
+def _sem_type(th, spec, sem_types, name, seen):
     if name in sem_types:
         return sem_types[name]
     if name not in spec.sign_types:
@@ -290,11 +290,11 @@ def _sem_type(spec, sem_types, name, seen):
         raise GrammarError('circular sign type %s' % name)
     decl = spec.sign_types[name]
     if decl[0] == 'base':
-        ty = kernel.type_from_str(decl[1])
+        ty = syntax.parse_type(decl[1], th)
     else:
         _op, a, b = decl
-        ty = FunType(_sem_type(spec, sem_types, a, seen | {name}),
-                     _sem_type(spec, sem_types, b, seen | {name}))
+        ty = FunType(_sem_type(th, spec, sem_types, a, seen | {name}),
+                     _sem_type(th, spec, sem_types, b, seen | {name}))
     sem_types[name] = ty
     return ty
 
@@ -325,9 +325,7 @@ def elaborate(spec, name='g'):
 
     sem_types = {}
     for sty in spec.sign_types:
-        _sem_type(spec, sem_types, sty, frozenset())
-    for sty, ty in sem_types.items():
-        th._check_type(ty)
+        _sem_type(th, spec, sem_types, sty, frozenset())
 
     th.add_constant('conc', FunType(ProdType(PHON, PHON), PHON))
     th.add_constant('//', PHON)
@@ -338,7 +336,7 @@ def elaborate(spec, name='g'):
         th.add_constant('phon_%s' % sty, FunType(sigma, PHON))
         th.add_constant('sem_%s' % sty, FunType(sigma, sem_types[sty]))
     for cname, tsrc in spec.constants:
-        th.add_constant(cname, kernel.type_from_str(tsrc))
+        th.add_constant(cname, syntax.parse_type(tsrc, th))
     for lx in spec.lexicon:
         if lx.sign_type not in spec.sign_types:
             raise GrammarError('lex %s: unknown sign type %s' % (lx.name, lx.sign_type))

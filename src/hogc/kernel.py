@@ -17,6 +17,8 @@ Design points that matter for soundness:
 * Logical connectives are defined constants in the equality-based style;
   only their defining equations are axioms, next to function extensionality,
   boolean case analysis, the description axiom and surjective pairing.
+* The kernel parses no text: axiom schemas take structured type arguments,
+  and concrete syntax is read and printed in ``syntax``.
 
 Every value here (types, terms, frozen theories, theorems) is immutable and
 safe to share across threads; theory construction is single-threaded.
@@ -99,10 +101,9 @@ class ProdType(Type):
 
 BOOL = BaseType('Bool')
 IND = BaseType('Ind')
-PROP = BaseType('Prop')
 PHON = BaseType('Phon')
 
-CORE_BASE_TYPES = ('Bool', 'Ind', 'Prop', 'Phon')
+CORE_BASE_TYPES = ('Bool', 'Ind', 'Phon')
 
 
 def type_to_str(ty):
@@ -114,70 +115,6 @@ def type_to_str(ty):
     if isinstance(ty, ProdType):
         return '(%s * %s)' % (type_to_str(ty.left), type_to_str(ty.right))
     raise TypingError('not a type: %r' % (ty,))
-
-
-def type_from_str(s):
-    """Parse the canonical type syntax (names, ``->`` and ``*``)."""
-    toks = _tokenize_type(s)
-    ty, pos = _parse_type(toks, 0)
-    if pos != len(toks):
-        raise TypingError('trailing input in type: %s' % s)
-    return ty
-
-
-def _tokenize_type(s):
-    toks = []
-    i = 0
-    while i < len(s):
-        c = s[i]
-        if c.isspace():
-            i += 1
-        elif c in '()*':
-            toks.append(c)
-            i += 1
-        elif s.startswith('->', i):
-            toks.append('->')
-            i += 2
-        elif c.isalnum() or c == '_':
-            j = i
-            while j < len(s) and (s[j].isalnum() or s[j] == '_'):
-                j += 1
-            toks.append(s[i:j])
-            i = j
-        else:
-            raise TypingError('bad character %r in type %s' % (c, s))
-    return toks
-
-
-def _parse_type(toks, pos):
-    # arrow, right associative; '*' binds tighter, also right associative
-    left, pos = _parse_prod(toks, pos)
-    if pos < len(toks) and toks[pos] == '->':
-        right, pos = _parse_type(toks, pos + 1)
-        return FunType(left, right), pos
-    return left, pos
-
-
-def _parse_prod(toks, pos):
-    left, pos = _parse_type_atom(toks, pos)
-    if pos < len(toks) and toks[pos] == '*':
-        right, pos = _parse_prod(toks, pos + 1)
-        return ProdType(left, right), pos
-    return left, pos
-
-
-def _parse_type_atom(toks, pos):
-    if pos >= len(toks):
-        raise TypingError('unexpected end of type')
-    t = toks[pos]
-    if t == '(':
-        ty, pos = _parse_type(toks, pos + 1)
-        if pos >= len(toks) or toks[pos] != ')':
-            raise TypingError('missing ) in type')
-        return ty, pos + 1
-    if t in ('->', '*', ')'):
-        raise TypingError('unexpected %r in type' % t)
-    return BaseType(t), pos + 1
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +140,6 @@ class Term:
             return NotImplemented
         return _alpha_eq(self, other, {}, {}, 0)
 
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return r if r is NotImplemented else not r
-
     def __hash__(self):
         if self._h is None:
             self._h = _alpha_hash(self, {}, 0)
@@ -229,7 +162,7 @@ class Var(Term):
 
 
 class Const(Term):
-    __slots__ = ('name', 'targs')
+    __slots__ = ('name', 'targs', '_display')
 
     def __init__(self, name, ty, targs=()):
         self.name = name
@@ -237,15 +170,16 @@ class Const(Term):
         self.targs = tuple(targs)
         self._fvs = frozenset()
         self._h = None
+        self._display = None
 
     @property
     def display_name(self):
-        if self.targs:
-            return '%s[%s]' % (self.name, ','.join(type_to_str(a) for a in self.targs))
-        return self.name
-
-    def _compute_fvs(self):
-        return frozenset()
+        """``name[T1,...]`` for a schematic instance, else ``name``; formatted
+        on first use only, since most constants are never printed."""
+        if self._display is None:
+            self._display = ('%s[%s]' % (self.name, ','.join(map(type_to_str, self.targs)))
+                             if self.targs else self.name)
+        return self._display
 
 
 class App(Term):
@@ -701,7 +635,10 @@ def _def_rhs(name, targs):
 
 
 _DEFINED_ORDER = ('true', 'and', 'imp', 'forall', 'exists', 'or', 'false', 'not', 'cond')
-_DEFINED_WITH_TARG = frozenset(('forall', 'exists', 'cond'))
+
+# axiom schema name -> number of type arguments
+_SCHEMA_ARITY = {'bool-cases': 0, 'description': 1, 'ext': 2, 'pairing': 2,
+                 **{'def.' + c: int(c in _UNARY_LOGICAL) for c in _DEFINED_ORDER}}
 
 
 # ---------------------------------------------------------------------------
@@ -738,6 +675,8 @@ class Theory:
 
     def add_axiom(self, name, prop):
         self._check_mutable()
+        if name in _SCHEMA_ARITY or '[' in name:
+            raise TheoryError('axiom name %s is reserved for the logical schemas' % name)
         if name in self.axioms:
             raise TheoryError('duplicate axiom %s' % name)
         if prop.ty != BOOL:
@@ -1005,97 +944,56 @@ PRIMITIVE_RULES = ('reflexivity', 'symmetry', 'transitivity', 'congruence',
 # ---------------------------------------------------------------------------
 # Axioms
 
-def axiom(th, name):
-    """The named axiom of ``th`` as a theorem with no hypotheses.
+def axiom(th, name, targs=()):
+    """The axiom ``name`` of ``th``, at type arguments ``targs``, as a
+    theorem with no hypotheses.
 
-    Logical axiom schemas use structured names and are generated on demand:
-    ``def.<const>`` and ``def.<const>[T]`` for defining equations,
-    ``description[T]``, ``ext[A,B]``, ``pairing[A,B]`` and ``bool-cases``.
-    Named (grammar) axioms are looked up in the theory's axiom table.
+    The logical axiom schemas are generated on demand, each with a fixed
+    number of type arguments: ``bool-cases`` (none), ``description`` (one),
+    ``ext`` and ``pairing`` (two), and ``def.<const>``, the defining equation
+    of a defined logical constant (one for ``forall``, ``exists`` and
+    ``cond``, none otherwise).  The theorem records an instance as
+    ``name[T1,...]``.  Named (grammar) axioms take no type arguments and are
+    looked up in the theory's axiom table.
     """
     if not th.frozen:
         raise TheoryError('theory %s is not frozen' % th.name)
-    prop = _logical_axiom(th, name)
-    if prop is None:
-        if name not in th.axioms:
-            raise TheoryError('unknown axiom %s' % name)
+    targs = tuple(targs)
+    label = '%s[%s]' % (name, ','.join(map(type_to_str, targs))) if targs else name
+    arity = _SCHEMA_ARITY.get(name)
+    if arity is None:
+        if targs or name not in th.axioms:
+            raise TheoryError('unknown axiom %s' % label)
         prop = th.axioms[name]
-    return _thm(th, (), prop, 'axiom', (name,))
+    elif len(targs) != arity:
+        raise TheoryError('axiom %s takes %d type arguments, got %d'
+                          % (name, arity, len(targs)))
+    else:
+        for ty in targs:
+            th._check_type(ty)
+        prop = _schema(name, targs)
+    return _thm(th, (), prop, 'axiom', (label,))
 
 
-def _split_targs(th, name):
-    if '[' not in name:
-        return name, ()
-    if not name.endswith(']'):
-        raise TheoryError('malformed axiom name %s' % name)
-    base, inner = name[:-1].split('[', 1)
-    targs = []
-    depth = 0
-    cur = ''
-    for ch in inner:
-        if ch == ',' and depth == 0:
-            targs.append(cur)
-            cur = ''
-        else:
-            if ch == '(':
-                depth += 1
-            elif ch == ')':
-                depth -= 1
-            cur += ch
-    targs.append(cur)
-    tys = tuple(type_from_str(s) for s in targs)
-    for ty in tys:
-        th._check_type(ty)
-    return base, tys
-
-
-def _logical_axiom(th, name):
-    base, targs = _split_targs(th, name)
-    if base == 'bool-cases':
+def _schema(name, targs):
+    if name == 'bool-cases':
         z = Var('z', BOOL)
         return mk_forall(z, mk_disj(mk_eq(z, true_c()), mk_eq(z, false_c())))
-    if base == 'description':
-        if len(targs) != 1:
-            return None
+    if name == 'description':
         (a,) = targs
         x = Var('x', a)
         y = Var('y', a)
         return mk_forall(x, mk_eq(App(iota_c(a), Abs(y, mk_eq(y, x))), x))
-    if base == 'ext':
-        if len(targs) != 2:
-            return None
+    if name == 'ext':
         a, b = targs
         f = Var('f', FunType(a, b))
         g = Var('g', FunType(a, b))
         x = Var('x', a)
         inner = mk_forall(x, mk_eq(App(f, x), App(g, x)))
         return mk_forall(f, mk_forall(g, mk_imp(inner, mk_eq(f, g))))
-    if base == 'pairing':
-        if len(targs) != 2:
-            return None
+    if name == 'pairing':
         a, b = targs
         p = Var('p', ProdType(a, b))
         return mk_forall(p, mk_eq(Pair(Proj(1, p), Proj(2, p)), p))
-    if base == 'def':
-        return None
-    if base.startswith('def.'):
-        cname = base[len('def.'):]
-        if cname not in _DEFINED_ORDER:
-            return None
-        if cname in _DEFINED_WITH_TARG:
-            if len(targs) != 1:
-                raise TheoryError('%s needs one type argument' % name)
-        elif targs:
-            raise TheoryError('%s takes no type argument' % name)
-        c = logical_const(cname, targs)
-        return mk_eq(c, _def_rhs(cname, targs))
-    return None
-
-
-def def_axiom(th, name, targs=()):
-    """Defining equation of a defined logical constant, e.g. def_axiom(th, 'cond', (ty,))."""
-    if targs:
-        full = 'def.%s[%s]' % (name, ','.join(type_to_str(t) for t in targs))
-    else:
-        full = 'def.%s' % name
-    return axiom(th, full)
+    cname = name[len('def.'):]
+    return mk_eq(logical_const(cname, targs), _def_rhs(cname, targs))

@@ -26,7 +26,7 @@ from .kernel import (Abs, App, BOOL, FunType, Pair, Proj, RuleError, Var,
                      instantiate, is_false, is_true, mk_conj, mk_cond,
                      mk_disj, mk_eq, mk_forall, mk_imp, mk_not,
                      modus_ponens_eq, pair_beta, reflexivity, substitute,
-                     symmetry, transitivity, true_c, type_to_str)
+                     symmetry, transitivity, true_c)
 
 
 def lhs(thm):
@@ -86,7 +86,7 @@ def unfold_head(th, t):
     args.reverse()
     if not (isinstance(head, kernel.Const) and head.name in kernel._DEFINED_ORDER):
         raise RuleError('no defined head constant in %r' % t)
-    e = kernel.def_axiom(th, head.name, head.targs)
+    e = axiom(th, 'def.' + head.name, head.targs)
     for a in args:
         e = ap_thm(e, a)
     for i in range(len(args)):
@@ -113,7 +113,7 @@ def truth(th):
     def build():
         p = Var('p', BOOL)
         r = reflexivity(th, Abs(p, p))
-        return modus_ponens_eq(symmetry(kernel.def_axiom(th, 'true')), r)
+        return modus_ponens_eq(symmetry(axiom(th, 'def.true')), r)
     return _cached(th, 'truth', build)
 
 
@@ -280,7 +280,7 @@ def contr(p, thm):
     th = thm.theory
     if not is_false(thm.concl):
         raise RuleError('contr needs |- false')
-    u = modus_ponens_eq(kernel.def_axiom(th, 'false'), thm)
+    u = modus_ponens_eq(axiom(th, 'def.false'), thm)
     return spec(p, u)
 
 
@@ -476,8 +476,7 @@ def _cond_schema(th, ty, z):
         x, y = Var('x', ty), Var('y', ty)
         u = unfold_head(th, mk_cond(x, y, z))
         u = rewrite_rhs(rewrite_rhs(u, _bp_step), _ground_simp)
-        desc = spec(x if is_true(z) else y,
-                    axiom(th, 'description[%s]' % type_to_str(ty)))
+        desc = spec(x if is_true(z) else y, axiom(th, 'description', (ty,)))
         return transitivity(u, desc)
     return _cached(th, ('cond_true' if is_true(z) else 'cond_false', ty), build)
 

@@ -559,13 +559,22 @@ def theory_phon_resolver(th):
     return resolve
 
 
+def _parse_all(s, env, level):
+    p = _Parser(_lex(s), env)
+    out = level(p)
+    tok = p.peek()
+    if tok.kind != 'eof':
+        raise ParseError('trailing input at %d: %r' % (tok.pos, tok.val))
+    return out
+
+
 def parse_term(s, env=None):
     """Parse a term; raises ParseError on bad input."""
-    env = env or TermEnv()
-    toks = _lex(s)
-    p = _Parser(toks, env)
-    t = p.term()
-    if p.peek().kind != 'eof':
-        tok = p.peek()
-        raise ParseError('trailing input at %d: %r' % (tok.pos, tok.val))
-    return t
+    return _parse_all(s, env or TermEnv(), _Parser.term)
+
+
+def parse_type(s, theory=None):
+    """Parse a type (base names, right-associative ``->`` and ``*``, with
+    ``*`` binding tighter); raises ParseError on bad input.  With a theory,
+    every base type must be declared in it.  This is the one type reader."""
+    return _parse_all(s, TermEnv(theory=theory), _Parser.type_expr)

@@ -5,7 +5,8 @@ A trace is line-oriented text, one primitive inference per line:
     <index> <rule-name> <args> ==> <hyps> |- <conclusion>
 
 Arguments are ``@N`` references to earlier steps, ``{term}`` literals in
-canonical syntax, and ``"name"`` axiom names; ``instantiate`` alternates
+canonical syntax, and ``"name"`` or ``"name[T1,...]"`` axiom names (an
+axiom schema at its type arguments); ``instantiate`` alternates
 ``{var} {term}`` pairs after the premise.  Hypotheses are ``;``-separated
 canonical terms.  Lines starting with ``#`` are comments; the exporter
 records the theory fingerprint and the root step indexes there.
@@ -151,6 +152,20 @@ def _need(args, step, *kinds):
     return [a[1] for a in args]
 
 
+def _split_axiom_name(th, name, step):
+    """Split ``"name[T1,...,Tn]"`` into the name and its parsed types (types
+    contain no commas)."""
+    base, sep, inner = name.partition('[')
+    if not sep:
+        return base, ()
+    if not inner.endswith(']'):
+        raise TraceError('malformed axiom name %r' % name, step)
+    try:
+        return base, tuple(syntax.parse_type(s, th) for s in inner[:-1].split(','))
+    except syntax.ParseError as e:
+        raise TraceError('bad type in axiom name %r: %s' % (name, e), step)
+
+
 def _run_step(th, rule, args, steps, step, env_factory):
     def ref(i):
         if not 0 <= i < len(steps):
@@ -198,7 +213,7 @@ def _run_step(th, rule, args, steps, step, env_factory):
         return kernel.deduct_antisym(ref(i), ref(j))
     if rule == 'axiom':
         (name,) = _need(args, step, 'name')
-        return kernel.axiom(th, name)
+        return kernel.axiom(th, *_split_axiom_name(th, name, step))
     if rule == 'instantiate':
         if not args or args[0][0] != 'ref' or len(args) % 2 == 0:
             raise TraceError('malformed instantiate arguments', step)
@@ -287,8 +302,7 @@ def _check_claim(thm, claim, step, env_factory):
                      for h in hyp_part.split(';') if h.strip())
     except (syntax.ParseError, kernel.KernelError) as e:
         raise TraceError('bad judgement syntax: %s' % e, step)
-    if concl != thm.concl:
-        raise TraceError('conclusion mismatch: claimed %s, derived %s'
-                         % (concl_part.strip(), syntax.canonical_term(thm.concl)), step)
-    if tuple(hyps) != tuple(thm.hyps):
-        raise TraceError('hypothesis mismatch', step)
+    if concl != thm.concl or hyps != thm.hyps:
+        raise TraceError('%s: %s mismatch: claimed %s, derived %s'
+                         % (thm.rule, 'conclusion' if concl != thm.concl else 'hypothesis',
+                            claim.strip(), syntax.canonical_theorem(thm).strip()), step)

@@ -147,6 +147,27 @@ def test_elaboration_errors(src, frag):
     assert frag in str(e.value)
 
 
+@pytest.mark.parametrize('decl,frag', [
+    ('const c : Und', 'unknown base type Und'),
+    ('const c : Ind ->', 'expected a type'),
+    ('const c : Ind Bool', 'trailing input'),
+    ('signtype T sem (Ind -> Und)', 'unknown base type Und'),
+])
+def test_declared_types_are_read_by_the_term_syntax(decl, frag):
+    prelude = 'alphabet: a\nsigntype S sem Bool\n'
+    with pytest.raises(syntax.ParseError) as e:
+        elaborate(prelude + decl, name='bad')
+    assert frag in str(e.value)
+
+
+def test_declared_types_may_name_sign_types():
+    g = elaborate('alphabet: a\nsigntype S sem Bool\nsigntype T sem Ind -> S * S\n'
+                  'const c : (T -> Ind) * Phon\n', name='ok')
+    S, T = kernel.BaseType('S'), kernel.BaseType('T')
+    assert g.sem_types['T'] == FunType(IND, kernel.ProdType(S, S))
+    assert g.theory.constants['c'] == kernel.ProdType(FunType(T, IND), PHON)
+
+
 def test_load_grammar_from_file(tmp_path):
     path = tmp_path / 'pet.hog'
     path.write_text(helpers.TOY)

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hogc import kernel
+from hogc import kernel, syntax
 from hogc.kernel import (
     Abs, App, BOOL, FunType, IND, PHON, Pair, ProdType, Proj, Var,
     false_c, mk_conj, mk_cond, mk_disj, mk_eq, mk_forall, mk_not, true_c,
@@ -22,32 +22,34 @@ def th():
 
 def test_type_parse_print_roundtrip():
     for src in ('Bool', 'Ind -> Bool', '(Ind -> Bool) -> Bool',
-                'Ind * Bool', 'Ind * Bool * Phon', 'Ind * (Bool -> Prop)',
+                'Ind * Bool', 'Ind * Bool * Phon', 'Ind * (Bool -> Phon)',
                 'Ind -> Ind -> Bool'):
-        ty = kernel.type_from_str(src)
-        assert kernel.type_from_str(kernel.type_to_str(ty)) == ty
+        ty = syntax.parse_type(src)
+        assert syntax.parse_type(kernel.type_to_str(ty)) == ty
 
 
 def test_arrow_right_associative():
-    assert (kernel.type_from_str('Ind -> Ind -> Bool')
+    assert (syntax.parse_type('Ind -> Ind -> Bool')
             == FunType(IND, FunType(IND, BOOL)))
 
 
 def test_product_right_associative():
-    assert (kernel.type_from_str('Ind * Bool * Phon')
+    assert (syntax.parse_type('Ind * Bool * Phon')
             == ProdType(IND, ProdType(BOOL, PHON)))
 
 
 def test_type_parse_errors():
     for src in ('', 'Ind ->', '(Ind', 'Ind Bool'):
-        with pytest.raises(kernel.KernelError):
-            kernel.type_from_str(src)
-    # unknown base names parse (grammars declare new sign types) but are
-    # rejected when checked against a theory
-    ty = kernel.type_from_str('Und')
+        with pytest.raises(syntax.ParseError):
+            syntax.parse_type(src)
+    # unknown base names parse without a theory (grammars declare new sign
+    # types) but are rejected when checked against one
+    ty = syntax.parse_type('Und')
     assert isinstance(ty, kernel.BaseType)
     with pytest.raises(kernel.KernelError):
         kernel.type_of(Var('x', ty), kernel.core_theory())
+    with pytest.raises(syntax.ParseError):
+        syntax.parse_type('Ind -> Und', kernel.core_theory())
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +250,7 @@ def test_bool_cases_axiom_shape(th):
 
 
 def test_description_axiom_shape(th):
-    d = kernel.axiom(th, 'description[Ind]')
+    d = kernel.axiom(th, 'description', (IND,))
     v, body = kernel.dest_forall(d.concl)
     l, r = kernel.dest_eq(body)
     assert r == v
@@ -256,7 +258,7 @@ def test_description_axiom_shape(th):
 
 
 def test_pairing_axiom_shape(th):
-    p = kernel.axiom(th, 'pairing[Ind,Bool]')
+    p = kernel.axiom(th, 'pairing', (IND, BOOL))
     v, body = kernel.dest_forall(p.concl)
     assert body == mk_eq(Pair(Proj(1, v), Proj(2, v)), v)
 
@@ -264,9 +266,35 @@ def test_pairing_axiom_shape(th):
 def test_def_axiom_is_a_defining_equation(th):
     for name, targs in (('cond', (IND,)), ('and', ()), ('or', ()),
                         ('not', ()), ('imp', ()), ('false', ())):
-        eq = kernel.def_axiom(th, name, targs)
+        eq = kernel.axiom(th, 'def.' + name, targs)
         l, _r = kernel.dest_eq(eq.concl)
         assert isinstance(l, kernel.Const) and l.name == name
+
+
+def test_axiom_schemas_have_fixed_arity(th):
+    for name, targs in (('description', ()), ('bool-cases', (IND,)),
+                        ('ext', (IND,)), ('def.cond', ()), ('def.and', (IND,))):
+        with pytest.raises(kernel.TheoryError):
+            kernel.axiom(th, name, targs)
+    with pytest.raises(kernel.TheoryError):
+        kernel.axiom(th, 'pairing', (IND, kernel.BaseType('Und')))
+    assert kernel.axiom(th, 'ext', (IND, BOOL)).args == ('ext[Ind,Bool]',)
+
+
+def test_named_axioms_take_no_type_arguments(toy):
+    assert kernel.axiom(toy.theory, 'lex.FIDO').args == ('lex.FIDO',)
+    with pytest.raises(kernel.TheoryError):
+        kernel.axiom(toy.theory, 'lex.FIDO', (IND,))
+
+
+def test_add_axiom_rejects_schema_names():
+    t = kernel.Theory('scratch3')
+    for name in ('bool-cases', 'description', 'ext', 'pairing', 'def.cond',
+                 'def.true', 'w[Ind]', 'description[Ind]'):
+        with pytest.raises(kernel.TheoryError):
+            t.add_axiom(name, true_c())
+    t.add_axiom('def', true_c())
+    assert list(t.axioms) == ['def']
 
 
 def test_unknown_axiom(th):

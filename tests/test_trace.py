@@ -3,7 +3,8 @@
 import pytest
 
 from hogc import closure, grammar, kernel, parser, rules
-from hogc.kernel import BOOL, IND, Pair, Proj, Var, true_c
+from hogc.kernel import (BOOL, IND, PHON, BaseType, FunType, Pair, ProdType,
+                         Proj, Var, true_c)
 from hogc.trace import TraceError, export_trace, theory_fingerprint, verify_trace
 
 import helpers
@@ -171,6 +172,29 @@ def test_roundtrip_every_primitive_rule():
         [(t.hyps, t.concl) for t in thms]
 
 
+def test_roundtrip_every_axiom_schema():
+    # every schema at its arity, at function and product types over the
+    # grammar's own sign types; the names read back as the same instances
+    g = grammar.elaborate(helpers.TOY, name='toy')
+    np_ = BaseType('NP')
+    fn, prod = FunType(np_, BOOL), ProdType(PHON, FunType(IND, np_))
+    thms = [kernel.axiom(g.theory, 'bool-cases')]
+    thms += [kernel.axiom(g.theory, 'def.' + c)
+             for c in ('true', 'and', 'imp', 'or', 'false', 'not')]
+    for a, b in ((fn, prod), (prod, fn)):
+        thms += [kernel.axiom(g.theory, 'description', (a,)),
+                 kernel.axiom(g.theory, 'ext', (a, b)),
+                 kernel.axiom(g.theory, 'pairing', (a, b))]
+        thms += [kernel.axiom(g.theory, 'def.' + c, (a,))
+                 for c in ('forall', 'exists', 'cond')]
+    text = export_trace(thms)
+    assert '"ext[(NP -> Bool),(Phon * (Ind -> NP))]"' in text
+    fresh = grammar.elaborate(helpers.TOY, name='toy')
+    got = verify_trace(text, fresh.theory, strict_fingerprint=True)
+    assert [(t.args, t.hyps, t.concl) for t in got] == \
+        [(t.args, t.hyps, t.concl) for t in thms]
+
+
 def test_verified_roots_feed_the_kernel(toy):
     (r,) = parser.parse(toy, 'fajdo blt', 2)
     (got,) = verify_trace(export_trace(r.sem_proof), toy.theory)
@@ -250,6 +274,38 @@ def test_malformed_traces(body, frag):
     with pytest.raises(TraceError) as e:
         verify_trace(_PRELUDE + body, th)
     assert frag in str(e.value)
+
+
+@pytest.mark.parametrize('name,frag', [
+    ('bool-cases[Ind]', 'takes 0 type arguments'),
+    ('description[Ind', 'malformed axiom name'),
+    ('description', 'takes 1 type arguments'),
+    ('pairing[Ind]', 'takes 2 type arguments'),
+    ('description[]', 'bad type'),
+    ('description[Und]', 'unknown base type Und'),
+    ('pairing[Ind Bool]', 'bad type'),
+    ('def.no_such[Ind]', 'unknown axiom'),
+])
+def test_bad_axiom_names_rejected_at_their_step(name, frag):
+    # the claim is the honest bool-cases judgement, so only the name is wrong
+    th = kernel.core_theory()
+    line = _content_lines(export_trace(kernel.axiom(th, 'bool-cases')))[0]
+    bad = line.replace('"bool-cases"', '"%s"' % name).replace('0 axiom', '1 axiom')
+    body = '0 reflexivity {true} ==>  |- (true = true)\n' + bad
+    with pytest.raises(TraceError) as e:
+        verify_trace(_PRELUDE + body, th)
+    assert e.value.step == 1 and frag in str(e.value)
+
+
+def test_claim_mismatch_names_rule_and_both_judgements(toy):
+    text = export_trace(kernel.reflexivity(toy.theory, true_c()))
+    line = _content_lines(text)[0]
+    head, _, claim = line.partition(' ==> ')
+    bad = text.replace(line, '%s ==> false %s' % (head, claim.strip()))
+    with pytest.raises(TraceError) as e:
+        verify_trace(bad, toy.theory)
+    assert str(e.value) == ('step 0: reflexivity: hypothesis mismatch: claimed false '
+                            '%s, derived %s' % (claim.strip(), claim.strip()))
 
 
 def test_trace_error_carries_step(toy):
