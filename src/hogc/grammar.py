@@ -281,6 +281,14 @@ def _projection(th, sem_types, kind, t):
     raise syntax.ParseError('%s(...) needs a sign-typed argument' % kind)
 
 
+def _declared_type(th, src, where):
+    """Read the type of a declaration; a bad one names the declaration."""
+    try:
+        return syntax.parse_type(src, th)
+    except syntax.ParseError as e:
+        raise syntax.ParseError('%s: bad type %r: %s' % (where, src, e))
+
+
 def _sem_type(th, spec, sem_types, name, seen):
     if name in sem_types:
         return sem_types[name]
@@ -290,7 +298,7 @@ def _sem_type(th, spec, sem_types, name, seen):
         raise GrammarError('circular sign type %s' % name)
     decl = spec.sign_types[name]
     if decl[0] == 'base':
-        ty = syntax.parse_type(decl[1], th)
+        ty = _declared_type(th, decl[1], 'signtype %s' % name)
     else:
         _op, a, b = decl
         ty = FunType(_sem_type(th, spec, sem_types, a, seen | {name}),
@@ -336,7 +344,7 @@ def elaborate(spec, name='g'):
         th.add_constant('phon_%s' % sty, FunType(sigma, PHON))
         th.add_constant('sem_%s' % sty, FunType(sigma, sem_types[sty]))
     for cname, tsrc in spec.constants:
-        th.add_constant(cname, syntax.parse_type(tsrc, th))
+        th.add_constant(cname, _declared_type(th, tsrc, 'const %s' % cname))
     for lx in spec.lexicon:
         if lx.sign_type not in spec.sign_types:
             raise GrammarError('lex %s: unknown sign type %s' % (lx.name, lx.sign_type))

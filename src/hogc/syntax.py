@@ -3,7 +3,9 @@
 Two printers live here.  ``canonical_term`` emits a fully parenthesized
 ASCII form with bound variables renamed deterministically, so alpha-equal
 terms print identically; it is what proof traces and hypothesis ordering
-use, and it round-trips through ``parse_term``.  ``pretty_term`` keeps the
+use, and it round-trips through ``parse_term``.  The trace verifier relies
+on that: it compares each claimed judgement with the canonical printing of
+the replayed step, so two terms print alike only if they are alpha-equal.  ``pretty_term`` keeps the
 original names and uses infix notation for the connectives; it is for
 reports and error messages only.
 
@@ -45,12 +47,12 @@ def canonical_term(t):
     """Alpha-canonical fully parenthesized rendering; parseable.  Bound
     variables print as b<depth>, primed with _ while that names a free
     variable or a constant of the term, so each reads back as bound."""
-    avoid = {n for (n, _ty) in t.free_vars}
-    consts = set()
-    s = _canon(t, {}, 0, avoid, consts)
-    if '\\' in s and any(_BOUND_LIKE.match(c) for c in consts):
-        # a constant may share a bound name: print again avoiding them all
-        s = _canon(t, {}, 0, avoid | consts, consts)
+    names = set()
+    s = _canon(t, {}, 0, (), names)
+    if '\\' in s and any(_BOUND_LIKE.match(n) for n in names):
+        # a free or constant name may share a bound name: print again
+        # avoiding them all
+        s = _canon(t, {}, 0, names, set())
     return s
 
 
@@ -61,31 +63,33 @@ def _canon_bound_name(depth, avoid):
     return name
 
 
-def _canon(t, env, depth, avoid, consts):
-    # applications are most of the nodes, so they are tested first
+def _canon(t, env, depth, avoid, names):
+    # applications are most of the nodes, so they are tested first; the
+    # names of constants and free variables met are collected in ``names``
     if isinstance(t, App):
-        return '(%s %s)' % (_canon(t.fn, env, depth, avoid, consts),
-                            _canon(t.arg, env, depth, avoid, consts))
+        return '(%s %s)' % (_canon(t.fn, env, depth, avoid, names),
+                            _canon(t.arg, env, depth, avoid, names))
     if isinstance(t, Const):
-        consts.add(t.name)
+        names.add(t.name)
         return t.display_name
     if isinstance(t, Var):
         bound = env.get((t.name, t.ty))
         if bound is not None:
             return bound
+        names.add(t.name)
         return '%s:%s' % (t.name, type_to_str(t.ty))
     if isinstance(t, Abs):
         name = _canon_bound_name(depth, avoid)
         env2 = dict(env)
         env2[(t.var.name, t.var.ty)] = name
         return '(\\%s:%s. %s)' % (name, type_to_str(t.var.ty),
-                                  _canon(t.body, env2, depth + 1, avoid, consts))
+                                  _canon(t.body, env2, depth + 1, avoid, names))
     if isinstance(t, Pair):
-        return '<%s, %s>' % (_canon(t.left, env, depth, avoid, consts),
-                             _canon(t.right, env, depth, avoid, consts))
+        return '<%s, %s>' % (_canon(t.left, env, depth, avoid, names),
+                             _canon(t.right, env, depth, avoid, names))
     if isinstance(t, Proj):
         return '(%s %s)' % ('fst' if t.index == 1 else 'snd',
-                            _canon(t.arg, env, depth, avoid, consts))
+                            _canon(t.arg, env, depth, avoid, names))
     raise ParseError('not a term: %r' % (t,))
 
 

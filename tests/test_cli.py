@@ -65,6 +65,18 @@ def test_bad_grammar_source(files, capsys):
     assert 'duplicate sign type' in out
 
 
+@pytest.mark.parametrize('decl,msg', [
+    ('const c : Ind ->', "const c: bad type 'Ind ->': expected a type at 6"),
+    ('signtype T sem Ind * Und', "signtype T: bad type 'Ind * Und': unknown base type Und"),
+])
+def test_bad_declared_type(files, capsys, decl, msg):
+    p = files['dir'] / 'badtype.hog'
+    p.write_text('alphabet: a\nsigntype S sem Bool\n%s\n' % decl)
+    code, out = _run(capsys, ['check', '-g', str(p)])
+    assert code == 2
+    assert out == 'check error: %s\n' % msg
+
+
 # ---------------------------------------------------------------------------
 # parse
 

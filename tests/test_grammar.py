@@ -152,6 +152,10 @@ def test_elaboration_errors(src, frag):
     ('const c : Ind ->', 'expected a type'),
     ('const c : Ind Bool', 'trailing input'),
     ('signtype T sem (Ind -> Und)', 'unknown base type Und'),
+    # a bad type names its declaration
+    ('const c : Ind ->', "const c: bad type 'Ind ->': expected a type at 6"),
+    ('signtype T sem (Ind -> Und)',
+     "signtype T: bad type '(Ind -> Und)': unknown base type Und"),
 ])
 def test_declared_types_are_read_by_the_term_syntax(decl, frag):
     prelude = 'alphabet: a\nsigntype S sem Bool\n'

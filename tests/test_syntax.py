@@ -1,11 +1,13 @@
 """Term parsing and printing: round trips, precedence, resolution errors."""
 
+import functools
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from hogc import kernel, syntax
 from hogc.kernel import (
-    Abs, App, BOOL, FunType, IND, Pair, Proj, Var,
+    Abs, App, BOOL, FunType, IND, Pair, ProdType, Proj, Var,
     false_c, mk_conj, mk_cond, mk_disj, mk_eq, mk_exists, mk_forall,
     mk_imp, mk_not, true_c,
 )
@@ -170,3 +172,115 @@ def test_pretty_roundtrip_fragment(t):
 
 
 _TH = kernel.core_theory()
+
+
+# Names canonical printing uses for bound variables (b0, b1, b0_) and the
+# derived-rule schemas use for their variables, each declared as a constant
+# of the theory below and drawn as a free or bound variable at any type.
+_CLASH = ('b0', 'b1', 'b0_', 'p', 'q', 'x', 'z', 'hole', 'slot')
+_CLASH_TYPES = (BOOL, IND, FunType(BOOL, BOOL), FunType(IND, BOOL))
+
+
+def _clash_theory():
+    th = kernel.Theory('clash')
+    for i, name in enumerate(_CLASH):
+        th.add_constant(name, _CLASH_TYPES[i % len(_CLASH_TYPES)])
+    th.freeze()
+    return th
+
+
+_CLASH_TH = _clash_theory()
+_NAMES = st.sampled_from(_CLASH)
+_CONSTS = [_CLASH_TH.const(n) for n in _CLASH]
+
+
+def _leaf(ty, scope):
+    """A variable named from the pool, a constant, or a variable bound in
+    ``scope``, of type ``ty``."""
+    leaves = [_NAMES.map(lambda n: Var(n, ty))]
+    consts = [c for c in _CONSTS if c.ty == ty]
+    if consts:
+        leaves.append(st.sampled_from(consts))
+    bound = [v for v in scope if v.ty == ty]
+    if bound:
+        leaves.append(st.sampled_from(bound))
+    return st.one_of(leaves)
+
+
+@functools.lru_cache(maxsize=None)
+def _clash_term(ty, depth, scope=()):
+    """Terms of type ``ty`` whose free, bound and constant names coincide;
+    ``scope`` holds the variables bound around the term."""
+    if depth == 0:
+        return _leaf(ty, scope)
+    sub = depth - 1
+
+    def binder(dom, cod, mk):
+        return _NAMES.flatmap(lambda n: _clash_term(cod, sub, scope + (Var(n, dom),))
+                              .map(functools.partial(mk, Var(n, dom))))
+    parts = [_leaf(ty, scope)]
+    parts += [st.builds(App, _clash_term(FunType(dom, ty), sub, scope),
+                        _clash_term(dom, sub, scope)) for dom in (BOOL, IND)]
+    parts.append(_clash_term(ProdType(ty, IND), sub, scope).map(functools.partial(Proj, 1)))
+    if isinstance(ty, FunType):
+        parts.append(binder(ty.dom, ty.cod, Abs))
+    if isinstance(ty, ProdType):
+        parts.append(st.builds(Pair, _clash_term(ty.left, sub, scope),
+                               _clash_term(ty.right, sub, scope)))
+    if ty == BOOL:
+        parts.append(binder(IND, BOOL, mk_forall))
+    return st.one_of(parts)
+
+
+_CHILDREN = {App: ('fn', 'arg'), Pair: ('left', 'right'), Proj: ('arg',), Abs: ('body',)}
+
+
+def _leaf_sites(t, scope=()):
+    """(path, leaf, variables bound around it) for every leaf of ``t``."""
+    if isinstance(t, (Var, kernel.Const)):
+        yield (), t, scope
+        return
+    inner = scope + (t.var,) if isinstance(t, Abs) else scope
+    for attr in _CHILDREN[type(t)]:
+        for path, leaf, bound in _leaf_sites(getattr(t, attr), inner):
+            yield (attr,) + path, leaf, bound
+
+
+def _replace(t, path, new):
+    if not path:
+        return new
+    if isinstance(t, Abs):
+        return Abs(t.var, _replace(t.body, path[1:], new))
+    if isinstance(t, Proj):
+        return Proj(t.index, _replace(t.arg, path[1:], new))
+    return type(t)(*(_replace(getattr(t, a), path[1:], new) if a == path[0] else getattr(t, a)
+                     for a in _CHILDREN[type(t)]))
+
+
+_CLASH_TERMS = st.sampled_from(_CLASH_TYPES).flatmap(lambda ty: _clash_term(ty, 3))
+
+
+@st.composite
+def _one_leaf_apart(draw):
+    """A clash term and a copy of it with one leaf replaced by a constant or
+    a bound variable, a leaf in the scope of a bound variable of its type
+    where there is one: only leaves printed without a type print alike."""
+    a = draw(_CLASH_TERMS)
+    sites = list(_leaf_sites(a))
+    path, leaf, bound = draw(st.sampled_from(
+        [s for s in sites if any(v.ty == s[1].ty for v in s[2])] or sites))
+    bare = [c for c in _CONSTS if c.ty == leaf.ty] + [v for v in bound if v.ty == leaf.ty]
+    return a, _replace(a, path, draw(st.sampled_from(bare or [leaf])))
+
+
+@given(_CLASH_TERMS)
+@settings(max_examples=300, deadline=None)
+def test_canonical_roundtrip_with_clashing_names(t):
+    assert parse_term(canonical_term(t), TermEnv(theory=_CLASH_TH)) == t
+
+
+@given(_one_leaf_apart())
+@settings(max_examples=300, deadline=None)
+def test_canonical_term_is_injective_with_clashing_names(pair):
+    a, b = pair
+    assert (canonical_term(a) == canonical_term(b)) == (a == b)

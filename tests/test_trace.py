@@ -1,8 +1,10 @@
 """Trace export, independent replay, and tamper detection."""
 
+import re
+
 import pytest
 
-from hogc import closure, grammar, kernel, parser, rules
+from hogc import closure, grammar, kernel, parser, rules, syntax
 from hogc.kernel import (BOOL, IND, PHON, BaseType, FunType, Pair, ProdType,
                          Proj, Var, true_c)
 from hogc.trace import TraceError, export_trace, theory_fingerprint, verify_trace
@@ -200,6 +202,65 @@ def test_verified_roots_feed_the_kernel(toy):
     (got,) = verify_trace(export_trace(r.sem_proof), toy.theory)
     assert kernel.symmetry(got).concl == kernel.mk_eq(
         *reversed(list(kernel.dest_eq(got.concl))))
+
+
+def test_replay_parses_each_distinct_literal_once_and_no_claim(monkeypatch):
+    g = grammar.elaborate(helpers.AMBIG, name='ambig')
+    p1, p2 = parser.parse(g, helpers.AMBIG_WORD, 2)
+    cert = closure.certificate_cases(g.theory, p1.meaning, p2.meaning, Var('q', BOOL))
+    m = closure.merge_parses(g, p1, p2, cert)
+    text = export_trace([m.phon_proof, m.sem_proof])
+    literals = re.findall(r'\{([^}]*)\}',
+                          ''.join(l.partition(' ==> ')[0] for l in _content_lines(text)))
+    fresh = grammar.elaborate(helpers.AMBIG, name='ambig')
+    parsed = []
+    real = syntax.parse_term
+
+    def counting(s, env=None):
+        parsed.append(s)
+        return real(s, env)
+    monkeypatch.setattr(syntax, 'parse_term', counting)
+    verify_trace(text, fresh.theory, strict_fingerprint=True)
+    assert len(literals) > len(set(literals))
+    assert sorted(parsed) == sorted(set(literals))
+
+
+def test_claim_of_another_step_rejected_at_its_step(toy):
+    (r,) = parser.parse(toy, 'fajdo blt', 2)
+    text = export_trace(r.sem_proof)
+    lines = _content_lines(text)
+    claims = [l.partition(' ==> ')[2] for l in lines]
+    s = len(lines) - 1
+    j = next(j for j in range(s)
+             if claims[j].split(' |- ')[1] != claims[s].split(' |- ')[1])
+    bad = text.replace(lines[s], lines[s].partition(' ==> ')[0] + ' ==> ' + claims[j])
+    with pytest.raises(TraceError) as e:
+        verify_trace(bad, toy.theory)
+    assert e.value.step == s and 'conclusion mismatch' in str(e.value)
+
+
+def test_equal_non_canonical_claims_verify(toy):
+    (r,) = parser.parse(toy, 'fajdo blt', 2)
+    text = export_trace(r.sem_proof)
+    last = _content_lines(text)[-1]
+    head, _, claim = last.partition(' ==> ')
+    spaced = text.replace(last, '%s ==>   |-   %s ' % (head, claim.split(' |- ')[1]))
+    infix = text.replace(last, '%s ==>  |- %s' % (head, syntax.pretty_term(r.sem_proof.concl)))
+    assert ' = ' in infix
+    for t in (spaced, infix):
+        (got,) = verify_trace(t, toy.theory)
+        assert got.concl == r.sem_proof.concl
+
+
+def test_canonical_printing_computes_no_free_variable_sets():
+    f = Var('f', FunType(IND, BOOL))
+    t = kernel.App(f, X)
+    lam = kernel.Abs(Var('b0', IND), kernel.App(f, Var('b0', IND)))
+    u = kernel.App(kernel.Abs(X, kernel.App(f, X)), Var('b0', IND))
+    for term in (t, lam, u):
+        syntax.canonical_term(term)
+    assert t._fvs is None and lam._fvs is None and u._fvs is None
+    assert u.fn._fvs is None and lam.body._fvs is None
 
 
 # ---------------------------------------------------------------------------
