@@ -4,7 +4,7 @@ Commands: ``check`` (elaborate a grammar, list its axioms), ``parse``
 (parse a word, optionally test a meaning), ``merge`` (combine two parses
 through a certificate script), ``closure`` (saturation report over a term
 universe), ``trace-verify`` (replay an exported proof trace in a fresh
-kernel).
+kernel; the trace's theory fingerprint must match the grammar's).
 
 Reports are deterministic byte for byte.  ``HOGC_COLOR=1`` (or
 ``--color``) adds ANSI color, on the terminal only — files written with
@@ -195,7 +195,7 @@ def _run_trace_verify(config, rep):
     with open(config.trace_path) as f:
         text = f.read()
     try:
-        roots = trace.verify_trace(text, th)
+        roots = trace.verify_trace(text, th, strict_fingerprint=True)
     except trace.TraceError as e:
         rep.add('trace-verify FAIL: %s' % e)
         return 1

@@ -1,9 +1,12 @@
 """Chart parsing with kernel-checked proofs.
 
-``parse`` runs a CYK-style chart over word spans (including empty spans, so
-empty-phonology entries participate) up to an explicit derivation-depth
-bound: lexical signs have depth 1 and a rule application is one deeper than
-its deepest child.  Every result carries two theorems derived from the
+``parse`` fills a chart up to an explicit derivation-depth bound: lexical
+signs have depth 1 and a rule application is one deeper than its deepest
+child.  The chart indexes its items by start position and sign type, and
+builds depth d in one semi-naive round: a rule extends only from items
+that exist, slot by slot, and keeps a combination only if some child was
+new in round d - 1.  Items may be empty spans, so empty-phonology entries
+participate.  Every result carries two theorems derived from the
 grammar's axioms: the phonology equation ``phon_sigma(sign) = /w/`` and the
 meaning equation ``sem_sigma(sign) = meaning`` with the meaning in beta
 normal form.
@@ -17,7 +20,6 @@ provably equal boolean meanings through a certificate.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from . import grammar as gmod
@@ -42,84 +44,67 @@ class ParseResult:
                    syntax.pretty_term(self.meaning), self.depth))
 
 
-def _splits(m, i, j):
-    """All ways to cut span (i, j) into m adjacent (possibly empty) spans."""
-    if m == 1:
-        yield ((i, j),)
-        return
-    for k in range(i, j + 1):
-        for rest in _splits(m - 1, k, j):
-            yield ((i, k),) + rest
-
-
 class _Chart:
+    """The signs over the spans of a word, found depth by depth.
+
+    ``index`` maps (start, sign type) to the items ``(end, sign, depth)``
+    starting there.  A rule's round at depth d walks its surface slots left to right through
+    the index, each slot continuing at the end of the item chosen for the
+    one before, and keeps a combination only if some child has depth
+    d - 1: every child already has a smaller depth, so each combination is
+    built once, at the depth it belongs to.  No item needs deduplication: a
+    sign fixes its children and so the words they span, so an item has one
+    combination.
+    """
+
     def __init__(self, g, word, depth_bound):
-        self.g = g
-        self.word = word
-        self.bound = depth_bound
-        n = len(word)
-        self.spans = {}
-        for i in range(n + 1):
-            for j in range(i, n + 1):
-                self.spans[(i, j)] = {}
+        self.index = {}
         self.deriv = {}     # sign -> (axiom name, operand variables, children)
-        self._fill()
+        self._fill(g, word, depth_bound)
 
-    def _add(self, span, sign, sty, depth, deriv):
-        cell = self.spans[span]
-        if sign in cell:
-            return False
-        cell[sign] = (sty, depth)
+    def _add(self, i, j, sign, sty, depth, deriv):
+        self.index.setdefault((i, sty), []).append((j, sign, depth))
         self.deriv[sign] = deriv
-        return True
 
-    def _fill(self):
-        g, word = self.g, self.word
+    def _fill(self, g, word, bound):
         n = len(word)
-        if self.bound < 1:
+        if bound < 1:
             return
         for lx in g.lexicon:
             lex = ('lex.%s' % lx.name, (), ())
             k = len(lx.word)
             for i in range(n - k + 1):
                 if word.tokens[i:i + k] == lx.word.tokens:
-                    self._add((i, i + k), lx.const, lx.sign_type, 1, lex)
-        for d in range(2, self.bound + 1):
+                    self._add(i, i + k, lx.const, lx.sign_type, 1, lex)
+        for d in range(2, bound + 1):
             pending = []
             for rule in g.rules:
-                m = len(rule.operands)
-                for span in self.spans:
-                    i, j = span
-                    for cuts in _splits(m, i, j):
-                        for combo in self._combos(rule, cuts):
-                            depths = [self.spans[c_span][c_sign][1]
-                                      for c_span, c_sign in zip(cuts, combo)]
-                            if 1 + max(depths) != d:
-                                continue
-                            children = self._operand_order(rule, combo)
-                            sign = rule.const
-                            for c in children:
-                                sign = App(sign, c)
-                            pending.append((span, sign, rule.result, d,
-                                            ('rule.%s' % rule.name,
-                                             rule.operand_vars, tuple(children))))
-            for span, sign, sty, depth, deriv in pending:
-                self._add(span, sign, sty, depth, deriv)
+                for i in range(n + 1):
+                    for j, children in self._extend(rule, i, d - 1):
+                        sign = rule.const
+                        for c in children:
+                            sign = App(sign, c)
+                        pending.append((i, j, sign, rule.result,
+                                        ('rule.%s' % rule.name, rule.operand_vars, children)))
+            if not pending:
+                break
+            for i, j, sign, sty, deriv in pending:
+                self._add(i, j, sign, sty, d, deriv)
 
-    def _combos(self, rule, cuts):
-        """Children per surface slot, drawn from the chart."""
-        slots = []
-        for s, span in enumerate(cuts):
-            want = rule.operands[rule.pattern[s] - 1]
-            slots.append([sign for sign, (sty, _d) in self.spans[span].items()
-                          if sty == want])
-        return itertools.product(*slots)
-
-    def _operand_order(self, rule, combo):
-        children = [None] * len(rule.operands)
-        for s, c in enumerate(combo):
-            children[rule.pattern[s] - 1] = c
-        return children
+    def _extend(self, rule, start, top):
+        """(end, children in operand order) for each way to fill the rule's
+        surface slots from ``start`` with a child of depth ``top`` among
+        them."""
+        partial = [(start, (), False)]
+        last = len(rule.pattern) - 1
+        for s, p in enumerate(rule.pattern):
+            want = rule.operands[p - 1]
+            partial = [(end, combo + (sign,), fresh or depth == top)
+                       for pos, combo, fresh in partial
+                       for end, sign, depth in self.index.get((pos, want), ())
+                       if s < last or fresh or depth == top]
+        order = sorted(range(last + 1), key=lambda s: rule.pattern[s])
+        return [(end, tuple(combo[s] for s in order)) for end, combo, _fresh in partial]
 
 
 def _sign_conjuncts(th, axname):
@@ -167,6 +152,8 @@ class _ProofBuilder:
 
 def parse(g, word, depth_bound):
     """All parses of a word up to the derivation depth bound."""
+    if depth_bound < 0:
+        raise GrammarError('depth bound must be at least 0, got %d' % depth_bound)
     if isinstance(word, (str, tuple, list)):
         word = Word(word)
     phon_term = word_to_phon(g, word)  # rejects tokens outside the alphabet
@@ -174,7 +161,9 @@ def parse(g, word, depth_bound):
     builder = _ProofBuilder(g)
     results = []
     n = len(word)
-    for sign, (sty, depth) in chart.spans[(0, n)].items():
+    top = [(sign, sty, depth) for (i, sty), items in chart.index.items() if i == 0
+           for j, sign, depth in items if j == n]
+    for sign, sty, depth in top:
         phon, sem = builder.build(sign, chart.deriv)
         if rules.rhs(phon) != phon_term:
             raise GrammarError('phonology proof does not match the word')

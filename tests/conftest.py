@@ -52,6 +52,11 @@ def eps():
 
 
 @pytest.fixture(scope='session')
+def perm():
+    return grammar.elaborate(helpers.PERM, name='perm')
+
+
+@pytest.fixture(scope='session')
 def universe():
     """All 272 fragment terms over p, q up to size 4."""
     return closure.TermUniverse(helpers.bool_universe_terms(4))

@@ -68,7 +68,23 @@ lex BARK : S { phon = /blt/; sem = wag(it); }
 rule PAD : E S -> S { phon = $1 ++ $2; sem = sem($2); }
 """
 
-GRAMMARS = {'toy': TOY, 'ambig': AMBIG, 'boolsem': BOOLSEM, 'eps': EPS}
+# surface order differs from operand order: TRI spells its operands 3, 1, 2,
+# and its operand 1 (E) may be empty, so /c b/ is TRI(GAP, BE, SEE) as well
+# as FLIP(BE, SEE), whose two operands are swapped on the surface
+PERM = r"""
+alphabet: a b c
+signtype S sem Bool
+signtype E sem Bool
+signtype B sem Bool
+lex GAP : E { phon = //; sem = true; }
+lex AH : E { phon = /a/; sem = false; }
+lex BE : B { phon = /b/; sem = false; }
+lex SEE : S { phon = /c/; sem = true; }
+rule TRI : E B S -> S { phon = $3 ++ $1 ++ $2; sem = (sem($1) /\ ~sem($2)) \/ ~sem($3); }
+rule FLIP : B S -> S { phon = $2 ++ $1; sem = sem($1) \/ ~sem($2); }
+"""
+
+GRAMMARS = {'toy': TOY, 'ambig': AMBIG, 'boolsem': BOOLSEM, 'eps': EPS, 'perm': PERM}
 
 AMBIG_WORD = 'fajdo blt'
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from hogc import cli
+from hogc import cli, grammar, trace
 from hogc.cli import RunConfig, main
 
 import helpers
@@ -129,6 +129,25 @@ def test_parse_bad_inputs(files, capsys):
     assert code == 2 and 'alphabet' in out
 
 
+def test_parse_negative_depth_bound(files, capsys):
+    code, out = _run(capsys, ['parse', '-g', files['toy'], '-w', 'fajdo', '-k', '-3'])
+    assert code == 2
+    assert out == ('word: fajdo\ndepth bound: -3\n'
+                   'parse error: depth bound must be at least 0, got -3\n')
+    code, out = _run(capsys, ['parse', '-g', files['toy'], '-w', 'fajdo', '-k', '0'])
+    assert code == 0
+    assert out == 'word: fajdo\ndepth bound: 0\nparses: 0\nparse ok\n'
+
+
+def test_merge_negative_depth_bound(files, capsys):
+    cert = files['dir'] / 'left.cert'
+    cert.write_text('target barks(fido)\nby left\n')
+    code, out = _run(capsys, ['merge', '-g', files['ambig'], '-w', 'fajdo blt',
+                              '-k', '-3', '0', '1', '--cert', str(cert)])
+    assert code == 2
+    assert out == 'merge error: depth bound must be at least 0, got -3\n'
+
+
 def test_parse_empty_word(files, capsys):
     code, out = _run(capsys, ['parse', '-g', files['eps'], '-w', '', '-k', '1'])
     assert code == 0
@@ -172,6 +191,24 @@ def test_trace_verify_wrong_theory(files, capsys):
     code, out = _run(capsys, ['trace-verify', tr])  # core theory, no grammar
     assert code == 1
     assert 'trace-verify FAIL' in out
+
+
+@pytest.mark.parametrize('other', ['toy2.hog', 'other/toy.hog'])
+def test_trace_verify_wrong_grammar(files, capsys, other):
+    # TOY plus one lexeme, under another file name and under the same one:
+    # the trace's theory fingerprint covers the theory name (the file's
+    # stem) and every axiom
+    tr = str(files['dir'] / 'toy.trace')
+    _run(capsys, ['parse', '-g', files['toy'], '-w', 'fajdo blt',
+                  '--emit-proof', tr])
+    p = files['dir'] / other
+    p.parent.mkdir(exist_ok=True)
+    p.write_text(helpers.TOY + 'lex REX : NP { phon = /awl/; sem = fido; }\n')
+    code, out = _run(capsys, ['trace-verify', '-g', str(p), tr])
+    assert code == 1
+    assert out == ('trace-verify FAIL: theory fingerprint mismatch: trace %s, theory %s\n'
+                   % (trace.theory_fingerprint(grammar.load_grammar(files['toy']).theory),
+                      trace.theory_fingerprint(grammar.load_grammar(str(p)).theory)))
 
 
 def test_trace_verify_missing_file(capsys):

@@ -1,5 +1,7 @@
 """Chart parsing with proofs, the enumeration oracle, membership."""
 
+import itertools
+
 import pytest
 
 from hogc import grammar, kernel, parser, rules, syntax
@@ -101,12 +103,15 @@ def test_empty_word_parse(eps):
         App(eps.theory.const('phon_E'), r.sign), eps.theory.const('//'))
 
 
-def test_parse_agrees_with_enumeration(toy, ambig, boolsem, eps):
-    for g in (toy, ambig, boolsem, eps):
-        for k in (1, 2, 3):
-            enum = parser.enumerate_signs(g, k)
+def test_parse_agrees_with_enumeration(toy, ambig, boolsem, eps, perm):
+    # parse finds exactly the enumerated signs and meanings of every
+    # enumerated word, and nothing for any other word over the alphabet up
+    # to 4 tokens.  PERM spells operands out of order, one possibly empty:
+    # the chart walks surface slots, and children must land at their operands
+    for g, top in ((toy, 3), (ambig, 3), (boolsem, 3), (eps, 3), (perm, 4)):
+        for k in range(1, top + 1):
             by_word = {}
-            for sign, w, meaning in enum:
+            for sign, w, meaning in parser.enumerate_signs(g, k):
                 by_word.setdefault(w, {})[syntax.canonical_term(sign)] = \
                     syntax.canonical_term(meaning)
             for w, expect in by_word.items():
@@ -114,6 +119,49 @@ def test_parse_agrees_with_enumeration(toy, ambig, boolsem, eps):
                        syntax.canonical_term(r.meaning)
                        for r in parser.parse(g, w, k)}
                 assert got == expect, (g.theory.name, w, k)
+            for n in range(5):
+                for tokens in itertools.product(g.alphabet, repeat=n):
+                    if Word(tokens) not in by_word:
+                        assert parser.parse(g, tokens, k) == [], (g.theory.name, tokens, k)
+
+
+def test_permuted_surface_order_children(perm):
+    # pinned by hand, not by the oracle, which maps slots to operands too
+    th = perm.theory
+    gap, ah, be, see = (th.const(n) for n in ('GAP', 'AH', 'BE', 'SEE'))
+    tri, flip = th.const('TRI'), th.const('FLIP')
+    assert [r.sign for r in parser.parse(perm, 'c a b', 2)] \
+        == [App(App(App(tri, ah), be), see)]
+    assert {r.sign for r in parser.parse(perm, 'c b', 2)} \
+        == {App(App(App(tri, gap), be), see), App(App(flip, be), see)}
+
+
+def test_chart_builds_each_item_once(toy, ambig, boolsem, eps, perm):
+    # the semi-naive rounds never rebuild an item, so nothing is deduplicated
+    for g in (toy, ambig, boolsem, eps, perm):
+        for w in {w for _sign, w, _m in parser.enumerate_signs(g, 3)}:
+            chart = parser._Chart(g, w, 4)
+            items = [(i, j, sign) for (i, _sty), entries in chart.index.items()
+                     for j, sign, _d in entries]
+            assert len(items) == len(set(items)), (g.theory.name, w)
+
+
+def test_result_order_pinned(boolsem):
+    # several depths and sign shapes over one structurally ambiguous word
+    results = parser.parse(boolsem, 'nicht ja en nee en ja', 4)
+    assert [(r.depth, syntax.canonical_term(r.sign)) for r in results] == [
+        (3, '(((COORD ((NEGATE NOT) YES)) AND) (((COORD NO) AND) YES))'),
+        (4, '(((COORD (((COORD ((NEGATE NOT) YES)) AND) NO)) AND) YES)'),
+        (4, '(((COORD ((NEGATE NOT) (((COORD YES) AND) NO))) AND) YES)'),
+        (4, '((NEGATE NOT) (((COORD (((COORD YES) AND) NO)) AND) YES))'),
+        (4, '((NEGATE NOT) (((COORD YES) AND) (((COORD NO) AND) YES)))'),
+    ]
+
+
+def test_negative_depth_bound_rejected(toy):
+    with pytest.raises(GrammarError) as e:
+        parser.parse(toy, 'fajdo', -3)
+    assert str(e.value) == 'depth bound must be at least 0, got -3'
 
 
 def test_enumeration_levels(eps):
