@@ -7,8 +7,12 @@ defined here; no other way of constructing a ``Theorem`` exists.
 
 Design points that matter for soundness:
 
+* Types are interned: building a type twice gives the same object, so type
+  ``==`` is identity.  Type hashes are structural, so set and dict order
+  never depends on object addresses.
 * Terms are typed eagerly: ill-typed applications and projections cannot be
-  constructed at all.
+  constructed at all.  So validating a term against a theory checks only its
+  leaves and binders, where types come in.
 * Term equality (``==``) is alpha-equivalence, and hypothesis sets are kept
   alpha-canonical and sorted, so theorem printing is reproducible.
 * The kernel is monomorphic.  The logical constant families (equality,
@@ -50,7 +54,25 @@ class TheoryError(KernelError):
 # Types
 
 class Type:
-    __slots__ = ()
+    __slots__ = ('_hash',)
+    _table = {}   # (tag, *parts) -> the type; types are few, so never pruned
+
+    def __new__(cls, *parts):
+        key = (cls._tag, *parts)
+        ty = Type._table.get(key)
+        if ty is None:
+            ty = object.__new__(cls)
+            for slot, part in zip(cls.__slots__, parts):
+                setattr(ty, slot, part)
+            ty._hash = hash(key)   # structural, not by address
+            ty = Type._table.setdefault(key, ty)  # one object when threads race
+        return ty
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):   # a copy or unpickled type is the interned one
+        return type(self), tuple(getattr(self, slot) for slot in self.__slots__)
 
     def __repr__(self):
         return type_to_str(self)
@@ -58,45 +80,17 @@ class Type:
 
 class BaseType(Type):
     __slots__ = ('name',)
-
-    def __init__(self, name):
-        self.name = name
-
-    def __eq__(self, other):
-        return isinstance(other, BaseType) and self.name == other.name
-
-    def __hash__(self):
-        return hash(('base', self.name))
+    _tag = 'base'
 
 
 class FunType(Type):
     __slots__ = ('dom', 'cod')
-
-    def __init__(self, dom, cod):
-        self.dom = dom
-        self.cod = cod
-
-    def __eq__(self, other):
-        return (isinstance(other, FunType)
-                and self.dom == other.dom and self.cod == other.cod)
-
-    def __hash__(self):
-        return hash(('fun', self.dom, self.cod))
+    _tag = 'fun'
 
 
 class ProdType(Type):
     __slots__ = ('left', 'right')
-
-    def __init__(self, left, right):
-        self.left = left
-        self.right = right
-
-    def __eq__(self, other):
-        return (isinstance(other, ProdType)
-                and self.left == other.left and self.right == other.right)
-
-    def __hash__(self):
-        return hash(('prod', self.left, self.right))
+    _tag = 'prod'
 
 
 BOOL = BaseType('Bool')
@@ -251,6 +245,9 @@ class Proj(Term):
 
 
 def _alpha_eq(t1, t2, env1, env2, depth):
+    # outside binders only: under them the two envs may map one name apart
+    if t1 is t2 and depth == 0:
+        return True
     if isinstance(t1, Var):
         if not isinstance(t2, Var):
             return False
@@ -725,9 +722,11 @@ def core_theory(name='core'):
 def type_of(t, th, _allow_unfrozen=False):
     """The type of ``t``, after validating it against theory ``th``.
 
-    Structural well-typedness is enforced at construction; this checks that
-    every constant belongs to the theory's signature (or is a logical
-    constant at its proper type) and every base type is declared.
+    Terms are well-typed by construction and a node's type is built from its
+    parts', so only leaves and binders are checked: each constant is declared
+    (its type was checked then) or logical at its proper type, and each
+    variable's and binder's type uses declared base types.  A bad leaf
+    reports an undeclared base type in its own type first.
     """
     if not _allow_unfrozen and not th.frozen:
         raise TheoryError('theory %s is not frozen' % th.name)
@@ -736,31 +735,32 @@ def type_of(t, th, _allow_unfrozen=False):
 
 
 def _validate(t, th):
-    th._check_type(t.ty)
     if isinstance(t, Const):
-        if t.name in LOGICAL_NAMES:
-            expected = logical_const(t.name, t.targs)
-            if expected.ty != t.ty:
+        declared = th.constants.get(t.name)
+        if declared is None:
+            th._check_type(t.ty)
+            if t.name not in LOGICAL_NAMES:
+                raise TheoryError('unknown constant %s' % t.name)
+            if logical_const(t.name, t.targs).ty is not t.ty:
                 raise TypingError('logical constant %s at wrong type' % t.display_name)
-        elif t.name in th.constants:
-            if th.constants[t.name] != t.ty:
-                raise TypingError('constant %s at type %s, declared %s'
-                                  % (t.name, type_to_str(t.ty),
-                                     type_to_str(th.constants[t.name])))
-        else:
-            raise TheoryError('unknown constant %s' % t.name)
+        elif declared is not t.ty:
+            th._check_type(t.ty)
+            raise TypingError('constant %s at type %s, declared %s'
+                              % (t.name, type_to_str(t.ty), type_to_str(declared)))
     elif isinstance(t, App):
         _validate(t.fn, th)
         _validate(t.arg, th)
-    elif isinstance(t, Abs):
-        th._check_type(t.var.ty)
-        _validate(t.body, th)
     elif isinstance(t, Pair):
         _validate(t.left, th)
         _validate(t.right, th)
+    elif isinstance(t, Var):
+        th._check_type(t.ty)
+    elif isinstance(t, Abs):
+        th._check_type(t.var.ty)
+        _validate(t.body, th)
     elif isinstance(t, Proj):
         _validate(t.arg, th)
-    elif not isinstance(t, Var):
+    else:
         raise KernelError('not a term: %r' % (t,))
 
 

@@ -34,10 +34,11 @@ class TraceError(Exception):
         self.step = step
 
 
-def theory_fingerprint(th):
-    """Stable digest of a theory's declared signature and axioms."""
+def theory_fingerprint(th, theory_name=None):
+    """Stable digest of a theory's name (or ``theory_name``), declared
+    signature and axioms."""
     h = hashlib.sha256()
-    h.update(th.name.encode())
+    h.update((th.name if theory_name is None else theory_name).encode())
     for name in sorted(th.base_types):
         h.update(('T %s\n' % name).encode())
     for name in sorted(th.constants):
@@ -239,7 +240,10 @@ def verify_trace(text, th, strict_fingerprint=False):
     claimed hypotheses and conclusion; any mismatch, malformed line or
     failing rule raises TraceError carrying the step index.  Each distinct
     ``{term}`` literal is parsed once per call, each in a fresh TermEnv, so
-    a literal's term depends only on its text and the theory.
+    a literal's term depends only on its text and the theory.  With
+    ``strict_fingerprint`` the trace's ``# theory`` fingerprint must be
+    ``th``'s; when it is ``th``'s under the trace's theory name, the error
+    says that only the names differ.
     """
     resolver = syntax.theory_phon_resolver(th)
 
@@ -266,9 +270,7 @@ def verify_trace(text, th, strict_fingerprint=False):
             if parts[:1] == ['roots']:
                 roots = [int(p) for p in parts[1:]]
             elif parts[:1] == ['theory'] and len(parts) == 3 and strict_fingerprint:
-                if parts[2] != theory_fingerprint(th):
-                    raise TraceError('theory fingerprint mismatch: trace %s, theory %s'
-                                     % (parts[2], theory_fingerprint(th)))
+                _check_fingerprint(parts[1], parts[2], th)
             continue
         head, sep, claim = line.partition(' ==> ')
         if not sep:
@@ -300,6 +302,16 @@ def verify_trace(text, th, strict_fingerprint=False):
         return [steps[i] for i in roots]
     except IndexError:
         raise TraceError('root index out of range')
+
+
+def _check_fingerprint(name, fingerprint, th):
+    if fingerprint == theory_fingerprint(th):
+        return
+    if name != th.name and fingerprint == theory_fingerprint(th, name):
+        raise TraceError('theory name mismatch: trace %s, theory %s '
+                         '(signature and axioms are the same)' % (name, th.name))
+    raise TraceError('theory fingerprint mismatch: trace %s, theory %s'
+                     % (fingerprint, theory_fingerprint(th)))
 
 
 def _check_claim(thm, claim, step, env_factory):

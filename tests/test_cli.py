@@ -211,6 +211,20 @@ def test_trace_verify_wrong_grammar(files, capsys, other):
                       trace.theory_fingerprint(grammar.load_grammar(str(p)).theory)))
 
 
+def test_trace_verify_renamed_grammar(files, capsys):
+    # the same grammar saved under another name: the fingerprint differs
+    # only through the theory name, and the message says so
+    tr = str(files['dir'] / 'toy.trace')
+    _run(capsys, ['parse', '-g', files['toy'], '-w', 'fajdo blt',
+                  '--emit-proof', tr])
+    p = files['dir'] / 'toy_copy.hog'
+    p.write_text(helpers.TOY)
+    code, out = _run(capsys, ['trace-verify', '-g', str(p), tr])
+    assert code == 1
+    assert out == ('trace-verify FAIL: theory name mismatch: trace toy, theory toy_copy '
+                   '(signature and axioms are the same)\n')
+
+
 def test_trace_verify_missing_file(capsys):
     code, out = _run(capsys, ['trace-verify', '/nonexistent.trace'])
     assert code == 2

@@ -1,12 +1,19 @@
 """Trusted core: types, terms, substitution, theories, primitive rules."""
 
+import copy
+import os
+import pickle
+import subprocess
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hogc import kernel, syntax
 from hogc.kernel import (
-    Abs, App, BOOL, FunType, IND, PHON, Pair, ProdType, Proj, Var,
-    false_c, mk_conj, mk_cond, mk_disj, mk_eq, mk_forall, mk_not, true_c,
+    Abs, App, BOOL, BaseType, Const, FunType, IND, PHON, Pair, ProdType, Proj, Var,
+    eq_c, false_c, mk_conj, mk_cond, mk_disj, mk_eq, mk_forall, mk_not, true_c,
 )
 
 import helpers
@@ -50,6 +57,58 @@ def test_type_parse_errors():
         kernel.type_of(Var('x', ty), kernel.core_theory())
     with pytest.raises(syntax.ParseError):
         syntax.parse_type('Ind -> Und', kernel.core_theory())
+
+
+def test_types_are_interned(toy):
+    ty = FunType(IND, BOOL)
+    assert ty is FunType(IND, BOOL)
+    assert syntax.parse_type('Ind -> Bool') is ty
+    assert toy.theory.constants['sem_IV'] is FunType(BaseType('IV'), ty)
+    assert ProdType(IND, BOOL) is not ProdType(BOOL, IND)
+    assert copy.deepcopy(ty) is ty and pickle.loads(pickle.dumps(ty)) is ty
+    assert hash(ty) == hash(('fun', IND, BOOL))
+
+
+def test_interning_is_thread_safe():
+    # 4 threads build each fresh type at once; each must get one object
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(50):
+            name = 'Fresh%d' % round_
+            start = threading.Barrier(4, timeout=10)
+            got = []
+
+            def build():
+                start.wait()
+                got.append(FunType(BaseType(name), ProdType(BaseType(name), BOOL)))
+
+            threads = [threading.Thread(target=build) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+                assert not t.is_alive()
+            assert len(got) == 4 and all(ty is got[0] for ty in got)
+    finally:
+        sys.setswitchinterval(old)
+
+
+def test_type_hash_is_structural():
+    # the same hash in two interpreter runs under one hash seed, even when
+    # the types sit at other addresses, so set and dict order over types
+    # never depends on object addresses
+    code = ('from hogc.kernel import *; %s'
+            'print([hash(t) for t in (IND, FunType(IND, ProdType(BaseType("S"), BOOL)))])')
+
+    def run(prefix):
+        env = dict(os.environ, PYTHONHASHSEED='7')
+        r = subprocess.run([sys.executable, '-c', code % prefix], capture_output=True,
+                           env=env, text=True)
+        assert r.returncode == 0, r.stderr
+        return r.stdout
+
+    assert run('') == run('junk = [object() for _ in range(1000)]; ')
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +157,19 @@ def test_alpha_equality_and_hash():
     assert Abs(x, Abs(y, x)) != Abs(x, Abs(y, y))
     assert Abs(x, App(f, x)) == Abs(y, App(f, y))
     assert Abs(x, x) != Abs(Var('b', BOOL), Var('b', BOOL))
+
+
+def test_alpha_eq_of_shared_subterm_under_binders():
+    # one ``f x`` object under binders that bind x at different depths
+    x, y = Var('x', IND), Var('y', IND)
+    fx = App(Var('f', FunType(IND, BOOL)), x)
+    t1, t2 = Abs(x, Abs(y, fx)), Abs(y, Abs(x, fx))
+    assert t1 != t2
+    assert kernel._alpha_hash(t1, {}, 0) != kernel._alpha_hash(t2, {}, 0)
+    # shared closed subterms, at the top and under a binder, compare equal
+    s = mk_eq(Abs(x, x), Abs(y, y))
+    assert mk_conj(s, s) == mk_conj(s, mk_eq(Abs(y, y), Abs(x, x)))
+    assert Abs(x, mk_conj(s, App(fx.fn, x))) == Abs(y, mk_conj(s, App(fx.fn, y)))
 
 
 def test_free_vars():
@@ -240,6 +312,62 @@ def test_type_of_rejects_foreign_constants(th):
     c = kernel.Const('mystery', IND)
     with pytest.raises(kernel.KernelError):
         kernel.type_of(c, th)
+
+
+def _hidden(t):
+    """``t`` inside a Pair and a Proj, so the whole term is Bool-typed."""
+    return Proj(2, Pair(t, true_c()))
+
+
+_UND = BaseType('Und')
+# a fault where a type or constant comes in, below a Bool-typed root
+_LEAF_FAULTS = {
+    'free_var': (App(Var('P', FunType(_UND, BOOL)), Var('u', _UND)),
+                 kernel.TheoryError, 'unknown base type Und'),
+    'unused_binders': (App(Abs(Var('f', FunType(_UND, BOOL)), true_c()),
+                           Abs(Var('u', _UND), true_c())),
+                       kernel.TheoryError, 'unknown base type Und'),
+    'in_pair_and_proj': (_hidden(Var('u', _UND)), kernel.TheoryError,
+                         'unknown base type Und'),
+    'unknown_const': (_hidden(Const('mystery', IND)), kernel.TheoryError,
+                      'unknown constant mystery'),
+    'logical_const_at_undeclared_type': (_hidden(eq_c(_UND)), kernel.TheoryError,
+                                         'unknown base type Und'),
+    'const_at_wrong_type': (_hidden(Const('c', BOOL)), kernel.TypingError,
+                            'constant c at type Bool, declared Ind'),
+    'const_at_undeclared_type': (_hidden(Const('c', FunType(IND, _UND))),
+                                 kernel.TheoryError, 'unknown base type Und'),
+}
+
+
+@pytest.mark.parametrize('case', sorted(_LEAF_FAULTS))
+def test_type_of_checks_every_leaf_and_binder(case):
+    th = kernel.Theory('leaves')
+    th.add_constant('c', IND)
+    th.freeze()
+    t, exc, msg = _LEAF_FAULTS[case]
+    assert t.ty is BOOL
+    with pytest.raises(exc, match='^%s$' % msg):
+        kernel.type_of(t, th)
+
+
+def test_type_of_is_per_theory():
+    # a term that validates in theory A is checked afresh against B
+    a = kernel.Theory('A')
+    a.add_base_type('S')
+    a.add_constant('k', FunType(BaseType('S'), BOOL))
+    a.freeze()
+    b = kernel.Theory('B')
+    b.add_base_type('S')
+    b.add_constant('k', FunType(IND, BOOL))
+    b.freeze()
+    t = _hidden(App(a.const('k'), Var('s', BaseType('S'))))
+    assert kernel.type_of(t, a) is BOOL
+    with pytest.raises(kernel.TypingError,
+                       match=r'^constant k at type \(S -> Bool\), declared \(Ind -> Bool\)$'):
+        kernel.type_of(t, b)
+    with pytest.raises(kernel.TheoryError, match='^unknown base type S$'):
+        kernel.type_of(t, kernel.core_theory())
 
 
 def test_bool_cases_axiom_shape(th):
