@@ -796,11 +796,10 @@ class Theorem:
 
 
 def _sorted_hyps(hyps):
+    if len(hyps) < 2:
+        return tuple(hyps)
     from . import syntax
-    seen = {}
-    for h in hyps:
-        seen.setdefault(h, h)
-    return tuple(sorted(seen, key=syntax.canonical_term))
+    return tuple(sorted(dict.fromkeys(hyps), key=syntax.canonical_term))
 
 
 def _thm(th, hyps, concl, rule, args):

@@ -116,11 +116,6 @@ def _sign_conjuncts(th, axname):
     return rules._cached(th, ('sign_conjuncts', axname), build)
 
 
-def _with_children(child_eqs, step):
-    """A node function: a child's equation at its left-hand side, else step."""
-    return lambda th, t: child_eqs.get(t) or step(th, t)
-
-
 class _ProofBuilder:
     def __init__(self, g):
         self.g = g
@@ -130,7 +125,10 @@ class _ProofBuilder:
     def build(self, sign, deriv_map):
         """(phon_proof, sem_proof) for a chart sign: the axiom's conjuncts
         at the children, each side then rewritten in one bottom-up pass that
-        puts in the children's proven values and normalizes."""
+        normalizes.  The pass takes each child's equation as it stands at
+        ``phon_T(c)`` or ``sem_T(c)``: it does not descend into the child
+        sign, nor walk the child's value, which the child's own pass left
+        in normal form."""
         if sign in self.memo:
             return self.memo[sign]
         axname, opvars, children = deriv_map[sign]
@@ -144,8 +142,8 @@ class _ProofBuilder:
             cp, cs = self.build(c, deriv_map)
             child_phon[rules.lhs(cp)] = child_eqs[rules.lhs(cp)] = cp
             child_eqs[rules.lhs(cs)] = cs
-        out = (rules.rewrite_rhs(phon, _with_children(child_phon, self.phon_step)),
-               rules.rewrite_rhs(sem, _with_children(child_eqs, rules._bp_step)))
+        out = (rules.rewrite_rhs(phon, self.phon_step, child_phon),
+               rules.rewrite_rhs(sem, rules._bp_step, child_eqs))
         self.memo[sign] = out
         return out
 

@@ -5,15 +5,19 @@ carries a full primitive-step provenance and can be exported as a trace.
 The layer covers the standard propositional toolkit for the equality-based
 connectives, a small conversion framework (context substitution, full
 beta/projection normalization, bottom-up rewriting that proves nothing
-about the subterms it leaves unchanged), the derived rules for
-the if-then-else constants C and their laws, and a case-split tautology
-prover for the quantifier-free boolean fragment.  That fragment is defined
-here once, by ``fragment_vars``; the closure lab decides it with the same
-scanner.
+about the subterms it leaves unchanged and can take given equations as they
+stand), the derived rules for the if-then-else constants C and their laws,
+and a case-split tautology prover for the quantifier-free boolean fragment.
+That fragment is defined here once, by ``fragment_vars``; the closure lab
+decides it with the same scanner.
 
-Rule schemas (the C laws, the boolean simplification lemmas) are derived
-once per theory and type and cached on the theory; requests at concrete
-arguments are answered by instantiating the cached schema.
+Rule schemas (the C laws, the boolean simplification lemmas, the Pair and
+projection congruences) are derived once per theory and type and cached on
+the theory; requests at concrete arguments are answered by instantiating
+the cached schema.  A congruence schema carries one hypothesis x = y per
+changed side, which the rewrite discharges with that side's equation
+(``prove_hyp``): rewriting one side of a Pair costs one instantiate and two
+more steps, both sides one instantiate and four.
 """
 
 from __future__ import annotations
@@ -185,6 +189,11 @@ def disch(p, thm):
     t2 = conjunct1(assume(th, mk_conj(p, q)))
     d = deduct_antisym(t1, t2)
     return modus_ponens_eq(symmetry(u), d)
+
+
+def prove_hyp(thm_p, thm):
+    """From A |- p and B |- q derive A u (B - {p}) |- q."""
+    return modus_ponens_eq(deduct_antisym(thm_p, thm), thm_p)
 
 
 def mp(thm_imp, thm):
@@ -375,8 +384,52 @@ def subst_context(th, tmpl, v, eqthm):
     return transitivity(symmetry(b1), transitivity(c, b2))
 
 
-def _hole(ty, *sources):
-    return Var(fresh_name('hole', _avoid_from(*sources)), ty)
+def _pair_cong_schema(th, tyl, tyr, side):
+    """{x = y} |- <x, u> = <y, u> (side 'left'), {u = v} |- <x, u> = <x, v>
+    ('right') or {x = y, u = v} |- <x, u> = <y, v> ('both')."""
+    def build():
+        x, y, hl = Var('x', tyl), Var('y', tyl), Var('h', tyl)
+        u, v, hr = Var('u', tyr), Var('v', tyr), Var('h', tyr)
+        el = subst_context(th, Pair(hl, u), hl, assume(th, mk_eq(x, y)))
+        if side == 'left':
+            return el
+        er = subst_context(th, Pair(x if side == 'right' else y, hr), hr,
+                           assume(th, mk_eq(u, v)))
+        return er if side == 'right' else transitivity(el, er)
+    return _cached(th, ('pair_cong', side, tyl, tyr), build)
+
+
+def _proj_cong_schema(th, index, ty):
+    """{x = y} |- fst x = fst y (index 1) or |- snd x = snd y (index 2)."""
+    def build():
+        x, y, h = Var('x', ty), Var('y', ty), Var('h', ty)
+        return subst_context(th, Proj(index, h), h, assume(th, mk_eq(x, y)))
+    return _cached(th, ('proj_cong', index, ty), build)
+
+
+def _pair_congruence(th, t, el, er):
+    """|- <l, r> = <l', r'> from |- l = l' and |- r = r' (None for a side
+    left unchanged): one schema instance, each hypothesis discharged by the
+    side's equation."""
+    tyl, tyr = t.left.ty, t.right.ty
+    m = {Var('x', tyl): t.left, Var('u', tyr): t.right}
+    if el is not None:
+        m[Var('y', tyl)] = rhs(el)
+    if er is not None:
+        m[Var('v', tyr)] = rhs(er)
+    side = 'right' if el is None else 'left' if er is None else 'both'
+    e = instantiate(_pair_cong_schema(th, tyl, tyr, side), m)
+    for c in (el, er):
+        if c is not None:
+            e = prove_hyp(c, e)
+    return e
+
+
+def _proj_congruence(th, t, ea):
+    """|- fst a = fst a' (or snd) from |- a = a', as _pair_congruence."""
+    ty = t.arg.ty
+    m = {Var('x', ty): t.arg, Var('y', ty): rhs(ea)}
+    return prove_hyp(ea, instantiate(_proj_cong_schema(th, t.index, ty), m))
 
 
 def depth_rewrite(th, t, node_fn):
@@ -392,58 +445,55 @@ def depth_rewrite(th, t, node_fn):
     return reflexivity(th, t) if e is None else e
 
 
-def rewrite_rhs(thm, node_fn):
+def rewrite_rhs(thm, node_fn, given=None):
     """From A |- a = b derive A |- a = b' with b rewritten as by
-    depth_rewrite; thm itself when nothing rewrites."""
-    e = _rewrite(thm.theory, rhs(thm), node_fn)
+    depth_rewrite; thm itself when nothing rewrites.
+
+    ``given`` maps terms l to hypothesis-free equations |- l = r whose r
+    node_fn leaves as it is: a subterm alpha-equal to some l gets that
+    equation as it stands, without descending into l or walking r.
+    """
+    e = _rewrite(thm.theory, rhs(thm), node_fn, given)
     return thm if e is None else transitivity(thm, e)
 
 
-def _rewrite(th, t, node_fn):
+def _rewrite(th, t, node_fn, given=None):
     # |- t = t', or None when t is left unchanged: unchanged subterms get
     # no proof at all, so no reflexivity or congruence step concludes t = t
-    e = _children_rewrite(th, t, node_fn)
+    if given and (g := given.get(t)) is not None:
+        return g
+    e = _children_rewrite(th, t, node_fn, given)
     r = node_fn(th, t if e is None else rhs(e))
     if r is None:
         return e
     if r.hyps:
         raise RuleError('rewrite rules must be hypothesis-free')
-    e2 = _rewrite(th, rhs(r), node_fn)
+    e2 = _rewrite(th, rhs(r), node_fn, given)
     if e2 is not None:
         r = transitivity(r, e2)
     return r if e is None else transitivity(e, r)
 
 
-def _children_rewrite(th, t, node_fn):
+def _children_rewrite(th, t, node_fn, given):
     if isinstance(t, App):
-        ef = _rewrite(th, t.fn, node_fn)
-        ea = _rewrite(th, t.arg, node_fn)
+        ef = _rewrite(th, t.fn, node_fn, given)
+        ea = _rewrite(th, t.arg, node_fn, given)
         if ef is None and ea is None:
             return None
         return congruence(reflexivity(th, t.fn) if ef is None else ef,
                           reflexivity(th, t.arg) if ea is None else ea)
     if isinstance(t, Abs):
-        eb = _rewrite(th, t.body, node_fn)
+        eb = _rewrite(th, t.body, node_fn, given)
         return None if eb is None else abstraction(t.var, eb)
     if isinstance(t, Pair):
-        el = _rewrite(th, t.left, node_fn)
-        er = _rewrite(th, t.right, node_fn)
-        e = None
-        if el is not None:
-            hole = _hole(t.left.ty, t, el)
-            e = subst_context(th, Pair(hole, t.right), hole, el)
-        if er is not None:
-            cur = t if e is None else rhs(e)
-            hole = _hole(t.right.ty, cur, er)
-            e2 = subst_context(th, Pair(cur.left, hole), hole, er)
-            e = e2 if e is None else transitivity(e, e2)
-        return e
-    if isinstance(t, Proj):
-        ea = _rewrite(th, t.arg, node_fn)
-        if ea is None:
+        el = _rewrite(th, t.left, node_fn, given)
+        er = _rewrite(th, t.right, node_fn, given)
+        if el is None and er is None:
             return None
-        hole = _hole(t.arg.ty, t, ea)
-        return subst_context(th, Proj(t.index, hole), hole, ea)
+        return _pair_congruence(th, t, el, er)
+    if isinstance(t, Proj):
+        ea = _rewrite(th, t.arg, node_fn, given)
+        return None if ea is None else _proj_congruence(th, t, ea)
     return None
 
 

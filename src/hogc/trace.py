@@ -21,6 +21,7 @@ replayed step and parsed only when its text differs.
 from __future__ import annotations
 
 import hashlib
+import re
 
 from . import kernel, syntax
 from .kernel import Theorem, Var
@@ -233,6 +234,10 @@ def _run_step(th, rule, args, steps, step, parse_literal):
     raise TraceError('unknown rule %s' % rule, step)
 
 
+_INDEX = re.compile('[0-9]+')
+_SHA256 = re.compile('[0-9a-f]{64}')
+
+
 def verify_trace(text, th, strict_fingerprint=False):
     """Replay a trace in theory ``th`` and return its root theorems.
 
@@ -240,10 +245,12 @@ def verify_trace(text, th, strict_fingerprint=False):
     claimed hypotheses and conclusion; any mismatch, malformed line or
     failing rule raises TraceError carrying the step index.  Each distinct
     ``{term}`` literal is parsed once per call, each in a fresh TermEnv, so
-    a literal's term depends only on its text and the theory.  With
-    ``strict_fingerprint`` the trace's ``# theory`` fingerprint must be
-    ``th``'s; when it is ``th``'s under the trace's theory name, the error
-    says that only the names differ.
+    a literal's term depends only on its text and the theory.  A
+    ``# roots`` line, when present, must list one or more step indexes; the
+    last step is the root otherwise.  With ``strict_fingerprint`` exactly
+    one ``# theory <name> <sha256>`` line must come before the first step,
+    and its fingerprint must be ``th``'s; when it is ``th``'s under the
+    trace's theory name, the error says that only the names differ.
     """
     resolver = syntax.theory_phon_resolver(th)
 
@@ -259,7 +266,8 @@ def verify_trace(text, th, strict_fingerprint=False):
         return t
 
     steps = []
-    roots = None
+    roots = roots_line = None
+    fingerprinted = False
     expect = 0
     for raw in text.splitlines():
         line = raw.rstrip()
@@ -268,10 +276,23 @@ def verify_trace(text, th, strict_fingerprint=False):
         if line.startswith('#'):
             parts = line[1:].split()
             if parts[:1] == ['roots']:
-                roots = [int(p) for p in parts[1:]]
-            elif parts[:1] == ['theory'] and len(parts) == 3 and strict_fingerprint:
+                if roots_line is not None:
+                    raise TraceError('more than one roots line: %r' % line)
+                if not parts[1:] or not all(_INDEX.fullmatch(p) for p in parts[1:]):
+                    raise TraceError('bad roots line %r: want one or more step indexes'
+                                     % line)
+                roots, roots_line = [int(p) for p in parts[1:]], line
+            elif parts[:1] == ['theory'] and strict_fingerprint:
+                if fingerprinted:
+                    raise TraceError('more than one theory line: %r' % line)
+                if len(parts) != 3 or not _SHA256.fullmatch(parts[2]):
+                    raise TraceError('bad theory line %r: want # theory <name> <sha256>'
+                                     % line)
                 _check_fingerprint(parts[1], parts[2], th)
+                fingerprinted = True
             continue
+        if strict_fingerprint and not fingerprinted:
+            raise TraceError('no theory line before the first step')
         head, sep, claim = line.partition(' ==> ')
         if not sep:
             raise TraceError('missing ==> in line: %r' % line, expect)
@@ -297,11 +318,11 @@ def verify_trace(text, th, strict_fingerprint=False):
     if not steps:
         raise TraceError('empty trace')
     if roots is None:
-        roots = [len(steps) - 1]
-    try:
-        return [steps[i] for i in roots]
-    except IndexError:
-        raise TraceError('root index out of range')
+        return [steps[-1]]
+    if max(roots) >= len(steps):
+        raise TraceError('root index out of range in %r: the last step is %d'
+                         % (roots_line, len(steps) - 1))
+    return [steps[i] for i in roots]
 
 
 def _check_fingerprint(name, fingerprint, th):

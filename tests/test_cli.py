@@ -1,6 +1,7 @@
 """Command-line behavior: reports, exit codes, proof emission, determinism."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -223,6 +224,45 @@ def test_trace_verify_renamed_grammar(files, capsys):
     assert code == 1
     assert out == ('trace-verify FAIL: theory name mismatch: trace toy, theory toy_copy '
                    '(signature and axioms are the same)\n')
+
+
+def test_trace_verify_needs_the_theory_line(files, capsys):
+    # without its fingerprint line a trace cannot be matched to a grammar,
+    # so it fails even against a grammar it does not belong to
+    tr = str(files['dir'] / 'toy.trace')
+    _run(capsys, ['parse', '-g', files['toy'], '-w', 'fajdo blt',
+                  '--emit-proof', tr])
+    text = open(tr).read()
+    p = files['dir'] / 'toy2.hog'
+    p.write_text(helpers.TOY + 'lex REX : NP { phon = /awl/; sem = fido; }\n')
+    for theory_line, msg in (
+            ('', 'no theory line before the first step'),
+            ('# theory toy\n', "bad theory line '# theory toy': "
+                                'want # theory <name> <sha256>')):
+        bad = str(files['dir'] / 'no_theory.trace')
+        open(bad, 'w').write(re.sub('^# theory .*\n', theory_line, text, flags=re.M))
+        for g in (files['toy'], str(p)):
+            code, out = _run(capsys, ['trace-verify', '-g', g, bad])
+            assert (code, out) == (1, 'trace-verify FAIL: %s\n' % msg)
+
+
+@pytest.mark.parametrize('roots,msg', [
+    ('x', "bad roots line '# roots x': want one or more step indexes"),
+    ('-1', "bad roots line '# roots -1': want one or more step indexes"),
+    ('', "bad roots line '# roots': want one or more step indexes"),
+    ('0 9999', "root index out of range in '# roots 0 9999': the last step is %d"),
+])
+def test_trace_verify_bad_roots_line(files, capsys, roots, msg):
+    tr = str(files['dir'] / 'roots.trace')
+    _run(capsys, ['parse', '-g', files['toy'], '-w', 'fajdo', '-k', '1',
+                  '--emit-proof', tr])
+    text = open(tr).read()
+    n_steps = sum(1 for l in text.splitlines() if l and not l.startswith('#'))
+    open(tr, 'w').write(re.sub('^# roots .*$', ('# roots ' + roots).rstrip(),
+                               text, flags=re.M))
+    code, out = _run(capsys, ['trace-verify', '-g', files['toy'], tr])
+    assert code == 1
+    assert out == 'trace-verify FAIL: %s\n' % (msg % (n_steps - 1) if '%d' in msg else msg)
 
 
 def test_trace_verify_missing_file(capsys):

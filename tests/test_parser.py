@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from hogc import grammar, kernel, parser, rules, syntax
+from hogc import grammar, kernel, parser, rules, syntax, trace
 from hogc.grammar import GrammarError, Word, word_to_phon
 from hogc.kernel import App, mk_eq
 
@@ -272,6 +272,34 @@ def test_parse_proofs_have_no_identity_congruences(name, word, k):
             for t in _steps(proof):
                 if t.rule in ('congruence', 'abstraction'):
                     assert rules.lhs(t) != rules.rhs(t), t
+
+
+@pytest.mark.parametrize('name,k,extra', [
+    ('boolsem', 4, ''),
+    ('perm', 4, ''),
+    # constants named like the congruence schemas' variables, at their type
+    ('boolsem', 3, ''.join('const %s : Phon\n' % n for n in 'xyuvh')),
+], ids=['boolsem', 'perm', 'boolsem-schema-variable-names'])
+def test_every_parse_verifies_in_a_fresh_elaboration(name, k, extra):
+    # every parse of every word up to 4 tokens, with the Pair and projection
+    # congruence schemas in its derivation, replays with the fingerprint
+    # checked
+    src = helpers.GRAMMARS[name] + extra
+    g = grammar.elaborate(src, name=name)
+    fresh = grammar.elaborate(src, name=name)
+    n_parses = 0
+    for n in range(5):
+        for tokens in itertools.product(g.alphabet, repeat=n):
+            results = parser.parse(g, tokens, k)
+            if not results:
+                continue
+            n_parses += len(results)
+            thms = [t for r in results for t in (r.phon_proof, r.sem_proof)]
+            text = trace.export_trace(thms)
+            got = trace.verify_trace(text, fresh.theory, strict_fingerprint=True)
+            assert [t.concl for t in got] == [t.concl for t in thms]
+            assert all(t.hyps == () for t in got)
+    assert n_parses > 10
 
 
 def test_meanings_mentioning_sign_projections_rejected():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 
 from hogc import kernel, rules
 from hogc.kernel import (
-    Abs, App, BOOL, FunType, IND, Var,
+    Abs, App, BOOL, FunType, IND, Pair, ProdType, Proj, Var,
     dest_eq, false_c, is_false, is_true, mk_conj, mk_cond, mk_disj, mk_eq,
     mk_forall, mk_imp, mk_not, true_c,
 )
@@ -189,6 +189,92 @@ def test_depth_rewrite_custom_rule(th):
     t = mk_conj(mk_not(mk_not(mk_not(mk_not(p)))), p)
     e = rules.depth_rewrite(th, t, node)
     assert rules.rhs(e) == mk_conj(p, p)
+
+
+def _dag(thm):
+    """Every theorem in a proof DAG, by id."""
+    seen, todo = {}, [thm]
+    while todo:
+        t = todo.pop()
+        if id(t) not in seen:
+            seen[id(t)] = t
+            todo.extend(a for a in t.args if isinstance(a, kernel.Theorem))
+    return seen
+
+
+_PR = ProdType(IND, BOOL)
+
+
+def _redex(t):
+    """(\\w. w) t, which one beta step rewrites to t."""
+    w = Var('w', t.ty)
+    return App(Abs(w, w), t)
+
+
+# each use of a schema is one instantiate and, per rewritten side, the side's
+# beta step and the deduct_antisym and modus_ponens_eq that discharge it
+@pytest.mark.parametrize('make,key,sides', [
+    (lambda a, b, c: Pair(_redex(a), b), ('pair_cong', 'left', IND, BOOL), 1),
+    (lambda a, b, c: Pair(a, _redex(b)), ('pair_cong', 'right', IND, BOOL), 1),
+    (lambda a, b, c: Pair(_redex(a), _redex(b)), ('pair_cong', 'both', IND, BOOL), 2),
+    (lambda a, b, c: Proj(1, _redex(c)), ('proj_cong', 1, _PR), 1),
+    (lambda a, b, c: Proj(2, _redex(c)), ('proj_cong', 2, _PR), 1),
+], ids=['left', 'right', 'both', 'fst', 'snd'])
+def test_pair_and_projection_congruence_by_one_schema_instance(make, key, sides):
+    th = kernel.core_theory()
+    cache = th._derived_cache
+    for n in range(2):
+        a, b, c = Var('a%d' % n, IND), Var('b%d' % n, BOOL), Var('c%d' % n, _PR)
+        before = len(cache)
+        t = make(a, b, c)
+        e = rules.depth_rewrite(th, t, rules._bp_step)
+        assert e.hyps == () and e.concl == mk_eq(t, kernel.beta_normalize(t))
+        # derived on first use only, at these types
+        assert len(cache) == before + (n == 0) and key in cache
+        schema = cache[key]
+        assert len(schema.hyps) == sides
+        steps = _dag(e).keys() - _dag(schema).keys()
+        rules_used = sorted(_dag(e)[i].rule for i in steps)
+        assert rules_used == sorted(['instantiate'] + sides * [
+            'beta_conversion', 'deduct_antisym', 'modus_ponens_eq'])
+
+
+def test_pair_congruence_schemas_at_one_type_keep_sides_apart(th):
+    # left and right components of one type: each side is rewritten in place
+    a, b = Var('a', IND), Var('b', IND)
+    for t, want in ((Pair(_redex(a), b), Pair(a, b)),
+                    (Pair(a, _redex(b)), Pair(a, b)),
+                    (Pair(_redex(b), _redex(a)), Pair(b, a))):
+        e = rules.depth_rewrite(th, t, rules._bp_step)
+        assert e.hyps == () and e.concl == mk_eq(t, want)
+
+
+def test_prove_hyp(th):
+    p, q = Var('p', BOOL), Var('q', BOOL)
+    pq = mk_conj(p, q)
+    thm = rules.conj(kernel.assume(th, p), kernel.assume(th, q))
+    got = rules.prove_hyp(rules.conjunct1(kernel.assume(th, pq)), thm)
+    assert got.concl == pq and set(got.hyps) == {pq, q}
+    got = rules.prove_hyp(rules.truth(th), kernel.assume(th, true_c()))
+    assert got.hyps == () and is_true(got.concl)
+
+
+def test_rewrite_rhs_takes_given_equations_as_they_stand(th):
+    # a subterm alpha-equal to a given left-hand side gets that equation;
+    # the pass neither descends into it nor walks its right-hand side, so
+    # the redexes hidden there stay
+    x, y = Var('x', BOOL), Var('y', BOOL)
+    f = Var('f', FunType(BOOL, BOOL))
+    lhs_term = App(f, _redex(x))
+    given_eq = kernel.assume(th, mk_eq(lhs_term, _redex(y)))
+    t = mk_conj(App(f, _redex(x)), _redex(x))
+    thm = kernel.reflexivity(th, t)
+    e = rules.rewrite_rhs(thm, rules._bp_step, {lhs_term: given_eq})
+    assert rules.rhs(e) == mk_conj(_redex(y), x)
+    assert given_eq in _dag(e).values()
+    # no given equation at a node that is not its left-hand side
+    e = rules.rewrite_rhs(thm, rules._bp_step, {App(f, x): given_eq})
+    assert rules.rhs(e) == mk_conj(App(f, x), x)
 
 
 # ---------------------------------------------------------------------------

@@ -329,12 +329,53 @@ _PRELUDE = '# hogc trace v1\n'
     ('0 reflexivity {true} ==>  |- moo = moo', 'bad judgement syntax'),
     ('0 assume {x:Ind} ==> x |- x', 'rule failed'),
     ('# roots 4\n0 reflexivity {true} ==>  |- true = true', 'out of range'),
+    ('# roots 0 1\n0 reflexivity {true} ==>  |- true = true',
+     "root index out of range in '# roots 0 1': the last step is 0"),
+    ('# roots x\n0 reflexivity {true} ==>  |- true = true',
+     "bad roots line '# roots x': want one or more step indexes"),
+    ('# roots -1\n0 reflexivity {true} ==>  |- true = true',
+     "bad roots line '# roots -1': want one or more step indexes"),
+    ('# roots\n0 reflexivity {true} ==>  |- true = true',
+     "bad roots line '# roots': want one or more step indexes"),
+    ('# roots 0\n# roots 0\n0 reflexivity {true} ==>  |- true = true',
+     "more than one roots line: '# roots 0'"),
 ])
 def test_malformed_traces(body, frag):
     th = kernel.core_theory()
     with pytest.raises(TraceError) as e:
         verify_trace(_PRELUDE + body, th)
     assert frag in str(e.value)
+
+
+@pytest.mark.parametrize('edit,msg', [
+    (lambda l: '', 'no theory line before the first step'),
+    (lambda l: '# theory toy', "bad theory line '# theory toy': want # theory <name> <sha256>"),
+    (lambda l: l[:-1], "bad theory line %r: want # theory <name> <sha256>"),
+    (lambda l: l + ' x', "bad theory line %r: want # theory <name> <sha256>"),
+    (lambda l: l + '\n' + l, 'more than one theory line: %r'),
+])
+def test_strict_verification_requires_one_theory_line(toy, edit, msg):
+    (r,) = parser.parse(toy, 'fajdo blt', 2)
+    text = export_trace(r.sem_proof)
+    (line,) = [l for l in text.splitlines() if l.startswith('# theory ')]
+    new = edit(line)
+    bad = text.replace(line + '\n', new + '\n' if new else '')
+    with pytest.raises(TraceError) as e:
+        verify_trace(bad, toy.theory, strict_fingerprint=True)
+    assert str(e.value) == (msg % new.split('\n')[0] if '%r' in msg else msg)
+    # the line is only checked when the fingerprint is
+    (got,) = verify_trace(bad, toy.theory)
+    assert got.concl == r.sem_proof.concl
+
+
+def test_strict_theory_line_must_precede_the_first_step(toy):
+    (r,) = parser.parse(toy, 'fajdo blt', 2)
+    lines = export_trace(r.sem_proof).splitlines()
+    i = next(i for i, l in enumerate(lines) if l.startswith('# theory '))
+    lines.append(lines.pop(i))
+    with pytest.raises(TraceError) as e:
+        verify_trace('\n'.join(lines), toy.theory, strict_fingerprint=True)
+    assert str(e.value) == 'no theory line before the first step'
 
 
 @pytest.mark.parametrize('name,frag', [
