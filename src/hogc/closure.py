@@ -364,7 +364,7 @@ def certificate_taut(th, target, a1, a2):
 
 
 def certificate_from_script(th, text, a1, a2):
-    """Build a certificate from a two-line script.
+    """Build a certificate from a two-line script, one line of each kind.
 
     ::
 
@@ -386,7 +386,11 @@ def certificate_from_script(th, text, a1, a2):
         if not line:
             continue
         if line.startswith('target '):
+            if target is not None:
+                raise ClosureError('duplicate target line: %r' % line)
             target = syntax.parse_term(line[len('target '):], env)
+        elif route is not None and line.startswith('by '):
+            raise ClosureError('duplicate by line: %r' % line)
         elif line == 'by left':
             route = ('left',)
         elif line == 'by right':

@@ -251,12 +251,6 @@ class Grammar:
     def alphabet(self):
         return self.spec.alphabet
 
-    def sign_type_of(self, t):
-        """The sign type name of a term, or None."""
-        if isinstance(t.ty, BaseType) and t.ty.name in self.sem_types:
-            return t.ty.name
-        return None
-
     def phon_fn(self, t):
         return _projection(self.theory, self.sem_types, 'phon', t)
 

@@ -13,16 +13,17 @@ Design points that matter for soundness:
 * Terms are typed eagerly: ill-typed applications and projections cannot be
   constructed at all.  So validating a term against a theory checks only its
   leaves and binders, where types come in.
-* Term equality (``==``) is alpha-equivalence, and hypothesis sets are kept
-  alpha-canonical and sorted, so theorem printing is reproducible.
+* Term equality (``==``) is alpha-equivalence.  Hypotheses are kept once
+  each, in the order the derivation first meets them, so theorem printing
+  is reproducible.
 * The kernel is monomorphic.  The logical constant families (equality,
   description, quantifiers, the if-then-else family) are schematic: an
   instance at a concrete type is a distinct constant, generated on demand.
 * Logical connectives are defined constants in the equality-based style;
   only their defining equations are axioms, next to function extensionality,
   boolean case analysis, the description axiom and surjective pairing.
-* The kernel parses no text: axiom schemas take structured type arguments,
-  and concrete syntax is read and printed in ``syntax``.
+* The kernel parses no text, and prints none outside ``repr``: axiom
+  schemas take structured type arguments.
 
 Every value here (types, terms, frozen theories, theorems) is immutable and
 safe to share across threads; theory construction is single-threaded.
@@ -795,17 +796,12 @@ class Theorem:
         return syntax.pretty_theorem(self)
 
 
-def _sorted_hyps(hyps):
-    if len(hyps) < 2:
-        return tuple(hyps)
-    from . import syntax
-    return tuple(sorted(dict.fromkeys(hyps), key=syntax.canonical_term))
-
-
 def _thm(th, hyps, concl, rule, args):
     if concl.ty != BOOL:
         raise TypingError('theorem conclusion must be Bool')
-    return Theorem(_sorted_hyps(hyps), concl, th, rule, args, _token=_KERNEL_TOKEN)
+    # alpha-equal hypotheses are kept once, the first in derivation order
+    hyps = tuple(dict.fromkeys(hyps)) if len(hyps) > 1 else tuple(hyps)
+    return Theorem(hyps, concl, th, rule, args, _token=_KERNEL_TOKEN)
 
 
 def _same_theory(*thms):

@@ -1,13 +1,14 @@
 """Concrete syntax: parsing and printing of types and terms.
 
 Two printers live here.  ``canonical_term`` emits a fully parenthesized
-ASCII form with bound variables renamed deterministically, so alpha-equal
-terms print identically; it is what proof traces and hypothesis ordering
-use, and it round-trips through ``parse_term``.  The trace verifier relies
-on that: it compares each claimed judgement with the canonical printing of
-the replayed step, so two terms print alike only if they are alpha-equal.  ``pretty_term`` keeps the
-original names and uses infix notation for the connectives; it is for
-reports and error messages only.
+ASCII form that names the variable of a binder at depth d ``%d``; no
+identifier starts with ``%``, so two terms print alike exactly when they are
+alpha-equal.  It is the written form of proof traces, and it round-trips
+through ``parse_term``, which reads ``%d`` only as a bound variable.  The
+trace verifier compares each claimed judgement with the canonical printing
+of the replayed step byte for byte.  ``pretty_term`` keeps the original
+names and uses infix notation for the connectives; it is for reports and
+error messages only.
 
 Term syntax summary (loosest to tightest):
 
@@ -21,12 +22,11 @@ Term syntax summary (loosest to tightest):
     fst t   snd t   cond[T](x,y,z)  iota[T](p)   /word/   //   x:T
 
 Identifiers may carry one type argument in brackets (``eq[Ind]``) and free
-variables may be annotated with their type (``x:(Ind -> Bool)``).
+variables may be annotated with their type (``x:(Ind -> Bool)``).  ``%0``,
+``%1``, ... are identifiers too, but only a binder can introduce one.
 """
 
 from __future__ import annotations
-
-import re
 
 from . import kernel
 from .kernel import (App, Abs, Const, FunType, Pair, PHON, ProdType, Proj,
@@ -40,56 +40,34 @@ class ParseError(Exception):
 # ---------------------------------------------------------------------------
 # Canonical printing
 
-_BOUND_LIKE = re.compile(r'b[0-9]+_*$')
-
-
 def canonical_term(t):
-    """Alpha-canonical fully parenthesized rendering; parseable.  Bound
-    variables print as b<depth>, primed with _ while that names a free
-    variable or a constant of the term, so each reads back as bound."""
-    names = set()
-    s = _canon(t, {}, 0, (), names)
-    if '\\' in s and any(_BOUND_LIKE.match(n) for n in names):
-        # a free or constant name may share a bound name: print again
-        # avoiding them all
-        s = _canon(t, {}, 0, names, set())
-    return s
+    """Alpha-canonical fully parenthesized rendering; parseable.  The
+    variable of a binder at depth d prints as ``%d``, a name no identifier
+    can spell, so alpha-equal terms print alike and distinct ones apart."""
+    return _canon(t, {}, 0)
 
 
-def _canon_bound_name(depth, avoid):
-    name = 'b%d' % depth
-    while name in avoid:
-        name += '_'
-    return name
-
-
-def _canon(t, env, depth, avoid, names):
-    # applications are most of the nodes, so they are tested first; the
-    # names of constants and free variables met are collected in ``names``
+def _canon(t, env, depth):
+    # applications are most of the nodes, so they are tested first
     if isinstance(t, App):
-        return '(%s %s)' % (_canon(t.fn, env, depth, avoid, names),
-                            _canon(t.arg, env, depth, avoid, names))
+        return '(%s %s)' % (_canon(t.fn, env, depth), _canon(t.arg, env, depth))
     if isinstance(t, Const):
-        names.add(t.name)
         return t.display_name
     if isinstance(t, Var):
         bound = env.get((t.name, t.ty))
         if bound is not None:
             return bound
-        names.add(t.name)
         return '%s:%s' % (t.name, type_to_str(t.ty))
     if isinstance(t, Abs):
-        name = _canon_bound_name(depth, avoid)
+        name = '%%%d' % depth
         env2 = dict(env)
         env2[(t.var.name, t.var.ty)] = name
         return '(\\%s:%s. %s)' % (name, type_to_str(t.var.ty),
-                                  _canon(t.body, env2, depth + 1, avoid, names))
+                                  _canon(t.body, env2, depth + 1))
     if isinstance(t, Pair):
-        return '<%s, %s>' % (_canon(t.left, env, depth, avoid, names),
-                             _canon(t.right, env, depth, avoid, names))
+        return '<%s, %s>' % (_canon(t.left, env, depth), _canon(t.right, env, depth))
     if isinstance(t, Proj):
-        return '(%s %s)' % ('fst' if t.index == 1 else 'snd',
-                            _canon(t.arg, env, depth, avoid, names))
+        return '(%s %s)' % ('fst' if t.index == 1 else 'snd', _canon(t.arg, env, depth))
     raise ParseError('not a term: %r' % (t,))
 
 
@@ -238,13 +216,17 @@ def _lex(s):
             toks.append(_Tok('word', tuple(inner.split()), i))
             i = j + 1
             continue
-        if c == '$':
+        if c in '$%':
+            # $<digits> is a rule-body placeholder, %<digits> the name of a
+            # bound variable in canonical printing
             j = i + 1
             while j < n and s[j].isdigit():
                 j += 1
             if j == i + 1:
-                raise ParseError('bad placeholder at %d' % i)
-            toks.append(_Tok('placeholder', int(s[i + 1:j]), i))
+                what = 'placeholder' if c == '$' else 'bound name'
+                raise ParseError('bad %s at %d' % (what, i))
+            toks.append(_Tok('placeholder', int(s[i + 1:j]), i) if c == '$'
+                        else _Tok('ident', s[i:j], i))
             i = j
             continue
         if c in _ONE_CHAR:
@@ -457,6 +439,8 @@ class _Parser:
         for v in reversed(self.bound):
             if v.name == name:
                 return self._maybe_annotated_bound(v)
+        if name[0] == '%':
+            raise ParseError('unbound variable %s' % name)
         # an annotated identifier is a free variable, even if a constant
         # shares its name: that is how canonical_term prints variables
         ty = self._annotation()
@@ -508,7 +492,7 @@ class _Parser:
             ty = self.type_expr()
             self.expect('sym', ')')
             return ty
-        if t.kind == 'ident':
+        if t.kind == 'ident' and t.val[0] != '%':
             return self._named_type(t.val)
         raise ParseError('expected a type at %d' % t.pos)
 

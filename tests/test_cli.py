@@ -317,6 +317,20 @@ def test_merge_errors(files, capsys):
     assert code == 2 and 'out of range' in out
 
 
+def test_merge_rejects_a_repeated_certificate_line(files, capsys):
+    cert = files['dir'] / 'twice.cert'
+    cert.write_text('target barks(fido)\ntarget howls(fido)\nby right\n')
+    code, out = _run(capsys, ['merge', '-g', files['ambig'], '-w', 'fajdo blt',
+                              '0', '1', '--cert', str(cert)])
+    assert code == 2
+    assert out == "merge error: duplicate target line: 'target howls(fido)'\n"
+    cert.write_text('target barks(fido)\nby left\nby left\n')
+    code, out = _run(capsys, ['merge', '-g', files['ambig'], '-w', 'fajdo blt',
+                              '0', '1', '--cert', str(cert)])
+    assert code == 2
+    assert out == "merge error: duplicate by line: 'by left'\n"
+
+
 def test_merge_config_without_indices(files, capsys):
     cert = files['dir'] / 'left.cert'
     cert.write_text('target barks(fido)\nby left\n')

@@ -314,6 +314,9 @@ def test_certificate_scripts(th):
     ('target p\nby left', 'by left requires'),
     ('target q\nby right', 'by right requires'),
     ('target p\nby cases q', 'by cases requires'),
+    ('target p\ntarget q\nby right', "duplicate target line: 'target q'"),
+    ('target p\nby left\nby right', "duplicate by line: 'by right'"),
+    ('by taut\ntarget p\nby taut', "duplicate by line: 'by taut'"),
 ])
 def test_certificate_script_errors(th, script, frag):
     with pytest.raises(ClosureError) as e:

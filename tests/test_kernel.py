@@ -10,7 +10,7 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hogc import kernel, syntax
+from hogc import kernel, rules, syntax
 from hogc.kernel import (
     Abs, App, BOOL, BaseType, Const, FunType, IND, PHON, Pair, ProdType, Proj, Var,
     eq_c, false_c, mk_conj, mk_cond, mk_disj, mk_eq, mk_forall, mk_not, true_c,
@@ -510,6 +510,24 @@ def test_deduct_antisym(th):
     # discharging: from {x} |- x and {x} |- x the hypothesis cancels
     d = kernel.deduct_antisym(kernel.assume(th, x), kernel.assume(th, x))
     assert d.hyps == () and d.concl == mk_eq(x, x)
+
+
+def test_hypotheses_keep_derivation_order(th):
+    p, q = Var('p', BOOL), Var('q', BOOL)
+    assert rules.conj(kernel.assume(th, q), kernel.assume(th, p)).hyps == (q, p)
+    assert rules.conj(kernel.assume(th, p), kernel.assume(th, q)).hyps == (p, q)
+    assert kernel.deduct_antisym(kernel.assume(th, q), kernel.assume(th, p)).hyps == (q, p)
+
+
+def test_alpha_equal_hypotheses_are_kept_once(th):
+    # the first one met stays, with its own bound name
+    f = Var('f', FunType(IND, BOOL))
+    x, y = Var('x', IND), Var('y', IND)
+    a, b = mk_forall(x, App(f, x)), mk_forall(y, App(f, y))
+    c = rules.conj(kernel.assume(th, a), kernel.assume(th, b))
+    assert c.hyps == (a,) and kernel.dest_forall(c.hyps[0])[0].name == 'x'
+    c = rules.conj(kernel.assume(th, b), kernel.assume(th, a))
+    assert c.hyps == (b,) and kernel.dest_forall(c.hyps[0])[0].name == 'y'
 
 
 def test_instantiate_in_conclusion_and_hypotheses(th):

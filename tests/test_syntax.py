@@ -93,6 +93,26 @@ def test_type_ascription(env):
     assert parse_term('(z:Ind) = x', env) == mk_eq(Var('z', IND), Var('x', IND))
 
 
+def test_bound_names_read_back_only_as_bound(th):
+    x = Var('x', IND)
+    assert parse_term('\\%0:Ind. %0', TermEnv(theory=th)) == Abs(x, x)
+    assert canonical_term(Abs(x, Abs(Var('y', IND), x))) == '(\\%0:Ind. (\\%1:Ind. %0))'
+
+
+@pytest.mark.parametrize('text,msg', [
+    ('%3', 'unbound variable %3'),
+    ('%0:Ind', 'unbound variable %0'),
+    ('\\%0:Ind. %1', 'unbound variable %1'),
+    ('%', 'bad bound name at 0'),
+    ('\\%x:Ind. %x', 'bad bound name at 1'),
+    ('\\x:%0. x', 'expected a type at 3'),
+])
+def test_bad_bound_names_rejected(th, text, msg):
+    with pytest.raises(syntax.ParseError) as e:
+        parse_term(text, TermEnv(theory=th, default_var_type=IND))
+    assert str(e.value) == msg
+
+
 def test_canonical_is_alpha_invariant():
     x, y = Var('x', IND), Var('y', IND)
     assert canonical_term(Abs(x, x)) == canonical_term(Abs(y, y))
@@ -174,9 +194,10 @@ def test_pretty_roundtrip_fragment(t):
 _TH = kernel.core_theory()
 
 
-# Names canonical printing uses for bound variables (b0, b1, b0_) and the
+# Names a printer might give bound variables (b0, b1, b0_) and names the
 # derived-rule schemas use for their variables, each declared as a constant
-# of the theory below and drawn as a free or bound variable at any type.
+# of the theory below and drawn as a free or bound variable at any type;
+# binders may also take the names canonical printing gives them (%0, %1).
 _CLASH = ('b0', 'b1', 'b0_', 'p', 'q', 'x', 'z', 'hole', 'slot')
 _CLASH_TYPES = (BOOL, IND, FunType(BOOL, BOOL), FunType(IND, BOOL))
 
@@ -191,6 +212,7 @@ def _clash_theory():
 
 _CLASH_TH = _clash_theory()
 _NAMES = st.sampled_from(_CLASH)
+_BINDER_NAMES = st.sampled_from(_CLASH + ('%0', '%1'))
 _CONSTS = [_CLASH_TH.const(n) for n in _CLASH]
 
 
@@ -216,7 +238,7 @@ def _clash_term(ty, depth, scope=()):
     sub = depth - 1
 
     def binder(dom, cod, mk):
-        return _NAMES.flatmap(lambda n: _clash_term(cod, sub, scope + (Var(n, dom),))
+        return _BINDER_NAMES.flatmap(lambda n: _clash_term(cod, sub, scope + (Var(n, dom),))
                               .map(functools.partial(mk, Var(n, dom))))
     parts = [_leaf(ty, scope)]
     parts += [st.builds(App, _clash_term(FunType(dom, ty), sub, scope),

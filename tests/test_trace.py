@@ -1,6 +1,9 @@
 """Trace export, independent replay, and tamper detection."""
 
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -53,6 +56,39 @@ def test_export_format(toy):
         assert sep and head.split()[0] == str(i)
         assert ' |- ' in ' ' + claim
     assert export_trace(r.sem_proof, comment='toy sentence') == text
+
+
+def test_multi_line_comment_verifies(toy):
+    text = export_trace(kernel.reflexivity(toy.theory, true_c()), comment='first\nsecond')
+    assert text.splitlines()[1:3] == ['# first', '# second']
+    (got,) = verify_trace(text, toy.theory, strict_fingerprint=True)
+    assert got.concl == kernel.mk_eq(true_c(), true_c())
+
+
+_TWO_HYPS = '''
+import sys
+from hogc import kernel, rules, trace
+from hogc.kernel import BOOL, Var
+th = kernel.core_theory()
+thm = kernel.assume(th, Var('q', BOOL))
+for name in ('p', 'z', 'hole', 'slot', 'b0'):
+    thm = rules.conj(thm, kernel.assume(th, Var(name, BOOL)))
+sys.stdout.write(trace.export_trace([thm, rules.conjunct1(thm)]))
+'''
+
+
+def test_traces_with_many_hypotheses_are_hash_seed_independent():
+    def export(seed):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        r = subprocess.run([sys.executable, '-c', _TWO_HYPS], capture_output=True,
+                           env=env, text=True)
+        assert r.returncode == 0, r.stderr
+        return r.stdout
+
+    text = export('0')
+    assert text == export('1')
+    assert ' q:Bool ; p:Bool ; z:Bool ; hole:Bool ; slot:Bool ; b0:Bool |- ' in text
+    verify_trace(text, kernel.core_theory(), strict_fingerprint=True)
 
 
 def test_export_rejects_mixed_theories(toy, ambig):
@@ -239,17 +275,22 @@ def test_claim_of_another_step_rejected_at_its_step(toy):
     assert e.value.step == s and 'conclusion mismatch' in str(e.value)
 
 
-def test_equal_non_canonical_claims_verify(toy):
+def test_non_canonical_claims_are_rejected(toy):
+    # an alpha-equal claim in any other written form is not the judgement
     (r,) = parser.parse(toy, 'fajdo blt', 2)
     text = export_trace(r.sem_proof)
-    last = _content_lines(text)[-1]
-    head, _, claim = last.partition(' ==> ')
-    spaced = text.replace(last, '%s ==>   |-   %s ' % (head, claim.split(' |- ')[1]))
-    infix = text.replace(last, '%s ==>  |- %s' % (head, syntax.pretty_term(r.sem_proof.concl)))
+    lines = _content_lines(text)
+    head, _, claim = lines[-1].partition(' ==> ')
+    concl = claim.split(' |- ')[1]
+    infix = syntax.pretty_term(r.sem_proof.concl)
     assert ' = ' in infix
-    for t in (spaced, infix):
-        (got,) = verify_trace(t, toy.theory)
-        assert got.concl == r.sem_proof.concl
+    for edited, what in (('  |- ' + concl.replace(' ', '  '), 'conclusion'),
+                         (' |- ' + infix, 'conclusion'),
+                         ('  |- ' + concl, 'hypothesis')):
+        with pytest.raises(TraceError) as e:
+            verify_trace(text.replace(lines[-1], '%s ==> %s' % (head, edited)), toy.theory)
+        assert e.value.step == len(lines) - 1
+        assert '%s: %s mismatch' % (r.sem_proof.rule, what) in str(e.value)
 
 
 def test_canonical_printing_computes_no_free_variable_sets():
@@ -326,10 +367,10 @@ _PRELUDE = '# hogc trace v1\n'
     ('0 reflexivity {true} {false} ==>  |- true = true', 'malformed arguments'),
     ('0 reflexivity {moo} ==>  |- true = true', 'bad term'),
     ('0 reflexivity {true} ==> true = true', 'malformed judgement'),
-    ('0 reflexivity {true} ==>  |- moo = moo', 'bad judgement syntax'),
+    ('0 reflexivity {true} ==>  |- moo = moo', 'conclusion mismatch'),
     ('0 assume {x:Ind} ==> x |- x', 'rule failed'),
-    ('# roots 4\n0 reflexivity {true} ==>  |- true = true', 'out of range'),
-    ('# roots 0 1\n0 reflexivity {true} ==>  |- true = true',
+    ('# roots 4\n0 reflexivity {true} ==>  |- ((eq[Bool] true) true)', 'out of range'),
+    ('# roots 0 1\n0 reflexivity {true} ==>  |- ((eq[Bool] true) true)',
      "root index out of range in '# roots 0 1': the last step is 0"),
     ('# roots x\n0 reflexivity {true} ==>  |- true = true',
      "bad roots line '# roots x': want one or more step indexes"),
@@ -393,7 +434,7 @@ def test_bad_axiom_names_rejected_at_their_step(name, frag):
     th = kernel.core_theory()
     line = _content_lines(export_trace(kernel.axiom(th, 'bool-cases')))[0]
     bad = line.replace('"bool-cases"', '"%s"' % name).replace('0 axiom', '1 axiom')
-    body = '0 reflexivity {true} ==>  |- (true = true)\n' + bad
+    body = '0 reflexivity {true} ==>  |- ((eq[Bool] true) true)\n' + bad
     with pytest.raises(TraceError) as e:
         verify_trace(_PRELUDE + body, th)
     assert e.value.step == 1 and frag in str(e.value)
