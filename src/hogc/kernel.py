@@ -55,7 +55,7 @@ class TheoryError(KernelError):
 # Types
 
 class Type:
-    __slots__ = ('_hash',)
+    __slots__ = ('_hash', '_str')
     _table = {}   # (tag, *parts) -> the type; types are few, so never pruned
 
     def __new__(cls, *parts):
@@ -66,6 +66,7 @@ class Type:
             for slot, part in zip(cls.__slots__, parts):
                 setattr(ty, slot, part)
             ty._hash = hash(key)   # structural, not by address
+            ty._str = cls._fmt % (parts if cls is BaseType else tuple(map(type_to_str, parts)))
             ty = Type._table.setdefault(key, ty)  # one object when threads race
         return ty
 
@@ -81,17 +82,17 @@ class Type:
 
 class BaseType(Type):
     __slots__ = ('name',)
-    _tag = 'base'
+    _tag, _fmt = 'base', '%s'
 
 
 class FunType(Type):
     __slots__ = ('dom', 'cod')
-    _tag = 'fun'
+    _tag, _fmt = 'fun', '(%s -> %s)'
 
 
 class ProdType(Type):
     __slots__ = ('left', 'right')
-    _tag = 'prod'
+    _tag, _fmt = 'prod', '(%s * %s)'
 
 
 BOOL = BaseType('Bool')
@@ -102,14 +103,11 @@ CORE_BASE_TYPES = ('Bool', 'Ind', 'Phon')
 
 
 def type_to_str(ty):
-    """Canonical fully parenthesized ASCII rendering of a type."""
-    if isinstance(ty, BaseType):
-        return ty.name
-    if isinstance(ty, FunType):
-        return '(%s -> %s)' % (type_to_str(ty.dom), type_to_str(ty.cod))
-    if isinstance(ty, ProdType):
-        return '(%s * %s)' % (type_to_str(ty.left), type_to_str(ty.right))
-    raise TypingError('not a type: %r' % (ty,))
+    """Canonical fully parenthesized ASCII rendering of a type, made once,
+    when the type is interned."""
+    if not isinstance(ty, Type):
+        raise TypingError('not a type: %r' % (ty,))
+    return ty._str
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,28 @@ and a case-split tautology prover for the quantifier-free boolean fragment.
 That fragment is defined here once, by ``fragment_vars``; the closure lab
 decides it with the same scanner.
 
-Rule schemas (the C laws, the boolean simplification lemmas, the Pair and
-projection congruences) are derived once per theory and type and cached on
-the theory; requests at concrete arguments are answered by instantiating
-the cached schema.  A congruence schema carries one hypothesis x = y per
-changed side, which the rewrite discharges with that side's equation
-(``prove_hyp``): rewriting one side of a Pair costs one instantiate and two
-more steps, both sides one instantiate and four.
+Rule schemas (the propositional rules, the C laws, the boolean
+simplification lemmas, the Pair and projection congruences) are derived
+once per theory and type and cached on the theory; requests at concrete
+arguments are answered by instantiating the cached schema.
+
+* A propositional rule is one instance of a schema over p, q, r whose
+  hypotheses stand for its premises, for example {p, q} |- p /\\ q for
+  ``conj``.  Each premise discharges its hypothesis (``prove_hyp``, two
+  steps), the last premise first, so the result lists the premises'
+  hypotheses in their order: ``conj`` costs one instantiate and four more
+  steps however large p and q are.  A discharge is a cut, so a premise's
+  hypothesis that another premise proves goes too: ``conj`` of A |- p and
+  B |- q has the hypotheses A u (B - {p}).
+* ``disch`` cannot be an instance, as it drops a hypothesis.  It takes one
+  ``deduct_antisym`` between instances of {p} |- q = p /\\ q and
+  {p /\\ q} |- p, folded by the cached unfolded
+  |- (p ==> q) = (p /\\ q = p).  ``disj_cases`` discharges its branches'
+  implications, built by ``disch``.
+* A congruence schema carries one hypothesis x = y per changed side, which
+  the rewrite discharges with that side's equation: rewriting one side of a
+  Pair costs one instantiate and two more steps, both sides one instantiate
+  and four.
 """
 
 from __future__ import annotations
@@ -26,11 +41,10 @@ from . import kernel
 from .kernel import (Abs, App, BOOL, FunType, Pair, Proj, RuleError, Var,
                      abstraction, assume, axiom, beta_conversion, congruence,
                      deduct_antisym, dest_cond, dest_conj, dest_disj, dest_eq,
-                     dest_forall, dest_imp, dest_not, false_c, fresh_name,
-                     instantiate, is_false, is_true, mk_conj, mk_cond,
-                     mk_disj, mk_eq, mk_forall, mk_imp, mk_not,
-                     modus_ponens_eq, pair_beta, reflexivity, substitute,
-                     symmetry, transitivity, true_c)
+                     dest_forall, dest_imp, dest_not, false_c, instantiate,
+                     is_false, is_true, mk_conj, mk_cond, mk_disj, mk_eq,
+                     mk_forall, mk_imp, mk_not, modus_ponens_eq, pair_beta,
+                     reflexivity, substitute, symmetry, transitivity, true_c)
 
 
 def lhs(thm):
@@ -131,43 +145,77 @@ def eqt_elim(thm):
     return modus_ponens_eq(symmetry(thm), truth(thm.theory))
 
 
+def prove_hyp(thm_p, thm):
+    """From A |- p and B |- q derive A u (B - {p}) |- q."""
+    return modus_ponens_eq(deduct_antisym(thm_p, thm), thm_p)
+
+
+# ---------------------------------------------------------------------------
+# Propositional rules, each an instance of a schema over p, q, r
+
+_P, _Q, _R, _Z = Var('p', BOOL), Var('q', BOOL), Var('r', BOOL), Var('z', BOOL)
+
+
+def _discharge(e, *prems):
+    """Discharge a schema instance's hypotheses with ``prems``, the last
+    first, so the result's hypotheses follow the premises' order."""
+    for prem in reversed(prems):
+        e = prove_hyp(prem, e)
+    return e
+
+
+def _def_pq(th, name):
+    """|- p <c> q = ..., the definition of the connective ``name`` (and, imp
+    or or) unfolded at the schema variables."""
+    t = App(App(kernel.logical_const(name), _P), _Q)
+    return _cached(th, ('rule', 'def.' + name), lambda: unfold_head(th, t))
+
+
+def _conj_schema(th):
+    """{p, q} |- p /\\ q"""
+    def build():
+        u = _def_pq(th, 'and')
+        f = Var('f', FunType(BOOL, FunType(BOOL, BOOL)))
+        body = congruence(congruence(reflexivity(th, f), eqt_intro(assume(th, _P))),
+                          eqt_intro(assume(th, _Q)))
+        return modus_ponens_eq(symmetry(u), abstraction(f, body))
+    return _cached(th, ('rule', 'conj'), build)
+
+
 def conj(thm1, thm2):
     """From A |- p and B |- q derive A u B |- p /\\ q."""
-    th = thm1.theory
-    p, q = thm1.concl, thm2.concl
-    goal = mk_conj(p, q)
-    u = unfold_head(th, goal)
-    f = Var(fresh_name('f', _avoid_from(thm1, thm2)), FunType(BOOL, FunType(BOOL, BOOL)))
-    body = congruence(congruence(reflexivity(th, f), eqt_intro(thm1)), eqt_intro(thm2))
-    return modus_ponens_eq(symmetry(u), abstraction(f, body))
+    e = instantiate(_conj_schema(thm1.theory), {_P: thm1.concl, _Q: thm2.concl})
+    return _discharge(e, thm1, thm2)
+
+
+def _conjunct_schema(th, first):
+    """{p /\\ q} |- p (first) or {p /\\ q} |- q."""
+    def build():
+        u = modus_ponens_eq(_def_pq(th, 'and'), assume(th, mk_conj(_P, _Q)))
+        ua, vb = Var('u', BOOL), Var('v', BOOL)
+        sel = Abs(ua, Abs(vb, ua if first else vb))
+        ap = ap_thm(u, sel)
+
+        def reduce_side(x, y):
+            # |- (\f. f x y) sel = x  (or y when sel picks the second)
+            f = Var('f', sel.ty)
+            e0 = beta_conversion(th, App(Abs(f, App(App(f, x), y)), sel))
+            e1 = ap_thm(beta_conversion(th, App(sel, x)), y)
+            e2 = beta_conversion(th, rhs(e1))
+            return transitivity(e0, transitivity(e1, e2))
+
+        el = reduce_side(_P, _Q)
+        er = reduce_side(true_c(), true_c())
+        return eqt_elim(transitivity(symmetry(el), transitivity(ap, er)))
+    return _cached(th, ('rule', 'conjunct1' if first else 'conjunct2'), build)
 
 
 def _conjunct(thm, first):
-    th = thm.theory
     d = dest_conj(thm.concl)
     if d is None:
         raise RuleError('not a conjunction: %r' % thm)
-    p, q = d
-    u = modus_ponens_eq(unfold_head(th, thm.concl), thm)
-    avoid = _avoid_from(thm)
-    ua = Var(fresh_name('u', avoid), BOOL)
-    vb = Var(fresh_name('v', avoid | {ua.name}), BOOL)
-    sel = Abs(ua, Abs(vb, ua if first else vb))
-    ap = ap_thm(u, sel)
-
-    def reduce_side(x, y):
-        # |- (\f. f x y) sel = x  (or y when sel picks the second)
-        f = Var(fresh_name('f', _avoid_from(x, y)), sel.ty)
-        t0 = App(Abs(f, App(App(f, x), y)), sel)
-        e0 = beta_conversion(th, t0)
-        e1 = ap_thm(beta_conversion(th, App(sel, x)), y)
-        e2 = beta_conversion(th, rhs(e1))
-        return transitivity(e0, transitivity(e1, e2))
-
-    el = reduce_side(p, q)
-    er = reduce_side(true_c(), true_c())
-    chain = transitivity(symmetry(el), transitivity(ap, er))
-    return eqt_elim(chain)
+    e = instantiate(_conjunct_schema(thm.theory, first), {_P: d[0], _Q: d[1]})
+    return _discharge(e, thm)
 
 
 def conjunct1(thm):
@@ -180,34 +228,41 @@ def conjunct2(thm):
     return _conjunct(thm, False)
 
 
+def _conj_eq_schema(th):
+    """{p} |- q = p /\\ q"""
+    def build():   # {p, q} |- p /\ q and {p /\ q} |- q give {p} |- p /\ q = q
+        return symmetry(deduct_antisym(_conj_schema(th), _conjunct_schema(th, False)))
+    return _cached(th, ('rule', 'conj_eq'), build)
+
+
 def disch(p, thm):
     """From A |- q derive A - {p} |- p => q."""
     th = thm.theory
-    q = thm.concl
-    u = unfold_head(th, mk_imp(p, q))
-    t1 = conj(assume(th, p), thm)
-    t2 = conjunct1(assume(th, mk_conj(p, q)))
-    d = deduct_antisym(t1, t2)
-    return modus_ponens_eq(symmetry(u), d)
+    m = {_P: p, _Q: thm.concl}
+    t1 = modus_ponens_eq(instantiate(_conj_eq_schema(th), m), thm)  # {p} u A |- p /\ q
+    t2 = instantiate(_conjunct_schema(th, True), m)                 # {p /\ q} |- p
+    fold = symmetry(instantiate(_def_pq(th, 'imp'), m))
+    return modus_ponens_eq(fold, deduct_antisym(t1, t2))
 
 
-def prove_hyp(thm_p, thm):
-    """From A |- p and B |- q derive A u (B - {p}) |- q."""
-    return modus_ponens_eq(deduct_antisym(thm_p, thm), thm_p)
+def _mp_schema(th):
+    """{p ==> q, p} |- q"""
+    def build():
+        imp = mk_imp(_P, _Q)
+        e = modus_ponens_eq(_def_pq(th, 'imp'), assume(th, imp))
+        return conjunct2(modus_ponens_eq(symmetry(e), assume(th, _P)))
+    return _cached(th, ('rule', 'mp'), build)
 
 
 def mp(thm_imp, thm):
     """From A |- p => q and B |- p derive A u B |- q."""
-    th = thm_imp.theory
     d = dest_imp(thm_imp.concl)
     if d is None:
         raise RuleError('not an implication: %r' % thm_imp)
-    p, q = d
-    if p != thm.concl:
+    if d[0] != thm.concl:
         raise RuleError('modus ponens mismatch')
-    e = modus_ponens_eq(unfold_head(th, thm_imp.concl), thm_imp)
-    pq = modus_ponens_eq(symmetry(e), thm)
-    return conjunct2(pq)
+    e = instantiate(_mp_schema(thm_imp.theory), {_P: d[0], _Q: d[1]})
+    return _discharge(e, thm_imp, thm)
 
 
 def undisch(thm):
@@ -247,50 +302,61 @@ def spec_all(thm):
         thm = spec(d[0], thm)
 
 
+def _disj_schema(th, first):
+    """{p} |- p \\/ q (first) or {q} |- p \\/ q."""
+    def build():
+        m = instantiate(_mp_schema(th), {_P: _P if first else _Q, _Q: _R})
+        d = disch(mk_imp(_P, _R), disch(mk_imp(_Q, _R), m))
+        return modus_ponens_eq(symmetry(_def_pq(th, 'or')), gen(_R, d))
+    return _cached(th, ('rule', 'disj1' if first else 'disj2'), build)
+
+
 def disj1(thm, q):
     """From A |- p derive A |- p \\/ q."""
-    th = thm.theory
-    p = thm.concl
-    u = unfold_head(th, mk_disj(p, q))
-    r = Var(fresh_name('r', _avoid_from(thm, q)), BOOL)
-    m = mp(assume(th, mk_imp(p, r)), thm)
-    d = disch(mk_imp(p, r), disch(mk_imp(q, r), m))
-    return modus_ponens_eq(symmetry(u), gen(r, d))
+    e = instantiate(_disj_schema(thm.theory, True), {_P: thm.concl, _Q: q})
+    return _discharge(e, thm)
 
 
 def disj2(p, thm):
     """From A |- q derive A |- p \\/ q."""
-    th = thm.theory
-    q = thm.concl
-    u = unfold_head(th, mk_disj(p, q))
-    r = Var(fresh_name('r', _avoid_from(thm, p)), BOOL)
-    m = mp(assume(th, mk_imp(q, r)), thm)
-    d = disch(mk_imp(p, r), disch(mk_imp(q, r), m))
-    return modus_ponens_eq(symmetry(u), gen(r, d))
+    e = instantiate(_disj_schema(thm.theory, False), {_P: p, _Q: thm.concl})
+    return _discharge(e, thm)
+
+
+def _disj_cases_schema(th):
+    """{p \\/ q, p ==> r, q ==> r} |- r"""
+    def build():
+        u = modus_ponens_eq(_def_pq(th, 'or'), assume(th, mk_disj(_P, _Q)))
+        sp = spec(_R, u)
+        return mp(mp(sp, assume(th, mk_imp(_P, _R))), assume(th, mk_imp(_Q, _R)))
+    return _cached(th, ('rule', 'disj_cases'), build)
 
 
 def disj_cases(thm_disj, thm1, thm2):
     """From A |- p \\/ q, B |- s, C |- s derive A u (B-{p}) u (C-{q}) |- s."""
-    th = thm_disj.theory
     d = dest_disj(thm_disj.concl)
     if d is None:
         raise RuleError('not a disjunction: %r' % thm_disj)
-    p, q = d
     if thm1.concl != thm2.concl:
         raise RuleError('branch conclusions differ')
-    s = thm1.concl
-    u = modus_ponens_eq(unfold_head(th, thm_disj.concl), thm_disj)
-    sp = spec(s, u)
-    return mp(mp(sp, disch(p, thm1)), disch(q, thm2))
+    p, q = d
+    e = instantiate(_disj_cases_schema(thm_disj.theory), {_P: p, _Q: q, _R: thm1.concl})
+    return _discharge(e, thm_disj, disch(p, thm1), disch(q, thm2))
+
+
+def _contr_schema(th):
+    """{false} |- p"""
+    def build():
+        u = modus_ponens_eq(axiom(th, 'def.false'), assume(th, false_c()))
+        return spec(_P, u)
+    return _cached(th, ('rule', 'contr'), build)
 
 
 def contr(p, thm):
     """From A |- false derive A |- p."""
-    th = thm.theory
     if not is_false(thm.concl):
         raise RuleError('contr needs |- false')
-    u = modus_ponens_eq(axiom(th, 'def.false'), thm)
-    return spec(p, u)
+    return _discharge(instantiate(_contr_schema(thm.theory), {_P: p}), thm)
 
 
 def not_elim(thm):
@@ -548,7 +614,8 @@ def bool_cases_split(th, z, hole, tmpl, thm_true, thm_false):
     B |- tmpl[false/hole] derive A u B |- tmpl[z/hole]."""
     if z.ty != BOOL:
         raise RuleError('case split needs a Bool term')
-    bc = spec(z, axiom(th, 'bool-cases'))
+    bc = instantiate(_cached(th, ('rule', 'bool_cases'),
+                             lambda: spec_all(axiom(th, 'bool-cases'))), {_Z: z})
     et = assume(th, mk_eq(z, true_c()))
     ef = assume(th, mk_eq(z, false_c()))
     ct = subst_context(th, tmpl, hole, et)

@@ -8,8 +8,11 @@ Arguments are ``@N`` references to earlier steps, ``{term}`` literals in
 canonical syntax, and ``"name"`` or ``"name[T1,...]"`` axiom names (an
 axiom schema at its type arguments); ``instantiate`` alternates
 ``{var} {term}`` pairs after the premise.  Hypotheses are ``;``-separated
-canonical terms.  Lines starting with ``#`` are comments; the exporter
-records the theory fingerprint and the root step indexes there.
+canonical terms.  Lines starting with ``#`` are comments, except the
+``# theory <name> <sha256>`` and ``# roots <index>...`` headers, where the
+exporter records the theory fingerprint and the root step indexes; it writes
+a comment line that starts with ``theory`` or ``roots`` as ``# # ...``.
+Lines are read byte for byte: a blank at the end of a claim is a mismatch.
 
 ``verify_trace`` replays every step through the kernel of a freshly
 supplied theory and checks the claimed judgement against the replayed one,
@@ -104,8 +107,11 @@ def export_trace(thms, comment=None):
     order = _postorder(thms)
     idx = {id(t): i for i, t in enumerate(order)}
     lines = ['# hogc trace v1']
-    if comment:
-        lines += ['# %s' % c for c in comment.splitlines()]
+    for c in comment.splitlines() if comment else ():
+        # a line that starts with a header word is written '# # ...', which
+        # the verifier reads as a comment
+        header = c.split()[:1] in (['roots'], ['theory'])
+        lines.append(('# # %s' if header else '# %s') % c)
     lines.append('# theory %s %s' % (th.name, theory_fingerprint(th)))
     lines.append('# roots %s' % ' '.join(str(idx[id(t)]) for t in thms))
     for i, t in enumerate(order):
@@ -268,8 +274,7 @@ def verify_trace(text, th, strict_fingerprint=False):
     roots = roots_line = None
     fingerprinted = False
     expect = 0
-    for raw in text.splitlines():
-        line = raw.rstrip()
+    for line in text.splitlines():
         if not line:
             continue
         if line.startswith('#'):

@@ -69,6 +69,17 @@ def test_types_are_interned(toy):
     assert hash(ty) == hash(('fun', IND, BOOL))
 
 
+def test_type_string_is_made_once_per_interned_type():
+    ty = FunType(ProdType(BaseType('Once'), BOOL), FunType(IND, BOOL))
+    s = kernel.type_to_str(ty)
+    assert s == '((Once * Bool) -> (Ind -> Bool))'
+    assert kernel.type_to_str(FunType(ProdType(BaseType('Once'), BOOL),
+                                      FunType(IND, BOOL))) is s
+    for bad in (lambda: kernel.type_to_str('Bool'), lambda: FunType(BOOL, 'Bool')):
+        with pytest.raises(kernel.TypingError):
+            bad()
+
+
 def test_interning_is_thread_safe():
     # 4 threads build each fresh type at once; each must get one object
     old = sys.getswitchinterval()

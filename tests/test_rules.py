@@ -112,6 +112,133 @@ def test_not_intro_elim_contr(th):
     assert c.concl == q and set(c.hyps) == {mk_not(p), p}
 
 
+def _steps_beyond(thm, th, *prems):
+    """Sorted rule names of the steps of thm's derivation outside the
+    premises' derivations and every cached schema's."""
+    known = {}
+    for t in list(prems) + [v for v in th._derived_cache.values()
+                            if isinstance(v, kernel.Theorem)]:
+        known.update(_dag(t))
+    d = _dag(thm)
+    return sorted(d[i].rule for i in d.keys() - known.keys())
+
+
+_DISCHARGE = ['deduct_antisym', 'modus_ponens_eq']
+_DISCH = ['deduct_antisym', 'instantiate', 'instantiate', 'instantiate',
+          'modus_ponens_eq', 'modus_ponens_eq', 'symmetry']
+
+
+def _use_conj(th, a, b):
+    return rules.conj(kernel.assume(th, a), kernel.assume(th, b))
+
+
+def _use_mp(th, a, b):
+    return rules.mp(kernel.assume(th, mk_imp(a, b)), kernel.assume(th, a))
+
+
+def _use_disj_cases(th, a, b):
+    s = mk_conj(a, b)
+    return rules.disj_cases(kernel.assume(th, mk_disj(a, b)),
+                            kernel.assume(th, s), kernel.assume(th, s))
+
+
+# a use of a propositional rule is one instantiate of its schema plus, per
+# premise, the deduct_antisym and modus_ponens_eq that discharge it; disch
+# is three instances and the deduct_antisym that drops p
+@pytest.mark.parametrize('use,keys,extra', [
+    (_use_conj, ['conj'], _DISCHARGE * 2 + ['instantiate']),
+    (lambda th, a, b: rules.conjunct1(kernel.assume(th, mk_conj(a, b))),
+     ['conjunct1'], _DISCHARGE + ['instantiate']),
+    (lambda th, a, b: rules.conjunct2(kernel.assume(th, mk_conj(a, b))),
+     ['conjunct2'], _DISCHARGE + ['instantiate']),
+    (_use_mp, ['mp'], _DISCHARGE * 2 + ['instantiate']),
+    (lambda th, a, b: rules.disch(a, kernel.assume(th, b)),
+     ['conj_eq', 'conjunct1', 'def.imp'], _DISCH),
+    (lambda th, a, b: rules.disj1(kernel.assume(th, a), b), ['disj1'],
+     _DISCHARGE + ['instantiate']),
+    (lambda th, a, b: rules.disj2(a, kernel.assume(th, b)), ['disj2'],
+     _DISCHARGE + ['instantiate']),
+    (_use_disj_cases, ['disj_cases'], _DISCHARGE * 3 + ['instantiate'] + _DISCH * 2),
+    (lambda th, a, b: rules.contr(a, kernel.assume(th, false_c())), ['contr'],
+     _DISCHARGE + ['instantiate']),
+], ids=['conj', 'conjunct1', 'conjunct2', 'mp', 'disch', 'disj1', 'disj2',
+        'disj_cases', 'contr'])
+def test_propositional_rules_are_one_schema_instance(use, keys, extra):
+    th = kernel.core_theory()
+    cache = th._derived_cache
+    for n in range(2):
+        a, b = Var('a%d' % n, BOOL), Var('b%d' % n, BOOL)
+        before = len(cache)
+        got = use(th, a, b)
+        # derived on first use only
+        assert all(('rule', k) in cache for k in keys)
+        if n:
+            assert len(cache) == before
+        prems = [s for s in _dag(got).values() if s.rule == 'assume' and
+                 s.concl in (a, b, mk_conj(a, b), mk_imp(a, b), mk_disj(a, b), false_c())]
+        assert _steps_beyond(got, th, *prems) == sorted(extra)
+
+
+def test_case_split_instantiates_the_cached_bool_cases_instance(th):
+    z, h = Var('z', BOOL), Var('h', BOOL)
+    for c in (Var('c', BOOL), mk_conj(z, h)):
+        got = rules.bool_cases_split(th, c, h, mk_disj(h, mk_not(h)),
+                                     rules.taut(th, mk_disj(true_c(), mk_not(true_c()))),
+                                     rules.taut(th, mk_disj(false_c(), mk_not(false_c()))))
+        assert got.concl == mk_disj(c, mk_not(c)) and got.hyps == ()
+        assert 'axiom' not in _steps_beyond(got, th)
+        assert th._derived_cache[('rule', 'bool_cases')] in _dag(got).values()
+
+
+# premises written with the schema variables' own names, one of them under a
+# binder of that name
+_p, _q, _r, _u, _v = (Var(n, BOOL) for n in 'pqruv')
+_SCHEMA_NAMED = [_q, _p, mk_conj(_r, _p), App(Var('f', FunType(BOOL, BOOL)), _u),
+                 mk_forall(_r, mk_disj(_r, _v)), mk_imp(_p, _q)]
+
+
+@pytest.mark.parametrize('i,j', [(i, j) for i in range(6) for j in range(6)])
+def test_rules_on_premises_named_like_schema_variables(th, i, j):
+    a, b = _SCHEMA_NAMED[i], _SCHEMA_NAMED[j]
+    s = Var('z', BOOL)
+    assume = lambda t: kernel.assume(th, t)
+
+    def check(got, concl, *hyps):
+        assert got.concl == concl and set(got.hyps) == set(hyps)
+        if len(set(hyps)) == len(hyps):     # the premises' order
+            assert got.hyps == hyps
+
+    distinct = (a, b) if a != b else (a,)
+    check(rules.conj(assume(a), assume(b)), mk_conj(a, b), *distinct)
+    check(rules.conjunct1(assume(mk_conj(a, b))), a, mk_conj(a, b))
+    check(rules.conjunct2(assume(mk_conj(a, b))), b, mk_conj(a, b))
+    check(rules.mp(assume(mk_imp(a, b)), assume(a)), b, mk_imp(a, b), a)
+    check(rules.disch(a, assume(b)), mk_imp(a, b), *(() if a == b else (b,)))
+    check(rules.disj1(assume(a), b), mk_disj(a, b), a)
+    check(rules.disj2(a, assume(b)), mk_disj(a, b), b)
+    t1 = rules.mp(assume(mk_imp(a, s)), assume(a))
+    t2 = rules.mp(assume(mk_imp(b, s)), assume(b))
+    check(rules.disj_cases(assume(mk_disj(a, b)), t1, t2), s,
+          *dict.fromkeys((mk_disj(a, b), mk_imp(a, s), mk_imp(b, s))))
+    check(rules.contr(a, assume(false_c())), a, false_c())
+
+
+def test_disch_removes_only_p(th):
+    p, q, r = Var('p', BOOL), Var('q', BOOL), Var('r', BOOL)
+    thm = rules.conj(rules.conj(kernel.assume(th, q), kernel.assume(th, p)),
+                     kernel.assume(th, r))
+    assert thm.hyps == (q, p, r)
+    for drop, left in ((p, (q, r)), (q, (p, r)), (r, (q, p)),
+                       (mk_conj(p, q), (q, p, r))):
+        d = rules.disch(drop, thm)
+        assert d.concl == mk_imp(drop, thm.concl) and d.hyps == left
+    # a hypothesis p /\ q is kept when p is discharged
+    pq = mk_conj(p, q)
+    d = rules.disch(p, rules.conjunct2(kernel.assume(th, pq)))
+    assert d.concl == mk_imp(p, q) and d.hyps == (pq,)
+    assert rules.disch(p, kernel.assume(th, p)).hyps == ()
+
+
 # ---------------------------------------------------------------------------
 # Rewriting
 

@@ -65,6 +65,32 @@ def test_multi_line_comment_verifies(toy):
     assert got.concl == kernel.mk_eq(true_c(), true_c())
 
 
+@pytest.mark.parametrize('comment', ['roots of the word', 'theory x', '  roots 0',
+                                     'first\ntheory toy ' + 64 * '0'])
+def test_comments_are_never_read_as_headers(toy, comment):
+    thms = [kernel.reflexivity(toy.theory, true_c()), rules.truth(toy.theory)]
+    text = export_trace(thms, comment=comment)
+    header = [l for l in text.splitlines() if l.startswith('#')]
+    assert '# # ' + comment.splitlines()[-1] in header
+    for roots in (thms[0], thms):
+        text = export_trace(roots, comment=comment)
+        got = verify_trace(text, toy.theory, strict_fingerprint=True)
+        want = roots if isinstance(roots, list) else [roots]
+        assert [t.concl for t in got] == [t.concl for t in want]
+
+
+@pytest.mark.parametrize('tail', [' ', '  ', '\t', ' \t'])
+def test_blanks_after_a_claim_are_a_mismatch(toy, tail):
+    (r,) = parser.parse(toy, 'fajdo blt', 2)
+    lines = export_trace(r.sem_proof).split('\n')
+    i = len(lines) // 2
+    step = int(lines[i].split()[0])
+    lines[i] += tail
+    with pytest.raises(TraceError) as e:
+        verify_trace('\n'.join(lines), toy.theory, strict_fingerprint=True)
+    assert e.value.step == step and 'conclusion mismatch' in str(e.value)
+
+
 _TWO_HYPS = '''
 import sys
 from hogc import kernel, rules, trace
