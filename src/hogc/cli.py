@@ -202,7 +202,8 @@ def _run_trace_verify(config, rep):
     rep.add('theory: %s' % th.name)
     rep.add('verified roots: %d' % len(roots))
     for t in roots:
-        rep.add('  %s' % syntax.pretty_theorem(t))
+        # a trace carries no binder names, so none are printed
+        rep.add('  %s' % syntax.pretty_theorem(t, depth_names=True))
     rep.add('trace-verify ok')
     return 0
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from . import kernel, rules, syntax
 from .grammar import Word
 from .kernel import (App, Abs, Var, Term, Theorem, BOOL, dest_conj,
-                     dest_disj, dest_eq, dest_not, dest_cond, fresh_name,
+                     dest_disj, dest_eq, dest_not, dest_cond,
                      is_false, is_true, mk_cond, mk_disj, mk_eq, substitute,
                      true_c, false_c)
 from .parser import ParseResult
@@ -346,7 +346,7 @@ def certificate_cases(th, a1, a2, q):
     if q.ty != BOOL:
         raise ClosureError('case condition must be Bool')
     avoid = rules._avoid_from(a1, a2, q)
-    h = Var(fresh_name('h', avoid), BOOL)
+    h = Var(rules.fresh_name('h', avoid), BOOL)
     tmpl = mk_disj(mk_eq(mk_cond(a1, a2, h), a1), mk_eq(mk_cond(a1, a2, h), a2))
     t_true = substitute(tmpl, h, true_c())
     t_false = substitute(tmpl, h, false_c())
@@ -434,10 +434,10 @@ def _rewrite_branches(th, thm, eq_left, eq_right):
     if lu != u or lv != v:
         raise ClosureError('branch equations do not match the conditional')
     avoid = rules._avoid_from(rules.rhs(thm), ru, rv)
-    hole = Var(fresh_name('slot', avoid), u.ty)
+    hole = Var(rules.fresh_name('slot', avoid), u.ty)
     thm = kernel.transitivity(
         thm, rules.subst_context(th, mk_cond(hole, v, z), hole, eq_left))
-    hole = Var(fresh_name('slot', avoid), v.ty)
+    hole = Var(rules.fresh_name('slot', avoid), v.ty)
     thm = kernel.transitivity(
         thm, rules.subst_context(th, mk_cond(ru, hole, z), hole, eq_right))
     return thm
@@ -477,7 +477,7 @@ def merge_parses(th, p1, p2, cert):
     k = kernel.modus_ponens_eq(rules.or_as_cond(th, c, mk_eq(a, a2)),
                                cert.proof)
     # distribute \x. a = x over C(a1, a2, c) and collapse the betas
-    x = Var(fresh_name('x', rules._avoid_from(a, a1, a2)), a1.ty)
+    x = Var(rules.fresh_name('x', rules._avoid_from(a, a1, a2)), a1.ty)
     f = Abs(x, mk_eq(a, x))
     d = rules.cond_distrib(th, f, a1, a2, c)
     d = _rewrite_branches(th, d,

@@ -385,7 +385,7 @@ def elaborate(spec, name='g'):
         if sem.free_vars:
             raise GrammarError('lex %s: meaning must be closed (free: %s); '
                                'declare constants instead'
-                               % (lx.name, ' '.join(sorted(n for n, _t in sem.free_vars))))
+                               % (lx.name, ' '.join(sorted(v.name for v in sem.free_vars))))
         _check_projections('lex %s' % lx.name, sem, projections, ())
         k = th.const(lx.name)
         prop = mk_conj(mk_eq(App(th.const('phon_%s' % lx.sign_type), k), phon_term),
@@ -416,12 +416,11 @@ def elaborate(spec, name='g'):
             raise GrammarError('rule %s: meaning has type %s, result %s needs %s'
                                % (r.name, kernel.type_to_str(sem_tmpl.ty), r.result,
                                   kernel.type_to_str(want)))
-        allowed = {(v.name, v.ty) for v in opvars}
-        extra = sem_tmpl.free_vars - allowed
+        extra = sem_tmpl.free_vars - set(opvars)
         if extra:
             raise GrammarError('rule %s: meaning may only use operands $1..$%d '
                                '(free: %s)' % (r.name, n,
-                                               ' '.join(sorted(nm for nm, _t in extra))))
+                                               ' '.join(sorted(v.name for v in extra))))
         _check_projections('rule %s' % r.name, sem_tmpl, projections, opvars)
         phon_parts = [App(th.const('phon_%s' % r.operands[i - 1]), opvars[i - 1])
                       for i in pattern]
@@ -449,14 +448,9 @@ def _check_projections(where, t, projections, operands):
                            'only appear as phon($i) or sem($i)' % (where, t.name))
     if isinstance(t, App) and isinstance(t.fn, kernel.Const) and t.arg in operands:
         return
-    if isinstance(t, kernel.Abs):
-        operands = [v for v in operands if v != t.var]
-    for f in _CHILDREN.get(type(t), ()):
+    # a binder's own variable is a Bound index in its body, never an operand
+    for f in t._children:
         _check_projections(where, getattr(t, f), projections, operands)
-
-
-_CHILDREN = {App: ('fn', 'arg'), kernel.Abs: ('body',), Pair: ('left', 'right'),
-             kernel.Proj: ('arg',)}
 
 
 def _parse_lex_phon(lx, resolver):

@@ -10,12 +10,23 @@ Design points that matter for soundness:
 * Types are interned: building a type twice gives the same object, so type
   ``==`` is identity.  Type hashes are structural, so set and dict order
   never depends on object addresses.
+* Terms are interned too, locally nameless: a bound variable is a de Bruijn
+  index (``Bound``), made only by ``Abs`` closing its body, so it has its
+  binder's type; free variables and constants keep their names.  So
+  building an alpha-equivalent term gives the same object, and term ``==``
+  is identity.  Each node's structural hash and free-variable set are
+  computed once, when it is interned.  The table holds terms weakly.
+* An ``Abs`` keeps its variable's name only as a display hint, outside its
+  identity: the first hint interned for an alpha-class is the one printed.
+  ``dest_abs`` opens a binder, renaming the hint only when it clashes with
+  a free variable of the body.  Substitution cannot capture.
 * Terms are typed eagerly: ill-typed applications and projections cannot be
   constructed at all.  So validating a term against a theory checks only its
-  leaves and binders, where types come in.
-* Term equality (``==``) is alpha-equivalence.  Hypotheses are kept once
-  each, in the order the derivation first meets them, so theorem printing
-  is reproducible.
+  leaves and binders, where types come in, and a node validated against a
+  frozen theory is not visited again for it.  A frozen theory rejects every
+  attribute assignment.
+* Hypotheses are kept once each, in the order the derivation first meets
+  them, so theorem printing is reproducible.
 * The kernel is monomorphic.  The logical constant families (equality,
   description, quantifiers, the if-then-else family) are schematic: an
   instance at a concrete type is a distinct constant, generated on demand.
@@ -26,13 +37,17 @@ Design points that matter for soundness:
   schemas take structured type arguments.
 
 Every value here (types, terms, frozen theories, theorems) is immutable and
-safe to share across threads; theory construction is single-threaded.
+safe to share across threads, but for a term's validation mark, a cache that
+a race can at worst recompute; theory construction is single-threaded.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from types import MappingProxyType
+from weakref import KeyedRef
+from _weakref import _remove_dead_weakref
 
 
 class KernelError(Exception):
@@ -113,267 +128,267 @@ def type_to_str(ty):
 # ---------------------------------------------------------------------------
 # Terms
 
+_terms = {}   # intern key -> weak reference to the one live term with that key
+_NO_VARS = frozenset()
+
+
+def _forget(ref):
+    _remove_dead_weakref(_terms, ref.key)
+
+
+def _live(key):
+    ref = _terms.get(key)
+    return None if ref is None else ref()
+
+
+def _intern(key, t, ty, h, free_vars, loose):
+    """Enter the new term ``t`` under ``key`` with its type, structural hash,
+    free variables and the number of binders it needs around it to be
+    closed; the term already there wins when threads race."""
+    t.ty, t._h, t.free_vars, t._loose, t._checked = ty, h, free_vars, loose, None
+    ref = KeyedRef(t, _forget, key)
+    while True:
+        old = _terms.setdefault(key, ref)
+        if old is ref:
+            return t
+        live = old()
+        if live is not None:
+            return live
+        _remove_dead_weakref(_terms, key)   # only if still dead: no lost update
+
+
+def _union(a, b):
+    return a if not b or a is b else b if not a else a | b
+
+
 class Term:
-    __slots__ = ('ty', '_fvs', '_h')
+    """A term.  Building a term twice gives the same object: a node's key
+    holds its children's ids, which stay valid while the node lives, and
+    the table holds terms weakly, so dead terms go."""
+
+    __slots__ = ('ty', 'free_vars', '_h', '_loose', '_checked', '__weakref__')
+    _children = ()   # the attributes that hold subterms
+
+    def __hash__(self):
+        return self._h
+
+    def __reduce__(self):   # a copied or unpickled term is the interned one
+        return type(self), tuple(getattr(self, a) for a in self._args)
 
     def __repr__(self):
         from . import syntax
         return syntax.pretty_term(self)
 
-    @property
-    def free_vars(self):
-        if self._fvs is None:
-            self._fvs = self._compute_fvs()
-        return self._fvs
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Term):
-            return NotImplemented
-        return _alpha_eq(self, other, {}, {}, 0)
-
-    def __hash__(self):
-        if self._h is None:
-            self._h = _alpha_hash(self, {}, 0)
-        return self._h
-
 
 class Var(Term):
     __slots__ = ('name',)
+    _args = ('name', 'ty')
 
-    def __init__(self, name, ty):
-        if not isinstance(ty, Type):
-            raise TypingError('variable %s needs a Type' % name)
-        self.name = name
-        self.ty = ty
-        self._fvs = None
-        self._h = None
-
-    def _compute_fvs(self):
-        return frozenset([(self.name, self.ty)])
+    def __new__(cls, name, ty):
+        key = ('v', name, id(ty))
+        t = _live(key)
+        if t is None:
+            if not isinstance(ty, Type):
+                raise TypingError('variable %s needs a Type' % name)
+            t = object.__new__(cls)
+            # hashed before its free-variable set, which holds it
+            t.name, t._h = name, hash(('v', name, ty._hash))
+            t = _intern(key, t, ty, t._h, frozenset((t,)), 0)
+        return t
 
 
 class Const(Term):
-    __slots__ = ('name', 'targs', '_display')
+    __slots__ = ('name', 'targs', 'display_name')
+    _args = ('name', 'ty', 'targs')
 
-    def __init__(self, name, ty, targs=()):
-        self.name = name
-        self.ty = ty
-        self.targs = tuple(targs)
-        self._fvs = frozenset()
-        self._h = None
-        self._display = None
+    def __new__(cls, name, ty, targs=()):
+        targs = tuple(targs)
+        key = ('c', name, id(ty), *map(id, targs))
+        t = _live(key)
+        if t is None:
+            if not all(isinstance(a, Type) for a in (ty,) + targs):
+                raise TypingError('constant %s needs Types' % name)
+            t = object.__new__(cls)
+            t.name, t.targs = name, targs
+            # name[T1,...] for a schematic instance
+            t.display_name = ('%s[%s]' % (name, ','.join(map(type_to_str, targs)))
+                              if targs else name)
+            t = _intern(key, t, ty, hash(('c', name, ty._hash, targs)), _NO_VARS, 0)
+        return t
 
-    @property
-    def display_name(self):
-        """``name[T1,...]`` for a schematic instance, else ``name``; formatted
-        on first use only, since most constants are never printed."""
-        if self._display is None:
-            self._display = ('%s[%s]' % (self.name, ','.join(map(type_to_str, self.targs)))
-                             if self.targs else self.name)
-        return self._display
+
+class Bound(Term):
+    """The variable of the binder ``index`` binders out.  Only the kernel
+    makes one, closing an ``Abs`` body, so it has its binder's type."""
+
+    __slots__ = ('index',)
+    _args = ('index', 'ty')
+
+    def __new__(cls, index, ty):
+        key = ('b', index, id(ty))
+        t = _live(key)
+        if t is None:
+            t = object.__new__(cls)
+            t.index = index
+            t = _intern(key, t, ty, hash(('b', index, ty._hash)), _NO_VARS, index + 1)
+        return t
 
 
 class App(Term):
     __slots__ = ('fn', 'arg')
+    _args = _children = __slots__
 
-    def __init__(self, fn, arg):
-        if not isinstance(fn.ty, FunType):
-            raise TypingError('applying non-function of type %s' % type_to_str(fn.ty))
-        if fn.ty.dom != arg.ty:
-            raise TypingError('argument type %s does not match domain %s'
-                              % (type_to_str(arg.ty), type_to_str(fn.ty.dom)))
-        self.fn = fn
-        self.arg = arg
-        self.ty = fn.ty.cod
-        self._fvs = None
-        self._h = None
-
-    def _compute_fvs(self):
-        return self.fn.free_vars | self.arg.free_vars
+    def __new__(cls, fn, arg):
+        key = ('a', id(fn), id(arg))
+        t = _live(key)
+        if t is None:
+            fty = fn.ty
+            if not isinstance(fty, FunType):
+                raise TypingError('applying non-function of type %s' % type_to_str(fty))
+            if fty.dom != arg.ty:
+                raise TypingError('argument type %s does not match domain %s'
+                                  % (type_to_str(arg.ty), type_to_str(fty.dom)))
+            t = object.__new__(cls)
+            t.fn, t.arg = fn, arg
+            t = _intern(key, t, fty.cod, hash(('a', fn._h, arg._h)),
+                        _union(fn.free_vars, arg.free_vars), max(fn._loose, arg._loose))
+        return t
 
 
 class Abs(Term):
-    __slots__ = ('var', 'body')
+    """``Abs(v, body)`` binds ``v`` in ``body``.  The node keeps the body
+    with ``v`` closed to ``Bound(0)``, and ``v``'s name (or ``hint``) only
+    as a display hint outside its identity: an alpha-class keeps the first
+    hint interned for it.  ``dest_abs`` opens it again."""
 
-    def __init__(self, var, body):
-        if not isinstance(var, Var):
+    __slots__ = ('hint', 'body')
+    _children = ('body',)
+
+    def __new__(cls, var, body, hint=None):
+        if type(var) is not Var:
             raise TypingError('binder must be a variable')
-        self.var = var
-        self.body = body
-        self.ty = FunType(var.ty, body.ty)
-        self._fvs = None
-        self._h = None
+        if body._loose:
+            raise TypingError('abstraction body has loose bound variables')
+        return _abs(var.name if hint is None else hint, var.ty, _close(body, var, 0))
 
-    def _compute_fvs(self):
-        return self.body.free_vars - {(self.var.name, self.var.ty)}
+    def __reduce__(self):
+        return _abs, (self.hint, self.ty.dom, self.body)
+
+
+def _abs(hint, dom, body):
+    key = ('l', id(dom), id(body))
+    t = _live(key)
+    if t is None:
+        t = object.__new__(Abs)
+        t.hint, t.body = hint, body
+        t = _intern(key, t, FunType(dom, body.ty), hash(('l', dom._hash, body._h)),
+                    body.free_vars, max(body._loose - 1, 0))
+    return t
 
 
 class Pair(Term):
     __slots__ = ('left', 'right')
+    _args = _children = __slots__
 
-    def __init__(self, left, right):
-        self.left = left
-        self.right = right
-        self.ty = ProdType(left.ty, right.ty)
-        self._fvs = None
-        self._h = None
-
-    def _compute_fvs(self):
-        return self.left.free_vars | self.right.free_vars
+    def __new__(cls, left, right):
+        key = ('p', id(left), id(right))
+        t = _live(key)
+        if t is None:
+            t = object.__new__(cls)
+            t.left, t.right = left, right
+            t = _intern(key, t, ProdType(left.ty, right.ty), hash(('p', left._h, right._h)),
+                        _union(left.free_vars, right.free_vars),
+                        max(left._loose, right._loose))
+        return t
 
 
 class Proj(Term):
     __slots__ = ('index', 'arg')
+    _args, _children = __slots__, ('arg',)
 
-    def __init__(self, index, arg):
-        if index not in (1, 2):
-            raise TypingError('projection index must be 1 or 2')
-        if not isinstance(arg.ty, ProdType):
-            raise TypingError('projecting from non-product of type %s'
-                              % type_to_str(arg.ty))
-        self.index = index
-        self.arg = arg
-        self.ty = arg.ty.left if index == 1 else arg.ty.right
-        self._fvs = None
-        self._h = None
-
-    def _compute_fvs(self):
-        return self.arg.free_vars
-
-
-def _alpha_eq(t1, t2, env1, env2, depth):
-    # outside binders only: under them the two envs may map one name apart
-    if t1 is t2 and depth == 0:
-        return True
-    if isinstance(t1, Var):
-        if not isinstance(t2, Var):
-            return False
-        k1, k2 = (t1.name, t1.ty), (t2.name, t2.ty)
-        d1, d2 = env1.get(k1), env2.get(k2)
-        if d1 is None and d2 is None:
-            return k1 == k2
-        return d1 == d2
-    if isinstance(t1, Const):
-        return (isinstance(t2, Const) and t1.name == t2.name
-                and t1.targs == t2.targs and t1.ty == t2.ty)
-    if isinstance(t1, App):
-        return (isinstance(t2, App)
-                and _alpha_eq(t1.fn, t2.fn, env1, env2, depth)
-                and _alpha_eq(t1.arg, t2.arg, env1, env2, depth))
-    if isinstance(t1, Abs):
-        if not (isinstance(t2, Abs) and t1.var.ty == t2.var.ty):
-            return False
-        e1 = dict(env1)
-        e2 = dict(env2)
-        e1[(t1.var.name, t1.var.ty)] = depth
-        e2[(t2.var.name, t2.var.ty)] = depth
-        return _alpha_eq(t1.body, t2.body, e1, e2, depth + 1)
-    if isinstance(t1, Pair):
-        return (isinstance(t2, Pair)
-                and _alpha_eq(t1.left, t2.left, env1, env2, depth)
-                and _alpha_eq(t1.right, t2.right, env1, env2, depth))
-    if isinstance(t1, Proj):
-        return (isinstance(t2, Proj) and t1.index == t2.index
-                and _alpha_eq(t1.arg, t2.arg, env1, env2, depth))
-    raise KernelError('not a term: %r' % (t1,))
+    def __new__(cls, index, arg):
+        key = ('j', index, id(arg))
+        t = _live(key)
+        if t is None:
+            if index not in (1, 2):
+                raise TypingError('projection index must be 1 or 2')
+            if not isinstance(arg.ty, ProdType):
+                raise TypingError('projecting from non-product of type %s'
+                                  % type_to_str(arg.ty))
+            t = object.__new__(cls)
+            t.index, t.arg = index, arg
+            t = _intern(key, t, arg.ty.left if index == 1 else arg.ty.right,
+                        hash(('j', index, arg._h)), arg.free_vars, arg._loose)
+        return t
 
 
-def _alpha_hash(t, env, depth):
-    if isinstance(t, Var):
-        d = env.get((t.name, t.ty))
-        if d is None:
-            return hash(('fv', t.name, t.ty))
-        return hash(('bv', d))
-    if isinstance(t, Const):
-        return hash(('c', t.name, t.targs))
-    if isinstance(t, App):
-        # closed-below-here subterms hash independently of the binder env
-        if not env or not t.free_vars:
-            if t._h is None:
-                t._h = hash(('a', _alpha_hash(t.fn, {}, 0), _alpha_hash(t.arg, {}, 0)))
-            return t._h
-        return hash(('a', _alpha_hash(t.fn, env, depth), _alpha_hash(t.arg, env, depth)))
-    if isinstance(t, Abs):
-        e = dict(env)
-        e[(t.var.name, t.var.ty)] = depth
-        return hash(('l', t.var.ty, _alpha_hash(t.body, e, depth + 1)))
-    if isinstance(t, Pair):
-        return hash(('p', _alpha_hash(t.left, env, depth), _alpha_hash(t.right, env, depth)))
-    if isinstance(t, Proj):
-        return hash(('j', t.index, _alpha_hash(t.arg, env, depth)))
-    raise KernelError('not a term: %r' % (t,))
+def _rebuild(t, f, x, d):
+    # t with f(child, x, depth) for each child, d the binder depth at t
+    cls = type(t)
+    if cls is App:
+        return App(f(t.fn, x, d), f(t.arg, x, d))
+    if cls is Abs:
+        return _abs(t.hint, t.ty.dom, f(t.body, x, d + 1))
+    if cls is Pair:
+        return Pair(f(t.left, x, d), f(t.right, x, d))
+    return Proj(t.index, f(t.arg, x, d))
+
+
+def _close(t, v, d):
+    # t with the free variable v made Bound at binder depth d
+    if v not in t.free_vars:
+        return t
+    return Bound(d, t.ty) if type(t) is Var else _rebuild(t, _close, v, d)
+
+
+def _open(t, r, d):
+    # t with the Bound at binder depth d replaced by the closed term r
+    if t._loose <= d:
+        return t
+    return r if type(t) is Bound else _rebuild(t, _open, r, d)
+
+
+def _subst(t, m, d):
+    # m is (mapping, its keys as a frozenset)
+    if m[1].isdisjoint(t.free_vars):
+        return t
+    return m[0][t] if type(t) is Var else _rebuild(t, _subst, m, d)
+
+
+def dest_abs(t, base=None):
+    """Open ``\\x. b`` into (x, b).  x is named ``base`` (by default the
+    hint), renamed to base_1, base_2, ... only when a free variable of b has
+    that name, so ``Abs(x, b)`` is ``t`` again."""
+    base = name = t.hint if base is None else base
+    names = {v.name for v in t.free_vars}
+    i = 0
+    while name in names:
+        i += 1
+        name = '%s_%d' % (base, i)
+    v = Var(name, t.ty.dom)
+    return v, _open(t.body, v, 0)
 
 
 def free_vars(t):
     """The free variables of ``t`` as a set of Var objects."""
-    return {Var(n, ty) for (n, ty) in t.free_vars}
-
-
-def fresh_name(base, avoid):
-    """First of base, base_1, base_2, ... whose name is not in ``avoid``."""
-    if base not in avoid:
-        return base
-    root = base
-    for i in itertools.count(1):
-        cand = '%s_%d' % (root, i)
-        if cand not in avoid:
-            return cand
-
-
-def _avoid_names(terms):
-    names = set()
-    for t in terms:
-        for (n, _ty) in t.free_vars:
-            names.add(n)
-    return names
+    return set(t.free_vars)
 
 
 def subst_parallel(t, mapping):
-    """Capture-avoiding parallel substitution of free variables.
+    """Parallel substitution of closed terms for free variables.
 
     ``mapping`` maps Var -> Term; each replacement must have the variable's
-    type.  Bound variables are renamed deterministically when they would
-    capture a free variable of a replacement.
+    type.  Bound variables are indices, so nothing can be captured.
     """
     for v, r in mapping.items():
-        if not isinstance(v, Var):
+        if type(v) is not Var:
             raise TypingError('substitution domain must be variables')
         if v.ty != r.ty:
             raise TypingError('substituting %s-typed term for %s-typed variable %s'
                               % (type_to_str(r.ty), type_to_str(v.ty), v.name))
-    return _subst(t, {(v.name, v.ty): r for v, r in mapping.items()})
-
-
-def _subst(t, m):
-    if isinstance(t, Var):
-        return m.get((t.name, t.ty), t)
-    if isinstance(t, Const):
-        return t
-    if isinstance(t, App):
-        fn, arg = _subst(t.fn, m), _subst(t.arg, m)
-        return t if fn is t.fn and arg is t.arg else App(fn, arg)
-    if isinstance(t, Pair):
-        left, right = _subst(t.left, m), _subst(t.right, m)
-        return t if left is t.left and right is t.right else Pair(left, right)
-    if isinstance(t, Proj):
-        arg = _subst(t.arg, m)
-        return t if arg is t.arg else Proj(t.index, arg)
-    if isinstance(t, Abs):
-        key = (t.var.name, t.var.ty)
-        live = {k: r for k, r in m.items() if k != key and k in t.body.free_vars}
-        if not live:
-            return t
-        if any(key in r.free_vars for r in live.values()):
-            avoid = _avoid_names(live.values())
-            avoid |= {n for (n, _ty) in t.body.free_vars}
-            avoid |= {n for (n, _ty) in live}
-            nv = Var(fresh_name(t.var.name, avoid), t.var.ty)
-            body = _subst(t.body, {key: nv})
-            return Abs(nv, _subst(body, live))
-        return Abs(t.var, _subst(t.body, live))
-    raise KernelError('not a term: %r' % (t,))
+        if r._loose:
+            raise TypingError('substituting a term with loose bound variables')
+    return _subst(t, (mapping, frozenset(mapping)), 0)
 
 
 def substitute(t, v, r):
@@ -386,24 +401,22 @@ def beta_normalize(t):
 
     Simply typed terms are strongly normalizing, so this terminates.
     """
-    if isinstance(t, (Var, Const)):
+    cls = type(t)
+    if cls is Var or cls is Const:
         return t
-    if isinstance(t, Abs):
-        body = beta_normalize(t.body)
-        return t if body is t.body else Abs(t.var, body)
-    if isinstance(t, Pair):
-        return Pair(beta_normalize(t.left), beta_normalize(t.right))
-    if isinstance(t, Proj):
+    if cls is Abs:
+        v, body = dest_abs(t)
+        return Abs(v, beta_normalize(body))
+    if cls is Proj:
         arg = beta_normalize(t.arg)
-        if isinstance(arg, Pair):
+        if type(arg) is Pair:
             return arg.left if t.index == 1 else arg.right
         return Proj(t.index, arg)
-    if isinstance(t, App):
-        fn = beta_normalize(t.fn)
-        arg = beta_normalize(t.arg)
-        if isinstance(fn, Abs):
-            return beta_normalize(substitute(fn.body, fn.var, arg))
-        return App(fn, arg)
+    if cls is App:
+        fn, arg = beta_normalize(t.fn), beta_normalize(t.arg)
+        return beta_normalize(_open(fn.body, arg, 0)) if type(fn) is Abs else App(fn, arg)
+    if cls is Pair:
+        return Pair(beta_normalize(t.left), beta_normalize(t.right))
     raise KernelError('not a term: %r' % (t,))
 
 
@@ -417,68 +430,41 @@ def _fun(*tys):
     return ty
 
 
+# name -> the constant's type at its type argument (None for nullary ones)
+_LOGICAL = {
+    'true': lambda a: BOOL, 'false': lambda a: BOOL, 'not': lambda a: FunType(BOOL, BOOL),
+    'and': lambda a: _fun(BOOL, BOOL, BOOL), 'or': lambda a: _fun(BOOL, BOOL, BOOL),
+    'imp': lambda a: _fun(BOOL, BOOL, BOOL), 'eq': lambda a: _fun(a, a, BOOL),
+    'iota': lambda a: FunType(FunType(a, BOOL), a),
+    'forall': lambda a: FunType(FunType(a, BOOL), BOOL),
+    'exists': lambda a: FunType(FunType(a, BOOL), BOOL),
+    'cond': lambda a: FunType(ProdType(a, ProdType(a, BOOL)), a),
+}
+_UNARY_LOGICAL = frozenset(('eq', 'iota', 'forall', 'exists', 'cond'))
+LOGICAL_NAMES = frozenset(_LOGICAL)
+
+
+@functools.lru_cache(maxsize=None)    # a few constants per type; types are never freed
+def logical_const(name, targs=()):
+    """The schematic logical constant ``name`` at the given type arguments."""
+    if name not in _LOGICAL:
+        raise TheoryError('unknown logical constant %s' % name)
+    unary = name in _UNARY_LOGICAL
+    if len(targs) != int(unary):
+        raise TheoryError('%s takes %s type argument' % (name, 'one' if unary else 'no'))
+    return Const(name, _LOGICAL[name](targs[0] if unary else None), targs)
+
+
 def eq_c(ty):
-    return Const('eq', _fun(ty, ty, BOOL), (ty,))
-
-
-def iota_c(ty):
-    return Const('iota', FunType(FunType(ty, BOOL), ty), (ty,))
-
-
-def forall_c(ty):
-    return Const('forall', FunType(FunType(ty, BOOL), BOOL), (ty,))
-
-
-def exists_c(ty):
-    return Const('exists', FunType(FunType(ty, BOOL), BOOL), (ty,))
-
-
-def cond_c(ty):
-    return Const('cond', FunType(ProdType(ty, ProdType(ty, BOOL)), ty), (ty,))
+    return logical_const('eq', (ty,))
 
 
 def true_c():
-    return Const('true', BOOL)
+    return logical_const('true')
 
 
 def false_c():
-    return Const('false', BOOL)
-
-
-def not_c():
-    return Const('not', FunType(BOOL, BOOL))
-
-
-def and_c():
-    return Const('and', _fun(BOOL, BOOL, BOOL))
-
-
-def or_c():
-    return Const('or', _fun(BOOL, BOOL, BOOL))
-
-
-def imp_c():
-    return Const('imp', _fun(BOOL, BOOL, BOOL))
-
-
-_NULLARY_LOGICAL = {'true': true_c, 'false': false_c, 'not': not_c,
-                    'and': and_c, 'or': or_c, 'imp': imp_c}
-_UNARY_LOGICAL = {'eq': eq_c, 'iota': iota_c, 'forall': forall_c,
-                  'exists': exists_c, 'cond': cond_c}
-LOGICAL_NAMES = frozenset(_NULLARY_LOGICAL) | frozenset(_UNARY_LOGICAL)
-
-
-def logical_const(name, targs=()):
-    """The schematic logical constant ``name`` at the given type arguments."""
-    if name in _NULLARY_LOGICAL:
-        if targs:
-            raise TheoryError('%s takes no type argument' % name)
-        return _NULLARY_LOGICAL[name]()
-    if name in _UNARY_LOGICAL:
-        if len(targs) != 1:
-            raise TheoryError('%s takes one type argument' % name)
-        return _UNARY_LOGICAL[name](targs[0])
-    raise TheoryError('unknown logical constant %s' % name)
+    return logical_const('false')
 
 
 # Term builders for the connectives.
@@ -490,40 +476,32 @@ def mk_eq(a, b):
     return App(App(eq_c(a.ty), a), b)
 
 
-def dest_eq(t):
-    """Split ``a = b`` into (a, b); None when not an equation."""
-    if (isinstance(t, App) and isinstance(t.fn, App)
-            and isinstance(t.fn.fn, Const) and t.fn.fn.name == 'eq'):
-        return t.fn.arg, t.arg
-    return None
-
-
-def _mk_bin(c, a, b):
-    return App(App(c, a), b)
+def _mk_bin(name, a, b):
+    return App(App(logical_const(name), a), b)
 
 
 def mk_conj(a, b):
-    return _mk_bin(and_c(), a, b)
+    return _mk_bin('and', a, b)
 
 
 def mk_disj(a, b):
-    return _mk_bin(or_c(), a, b)
+    return _mk_bin('or', a, b)
 
 
 def mk_imp(a, b):
-    return _mk_bin(imp_c(), a, b)
+    return _mk_bin('imp', a, b)
 
 
 def mk_not(a):
-    return App(not_c(), a)
+    return App(logical_const('not'), a)
 
 
 def mk_forall(v, body):
-    return App(forall_c(v.ty), Abs(v, body))
+    return App(logical_const('forall', (v.ty,)), Abs(v, body))
 
 
 def mk_exists(v, body):
-    return App(exists_c(v.ty), Abs(v, body))
+    return App(logical_const('exists', (v.ty,)), Abs(v, body))
 
 
 def mk_cond(x, y, z):
@@ -532,14 +510,19 @@ def mk_cond(x, y, z):
         raise TypingError('branches of cond must share a type')
     if z.ty != BOOL:
         raise TypingError('cond condition must be Bool')
-    return App(cond_c(x.ty), Pair(x, Pair(y, z)))
+    return App(logical_const('cond', (x.ty,)), Pair(x, Pair(y, z)))
 
 
 def dest_bin(name, t):
+    """Split ``a <name> b`` into (a, b); None when not of that shape."""
     if (isinstance(t, App) and isinstance(t.fn, App)
             and isinstance(t.fn.fn, Const) and t.fn.fn.name == name):
         return t.fn.arg, t.arg
     return None
+
+
+def dest_eq(t):
+    return dest_bin('eq', t)
 
 
 def dest_conj(t):
@@ -561,9 +544,11 @@ def dest_not(t):
 
 
 def dest_forall(t):
+    """Open ``!x. b`` into (x, b) as ``dest_abs`` does; None when not of
+    that shape."""
     if (isinstance(t, App) and isinstance(t.fn, Const)
             and t.fn.name == 'forall' and isinstance(t.arg, Abs)):
-        return t.arg.var, t.arg.body
+        return dest_abs(t.arg)
     return None
 
 
@@ -614,7 +599,7 @@ def _def_rhs(name, targs):
         r = Var('r', BOOL)
         return Abs(p, Abs(q, mk_forall(r, mk_imp(mk_imp(p, r), mk_imp(mk_imp(q, r), r)))))
     if name == 'false':
-        return App(forall_c(BOOL), Abs(p, p))
+        return App(logical_const('forall', (BOOL,)), Abs(p, p))
     if name == 'not':
         return Abs(p, mk_imp(p, false_c()))
     if name == 'cond':
@@ -626,7 +611,7 @@ def _def_rhs(name, targs):
         second = Proj(1, Proj(2, t))
         body = mk_disj(mk_conj(third, mk_eq(w, first)),
                        mk_conj(mk_not(third), mk_eq(w, second)))
-        return Abs(t, App(iota_c(a), Abs(w, body)))
+        return Abs(t, App(logical_const('iota', (a,)), Abs(w, body)))
     raise TheoryError('no definition for %s' % name)
 
 
@@ -656,6 +641,10 @@ class Theory:
         self.frozen = False
         self._derived_cache = {}
 
+    def __setattr__(self, name, value):
+        self._check_mutable()
+        object.__setattr__(self, name, value)
+
     def add_base_type(self, name):
         self._check_mutable()
         if name in self.base_types:
@@ -681,12 +670,14 @@ class Theory:
         self.axioms[name] = prop
 
     def freeze(self):
-        """Fix the signature and axioms; only the derived-rule cache stays
-        writable."""
-        self.frozen = True
+        """Fix the signature and axioms; no attribute can be set after this,
+        and only the derived-rule cache stays writable.  The serial number
+        marks the terms validated against this theory."""
         self.base_types = frozenset(self.base_types)
         self.constants = MappingProxyType(self.constants)
         self.axioms = MappingProxyType(self.axioms)
+        self._serial = next(_serials)
+        self.frozen = True
         return self
 
     def const(self, name):
@@ -696,21 +687,21 @@ class Theory:
         return Const(name, self.constants[name])
 
     def _check_mutable(self):
-        if self.frozen:
+        if getattr(self, 'frozen', False):
             raise TheoryError('theory %s is frozen' % self.name)
 
     def _check_type(self, ty):
         if isinstance(ty, BaseType):
             if ty.name not in self.base_types:
                 raise TheoryError('unknown base type %s' % ty.name)
-        elif isinstance(ty, FunType):
-            self._check_type(ty.dom)
-            self._check_type(ty.cod)
-        elif isinstance(ty, ProdType):
-            self._check_type(ty.left)
-            self._check_type(ty.right)
+        elif isinstance(ty, Type):
+            for part in type(ty).__slots__:    # dom, cod or left, right
+                self._check_type(getattr(ty, part))
         else:
             raise TypingError('not a type: %r' % (ty,))
+
+
+_serials = itertools.count()
 
 
 def core_theory(name='core'):
@@ -725,42 +716,47 @@ def type_of(t, th, _allow_unfrozen=False):
     parts', so only leaves and binders are checked: each constant is declared
     (its type was checked then) or logical at its proper type, and each
     variable's and binder's type uses declared base types.  A bad leaf
-    reports an undeclared base type in its own type first.
+    reports an undeclared base type in its own type first.  A node validated
+    against a frozen theory is marked with its serial number and not
+    visited again for it.
     """
-    if not _allow_unfrozen and not th.frozen:
+    if th.frozen:
+        mark = th._serial
+    elif _allow_unfrozen:
+        mark = object()    # dedups shared nodes within this one walk only
+    else:
         raise TheoryError('theory %s is not frozen' % th.name)
-    _validate(t, th)
+    if not isinstance(t, Term):
+        raise KernelError('not a term: %r' % (t,))
+    _validate(t, th, mark)
+    if t._loose:
+        raise TypingError('term has loose bound variables')
     return t.ty
 
 
-def _validate(t, th):
-    if isinstance(t, Const):
+def _validate(t, th, mark):
+    if t._checked is mark:
+        return
+    cls = type(t)
+    if cls is Const:
         declared = th.constants.get(t.name)
         if declared is None:
             th._check_type(t.ty)
             if t.name not in LOGICAL_NAMES:
                 raise TheoryError('unknown constant %s' % t.name)
-            if logical_const(t.name, t.targs).ty is not t.ty:
+            if logical_const(t.name, t.targs) is not t:
                 raise TypingError('logical constant %s at wrong type' % t.display_name)
         elif declared is not t.ty:
             th._check_type(t.ty)
             raise TypingError('constant %s at type %s, declared %s'
                               % (t.name, type_to_str(t.ty), type_to_str(declared)))
-    elif isinstance(t, App):
-        _validate(t.fn, th)
-        _validate(t.arg, th)
-    elif isinstance(t, Pair):
-        _validate(t.left, th)
-        _validate(t.right, th)
-    elif isinstance(t, Var):
+    elif cls is Var:
         th._check_type(t.ty)
-    elif isinstance(t, Abs):
-        th._check_type(t.var.ty)
-        _validate(t.body, th)
-    elif isinstance(t, Proj):
-        _validate(t.arg, th)
-    else:
-        raise KernelError('not a term: %r' % (t,))
+    elif cls is Abs:
+        th._check_type(t.ty.dom)
+    for a in cls._children:
+        _validate(getattr(t, a), th, mark)
+    t._checked = mark
 
 
 # ---------------------------------------------------------------------------
@@ -783,11 +779,7 @@ class Theorem:
     def __init__(self, hyps, concl, theory, rule, args, _token=None):
         if _token is not _KERNEL_TOKEN:
             raise KernelError('theorems can only be built by kernel rules')
-        self.hyps = hyps
-        self.concl = concl
-        self.theory = theory
-        self.rule = rule
-        self.args = args
+        self.hyps, self.concl, self.theory, self.rule, self.args = hyps, concl, theory, rule, args
 
     def __repr__(self):
         from . import syntax
@@ -797,7 +789,7 @@ class Theorem:
 def _thm(th, hyps, concl, rule, args):
     if concl.ty != BOOL:
         raise TypingError('theorem conclusion must be Bool')
-    # alpha-equal hypotheses are kept once, the first in derivation order
+    # each hypothesis is kept once, the first in derivation order
     hyps = tuple(dict.fromkeys(hyps)) if len(hyps) > 1 else tuple(hyps)
     return Theorem(hyps, concl, th, rule, args, _token=_KERNEL_TOKEN)
 
@@ -835,7 +827,7 @@ def transitivity(thm1, thm2):
     e1, e2 = dest_eq(thm1.concl), dest_eq(thm2.concl)
     if e1 is None or e2 is None:
         raise RuleError('transitivity needs equations')
-    if e1[1] != e2[0]:
+    if e1[1] is not e2[0]:
         raise RuleError('transitivity: middle terms differ')
     return _thm(th, thm1.hyps + thm2.hyps, mk_eq(e1[0], e2[1]),
                 'transitivity', (thm1, thm2))
@@ -857,14 +849,13 @@ def congruence(thm_fun, thm_arg):
 
 def abstraction(v, thm):
     """From A |- a = b derive A |- (\\v. a) = (\\v. b), v not free in A."""
-    if not isinstance(v, Var):
+    if type(v) is not Var:
         raise RuleError('abstraction needs a variable')
     e = dest_eq(thm.concl)
     if e is None:
         raise RuleError('abstraction needs an equation')
-    key = (v.name, v.ty)
     for h in thm.hyps:
-        if key in h.free_vars:
+        if v in h.free_vars:
             raise RuleError('abstraction variable %s free in a hypothesis' % v.name)
     a, b = e
     return _thm(thm.theory, thm.hyps, mk_eq(Abs(v, a), Abs(v, b)),
@@ -876,7 +867,7 @@ def beta_conversion(th, redex):
     type_of(redex, th)
     if not (isinstance(redex, App) and isinstance(redex.fn, Abs)):
         raise RuleError('beta_conversion needs a beta redex')
-    contractum = substitute(redex.fn.body, redex.fn.var, redex.arg)
+    contractum = _open(redex.fn.body, redex.arg, 0)
     return _thm(th, (), mk_eq(redex, contractum), 'beta_conversion', (redex,))
 
 
@@ -902,7 +893,7 @@ def modus_ponens_eq(thm_eq, thm):
     e = dest_eq(thm_eq.concl)
     if e is None or e[0].ty != BOOL:
         raise RuleError('modus_ponens_eq needs a Bool equation')
-    if e[0] != thm.concl:
+    if e[0] is not thm.concl:
         raise RuleError('modus_ponens_eq: conclusion does not match equation')
     return _thm(th, thm_eq.hyps + thm.hyps, e[1], 'modus_ponens_eq', (thm_eq, thm))
 
@@ -910,8 +901,8 @@ def modus_ponens_eq(thm_eq, thm):
 def deduct_antisym(thm1, thm2):
     """From A |- c1 and B |- c2 derive (A - {c2}) u (B - {c1}) |- c1 = c2."""
     th = _same_theory(thm1, thm2)
-    hyps = tuple(h for h in thm1.hyps if h != thm2.concl)
-    hyps += tuple(h for h in thm2.hyps if h != thm1.concl)
+    hyps = tuple(h for h in thm1.hyps if h is not thm2.concl)
+    hyps += tuple(h for h in thm2.hyps if h is not thm1.concl)
     return _thm(th, hyps, mk_eq(thm1.concl, thm2.concl),
                 'deduct_antisym', (thm1, thm2))
 
@@ -976,7 +967,7 @@ def _schema(name, targs):
         (a,) = targs
         x = Var('x', a)
         y = Var('y', a)
-        return mk_forall(x, mk_eq(App(iota_c(a), Abs(y, mk_eq(y, x))), x))
+        return mk_forall(x, mk_eq(App(logical_const('iota', (a,)), Abs(y, mk_eq(y, x))), x))
     if name == 'ext':
         a, b = targs
         f = Var('f', FunType(a, b))

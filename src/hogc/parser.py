@@ -175,13 +175,14 @@ def parse(g, word, depth_bound):
 
 def _plain_replace(t, target, repl):
     """Replace free occurrences of a closed term, no proofs involved."""
-    if t == target:
+    if t is target:
         return repl
     if isinstance(t, App):
         return App(_plain_replace(t.fn, target, repl),
                    _plain_replace(t.arg, target, repl))
     if isinstance(t, kernel.Abs):
-        return kernel.Abs(t.var, _plain_replace(t.body, target, repl))
+        v, body = kernel.dest_abs(t)
+        return kernel.Abs(v, _plain_replace(body, target, repl))
     if isinstance(t, kernel.Pair):
         return kernel.Pair(_plain_replace(t.left, target, repl),
                            _plain_replace(t.right, target, repl))

@@ -72,15 +72,22 @@ def ap_thm(thm, a):
 
 
 def _avoid_from(*sources):
+    """The names of the free variables of terms and theorems."""
     avoid = set()
     for s in sources:
-        if isinstance(s, kernel.Theorem):
-            for h in s.hyps:
-                avoid |= {n for (n, _t) in h.free_vars}
-            avoid |= {n for (n, _t) in s.concl.free_vars}
-        else:
-            avoid |= {n for (n, _t) in s.free_vars}
+        terms = s.hyps + (s.concl,) if isinstance(s, kernel.Theorem) else (s,)
+        for t in terms:
+            avoid |= {v.name for v in t.free_vars}
     return avoid
+
+
+def fresh_name(base, avoid):
+    """First of base, base_1, base_2, ... whose name is not in ``avoid``."""
+    name, i = base, 0
+    while name in avoid:
+        i += 1
+        name = '%s_%d' % (base, i)
+    return name
 
 
 def _cached(th, key, build):
@@ -263,14 +270,6 @@ def mp(thm_imp, thm):
         raise RuleError('modus ponens mismatch')
     e = instantiate(_mp_schema(thm_imp.theory), {_P: d[0], _Q: d[1]})
     return _discharge(e, thm_imp, thm)
-
-
-def undisch(thm):
-    """From A |- p => q derive A u {p} |- q."""
-    d = dest_imp(thm.concl)
-    if d is None:
-        raise RuleError('not an implication: %r' % thm)
-    return mp(thm, assume(thm.theory, d[0]))
 
 
 def gen(v, thm):
@@ -549,8 +548,9 @@ def _children_rewrite(th, t, node_fn, given):
         return congruence(reflexivity(th, t.fn) if ef is None else ef,
                           reflexivity(th, t.arg) if ea is None else ea)
     if isinstance(t, Abs):
-        eb = _rewrite(th, t.body, node_fn, given)
-        return None if eb is None else abstraction(t.var, eb)
+        v, body = kernel.dest_abs(t)
+        eb = _rewrite(th, body, node_fn, given)
+        return None if eb is None else abstraction(v, eb)
     if isinstance(t, Pair):
         el = _rewrite(th, t.left, node_fn, given)
         er = _rewrite(th, t.right, node_fn, given)
@@ -569,18 +569,6 @@ def _bp_step(th, t):
     if isinstance(t, Proj) and isinstance(t.arg, Pair):
         return pair_beta(th, t)
     return None
-
-
-def bp_norm(th, t):
-    """|- t = nf(t), full beta/projection normalization inside the logic."""
-    return depth_rewrite(th, t, _bp_step)
-
-
-def rewrite_sides(thm, node_fn):
-    """From A |- a = b derive A |- a' = b' with both sides rewritten."""
-    ea = _rewrite(thm.theory, lhs(thm), node_fn)
-    thm = rewrite_rhs(thm, node_fn)
-    return thm if ea is None else transitivity(symmetry(ea), thm)
 
 
 # ---------------------------------------------------------------------------

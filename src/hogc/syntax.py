@@ -6,9 +6,10 @@ identifier starts with ``%``, so two terms print alike exactly when they are
 alpha-equal.  It is the written form of proof traces, and it round-trips
 through ``parse_term``, which reads ``%d`` only as a bound variable.  The
 trace verifier compares each claimed judgement with the canonical printing
-of the replayed step byte for byte.  ``pretty_term`` keeps the original
-names and uses infix notation for the connectives; it is for reports and
-error messages only.
+of the replayed step byte for byte.  ``pretty_term`` names a binder's
+variable by the kernel's hint for it, the name its alpha-class was first
+built with, and uses infix notation for the connectives; it is for reports
+and error messages only.
 
 Term syntax summary (loosest to tightest):
 
@@ -29,8 +30,8 @@ variables may be annotated with their type (``x:(Ind -> Bool)``).  ``%0``,
 from __future__ import annotations
 
 from . import kernel
-from .kernel import (App, Abs, Const, FunType, Pair, PHON, ProdType, Proj,
-                     Var, type_to_str)
+from .kernel import (App, Abs, Bound, Const, FunType, Pair, PHON, ProdType, Proj,
+                     Var, dest_abs, type_to_str)
 
 
 class ParseError(Exception):
@@ -44,30 +45,26 @@ def canonical_term(t):
     """Alpha-canonical fully parenthesized rendering; parseable.  The
     variable of a binder at depth d prints as ``%d``, a name no identifier
     can spell, so alpha-equal terms print alike and distinct ones apart."""
-    return _canon(t, {}, 0)
+    return _canon(t, 0)
 
 
-def _canon(t, env, depth):
+def _canon(t, depth):
     # applications are most of the nodes, so they are tested first
-    if isinstance(t, App):
-        return '(%s %s)' % (_canon(t.fn, env, depth), _canon(t.arg, env, depth))
-    if isinstance(t, Const):
+    cls = type(t)
+    if cls is App:
+        return '(%s %s)' % (_canon(t.fn, depth), _canon(t.arg, depth))
+    if cls is Const:
         return t.display_name
-    if isinstance(t, Var):
-        bound = env.get((t.name, t.ty))
-        if bound is not None:
-            return bound
+    if cls is Bound:
+        return '%%%d' % (depth - 1 - t.index)
+    if cls is Var:
         return '%s:%s' % (t.name, type_to_str(t.ty))
-    if isinstance(t, Abs):
-        name = '%%%d' % depth
-        env2 = dict(env)
-        env2[(t.var.name, t.var.ty)] = name
-        return '(\\%s:%s. %s)' % (name, type_to_str(t.var.ty),
-                                  _canon(t.body, env2, depth + 1))
-    if isinstance(t, Pair):
-        return '<%s, %s>' % (_canon(t.left, env, depth), _canon(t.right, env, depth))
-    if isinstance(t, Proj):
-        return '(%s %s)' % ('fst' if t.index == 1 else 'snd', _canon(t.arg, env, depth))
+    if cls is Abs:
+        return '(\\%%%d:%s. %s)' % (depth, type_to_str(t.ty.dom), _canon(t.body, depth + 1))
+    if cls is Pair:
+        return '<%s, %s>' % (_canon(t.left, depth), _canon(t.right, depth))
+    if cls is Proj:
+        return '(%s %s)' % ('fst' if t.index == 1 else 'snd', _canon(t.arg, depth))
     raise ParseError('not a term: %r' % (t,))
 
 
@@ -93,35 +90,46 @@ _BIN_PRETTY = {'imp': ('=>', _PREC_IMP), 'or': ('\\/', _PREC_OR),
                'and': ('/\\', _PREC_AND), 'eq': ('=', _PREC_EQ)}
 
 
-def pretty_term(t):
-    return _pretty(t, _PREC_BINDER)
+def pretty_term(t, depth_names=False):
+    """Infix rendering with the binders' hints as variable names; with
+    ``depth_names`` the variable of a binder at depth d is named ``%d``, as
+    in canonical printing."""
+    return _pretty(t, _PREC_BINDER, 0 if depth_names else None)
+
+
+def _binder(mark, t, depth):
+    # depth is None when binders print their hints
+    if depth is None:
+        v, body = dest_abs(t)
+    else:
+        v, body = dest_abs(t, '%%%d' % depth)
+        depth += 1
+    return '%s%s:%s. %s' % (mark, v.name, type_to_str(v.ty), _pretty(body, _PREC_BINDER, depth))
 
 
 def _wrap(s, prec, ctx):
     return '(%s)' % s if prec < ctx else s
 
 
-def _pretty(t, ctx):
+def _pretty(t, ctx, depth):
     if isinstance(t, Var):
         return t.name
     if isinstance(t, Const):
         return t.display_name
     if isinstance(t, Abs):
-        s = '\\%s:%s. %s' % (t.var.name, type_to_str(t.var.ty),
-                             _pretty(t.body, _PREC_BINDER))
-        return _wrap(s, _PREC_BINDER, ctx)
+        return _wrap(_binder('\\', t, depth), _PREC_BINDER, ctx)
     if isinstance(t, Pair):
-        return '<%s, %s>' % (_pretty(t.left, _PREC_BINDER),
-                             _pretty(t.right, _PREC_BINDER))
+        return '<%s, %s>' % (_pretty(t.left, _PREC_BINDER, depth),
+                             _pretty(t.right, _PREC_BINDER, depth))
     if isinstance(t, Proj):
         word = 'fst' if t.index == 1 else 'snd'
-        return '%s(%s)' % (word, _pretty(t.arg, _PREC_BINDER))
+        return '%s(%s)' % (word, _pretty(t.arg, _PREC_BINDER, depth))
     if isinstance(t, App):
-        return _pretty_app(t, ctx)
+        return _pretty_app(t, ctx, depth)
     raise ParseError('not a term: %r' % (t,))
 
 
-def _pretty_app(t, ctx):
+def _pretty_app(t, ctx, depth):
     head = t
     args = []
     while isinstance(head, App):
@@ -132,41 +140,38 @@ def _pretty_app(t, ctx):
         name = head.name
         if name in _BIN_PRETTY and len(args) == 2:
             sym, prec = _BIN_PRETTY[name]
-            s = '%s %s %s' % (_pretty(args[0], prec + 1), sym,
-                              _pretty(args[1], prec if sym != '=' else prec + 1))
+            s = '%s %s %s' % (_pretty(args[0], prec + 1, depth), sym,
+                              _pretty(args[1], prec if sym != '=' else prec + 1, depth))
             return _wrap(s, prec, ctx)
         if name == 'not' and len(args) == 1:
-            s = '~%s' % _pretty(args[0], _PREC_NOT)
+            s = '~%s' % _pretty(args[0], _PREC_NOT, depth)
             return _wrap(s, _PREC_NOT, ctx)
         if name in ('forall', 'exists') and len(args) == 1 and isinstance(args[0], Abs):
-            mark = '!' if name == 'forall' else '?'
-            b = args[0]
-            s = '%s%s:%s. %s' % (mark, b.var.name, type_to_str(b.var.ty),
-                                 _pretty(b.body, _PREC_BINDER))
-            return _wrap(s, _PREC_BINDER, ctx)
+            return _wrap(_binder('!' if name == 'forall' else '?', args[0], depth),
+                         _PREC_BINDER, ctx)
         if name == 'cond' and len(args) == 1:
             d = kernel.dest_cond(t)
             if d is not None:
                 return '%s(%s, %s, %s)' % (head.display_name,
-                                           _pretty(d[0], _PREC_BINDER),
-                                           _pretty(d[1], _PREC_BINDER),
-                                           _pretty(d[2], _PREC_BINDER))
+                                           _pretty(d[0], _PREC_BINDER, depth),
+                                           _pretty(d[1], _PREC_BINDER, depth),
+                                           _pretty(d[2], _PREC_BINDER, depth))
         if name == 'conc' and len(args) == 1 and isinstance(args[0], Pair):
-            s = '%s ++ %s' % (_pretty(args[0].left, _PREC_CAT + 1),
-                              _pretty(args[0].right, _PREC_CAT))
+            s = '%s ++ %s' % (_pretty(args[0].left, _PREC_CAT + 1, depth),
+                              _pretty(args[0].right, _PREC_CAT, depth))
             return _wrap(s, _PREC_CAT, ctx)
     fn, arg = t.fn, t.arg
-    s = '%s(%s)' % (_pretty(fn, _PREC_APP), _pretty(arg, _PREC_BINDER))
+    s = '%s(%s)' % (_pretty(fn, _PREC_APP, depth), _pretty(arg, _PREC_BINDER, depth))
     if isinstance(fn, Abs):
-        s = '(%s)(%s)' % (_pretty(fn, _PREC_BINDER), _pretty(arg, _PREC_BINDER))
+        s = '(%s)(%s)' % (_pretty(fn, _PREC_BINDER, depth), _pretty(arg, _PREC_BINDER, depth))
     return s
 
 
-def pretty_theorem(thm):
-    concl = _pretty(thm.concl, _PREC_BINDER)
+def pretty_theorem(thm, depth_names=False):
+    concl = pretty_term(thm.concl, depth_names)
     if not thm.hyps:
         return '|- %s' % concl
-    return '%s |- %s' % (', '.join(_pretty(h, _PREC_BINDER) for h in thm.hyps), concl)
+    return '%s |- %s' % (', '.join(pretty_term(h, depth_names) for h in thm.hyps), concl)
 
 
 # ---------------------------------------------------------------------------
@@ -312,11 +317,12 @@ class _Parser:
         self.bound.append(v)
         body = self.term()
         self.bound.pop()
+        # a canonical name %d is no identifier, so it is no hint either: a
+        # binder opened under it would give a trace a variable no reader takes
+        lam = Abs(v, body, 'x' if name[0] == '%' else name)
         if mark == '\\':
-            return Abs(v, body)
-        if mark == '!':
-            return kernel.mk_forall(v, body)
-        return kernel.mk_exists(v, body)
+            return lam
+        return App(kernel.logical_const('forall' if mark == '!' else 'exists', (ty,)), lam)
 
     def imp_level(self):
         left = self.or_level()
@@ -448,10 +454,9 @@ class _Parser:
             self.env.var_types.setdefault(name, ty)
             return Var(name, ty)
         if name in kernel.LOGICAL_NAMES:
-            c = kernel._NULLARY_LOGICAL.get(name)
-            if c is None:
+            if name in kernel._UNARY_LOGICAL:
                 raise ParseError('%s needs a type argument' % name)
-            return c()
+            return kernel.logical_const(name)
         th = self.env.theory
         if th is not None and name in th.constants:
             return th.const(name)

@@ -6,6 +6,7 @@ validity checker, and the random term generators build kernel terms
 directly from the constructors.
 """
 
+from hogc import kernel, rules
 from hogc.closure import bool_valid
 from hogc.kernel import (
     Abs, App, BOOL, FunType, IND, Pair, PHON, ProdType, Var,
@@ -186,7 +187,6 @@ def random_ground_fragment(rng, depth=3):
 
 def eval_fragment(t, env):
     """Tiny standalone truth evaluator used to cross-check the oracle."""
-    from hogc import kernel
     if isinstance(t, Var):
         return env[t.name]
     if kernel.is_true(t):
@@ -207,3 +207,23 @@ def eval_fragment(t, env):
         return eval_fragment(d[0], env) if eval_fragment(d[2], env) \
             else eval_fragment(d[1], env)
     raise ValueError('not a fragment term: %r' % t)
+
+
+def undisch(thm):
+    """From A |- p => q derive A u {p} |- q."""
+    d = kernel.dest_imp(thm.concl)
+    if d is None:
+        raise kernel.RuleError('not an implication: %r' % thm)
+    return rules.mp(thm, kernel.assume(thm.theory, d[0]))
+
+
+def bp_norm(th, t):
+    """|- t = nf(t), full beta/projection normalization inside the logic."""
+    return rules.depth_rewrite(th, t, rules._bp_step)
+
+
+def rewrite_sides(thm, node_fn):
+    """From A |- a = b derive A |- a' = b' with both sides rewritten."""
+    ea = rules._rewrite(thm.theory, rules.lhs(thm), node_fn)
+    thm = rules.rewrite_rhs(thm, node_fn)
+    return thm if ea is None else kernel.transitivity(kernel.symmetry(ea), thm)

@@ -37,7 +37,7 @@ def _collapse_node(th, t):
 
 
 def _reflexive_after_rewrite(thm):
-    r = rules.rewrite_sides(thm, _collapse_node)
+    r = helpers.rewrite_sides(thm, _collapse_node)
     a, b = dest_eq(r.concl)
     return a == b
 

@@ -171,6 +171,25 @@ def test_emit_proof_then_verify(files, capsys):
     assert out.endswith('trace-verify ok\n')
 
 
+@pytest.mark.parametrize('name,word,lex,sem,meaning,verified', [
+    ('toy', 'blt', 'lex.BARKS      phon_IV(BARKS) = /blt/', 'sem_IV(BARKS)',
+     '\\x:Ind. barks(x)', '\\%0:Ind. barks(%0)'),
+    ('boolsem', 'en', 'lex.AND        phon_CONJ(AND) = /en/', 'sem_CONJ(AND)',
+     '\\p:Bool. \\q:Bool. p /\\ q', '\\%0:Bool. \\%1:Bool. %0 /\\ %1')], ids=['toy', 'boolsem'])
+def test_reports_print_binder_hints_and_trace_verify_depth_names(
+        files, capsys, name, word, lex, sem, meaning, verified):
+    # the verified root holds the grammar's own term object, but a trace
+    # carries no binder names, so trace-verify prints the canonical ones
+    _, out = _run(capsys, ['check', '-g', files[name]])
+    assert '  %s /\\ %s = (%s)\n' % (lex, sem, meaning) in out
+    tr = str(files['dir'] / ('%s-hints.trace' % name))
+    _, out = _run(capsys, ['parse', '-g', files[name], '-w', word, '-k', '1',
+                           '--emit-proof', tr])
+    assert '    meaning: %s\n' % meaning in out
+    code, out = _run(capsys, ['trace-verify', '-g', files[name], tr])
+    assert code == 0 and '  |- %s = (%s)\n' % (sem, verified) in out
+
+
 def test_trace_verify_detects_tampering(files, capsys):
     tr = str(files['dir'] / 'tampered.trace')
     _run(capsys, ['parse', '-g', files['toy'], '-w', 'fajdo blt',

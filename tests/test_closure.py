@@ -95,7 +95,7 @@ def test_universe_vectors_match_local_evaluator(rng, nvars):
 @given(FRAG)
 @settings(max_examples=80, deadline=None)
 def test_bool_valid_matches_local_evaluator(t):
-    names = sorted({n for n, _ in t.free_vars})
+    names = sorted({v.name for v in t.free_vars})
     want = all(helpers.eval_fragment(t, dict(zip(names, bits)))
                for bits in itertools.product((False, True), repeat=len(names)))
     assert bool_valid(t) == want

@@ -1,6 +1,7 @@
 """Trusted core: types, terms, substitution, theories, primitive rules."""
 
 import copy
+import gc
 import os
 import pickle
 import subprocess
@@ -81,7 +82,8 @@ def test_type_string_is_made_once_per_interned_type():
 
 
 def test_interning_is_thread_safe():
-    # 4 threads build each fresh type at once; each must get one object
+    # 4 threads build each fresh type and term at once; each must get one
+    # object, also where the round before left a dead term under the key
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -92,7 +94,10 @@ def test_interning_is_thread_safe():
 
             def build():
                 start.wait()
-                got.append(FunType(BaseType(name), ProdType(BaseType(name), BOOL)))
+                c = Const('c%d' % (round_ // 2), FunType(IND, BOOL))
+                x = Var('x', IND)
+                got.append((FunType(BaseType(name), ProdType(BaseType(name), BOOL)),
+                            Abs(x, App(c, x))))
 
             threads = [threading.Thread(target=build) for _ in range(4)]
             for t in threads:
@@ -100,7 +105,7 @@ def test_interning_is_thread_safe():
             for t in threads:
                 t.join(timeout=10)
                 assert not t.is_alive()
-            assert len(got) == 4 and all(ty is got[0] for ty in got)
+            assert len(got) == 4 and all(a is b for g in got for a, b in zip(g, got[0]))
     finally:
         sys.setswitchinterval(old)
 
@@ -176,7 +181,6 @@ def test_alpha_eq_of_shared_subterm_under_binders():
     fx = App(Var('f', FunType(IND, BOOL)), x)
     t1, t2 = Abs(x, Abs(y, fx)), Abs(y, Abs(x, fx))
     assert t1 != t2
-    assert kernel._alpha_hash(t1, {}, 0) != kernel._alpha_hash(t2, {}, 0)
     # shared closed subterms, at the top and under a binder, compare equal
     s = mk_eq(Abs(x, x), Abs(y, y))
     assert mk_conj(s, s) == mk_conj(s, mk_eq(Abs(y, y), Abs(x, x)))
@@ -186,15 +190,81 @@ def test_alpha_eq_of_shared_subterm_under_binders():
 def test_free_vars():
     x, y = Var('x', IND), Var('y', IND)
     t = Abs(x, mk_eq(x, y))
-    assert t.free_vars == {('y', IND)}
+    assert t.free_vars == {y}
     assert kernel.free_vars(t) == {y}
     assert kernel.free_vars(true_c()) == set()
 
 
-def test_fresh_name():
-    assert kernel.fresh_name('x', set()) == 'x'
-    got = kernel.fresh_name('x', {'x', 'x_1'})
-    assert got not in {'x', 'x_1'}
+def test_alpha_equivalent_terms_are_one_object_with_the_first_hint():
+    barks = Const('barks', FunType(IND, BOOL))
+    x, y = Var('x', IND), Var('y', IND)
+    first = Abs(x, App(barks, x))
+    second = Abs(y, App(barks, y))
+    assert second is first
+    assert syntax.pretty_term(second) == '\\x:Ind. barks(x)'
+    assert copy.deepcopy(second) is first and pickle.loads(pickle.dumps(second)) is first
+    assert Var('x', IND) is x and Const('barks', FunType(IND, BOOL)) is barks
+
+
+def test_intern_table_holds_terms_weakly():
+    f = Var('f', FunType(IND, BOOL))
+    gc.collect()
+    before = len(kernel._terms)
+    terms = [Abs(Var('v%d' % i, IND), App(f, Var('w%d' % i, IND))) for i in range(500)]
+    assert len(kernel._terms) >= before + 1500
+    del terms
+    gc.collect()
+    assert len(kernel._terms) <= before
+
+
+def test_dest_abs_renames_the_hint_only_on_a_clash():
+    x, x1, y = Var('x', IND), Var('x_1', IND), Var('y', IND)
+    f = Var('f', FunType(IND, FunType(IND, BOOL)))
+    v, body = kernel.dest_abs(Abs(x, App(App(f, y), x)))
+    assert v is x and body is App(App(f, y), x)
+    # x and x_1 are free in the body, so the bound variable opens as x_2
+    g = Var('g', FunType(IND, FunType(IND, FunType(IND, BOOL))))
+    t = kernel.substitute(Abs(x, App(App(App(g, y), x1), x)), y, x)
+    v, body = kernel.dest_abs(t)
+    assert v.name == 'x_2' and body is App(App(App(g, x), x1), v)
+    assert Abs(v, body) is t
+    assert syntax.pretty_term(t) == '\\x_2:Ind. g(x)(x_1)(x_2)'
+
+
+def test_loose_bound_variables_are_rejected(th):
+    x, b = Var('x', IND), Var('b', BOOL)
+    loose = Abs(x, mk_eq(x, x)).body    # x = x with x a loose Bound(0)
+    with pytest.raises(kernel.TypingError):
+        Abs(Var('y', IND), loose)
+    with pytest.raises(kernel.TypingError):
+        kernel.reflexivity(th, loose)
+    with pytest.raises(kernel.TypingError):
+        kernel.substitute(b, b, loose)
+
+
+_HINTS = st.sampled_from(('b0', 'b1', 'b0_', 'p', 'q', 'x', 'z', 'hole', 'slot', '%0'))
+
+
+@st.composite
+def _binder_pairs(draw):
+    """Two terms \\n. t[n/p] built apart, from FRAG terms and binder names
+    that clash with the free variables; the second body is often the first."""
+    t = draw(FRAG)
+    u = draw(st.one_of(st.just(t), FRAG))
+    p = Var('p', BOOL)
+    out = []
+    for body in (t, u):
+        v = Var(draw(_HINTS), BOOL)
+        mk = draw(st.sampled_from((Abs, mk_forall)))
+        out.append(mk(v, kernel.substitute(body, p, v)))
+    return out
+
+
+@given(_binder_pairs())
+@settings(max_examples=200, deadline=None)
+def test_identity_is_alpha_equivalence(pair):
+    a, b = pair
+    assert (a == b) == (a is b) == (syntax.canonical_term(a) == syntax.canonical_term(b))
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +327,10 @@ FRAG = _frag(3)
 @settings(max_examples=60, deadline=None)
 def test_substitute_removes_the_variable(t, r):
     p = Var('p', BOOL)
-    if ('p', BOOL) in r.free_vars:
+    if p in r.free_vars:
         return
     s = kernel.substitute(t, p, r)
-    assert ('p', BOOL) not in s.free_vars
+    assert p not in s.free_vars
     assert s.ty == BOOL
 
 
@@ -297,6 +367,20 @@ def test_frozen_theory_tables_are_read_only(th):
         th.base_types.add('T')
     with pytest.raises(kernel.TheoryError):
         kernel.axiom(th, 'x')
+
+
+@pytest.mark.parametrize('attr,value', [
+    ('axioms', {'bad': false_c()}), ('constants', {'bad': BOOL}),
+    ('base_types', frozenset(('Bool', 'Und'))), ('name', 'other'), ('frozen', False)],
+    ids=['axioms', 'constants', 'base_types', 'name', 'frozen'])
+def test_frozen_theory_attributes_cannot_be_assigned(attr, value):
+    th = kernel.core_theory()
+    before = getattr(th, attr)
+    with pytest.raises(kernel.TheoryError):
+        setattr(th, attr, value)
+    assert getattr(th, attr) is before
+    with pytest.raises(kernel.TheoryError):
+        kernel.axiom(th, 'bad')
 
 
 def test_theory_duplicate_and_reserved_names():
@@ -531,14 +615,14 @@ def test_hypotheses_keep_derivation_order(th):
 
 
 def test_alpha_equal_hypotheses_are_kept_once(th):
-    # the first one met stays, with its own bound name
+    # alpha-equal hypotheses are one object, which keeps the first hint
     f = Var('f', FunType(IND, BOOL))
     x, y = Var('x', IND), Var('y', IND)
     a, b = mk_forall(x, App(f, x)), mk_forall(y, App(f, y))
     c = rules.conj(kernel.assume(th, a), kernel.assume(th, b))
     assert c.hyps == (a,) and kernel.dest_forall(c.hyps[0])[0].name == 'x'
     c = rules.conj(kernel.assume(th, b), kernel.assume(th, a))
-    assert c.hyps == (b,) and kernel.dest_forall(c.hyps[0])[0].name == 'y'
+    assert c.hyps == (b,) and kernel.dest_forall(c.hyps[0])[0].name == 'x'
 
 
 def test_instantiate_in_conclusion_and_hypotheses(th):

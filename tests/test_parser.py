@@ -256,7 +256,7 @@ def test_parses_share_cached_axiom_conjuncts(boolsem):
         assert _instance_premise(a) is _instance_premise(b)
     # the premise is the sem conjunct at the rule's operand variables
     conj = _instance_premise(r1.sem_proof).concl
-    assert {n for n, _ty in conj.free_vars} == {'x1', 'x2'}
+    assert {v.name for v in conj.free_vars} == {'x1', 'x2'}
 
 
 @pytest.mark.parametrize('name,word,k', [

@@ -262,9 +262,13 @@ def _leaf_sites(t, scope=()):
     if isinstance(t, (Var, kernel.Const)):
         yield (), t, scope
         return
-    inner = scope + (t.var,) if isinstance(t, Abs) else scope
+    if isinstance(t, Abs):
+        v, body = kernel.dest_abs(t)
+        for path, leaf, bound in _leaf_sites(body, scope + (v,)):
+            yield ('body',) + path, leaf, bound
+        return
     for attr in _CHILDREN[type(t)]:
-        for path, leaf, bound in _leaf_sites(getattr(t, attr), inner):
+        for path, leaf, bound in _leaf_sites(getattr(t, attr), scope):
             yield (attr,) + path, leaf, bound
 
 
@@ -272,7 +276,8 @@ def _replace(t, path, new):
     if not path:
         return new
     if isinstance(t, Abs):
-        return Abs(t.var, _replace(t.body, path[1:], new))
+        v, body = kernel.dest_abs(t)
+        return Abs(v, _replace(body, path[1:], new))
     if isinstance(t, Proj):
         return Proj(t.index, _replace(t.arg, path[1:], new))
     return type(t)(*(_replace(getattr(t, a), path[1:], new) if a == path[0] else getattr(t, a)

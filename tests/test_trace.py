@@ -117,6 +117,34 @@ def test_traces_with_many_hypotheses_are_hash_seed_independent():
     verify_trace(text, kernel.core_theory(), strict_fingerprint=True)
 
 
+_PINNED_MERGE = '''
+import hashlib, sys
+sys.path.insert(0, sys.argv[1])
+import helpers
+from hogc import closure, grammar, parser, trace
+from hogc.kernel import BOOL, Var
+g = grammar.elaborate(helpers.AMBIG, name='ambig')
+p1, p2 = parser.parse(g, helpers.AMBIG_WORD, 2)
+cert = closure.certificate_cases(g.theory, p1.meaning, p2.meaning, Var('q', BOOL))
+m = closure.merge_parses(g, p1, p2, cert)
+text = trace.export_trace([m.phon_proof, m.sem_proof])
+steps = sum(1 for l in text.splitlines() if not l.startswith('#'))
+print(steps, hashlib.sha256(text.encode()).hexdigest())
+'''
+
+
+@pytest.mark.parametrize('seed', ['0', '1'])
+def test_pinned_merge_trace_bytes(seed):
+    # the AMBIG /fajdo blt/ merge by cases on q, the benchmark's pinned job;
+    # these figures change only with a deliberate change to the audited trace
+    env = dict(os.environ, PYTHONHASHSEED=seed)
+    r = subprocess.run([sys.executable, '-c', _PINNED_MERGE, os.path.dirname(__file__)],
+                       capture_output=True, env=env, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == [
+        '1320', '155d9029a54ffc09ac447a200a5fb48a920003c30e455ad4824e41550fbb55c4']
+
+
 def test_export_rejects_mixed_theories(toy, ambig):
     a = kernel.reflexivity(toy.theory, true_c())
     b = kernel.reflexivity(ambig.theory, true_c())
@@ -204,6 +232,23 @@ def test_bound_names_avoid_constant_names():
     fresh = grammar.elaborate(src, name='b')
     got = verify_trace(text, fresh.theory, strict_fingerprint=True)
     assert [t.concl for t in got] == [r.phon_proof.concl, r.sem_proof.concl]
+
+
+def test_rewriting_under_a_binder_read_from_a_trace_verifies(toy):
+    # the verifier reads (\%0:Ind. ...) and keeps that term alive; a term
+    # built later is the same object, and rewriting under its binder must
+    # still name the opened variable so that the trace reads back
+    th = toy.theory
+    y, z = Var('y', IND), Var('z', IND)
+    barks = th.const('barks')
+    text = export_trace(kernel.reflexivity(
+        th, kernel.Abs(X, kernel.App(kernel.Abs(y, kernel.App(barks, y)), X))))
+    (kept,) = verify_trace(text, th)
+    u = kernel.Abs(z, kernel.App(kernel.Abs(y, kernel.App(barks, y)), z))
+    assert u is rules.lhs(kept)
+    e = rules.depth_rewrite(th, u, rules._bp_step)
+    (got,) = verify_trace(export_trace(e), th)
+    assert got.concl is e.concl
 
 
 def test_roundtrip_every_primitive_rule():
@@ -317,17 +362,6 @@ def test_non_canonical_claims_are_rejected(toy):
             verify_trace(text.replace(lines[-1], '%s ==> %s' % (head, edited)), toy.theory)
         assert e.value.step == len(lines) - 1
         assert '%s: %s mismatch' % (r.sem_proof.rule, what) in str(e.value)
-
-
-def test_canonical_printing_computes_no_free_variable_sets():
-    f = Var('f', FunType(IND, BOOL))
-    t = kernel.App(f, X)
-    lam = kernel.Abs(Var('b0', IND), kernel.App(f, Var('b0', IND)))
-    u = kernel.App(kernel.Abs(X, kernel.App(f, X)), Var('b0', IND))
-    for term in (t, lam, u):
-        syntax.canonical_term(term)
-    assert t._fvs is None and lam._fvs is None and u._fvs is None
-    assert u.fn._fvs is None and lam.body._fvs is None
 
 
 # ---------------------------------------------------------------------------
