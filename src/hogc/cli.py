@@ -223,12 +223,12 @@ def run(config):
     try:
         status = _RUNNERS[config.command](config, rep)
     except (gmod.GrammarError, cmod.ClosureError, syntax.ParseError,
-            kernel.KernelError, trace.TraceError) as e:
+            kernel.KernelError, trace.TraceError, OSError, UnicodeDecodeError) as e:
         rep.add('%s error: %s' % (config.command, e))
         rep.emit()
         return 2
-    except OSError as e:
-        rep.add('%s error: %s' % (config.command, e))
+    except RecursionError:
+        rep.add('%s error: input nested too deeply' % config.command)
         rep.emit()
         return 2
     rep.emit()

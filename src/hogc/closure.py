@@ -377,8 +377,7 @@ def certificate_from_script(th, text, a1, a2):
         env = th.term_env(default_var_type=BOOL)
         th = th.theory
     else:
-        env = syntax.TermEnv(theory=th, default_var_type=BOOL,
-                             phon_resolver=syntax.theory_phon_resolver(th))
+        env = syntax.TermEnv(theory=th, default_var_type=BOOL)
     target = None
     route = None
     for line in text.splitlines():
@@ -465,7 +464,7 @@ def merge_parses(th, p1, p2, cert):
     phon_c = th.const('phon_%s' % sty)
     phon = rules.cond_distrib(th, phon_c, p1.sign, p2.sign, c)
     phon = _rewrite_branches(th, phon, p1.phon_proof, p2.phon_proof)
-    w = syntax.theory_phon_resolver(th)(p1.word.tokens)
+    w = syntax.phon_term(th, p1.word.tokens)
     if rules.rhs(phon) != mk_cond(w, w, c):
         raise ClosureError('merged phonologies differ')
     phon = kernel.transitivity(phon, rules.cond_idem(th, w, c))

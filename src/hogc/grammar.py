@@ -245,7 +245,6 @@ class Grammar:
         self.sem_types = sem_types
         self.lexicon = lexicon
         self.rules = rule_items
-        self._phon_resolver = syntax.theory_phon_resolver(theory)
 
     @property
     def alphabet(self):
@@ -259,7 +258,6 @@ class Grammar:
 
     def term_env(self, **kw):
         kw.setdefault('theory', self.theory)
-        kw.setdefault('phon_resolver', self._phon_resolver)
         kw.setdefault('sem_fn', self.sem_fn)
         kw.setdefault('phon_fn', self.phon_fn)
         return syntax.TermEnv(**kw)
@@ -354,27 +352,20 @@ def elaborate(spec, name='g'):
 
     # free monoid axioms
     x, y, z = Var('x', PHON), Var('y', PHON), Var('z', PHON)
-    conc = th.const('conc')
-    unit = th.const('//')
-
-    def cat(a, b):
-        return App(conc, Pair(a, b))
-
+    cat, unit = syntax.mk_conc, th.const('//')
     th.add_axiom('phon.assoc',
                  mk_forall(x, mk_forall(y, mk_forall(z, mk_eq(
                      cat(cat(x, y), z), cat(x, cat(y, z)))))))
     th.add_axiom('phon.lunit', mk_forall(x, mk_eq(cat(unit, x), x)))
     th.add_axiom('phon.runit', mk_forall(x, mk_eq(cat(x, unit), x)))
 
-    resolver = syntax.theory_phon_resolver(th)
     projections = {'%s_%s' % (kind, sty) for kind in ('phon', 'sem')
                    for sty in spec.sign_types}
     lex_items = []
     for lx in spec.lexicon:
-        word, phon_term = _parse_lex_phon(lx, resolver)
-        env = syntax.TermEnv(theory=th, phon_resolver=resolver)
+        word, phon_term = _parse_lex_phon(th, lx)
         try:
-            sem = syntax.parse_term(lx.sem_src, env)
+            sem = syntax.parse_term(lx.sem_src, syntax.TermEnv(theory=th))
         except (syntax.ParseError, kernel.KernelError) as e:
             raise GrammarError('lex %s: bad meaning %r: %s' % (lx.name, lx.sem_src, e))
         want = sem_types[lx.sign_type]
@@ -404,9 +395,8 @@ def elaborate(spec, name='g'):
         sign = th.const(r.name)
         for v in opvars:
             sign = App(sign, v)
-        env = syntax.TermEnv(theory=th, phon_resolver=resolver,
-                             placeholders={i + 1: v for i, v in enumerate(opvars)},
-                             sem_fn=sem_fn, phon_fn=phon_fn)
+        env = syntax.TermEnv(theory=th, sem_fn=sem_fn, phon_fn=phon_fn,
+                             placeholders={i + 1: v for i, v in enumerate(opvars)})
         try:
             sem_tmpl = syntax.parse_term(r.sem_src, env)
         except (syntax.ParseError, kernel.KernelError) as e:
@@ -422,11 +412,8 @@ def elaborate(spec, name='g'):
                                '(free: %s)' % (r.name, n,
                                                ' '.join(sorted(v.name for v in extra))))
         _check_projections('rule %s' % r.name, sem_tmpl, projections, opvars)
-        phon_parts = [App(th.const('phon_%s' % r.operands[i - 1]), opvars[i - 1])
-                      for i in pattern]
-        rhs = phon_parts[-1]
-        for left in reversed(phon_parts[:-1]):
-            rhs = cat(left, rhs)
+        rhs = cat(*(App(th.const('phon_%s' % r.operands[i - 1]), opvars[i - 1])
+                    for i in pattern))
         prop = mk_conj(mk_eq(App(th.const('phon_%s' % r.result), sign), rhs),
                        mk_eq(App(th.const('sem_%s' % r.result), sign), sem_tmpl))
         for v in reversed(opvars):
@@ -453,7 +440,7 @@ def _check_projections(where, t, projections, operands):
         _check_projections(where, getattr(t, f), projections, operands)
 
 
-def _parse_lex_phon(lx, resolver):
+def _parse_lex_phon(th, lx):
     src = lx.phon_src.strip()
     m = re.match(r'^/([^/]*)/$', src)
     if not m:
@@ -461,7 +448,7 @@ def _parse_lex_phon(lx, resolver):
                            'found %r' % (lx.name, src))
     word = Word(m.group(1))
     try:
-        return word, resolver(word.tokens)
+        return word, syntax.phon_term(th, word.tokens)
     except syntax.ParseError as e:
         raise GrammarError('lex %s: %s' % (lx.name, e))
 
@@ -483,7 +470,7 @@ def word_to_phon(g, word):
     if isinstance(word, str):
         word = Word(word)
     try:
-        return g._phon_resolver(word.tokens)
+        return syntax.phon_term(g.theory, word.tokens)
     except syntax.ParseError as e:
         raise GrammarError(str(e))
 
@@ -571,9 +558,7 @@ def phon_homomorphism(g, u, v):
         u = Word(u)
     if isinstance(v, str):
         v = Word(v)
-    conc = g.theory.const('conc')
-    t = App(conc, Pair(word_to_phon(g, u), word_to_phon(g, v)))
-    e = phon_norm(g, t)
+    e = phon_norm(g, syntax.mk_conc(word_to_phon(g, u), word_to_phon(g, v)))
     want = word_to_phon(g, u + v)
     if rules.rhs(e) != want:
         raise GrammarError('phonology normalization failed for %r ++ %r' % (u, v))

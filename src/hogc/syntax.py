@@ -14,13 +14,18 @@ and error messages only.
 Term syntax summary (loosest to tightest):
 
     \\x:T. b   !x:T. b   ?x:T. b        binders, extend to the right
-    a => b     a \\/ b    a /\\ b        right associative
-    a = b                               non-associative
-    u ++ v                              phonological concatenation
+    a => b   a \\/ b   a /\\ b   a = b   u ++ v
+                                        the rows of ``INFIX``
     ~a
     f a   f(a)                          application, left associative
     (a, b, c)  <a, b>                   right-nested pairs
     fst t   snd t   cond[T](x,y,z)  iota[T](p)   /word/   //   x:T
+
+``INFIX`` is the one table of the infix operators, loosest first; the
+lexer, the reader and the pretty printer all read it.  Each operator is
+right associative except ``=``, which is non-associative, and a binder may
+stand directly right of any of them.  ``++`` joins Phon terms.  A ``/word/``
+literal is resolved against the theory of the ``TermEnv`` by ``phon_term``.
 
 Identifiers may carry one type argument in brackets (``eq[Ind]``) and free
 variables may be annotated with their type (``x:(Ind -> Bool)``).  ``%0``,
@@ -36,6 +41,20 @@ from .kernel import (App, Abs, Bound, Const, FunType, Pair, PHON, ProdType, Proj
 
 class ParseError(Exception):
     pass
+
+
+# ---------------------------------------------------------------------------
+# The infix operators
+
+# (symbol, constant), loosest first.  An operator's precedence is its place
+# here, counted from 1 because a binder's is 0; '=' is the one
+# non-associative entry.  ``conc`` takes its two operands as a pair.
+INFIX = (('=>', 'imp'), ('\\/', 'or'), ('/\\', 'and'), ('=', 'eq'), ('++', 'conc'))
+_PREC = {sym: i for i, (sym, _) in enumerate(INFIX, 1)}
+_BY_CONST = {c: (sym, i) for i, (sym, c) in enumerate(INFIX, 1)}
+_CURRIED = frozenset(_BY_CONST) - {'conc'}
+_NOT = len(INFIX) + 1       # the operand of ~ holds no infix operator
+_APP = _NOT + 1
 
 
 # ---------------------------------------------------------------------------
@@ -76,25 +95,11 @@ def canonical_theorem(thm):
 # ---------------------------------------------------------------------------
 # Pretty printing
 
-_PREC_BINDER = 0
-_PREC_IMP = 1
-_PREC_OR = 2
-_PREC_AND = 3
-_PREC_EQ = 4
-_PREC_CAT = 5
-_PREC_NOT = 6
-_PREC_APP = 7
-_PREC_ATOM = 8
-
-_BIN_PRETTY = {'imp': ('=>', _PREC_IMP), 'or': ('\\/', _PREC_OR),
-               'and': ('/\\', _PREC_AND), 'eq': ('=', _PREC_EQ)}
-
-
 def pretty_term(t, depth_names=False):
     """Infix rendering with the binders' hints as variable names; with
     ``depth_names`` the variable of a binder at depth d is named ``%d``, as
     in canonical printing."""
-    return _pretty(t, _PREC_BINDER, 0 if depth_names else None)
+    return _pretty(t, 0, 0 if depth_names else None)
 
 
 def _binder(mark, t, depth):
@@ -104,7 +109,7 @@ def _binder(mark, t, depth):
     else:
         v, body = dest_abs(t, '%%%d' % depth)
         depth += 1
-    return '%s%s:%s. %s' % (mark, v.name, type_to_str(v.ty), _pretty(body, _PREC_BINDER, depth))
+    return '%s%s:%s. %s' % (mark, v.name, type_to_str(v.ty), _pretty(body, 0, depth))
 
 
 def _wrap(s, prec, ctx):
@@ -117,54 +122,44 @@ def _pretty(t, ctx, depth):
     if isinstance(t, Const):
         return t.display_name
     if isinstance(t, Abs):
-        return _wrap(_binder('\\', t, depth), _PREC_BINDER, ctx)
+        return _wrap(_binder('\\', t, depth), 0, ctx)
     if isinstance(t, Pair):
-        return '<%s, %s>' % (_pretty(t.left, _PREC_BINDER, depth),
-                             _pretty(t.right, _PREC_BINDER, depth))
+        return '<%s, %s>' % (_pretty(t.left, 0, depth), _pretty(t.right, 0, depth))
     if isinstance(t, Proj):
         word = 'fst' if t.index == 1 else 'snd'
-        return '%s(%s)' % (word, _pretty(t.arg, _PREC_BINDER, depth))
+        return '%s(%s)' % (word, _pretty(t.arg, 0, depth))
     if isinstance(t, App):
         return _pretty_app(t, ctx, depth)
     raise ParseError('not a term: %r' % (t,))
 
 
 def _pretty_app(t, ctx, depth):
-    head = t
-    args = []
-    while isinstance(head, App):
-        args.append(head.arg)
-        head = head.fn
-    args.reverse()
-    if isinstance(head, Const):
-        name = head.name
-        if name in _BIN_PRETTY and len(args) == 2:
-            sym, prec = _BIN_PRETTY[name]
-            s = '%s %s %s' % (_pretty(args[0], prec + 1, depth), sym,
-                              _pretty(args[1], prec if sym != '=' else prec + 1, depth))
-            return _wrap(s, prec, ctx)
-        if name == 'not' and len(args) == 1:
-            s = '~%s' % _pretty(args[0], _PREC_NOT, depth)
-            return _wrap(s, _PREC_NOT, ctx)
-        if name in ('forall', 'exists') and len(args) == 1 and isinstance(args[0], Abs):
-            return _wrap(_binder('!' if name == 'forall' else '?', args[0], depth),
-                         _PREC_BINDER, ctx)
-        if name == 'cond' and len(args) == 1:
+    fn, arg = t.fn, t.arg
+    # an infix operator: conc applied to a pair, the others to two operands
+    if isinstance(fn, App) and isinstance(fn.fn, Const) and fn.fn.name in _CURRIED:
+        name, left, right = fn.fn.name, fn.arg, arg
+    elif isinstance(fn, Const) and fn.name == 'conc' and isinstance(arg, Pair):
+        name, left, right = 'conc', arg.left, arg.right
+    else:
+        name = None
+    if name is not None:
+        sym, prec = _BY_CONST[name]
+        s = '%s %s %s' % (_pretty(left, prec + 1, depth), sym,
+                          _pretty(right, prec + (sym == '='), depth))
+        return _wrap(s, prec, ctx)
+    if isinstance(fn, Const):
+        name = fn.name
+        if name == 'not':
+            return _wrap('~%s' % _pretty(arg, _NOT, depth), _NOT, ctx)
+        if name in ('forall', 'exists') and isinstance(arg, Abs):
+            return _wrap(_binder('!' if name == 'forall' else '?', arg, depth), 0, ctx)
+        if name == 'cond':
             d = kernel.dest_cond(t)
             if d is not None:
-                return '%s(%s, %s, %s)' % (head.display_name,
-                                           _pretty(d[0], _PREC_BINDER, depth),
-                                           _pretty(d[1], _PREC_BINDER, depth),
-                                           _pretty(d[2], _PREC_BINDER, depth))
-        if name == 'conc' and len(args) == 1 and isinstance(args[0], Pair):
-            s = '%s ++ %s' % (_pretty(args[0].left, _PREC_CAT + 1, depth),
-                              _pretty(args[0].right, _PREC_CAT, depth))
-            return _wrap(s, _PREC_CAT, ctx)
-    fn, arg = t.fn, t.arg
-    s = '%s(%s)' % (_pretty(fn, _PREC_APP, depth), _pretty(arg, _PREC_BINDER, depth))
+                return '%s(%s)' % (fn.display_name, ', '.join(_pretty(a, 0, depth) for a in d))
     if isinstance(fn, Abs):
-        s = '(%s)(%s)' % (_pretty(fn, _PREC_BINDER, depth), _pretty(arg, _PREC_BINDER, depth))
-    return s
+        return '(%s)(%s)' % (_pretty(fn, 0, depth), _pretty(arg, 0, depth))
+    return '%s(%s)' % (_pretty(fn, _APP, depth), _pretty(arg, 0, depth))
 
 
 def pretty_theorem(thm, depth_names=False):
@@ -177,8 +172,8 @@ def pretty_theorem(thm, depth_names=False):
 # ---------------------------------------------------------------------------
 # Lexer
 
-_TWO_CHAR = ('/\\', '\\/', '=>', '++', '->')
-_ONE_CHAR = '()<>,.:\\!?~=[]*'
+_TWO_CHAR = frozenset([sym for sym, _ in INFIX if len(sym) == 2] + ['->'])
+_ONE_CHAR = frozenset([sym for sym, _ in INFIX if len(sym) == 1] + list('()<>,.:\\!?~[]*'))
 _IDENT_START = set('abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_')
 _IDENT_CHAR = _IDENT_START | set('0123456789')
 _WORD_CHAR = _IDENT_CHAR | set("'-")
@@ -256,22 +251,24 @@ def _lex(s):
 class TermEnv:
     """Resolution context for parsing terms.
 
-    ``theory`` supplies declared constants; ``var_types`` maps free variable
-    names to types; ``default_var_type`` (when set) types unannotated unknown
-    identifiers; ``phon_resolver`` maps /word/ literals to terms;
+    ``theory`` supplies declared constants and resolves /word/ literals (see
+    ``phon_term``); ``var_types`` maps free variable names to types;
+    ``default_var_type`` (when set) types unannotated unknown identifiers;
     ``placeholders`` maps operand indexes to variables, and ``sem_fn`` /
     ``phon_fn`` interpret the rule-body keywords sem(...) and phon(...).
     """
 
     def __init__(self, theory=None, var_types=None, default_var_type=None,
-                 phon_resolver=None, placeholders=None, sem_fn=None, phon_fn=None):
+                 placeholders=None, sem_fn=None, phon_fn=None):
         self.theory = theory
         self.var_types = dict(var_types or {})
         self.default_var_type = default_var_type
-        self.phon_resolver = phon_resolver
         self.placeholders = placeholders
         self.sem_fn = sem_fn
         self.phon_fn = phon_fn
+
+
+_BINDERS = ('\\', '!', '?')
 
 
 class _Parser:
@@ -299,102 +296,63 @@ class _Parser:
         t = self.peek()
         return t.kind == 'sym' and t.val == val
 
-    # expression levels -----------------------------------------------------
-
-    def term(self):
-        t = self.peek()
-        if t.kind == 'sym' and t.val in ('\\', '!', '?'):
-            return self.binder(t.val)
-        return self.imp_level()
-
-    def binder(self, mark):
-        self.next()
-        name = self.expect('ident').val
-        self.expect('sym', ':')
-        ty = self.type_atom()
-        self.expect('sym', '.')
-        v = Var(name, ty)
-        self.bound.append(v)
-        body = self.term()
-        self.bound.pop()
-        # a canonical name %d is no identifier, so it is no hint either: a
-        # binder opened under it would give a trace a variable no reader takes
-        lam = Abs(v, body, 'x' if name[0] == '%' else name)
-        if mark == '\\':
-            return lam
-        return App(kernel.logical_const('forall' if mark == '!' else 'exists', (ty,)), lam)
-
-    def imp_level(self):
-        left = self.or_level()
-        if self.at_sym('=>'):
-            self.next()
-            return kernel.mk_imp(left, self._rhs(self.imp_level))
-        return left
-
-    def or_level(self):
-        left = self.and_level()
-        if self.at_sym('\\/'):
-            self.next()
-            right = self._rhs(self.or_level)
-            return kernel.mk_disj(left, right)
-        return left
-
-    def and_level(self):
-        left = self.eq_level()
-        if self.at_sym('/\\'):
-            self.next()
-            right = self._rhs(self.and_level)
-            return kernel.mk_conj(left, right)
-        return left
-
-    def _rhs(self, cont):
-        # a binder is allowed directly to the right of any infix operator
-        t = self.peek()
-        if t.kind == 'sym' and t.val in ('\\', '!', '?'):
-            return self.binder(t.val)
-        return cont()
-
-    def eq_level(self):
-        left = self.cat_level()
-        if self.at_sym('='):
-            self.next()
-            right = self._rhs(self.cat_level)
-            return kernel.mk_eq(left, right)
-        return left
-
-    def cat_level(self):
-        left = self.unary_level()
-        if self.at_sym('++'):
-            self.next()
-            right = self._rhs(self.cat_level)
-            return _mk_conc(left, right)
-        return left
-
-    def unary_level(self):
-        if self.at_sym('~'):
-            self.next()
-            return kernel.mk_not(self.unary_level())
-        return self.app_level()
-
-    def app_level(self):
-        t = self.primary()
-        while self._starts_primary():
-            arg = self.primary()
-            if not isinstance(t.ty, FunType):
-                raise ParseError('applying non-function %s' % pretty_term(t))
-            t = App(t, arg)
-        return t
-
-    def _starts_primary(self):
-        t = self.peek()
-        if t.kind in ('ident', 'word', 'placeholder'):
-            return True
-        return t.kind == 'sym' and t.val in ('(', '<')
-
-    def primary(self):
+    def term(self, prec=0):
+        """A term whose infix operators bind at least as tightly as ``prec``,
+        a place in ``INFIX``: 0 admits them all, and ``_NOT``, for the
+        operand of ``~``, neither an operator nor a binder.  Binders, ``~``,
+        application and the infix operators are read in this one loop, so
+        each level of nesting costs this frame and one of ``primary``."""
         t = self.next()
+        if t.kind == 'sym' and t.val in _BINDERS and prec < _NOT:
+            name = self.expect('ident').val
+            self.expect('sym', ':')
+            ty = self.type_atom()
+            self.expect('sym', '.')
+            v = Var(name, ty)
+            self.bound.append(v)
+            body = self.term()
+            self.bound.pop()
+            # a canonical name %d is no identifier, so it is no hint either: a
+            # binder opened under it would give a trace a variable no reader takes
+            lam = Abs(v, body, 'x' if name[0] == '%' else name)
+            if t.val == '\\':
+                return lam
+            return App(kernel.logical_const('forall' if t.val == '!' else 'exists', (ty,)), lam)
+        if t.kind == 'sym' and t.val == '~':
+            left = kernel.mk_not(self.term(_NOT))
+        else:
+            left = self.primary(t)
+        limit = _NOT
+        while True:
+            t = self.peek()
+            # an argument can only follow a function before any infix
+            # operator: an operator's right operand takes all of them
+            if t.kind in ('ident', 'word', 'placeholder') or (
+                    t.kind == 'sym' and t.val in ('(', '<')):
+                arg = self.primary(self.next())
+                if not isinstance(left.ty, FunType):
+                    raise ParseError('applying non-function %s' % pretty_term(left))
+                left = App(left, arg)
+                continue
+            op = _PREC.get(t.val) if t.kind == 'sym' else None
+            # after an operator only looser ones may follow, so '=' is not
+            # chained and the left operand of each is what came before
+            if op is None or not prec <= op < limit:
+                return left
+            self.next()
+            right = self.term(op + 1 if t.val == '=' else op)
+            left = _mk_infix(INFIX[op - 1][1], left, right)
+            limit = op
+
+    def primary(self, t):
+        """The operand that starts with the token ``t``, already read."""
         if t.kind == 'sym' and t.val == '(':
-            return self.paren_group()
+            items = [self.term()]
+            while self.at_sym(','):
+                self.next()
+                items.append(self.term())
+            self.expect('sym', ')')
+            return _right_nested(Pair, items)
         if t.kind == 'sym' and t.val == '<':
             left = self.term()
             self.expect('sym', ',')
@@ -402,9 +360,7 @@ class _Parser:
             self.expect('sym', '>')
             return Pair(left, right)
         if t.kind == 'word':
-            if self.env.phon_resolver is None:
-                raise ParseError('/word/ literal outside a grammar context')
-            return self.env.phon_resolver(t.val)
+            return phon_term(self.env.theory, t.val)
         if t.kind == 'placeholder':
             if not self.env.placeholders or t.val not in self.env.placeholders:
                 raise ParseError('placeholder $%d not available here' % t.val)
@@ -413,21 +369,9 @@ class _Parser:
             return self.ident_expr(t.val)
         raise ParseError('unexpected %r at %d' % (t.val, t.pos))
 
-    def paren_group(self):
-        items = [self.term()]
-        while self.at_sym(','):
-            self.next()
-            items.append(self.term())
-        self.expect('sym', ')')
-        t = items[-1]
-        for left in reversed(items[:-1]):
-            t = Pair(left, t)
-        return t
-
     def ident_expr(self, name):
         if name in ('fst', 'snd'):
-            arg = self.primary()
-            return Proj(1 if name == 'fst' else 2, arg)
+            return Proj(1 if name == 'fst' else 2, self.primary(self.next()))
         if name in ('sem', 'phon') and (self.env.sem_fn or self.env.phon_fn):
             self.expect('sym', '(')
             arg = self.term()
@@ -522,34 +466,55 @@ class _Parser:
         return kernel.BaseType(name)
 
 
-def _mk_conc(left, right):
+_CONC = Const('conc', FunType(ProdType(PHON, PHON), PHON))
+
+
+def _right_nested(mk, items):
+    t = items[-1]
+    for left in reversed(items[:-1]):
+        t = mk(left, t)
+    return t
+
+
+def _conc2(left, right):
     if left.ty != PHON or right.ty != PHON:
         raise ParseError('++ needs Phon operands')
-    conc = Const('conc', FunType(ProdType(PHON, PHON), PHON))
-    return App(conc, Pair(left, right))
+    return App(_CONC, Pair(left, right))
 
 
-def theory_phon_resolver(th):
-    """A /word/ resolver against a theory's phonology constants.
+def mk_conc(*parts):
+    """The right-nested concatenation ``p1 ++ (p2 ++ ...)`` of one or more
+    Phon terms: ``conc`` applied to the pair of each two operands."""
+    return _right_nested(_conc2, parts)
 
-    The empty literal maps to the unit constant ``//``; a multi-token word
-    becomes a right-nested concatenation of its token constants.  This is
-    the one alphabet check: a token without a ``/token/`` constant raises
-    ParseError.
+
+def _mk_infix(name, left, right):
+    """The term ``left <op> right`` for the operator of ``INFIX`` whose
+    constant is ``name``."""
+    if name == 'conc':
+        return _conc2(left, right)
+    if name == 'eq':
+        return kernel.mk_eq(left, right)
+    return App(App(kernel.logical_const(name), left), right)
+
+
+def phon_term(th, tokens):
+    """The phonology term of a /word/ literal's tokens in theory ``th``.
+
+    No token gives the unit constant ``//``, and more than one the
+    right-nested concatenation of their ``/token/`` constants.  This is the
+    one alphabet check: it raises ParseError for a token that has no
+    ``/token/`` constant in ``th``, and when ``th`` is None or lacks the
+    unit ``//``, which every grammar's theory has.
     """
-    def resolve(tokens):
-        if not tokens:
-            return th.const('//')
-        parts = []
-        for tok in tokens:
-            if '/%s/' % tok not in th.constants:
-                raise ParseError('token %r not in the alphabet' % tok)
-            parts.append(th.const('/%s/' % tok))
-        t = parts[-1]
-        for left in reversed(parts[:-1]):
-            t = _mk_conc(left, t)
-        return t
-    return resolve
+    if th is None or '//' not in th.constants:
+        raise ParseError('/word/ literal outside a grammar context')
+    parts = []
+    for tok in tokens:
+        if '/%s/' % tok not in th.constants:
+            raise ParseError('token %r not in the alphabet' % tok)
+        parts.append(th.const('/%s/' % tok))
+    return mk_conc(*parts) if parts else th.const('//')
 
 
 def _parse_all(s, env, level):

@@ -260,14 +260,12 @@ def verify_trace(text, th, strict_fingerprint=False):
     and its fingerprint must be ``th``'s; when it is ``th``'s under the
     trace's theory name, the error says that only the names differ.
     """
-    resolver = syntax.theory_phon_resolver(th)
     literals = {}
 
     def parse_literal(s):
         t = literals.get(s)
         if t is None:
-            env = syntax.TermEnv(theory=th, phon_resolver=resolver)
-            t = literals[s] = syntax.parse_term(s, env)
+            t = literals[s] = syntax.parse_term(s, syntax.TermEnv(theory=th))
         return t
 
     steps = []

@@ -87,6 +87,24 @@ rule FLIP : B S -> S { phon = $2 ++ $1; sem = sem($1) \/ ~sem($2); }
 
 GRAMMARS = {'toy': TOY, 'ambig': AMBIG, 'boolsem': BOOLSEM, 'eps': EPS, 'perm': PERM}
 
+# right-branching: the n-token word a ... a b has one parse, at depth n, so
+# its terms, proofs and trace lines nest n deep
+CHAIN = r"""
+alphabet: a b
+signtype S sem Bool
+signtype W sem Bool
+const t : Bool
+lex A : W { phon = /a/; sem = t; }
+lex B : S { phon = /b/; sem = t; }
+rule R : W S -> S { phon = $1 ++ $2; sem = sem($1) /\ sem($2); }
+"""
+
+
+def chain_word(n):
+    """The n-token word of CHAIN."""
+    return ' '.join(['a'] * (n - 1) + ['b'])
+
+
 AMBIG_WORD = 'fajdo blt'
 
 

@@ -58,6 +58,27 @@ def test_check_missing_file(capsys):
     assert 'check error:' in out
 
 
+@pytest.mark.parametrize('argv', [['check', '-g'], ['trace-verify'], ['closure', '-u']])
+def test_undecodable_file_is_bad_input(files, capsys, argv):
+    p = files['dir'] / 'undecodable'
+    p.write_bytes(b'\xff\xfe')
+    code, out = _run(capsys, argv + [str(p)])
+    assert code == 2
+    assert out.startswith('%s error: ' % argv[0]) and "can't decode byte 0xff" in out
+
+
+@pytest.mark.parametrize('depth,code,last', [
+    (100, 0, 'check ok'), (1000, 2, 'check error: input nested too deeply')])
+def test_deeply_nested_meaning(files, capsys, depth, code, last):
+    # the reader spends two frames per parenthesis: 100 levels read, and
+    # 1000 exceed the interpreter's recursion limit, which is bad input
+    p = files['dir'] / 'deep.hog'
+    p.write_text('alphabet: a\nsigntype S sem Bool\n'
+                 'lex A : S { phon = /a/; sem = %strue%s; }\n' % ('(' * depth, ')' * depth))
+    got, out = _run(capsys, ['check', '-g', str(p)])
+    assert (got, out.splitlines()[-1]) == (code, last)
+
+
 def test_bad_grammar_source(files, capsys):
     p = files['dir'] / 'bad.hog'
     p.write_text('alphabet: a\nsigntype S sem Bool\nsigntype S sem Bool\n')

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from hogc import kernel, syntax
 from hogc.kernel import (
-    Abs, App, BOOL, FunType, IND, Pair, ProdType, Proj, Var,
+    Abs, App, BOOL, FunType, IND, PHON, Pair, ProdType, Proj, Var,
     false_c, mk_conj, mk_cond, mk_disj, mk_eq, mk_exists, mk_forall,
     mk_imp, mk_not, true_c,
 )
@@ -165,16 +165,22 @@ def test_phon_resolver(th):
     g.add_constant('conc', FunType(kernel.ProdType(kernel.PHON, kernel.PHON),
                                    kernel.PHON))
     g.freeze()
-    resolve = syntax.theory_phon_resolver(g)
+    resolve = functools.partial(syntax.phon_term, g)
     assert resolve(()) == g.const('//')
     assert resolve(('a',)) == g.const('/a/')
     # right-nested concatenation of a pair of operands
     t = resolve(('a', 'b', 'a'))
     assert t.arg.left == g.const('/a/')
     assert t.arg.right == resolve(('b', 'a'))
-    env = TermEnv(theory=g, phon_resolver=resolve)
+    # the reader resolves /word/ literals against the env's theory
+    env = TermEnv(theory=g)
     assert parse_term('/a b a/', env) == t
     assert parse_term('/a/ ++ /b/', env) == resolve(('a', 'b'))
+    with pytest.raises(syntax.ParseError, match="token 'c' not in the alphabet"):
+        resolve(('a', 'c'))
+    for no_grammar in (None, th):
+        with pytest.raises(syntax.ParseError, match='outside a grammar context'):
+            syntax.phon_term(no_grammar, ('a',))
 
 
 @given(FRAG)
@@ -311,3 +317,67 @@ def test_canonical_roundtrip_with_clashing_names(t):
 def test_canonical_term_is_injective_with_clashing_names(pair):
     a, b = pair
     assert (canonical_term(a) == canonical_term(b)) == (a == b)
+
+
+# Terms that use every piece of the term syntax: the five infix operators,
+# ~, application, pairs, fst/snd, cond and binders, at Bool, Ind, Phon, a
+# product and a function type.  Free variables have one type per name, and
+# binders take other names, so pretty printing captures nothing.
+_OPS_TH = kernel.Theory('ops')
+for _name, _ty in (('conc', FunType(ProdType(PHON, PHON), PHON)), ('//', PHON),
+                   ('/a/', PHON), ('/b/', PHON), ('c', IND)):
+    _OPS_TH.add_constant(_name, _ty)
+_OPS_TH.freeze()
+_IB = FunType(IND, BOOL)
+_OPS_VARS = {'p': BOOL, 'q': BOOL, 'x': IND, 'y': IND, 'u': PHON, 'v': PHON,
+             'f': _IB, 'g': _IB, 'h': FunType(PHON, BOOL), 'z': ProdType(BOOL, IND)}
+_OPS_CONSTS = [true_c(), false_c()] + [_OPS_TH.const(n) for n in ('c', '//', '/a/', '/b/')]
+_OPS_TYPES = (BOOL, IND, PHON, ProdType(BOOL, PHON), _IB)
+
+
+def _conc(a, b):
+    return App(_OPS_TH.const('conc'), Pair(a, b))
+
+
+@functools.lru_cache(maxsize=None)
+def _ops_term(ty, depth, scope=()):
+    """Terms of type ``ty``; ``scope`` holds the variables bound around it."""
+    leaves = ([Var(n, t) for n, t in _OPS_VARS.items() if t == ty]
+              + [c for c in _OPS_CONSTS if c.ty == ty] + [v for v in scope if v.ty == ty])
+    parts = [st.sampled_from(leaves)] if leaves else []
+    if depth == 0:
+        return st.one_of(parts)
+    sub = functools.partial(_ops_term, depth=depth - 1, scope=scope)
+
+    def binder(dom, cod, mk):
+        return st.sampled_from(('k', 'm')).flatmap(
+            lambda n: _ops_term(cod, depth - 1, scope + (Var(n, dom),))
+            .map(functools.partial(mk, Var(n, dom))))
+    if ty == BOOL:
+        parts.append(sub(BOOL).map(mk_not))
+        for mk in (mk_imp, mk_disj, mk_conj):
+            parts.append(st.builds(mk, sub(BOOL), sub(BOOL)))
+        parts += [sub(a).flatmap(lambda l: sub(l.ty).map(functools.partial(mk_eq, l)))
+                  for a in (BOOL, IND, PHON)]
+        parts.append(st.builds(App, sub(_IB), sub(IND)))
+        parts.append(st.builds(App, st.just(Var('h', _OPS_VARS['h'])), sub(PHON)))
+        parts += [binder(dom, BOOL, mk) for dom in (IND, PHON) for mk in (mk_forall, mk_exists)]
+    if ty == PHON:
+        parts.append(st.builds(_conc, sub(PHON), sub(PHON)))
+    if ty == _IB:
+        parts.append(binder(IND, BOOL, Abs))
+    if isinstance(ty, ProdType):
+        parts.append(st.builds(Pair, sub(ty.left), sub(ty.right)))
+    parts.append(st.builds(mk_cond, sub(ty), sub(ty), sub(BOOL)))
+    parts.append(st.builds(lambda a, b: Proj(1, Pair(a, b)), sub(ty), sub(IND)))
+    parts.append(st.builds(lambda a, b: Proj(2, Pair(a, b)), sub(BOOL), sub(ty)))
+    parts.append(binder(BOOL, ty, Abs).flatmap(lambda f: sub(BOOL).map(functools.partial(App, f))))
+    return st.one_of(parts)
+
+
+@given(st.sampled_from(_OPS_TYPES).flatmap(lambda ty: _ops_term(ty, 3)))
+@settings(max_examples=300, deadline=None)
+def test_roundtrip_every_operator(t):
+    env = TermEnv(theory=_OPS_TH, var_types=_OPS_VARS)
+    assert parse_term(pretty_term(t), env) == t
+    assert parse_term(canonical_term(t), TermEnv(theory=_OPS_TH)) == t

@@ -145,6 +145,20 @@ def test_pinned_merge_trace_bytes(seed):
         '1320', '155d9029a54ffc09ac447a200a5fb48a920003c30e455ad4824e41550fbb55c4']
 
 
+def test_long_chain_word_round_trip():
+    # a word 200 tokens long: its one parse's trace re-verifies in a fresh
+    # elaboration, and its phonology term reads back from its canonical form
+    g = grammar.elaborate(helpers.CHAIN, name='chain')
+    word = helpers.chain_word(200)
+    (r,) = parser.parse(g, word, 200)
+    text = export_trace([r.phon_proof, r.sem_proof])
+    fresh = grammar.elaborate(helpers.CHAIN, name='chain')
+    got = verify_trace(text, fresh.theory, strict_fingerprint=True)
+    assert [t.concl for t in got] == [r.phon_proof.concl, r.sem_proof.concl]
+    w = grammar.word_to_phon(g, word)
+    assert syntax.parse_term(syntax.canonical_term(w), syntax.TermEnv(theory=g.theory)) is w
+
+
 def test_export_rejects_mixed_theories(toy, ambig):
     a = kernel.reflexivity(toy.theory, true_c())
     b = kernel.reflexivity(ambig.theory, true_c())
