@@ -15,8 +15,9 @@ least closed superset and records a witness pair for every term it adds.
 ``merge_parses`` is the certificate rule: given two parses of the same word
 at the same sign type and a theorem ``|- (a = a1) \\/ (a = a2)`` about their
 meanings, it builds the conditional sign ``C(s1, s2, a = a1)`` and derives
-kernel-checked phonology and meaning equations for it, the meaning equation
-concluding ``= a``.
+its phonology and meaning equations, each by one case split on ``a = a1``:
+where that holds the sign is s1, whose meaning a1 is a; where it fails the
+sign is s2, and the certificate's second disjunct gives a2 = a.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 from . import kernel, rules, syntax
 from .grammar import Word
-from .kernel import (App, Abs, Var, Term, Theorem, BOOL, dest_conj,
+from .kernel import (App, Var, Term, Theorem, BOOL, dest_conj,
                      dest_disj, dest_eq, dest_not, dest_cond,
                      is_false, is_true, mk_cond, mk_disj, mk_eq, substitute,
                      true_c, false_c)
@@ -421,33 +422,12 @@ def certificate_from_script(th, text, a1, a2):
 # ---------------------------------------------------------------------------
 # The certificate rule: merging two parses into a conditional sign
 
-def _rewrite_branches(th, thm, eq_left, eq_right):
-    """Extend A |- L = C(u, v, z) to |- L = C(u', v', z) from theorems
-    |- u = u' and |- v = v', rewriting only the branch slots."""
-    d = dest_cond(rules.rhs(thm))
-    if d is None:
-        raise ClosureError('expected a conditional right-hand side')
-    u, v, z = d
-    lu, ru = dest_eq(eq_left.concl)
-    lv, rv = dest_eq(eq_right.concl)
-    if lu != u or lv != v:
-        raise ClosureError('branch equations do not match the conditional')
-    avoid = rules._avoid_from(rules.rhs(thm), ru, rv)
-    hole = Var(rules.fresh_name('slot', avoid), u.ty)
-    thm = kernel.transitivity(
-        thm, rules.subst_context(th, mk_cond(hole, v, z), hole, eq_left))
-    hole = Var(rules.fresh_name('slot', avoid), v.ty)
-    thm = kernel.transitivity(
-        thm, rules.subst_context(th, mk_cond(ru, hole, z), hole, eq_right))
-    return thm
-
-
 def merge_parses(th, p1, p2, cert):
     """From parses of one word at one sign type and a certificate
     ``|- (a = a1) \\/ (a = a2)`` about their meanings, build the sign
     ``C(s1, s2, a = a1)`` with kernel-checked equations: its phonology is
-    the shared word and its meaning is a.  Accepts the grammar's theory or
-    the grammar itself."""
+    the shared word and its meaning is a, each by one case split on
+    ``a = a1``.  Accepts the grammar's theory or the grammar itself."""
     th = getattr(th, 'theory', th)
     if p1.word != p2.word:
         raise ClosureError('parses disagree on the word')
@@ -458,34 +438,34 @@ def merge_parses(th, p1, p2, cert):
     if a1 != p1.meaning or a2 != p2.meaning:
         raise ClosureError('certificate sides do not match the parse meanings')
     sty = p1.sign_type
-    c = mk_eq(a, a1)
-    sign = mk_cond(p1.sign, p2.sign, c)
-
-    phon_c = th.const('phon_%s' % sty)
-    phon = rules.cond_distrib(th, phon_c, p1.sign, p2.sign, c)
-    phon = _rewrite_branches(th, phon, p1.phon_proof, p2.phon_proof)
+    phon_c, sem_c = th.const('phon_%s' % sty), th.const('sem_%s' % sty)
     w = syntax.phon_term(th, p1.word.tokens)
-    if rules.rhs(phon) != mk_cond(w, w, c):
-        raise ClosureError('merged phonologies differ')
-    phon = kernel.transitivity(phon, rules.cond_idem(th, w, c))
+    for p in (p1, p2):
+        if (rules.lhs(p.phon_proof) != App(phon_c, p.sign)
+                or p.sem_proof.concl != mk_eq(App(sem_c, p.sign), p.meaning)):
+            raise ClosureError('parse proofs are not about the parse signs')
+        if rules.rhs(p.phon_proof) != w:
+            raise ClosureError('merged phonologies differ')
+    s1, s2, c = p1.sign, p2.sign, mk_eq(a, a1)
+    sign = mk_cond(s1, s2, c)
+    h = Var(rules.fresh_name('h', rules._avoid_from(sign, a, w)), BOOL)
 
-    sem_c = th.const('sem_%s' % sty)
-    sem = rules.cond_distrib(th, sem_c, p1.sign, p2.sign, c)
-    sem = _rewrite_branches(th, sem, p1.sem_proof, p2.sem_proof)
-    # |- C(a = a1, a = a2, a = a1), by reading the certificate as a conditional
-    k = kernel.modus_ponens_eq(rules.or_as_cond(th, c, mk_eq(a, a2)),
-                               cert.proof)
-    # distribute \x. a = x over C(a1, a2, c) and collapse the betas
-    x = Var(rules.fresh_name('x', rules._avoid_from(a, a1, a2)), a1.ty)
-    f = Abs(x, mk_eq(a, x))
-    d = rules.cond_distrib(th, f, a1, a2, c)
-    d = _rewrite_branches(th, d,
-                          kernel.beta_conversion(th, App(f, a1)),
-                          kernel.beta_conversion(th, App(f, a2)))
-    eq = kernel.transitivity(kernel.symmetry(d), kernel.beta_conversion(
-        th, App(f, mk_cond(a1, a2, c))))
-    # eq : |- C(a = a1, a = a2, c) = (a = C(a1, a2, c))
-    final = kernel.symmetry(kernel.modus_ponens_eq(eq, k))
-    sem = rules.rewrite_rhs(kernel.transitivity(sem, final), rules._bp_step)
+    def by_cases(k, value, thm1, thm2):
+        # |- k(sign) = value from k(s1) = value given c, k(s2) = value given ~c
+        bt = kernel.transitivity(rules.ap_term(k, rules.cond_true(th, s1, s2)), thm1)
+        bf = kernel.transitivity(rules.ap_term(k, rules.cond_false(th, s1, s2)), thm2)
+        tmpl = mk_eq(App(k, mk_cond(s1, s2, h)), value)
+        return rules.bool_cases_split(th, c, h, tmpl, bt, bf)
+
+    phon = by_cases(phon_c, w, p1.phon_proof, p2.phon_proof)
+    a1_a = kernel.symmetry(rules.eqt_elim(kernel.assume(th, mk_eq(c, true_c()))))
+    # {c = false} |- a2 = a, as c = false refutes the first disjunct
+    refuted = kernel.modus_ponens_eq(kernel.assume(th, mk_eq(c, false_c())),
+                                     kernel.assume(th, c))
+    a2_a = rules.disj_cases(cert.proof, rules.contr(mk_eq(a2, a), refuted),
+                            kernel.symmetry(kernel.assume(th, mk_eq(a, a2))))
+    sem = by_cases(sem_c, a, kernel.transitivity(p1.sem_proof, a1_a),
+                   kernel.transitivity(p2.sem_proof, a2_a))
+    sem = rules.rewrite_rhs(sem, rules._bp_step)
     return ParseResult(p1.word, sign, sty, rules.rhs(sem), phon, sem,
                        max(p1.depth, p2.depth))

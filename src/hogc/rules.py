@@ -599,7 +599,8 @@ def cond_false(th, x, y):
 
 def bool_cases_split(th, z, hole, tmpl, thm_true, thm_false):
     """Case analysis on a boolean: from A |- tmpl[true/hole] and
-    B |- tmpl[false/hole] derive A u B |- tmpl[z/hole]."""
+    B |- tmpl[false/hole] derive (A - {z = true}) u (B - {z = false})
+    |- tmpl[z/hole], so each branch may assume its own case."""
     if z.ty != BOOL:
         raise RuleError('case split needs a Bool term')
     bc = instantiate(_cached(th, ('rule', 'bool_cases'),

@@ -428,6 +428,14 @@ def test_merge_validation_errors(toy, ambig, boolsem):
         kernel.reflexivity(th, p1.meaning))
     with pytest.raises(ClosureError):
         merge_parses(ambig, p1, p2, bogus)
+    # a parse whose phonology or meaning proof is about the other parse's
+    # sign is a ClosureError, not a kernel error from deep inside a proof
+    for phon, sem, meaning in ((p1.phon_proof, p2.sem_proof, p2.meaning),
+                               (p2.phon_proof, p1.sem_proof, p1.meaning)):
+        fake = parser.ParseResult(p2.word, p2.sign, p2.sign_type, meaning,
+                                  phon, sem, p2.depth)
+        with pytest.raises(ClosureError):
+            merge_parses(ambig, p1, fake, certificate_left(th, p1.meaning, meaning))
 
 
 def test_merged_parse_merges_again(ambig):

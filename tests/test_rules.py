@@ -446,6 +446,25 @@ def test_bool_cases_split(th):
     assert s.concl == mk_disj(mk_conj(p, p), mk_not(mk_conj(p, p)))
 
 
+def test_bool_cases_split_discharges_each_branch_case(th):
+    # the result has the hypotheses (A - {z = true}) u (B - {z = false}):
+    # each branch may assume its own case, and keeps any other hypothesis
+    z, h, r = Var('z', BOOL), Var('h', BOOL), Var('r', BOOL)
+    zt, zf = mk_eq(z, true_c()), mk_eq(z, false_c())
+
+    def with_hyp(thm, p):
+        return rules.conjunct1(rules.conj(thm, kernel.assume(th, p)))
+
+    tt = with_hyp(kernel.symmetry(kernel.assume(th, zt)), r)
+    tf = kernel.symmetry(kernel.assume(th, zf))
+    assert set(tt.hyps) == {zt, r} and tf.hyps == (zf,)
+    s = rules.bool_cases_split(th, z, h, mk_eq(h, z), tt, tf)
+    assert s.concl == mk_eq(z, z) and s.hyps == (r,)
+    # a branch's assumption of the other case is not discharged
+    s = rules.bool_cases_split(th, z, h, mk_eq(h, z), tt, with_hyp(tf, zt))
+    assert set(s.hyps) == {r, zt}
+
+
 def test_ground_eval_against_local_evaluator(th):
     rng = random.Random(11)
     for _ in range(40):

@@ -142,7 +142,7 @@ def test_pinned_merge_trace_bytes(seed):
                        capture_output=True, env=env, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.split() == [
-        '1320', '155d9029a54ffc09ac447a200a5fb48a920003c30e455ad4824e41550fbb55c4']
+        '964', '269cd966770922e82b5ca77a619cc028ddafc82a76c42df5a35e0387a0d6928e']
 
 
 def test_long_chain_word_round_trip():
@@ -208,22 +208,35 @@ def test_roundtrip_merged_parse(ambig):
     assert [t.concl for t in got] == [m.phon_proof.concl, m.sem_proof.concl]
 
 
-@pytest.mark.parametrize('route', ['left', 'cases q', 'cases p'])
+@pytest.mark.parametrize('route', ['left', 'cases q', 'cases p', 'cases h',
+                                   'cases h_1', 'cases const h', 'taut'])
 def test_roundtrip_merge_with_constant_named_like_a_schema_variable(route):
-    # derived-rule schemas use a variable p, printed p:Bool in traces; the
-    # grammar constant p must not capture it on replay
-    src = helpers.AMBIG + 'const p : Bool\n'
-    g = grammar.elaborate(src, name='ambig')
-    p1, p2 = parser.parse(g, helpers.AMBIG_WORD, 2)
+    # derived-rule schemas use a variable p, printed p:Bool in traces, and
+    # the merge splits cases through a fresh hole h; the grammar constants p
+    # and h must not capture them on replay, and a free h or h_1 in the case
+    # condition must push the hole to the next free name
+    if route == 'taut':
+        src, name, word, k = helpers.BOOLSEM, 'boolsem', 'nicht ja en nee', 3
+    else:
+        src, name, word, k = helpers.AMBIG, 'ambig', helpers.AMBIG_WORD, 2
+    src += 'const p : Bool\nconst h : Bool\n'
+    g = grammar.elaborate(src, name=name)
+    p1, p2 = parser.parse(g, word, k)
     th = g.theory
     if route == 'left':
         cert = closure.certificate_left(th, p1.meaning, p2.meaning)
+    elif route == 'taut':
+        # h /\ ~h /\ h_1 is false, as is the first meaning ~true /\ false
+        h, h1 = Var('h', BOOL), Var('h_1', BOOL)
+        target = kernel.mk_conj(h, kernel.mk_conj(kernel.mk_not(h), h1))
+        cert = closure.certificate_taut(th, target, p1.meaning, p2.meaning)
     else:
-        q = th.const('p') if route == 'cases p' else Var('q', BOOL)
+        q = {'cases p': th.const('p'), 'cases const h': th.const('h')}.get(
+            route, Var(route.split()[1], BOOL))
         cert = closure.certificate_cases(th, p1.meaning, p2.meaning, q)
     m = closure.merge_parses(g, p1, p2, cert)
     text = export_trace([m.phon_proof, m.sem_proof])
-    fresh = grammar.elaborate(src, name='ambig')
+    fresh = grammar.elaborate(src, name=name)
     got = verify_trace(text, fresh.theory, strict_fingerprint=True)
     assert [t.concl for t in got] == [m.phon_proof.concl, m.sem_proof.concl]
 
