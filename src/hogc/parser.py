@@ -166,7 +166,8 @@ def parse(g, word, depth_bound):
         if rules.rhs(phon) != phon_term:
             raise GrammarError('phonology proof does not match the word')
         results.append(ParseResult(word, sign, sty, rules.rhs(sem), phon, sem, depth))
-    results.sort(key=lambda r: (r.depth, syntax.canonical_term(r.sign)))
+    memo = {}
+    results.sort(key=lambda r: (r.depth, syntax.canonical_term(r.sign, memo)))
     return results
 
 

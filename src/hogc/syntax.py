@@ -6,10 +6,11 @@ identifier starts with ``%``, so two terms print alike exactly when they are
 alpha-equal.  It is the written form of proof traces, and it round-trips
 through ``parse_term``, which reads ``%d`` only as a bound variable.  The
 trace verifier compares each claimed judgement with the canonical printing
-of the replayed step byte for byte.  ``pretty_term`` names a binder's
-variable by the kernel's hint for it, the name its alpha-class was first
-built with, and uses infix notation for the connectives; it is for reports
-and error messages only.
+of the replayed step byte for byte.  A caller that prints many terms passes
+them one memo dict, so a subterm that recurs is printed once (see
+``_canon``).  ``pretty_term`` names a binder's variable by the kernel's hint
+for it, the name its alpha-class was first built with, and uses infix
+notation for the connectives; it is for reports and error messages only.
 
 Term syntax summary (loosest to tightest):
 
@@ -60,36 +61,62 @@ _APP = _NOT + 1
 # ---------------------------------------------------------------------------
 # Canonical printing
 
-def canonical_term(t):
+def canonical_term(t, memo=None):
     """Alpha-canonical fully parenthesized rendering; parseable.  The
     variable of a binder at depth d prints as ``%d``, a name no identifier
-    can spell, so alpha-equal terms print alike and distinct ones apart."""
-    return _canon(t, 0)
+    can spell, so alpha-equal terms print alike and distinct ones apart.
+    ``memo`` is a dict shared by the calls of one caller, which owns it; see
+    ``_canon``.  Without one each call starts afresh."""
+    return _canon(t, 0, {} if memo is None else memo)
 
 
-def _canon(t, depth):
+def _canon(t, depth, memo):
+    """The canonical printing of ``t`` under ``depth`` binders.
+
+    ``memo`` maps ``(term, depth)`` to its printing, and a term at depth 0
+    by the term alone, so a subterm that comes up again, in this call or a
+    later one that shares the dict, is printed once; it also maps each
+    depth-0 printing back to its term, which is how the trace verifier reads
+    a literal it has already printed.  The key holds the term object itself,
+    never its ``id()``: the dict then keeps its terms alive, whereas the id
+    of a freed term may come back as that of another term, whose printing
+    would then be the wrong text.  The caller owns the dict and drops it when
+    it returns, so no cache outlives a call."""
+    key = (t, depth) if depth else t
+    s = memo.get(key)
+    if s is not None:
+        return s
     # applications are most of the nodes, so they are tested first
     cls = type(t)
     if cls is App:
-        return '(%s %s)' % (_canon(t.fn, depth), _canon(t.arg, depth))
-    if cls is Const:
-        return t.display_name
-    if cls is Bound:
-        return '%%%d' % (depth - 1 - t.index)
-    if cls is Var:
-        return '%s:%s' % (t.name, type_to_str(t.ty))
-    if cls is Abs:
-        return '(\\%%%d:%s. %s)' % (depth, type_to_str(t.ty.dom), _canon(t.body, depth + 1))
-    if cls is Pair:
-        return '<%s, %s>' % (_canon(t.left, depth), _canon(t.right, depth))
-    if cls is Proj:
-        return '(%s %s)' % ('fst' if t.index == 1 else 'snd', _canon(t.arg, depth))
-    raise ParseError('not a term: %r' % (t,))
+        s = '(%s %s)' % (_canon(t.fn, depth, memo), _canon(t.arg, depth, memo))
+    elif cls is Const:
+        s = t.display_name
+    elif cls is Bound:
+        s = '%%%d' % (depth - 1 - t.index)
+    elif cls is Var:
+        s = '%s:%s' % (t.name, type_to_str(t.ty))
+    elif cls is Abs:
+        s = '(\\%%%d:%s. %s)' % (depth, type_to_str(t.ty.dom), _canon(t.body, depth + 1, memo))
+    elif cls is Pair:
+        s = '<%s, %s>' % (_canon(t.left, depth, memo), _canon(t.right, depth, memo))
+    elif cls is Proj:
+        s = '(%s %s)' % ('fst' if t.index == 1 else 'snd', _canon(t.arg, depth, memo))
+    else:
+        raise ParseError('not a term: %r' % (t,))
+    memo[key] = s
+    if not depth:
+        memo[s] = t
+    return s
 
 
-def canonical_theorem(thm):
-    hyps = ' ; '.join(canonical_term(h) for h in thm.hyps)
-    return '%s |- %s' % (hyps, canonical_term(thm.concl))
+def canonical_theorem(thm, memo=None):
+    """``hyps |- concl`` with each term printed by ``canonical_term``, all
+    through one ``memo``."""
+    if memo is None:
+        memo = {}
+    hyps = ' ; '.join(_canon(h, 0, memo) for h in thm.hyps)
+    return '%s |- %s' % (hyps, _canon(thm.concl, 0, memo))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,14 @@ so a trace is evidence that can be checked without trusting the process
 that produced it.  A claim must be byte-equal to the canonical printing of
 the replayed step, which two judgements share only when they are
 alpha-equal; claims are never parsed, only ``{term}`` literals are.
+
+Export and replay each print a subterm once per call: one memo, owned by
+the call and dropped when it returns, holds the canonical printing of every
+subterm met so far.  The verifier also looks each literal up there: a
+literal whose text is the printing of a subterm of an earlier step's
+judgement, outside any binder, is that term, and only the others are parsed.
+The lookup matches exact text, so a literal in any other written form is
+parsed as before.
 """
 
 from __future__ import annotations
@@ -48,8 +56,10 @@ def theory_fingerprint(th, theory_name=None):
         h.update(('T %s\n' % name).encode())
     for name in sorted(th.constants):
         h.update(('C %s : %s\n' % (name, kernel.type_to_str(th.constants[name]))).encode())
+    memo = {}
     for name in sorted(th.axioms):
-        h.update(('A %s : %s\n' % (name, syntax.canonical_term(th.axioms[name]))).encode())
+        axiom = syntax.canonical_term(th.axioms[name], memo)
+        h.update(('A %s : %s\n' % (name, axiom)).encode())
     return h.hexdigest()
 
 
@@ -77,7 +87,7 @@ def _postorder(roots):
     return order
 
 
-def _fmt_args(rule, args, idx):
+def _fmt_args(rule, args, idx, memo):
     out = []
     for a in args:
         if isinstance(a, Theorem):
@@ -86,16 +96,18 @@ def _fmt_args(rule, args, idx):
             out.append('"%s"' % a)
         elif isinstance(a, tuple):
             for v, t in a:
-                out.append('{%s}' % syntax.canonical_term(v))
-                out.append('{%s}' % syntax.canonical_term(t))
+                out.append('{%s}' % syntax.canonical_term(v, memo))
+                out.append('{%s}' % syntax.canonical_term(t, memo))
         else:
-            out.append('{%s}' % syntax.canonical_term(a))
+            out.append('{%s}' % syntax.canonical_term(a, memo))
     return ' '.join(out)
 
 
 def export_trace(thms, comment=None):
     """Serialize theorems (with their whole derivations) to trace text; each
-    line of ``comment`` becomes a ``#`` line of the header."""
+    line of ``comment`` becomes a ``#`` line of the header.  Every literal
+    and claim is printed through one memo, so each subterm is printed once
+    per call."""
     if isinstance(thms, Theorem):
         thms = [thms]
     if not thms:
@@ -114,9 +126,10 @@ def export_trace(thms, comment=None):
         lines.append(('# # %s' if header else '# %s') % c)
     lines.append('# theory %s %s' % (th.name, theory_fingerprint(th)))
     lines.append('# roots %s' % ' '.join(str(idx[id(t)]) for t in thms))
+    memo = {}
     for i, t in enumerate(order):
-        lines.append('%d %s %s ==> %s' % (i, t.rule, _fmt_args(t.rule, t.args, idx),
-                                          syntax.canonical_theorem(t)))
+        lines.append('%d %s %s ==> %s' % (i, t.rule, _fmt_args(t.rule, t.args, idx, memo),
+                                          syntax.canonical_theorem(t, memo)))
     return '\n'.join(lines) + '\n'
 
 
@@ -251,21 +264,25 @@ def verify_trace(text, th, strict_fingerprint=False):
 
     Every step is re-executed through the kernel, and its claimed judgement
     must be the canonical printing of the result; any mismatch, malformed
-    line or failing rule raises TraceError carrying the step index.  Each
-    distinct ``{term}`` literal is parsed once per call, each in a fresh
-    TermEnv, so a literal's term depends only on its text and the theory.  A
-    ``# roots`` line, when present, must list one or more step indexes; the
-    last step is the root otherwise.  With ``strict_fingerprint`` exactly
+    line or failing rule raises TraceError carrying the step index.  Claims
+    are printed through one memo for the call (``syntax._canon``), which
+    also maps the printing of each subterm outside binders back to its term.
+    Each distinct ``{term}`` literal is looked up there, else parsed once per
+    call in a fresh TermEnv; by the round trip of ``canonical_term`` through
+    ``parse_term`` either way gives the same term, so a literal's term
+    depends only on its text and the theory.  A ``# roots`` line, when
+    present, must list one or more step indexes; the last step is the root
+    otherwise.  With ``strict_fingerprint`` exactly
     one ``# theory <name> <sha256>`` line must come before the first step,
     and its fingerprint must be ``th``'s; when it is ``th``'s under the
     trace's theory name, the error says that only the names differ.
     """
-    literals = {}
+    memo = {}
 
     def parse_literal(s):
-        t = literals.get(s)
+        t = memo.get(s)
         if t is None:
-            t = literals[s] = syntax.parse_term(s, syntax.TermEnv(theory=th))
+            t = memo[s] = syntax.parse_term(s, syntax.TermEnv(theory=th))
         return t
 
     steps = []
@@ -314,7 +331,7 @@ def verify_trace(text, th, strict_fingerprint=False):
             thm = _run_step(th, rule, args, steps, index, parse_literal)
         except kernel.KernelError as e:
             raise TraceError('rule failed: %s' % e, index)
-        _check_claim(thm, claim, index)
+        _check_claim(thm, claim, index, memo)
         steps.append(thm)
         expect += 1
     if not steps:
@@ -337,10 +354,10 @@ def _check_fingerprint(name, fingerprint, th):
                      % (fingerprint, theory_fingerprint(th)))
 
 
-def _check_claim(thm, claim, step):
+def _check_claim(thm, claim, step, memo):
     """Check a claimed judgement against the replayed theorem: the claim must
     be its canonical printing, byte for byte."""
-    derived = syntax.canonical_theorem(thm)
+    derived = syntax.canonical_theorem(thm, memo)
     if claim == derived:
         return
     parts = claim.split(' |- ')

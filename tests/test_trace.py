@@ -1,14 +1,16 @@
 """Trace export, independent replay, and tamper detection."""
 
+import gc
 import os
 import re
 import subprocess
 import sys
+import weakref
 
 import pytest
 
 from hogc import closure, grammar, kernel, parser, rules, syntax
-from hogc.kernel import (BOOL, IND, PHON, BaseType, FunType, Pair, ProdType,
+from hogc.kernel import (BOOL, IND, PHON, App, BaseType, FunType, Pair, ProdType,
                          Proj, Var, true_c)
 from hogc.trace import TraceError, export_trace, theory_fingerprint, verify_trace
 
@@ -338,15 +340,27 @@ def test_verified_roots_feed_the_kernel(toy):
         *reversed(list(kernel.dest_eq(got.concl))))
 
 
-def test_replay_parses_each_distinct_literal_once_and_no_claim(monkeypatch):
-    g = grammar.elaborate(helpers.AMBIG, name='ambig')
-    p1, p2 = parser.parse(g, helpers.AMBIG_WORD, 2)
-    cert = closure.certificate_cases(g.theory, p1.meaning, p2.meaning, Var('q', BOOL))
-    m = closure.merge_parses(g, p1, p2, cert)
-    text = export_trace([m.phon_proof, m.sem_proof])
-    literals = re.findall(r'\{([^}]*)\}',
-                          ''.join(l.partition(' ==> ')[0] for l in _content_lines(text)))
-    fresh = grammar.elaborate(helpers.AMBIG, name='ambig')
+def _literals(line):
+    return re.findall(r'\{([^}]*)\}', line.partition(' ==> ')[0])
+
+
+def _outside_binders(t):
+    """``t`` and its subterms that lie under no binder."""
+    out, todo = set(), [t]
+    while todo:
+        u = todo.pop()
+        if u not in out:
+            out.add(u)
+            if isinstance(u, App):
+                todo += (u.fn, u.arg)
+            elif isinstance(u, Pair):
+                todo += (u.left, u.right)
+            elif isinstance(u, Proj):
+                todo.append(u.arg)
+    return out
+
+
+def _count_parses(monkeypatch):
     parsed = []
     real = syntax.parse_term
 
@@ -354,9 +368,121 @@ def test_replay_parses_each_distinct_literal_once_and_no_claim(monkeypatch):
         parsed.append(s)
         return real(s, env)
     monkeypatch.setattr(syntax, 'parse_term', counting)
+    return parsed
+
+
+def test_replay_parses_each_distinct_literal_once_and_no_claim(monkeypatch):
+    # each distinct literal is parsed at most once and no claim ever is: a
+    # literal whose text, at its first use, is the printing of a subterm of
+    # an earlier step's judgement outside any binder is that subterm, and
+    # only the others are parsed
+    g = grammar.elaborate(helpers.AMBIG, name='ambig')
+    p1, p2 = parser.parse(g, helpers.AMBIG_WORD, 2)
+    cert = closure.certificate_cases(g.theory, p1.meaning, p2.meaning, Var('q', BOOL))
+    m = closure.merge_parses(g, p1, p2, cert)
+    text = export_trace([m.phon_proof, m.sem_proof])
+    fresh = grammar.elaborate(helpers.AMBIG, name='ambig')
+    env = syntax.TermEnv(theory=fresh.theory)
+    printed, used, unprinted = set(), set(), set()
+    for line in _content_lines(text):
+        for lit in _literals(line):
+            if lit not in used and lit not in printed:
+                unprinted.add(lit)
+            used.add(lit)
+        hyps, _, concl = line.partition(' ==> ')[2].partition(' |- ')
+        for s in (hyps.split(' ; ') if hyps else []) + [concl]:
+            printed |= {syntax.canonical_term(u)
+                        for u in _outside_binders(syntax.parse_term(s, env))}
+    parsed = _count_parses(monkeypatch)
     verify_trace(text, fresh.theory, strict_fingerprint=True)
-    assert len(literals) > len(set(literals))
-    assert sorted(parsed) == sorted(set(literals))
+    assert len(parsed) == len(set(parsed))
+    assert set(parsed) == unprinted
+    assert (len(unprinted), len(used)) == (48, 200)
+
+
+def _edit_steps(text, edit):
+    """``text`` with each step line replaced by ``edit(step, head, claim)``,
+    a new ``(head, claim)``."""
+    out, step = [], 0
+    for line in text.split('\n'):
+        if line and not line.startswith('#'):
+            head, _, claim = line.partition(' ==> ')
+            line = '%s ==> %s' % edit(step, head, claim)
+            step += 1
+        out.append(line)
+    return '\n'.join(out)
+
+
+def test_a_respelled_literal_is_parsed_and_verifies(toy, monkeypatch):
+    # the lookup matches exact text only: with blanks the printer never
+    # writes, every literal misses it, is parsed, and reads as the same term
+    (r,) = parser.parse(toy, 'fajdo blt', 2)
+    respelled = set()
+
+    def respell(step, head, claim):
+        for lit in set(_literals(head)):
+            spelled = ' %s ' % lit.replace(' ', '  ')
+            head = head.replace('{%s}' % lit, '{%s}' % spelled)
+            respelled.add(spelled)
+        return head, claim
+    text = _edit_steps(export_trace(r.sem_proof), respell)
+    parsed = _count_parses(monkeypatch)
+    (got,) = verify_trace(text, toy.theory, strict_fingerprint=True)
+    assert got.concl is r.sem_proof.concl
+    assert respelled and sorted(parsed) == sorted(respelled)
+
+
+def test_a_literal_swapped_for_another_printed_subterm_is_rejected(toy):
+    # a reflexivity literal replaced by the conclusion of an earlier step,
+    # which the verifier has printed: the step replays on that term, and its
+    # claim no longer matches
+    (r,) = parser.parse(toy, 'fajdo blt', 2)
+    text = export_trace(r.sem_proof)
+    lines = _content_lines(text)
+    concls = [l.partition(' ==> ')[2].partition(' |- ')[2] for l in lines]
+    s, lit, other = next((s, lit, c) for s, l in enumerate(lines)
+                         if l.split()[1] == 'reflexivity'
+                         for lit in _literals(l) for c in concls[:s] if c != lit)
+    claim = lines[s].partition(' ==> ')[2]
+    bad = _edit_steps(text, lambda i, head, claim: (
+        head.replace('{%s}' % lit, '{%s}' % other) if i == s else head, claim))
+    derived = syntax.canonical_theorem(kernel.reflexivity(
+        toy.theory, syntax.parse_term(other, syntax.TermEnv(theory=toy.theory))))
+    with pytest.raises(TraceError) as e:
+        verify_trace(bad, toy.theory)
+    assert e.value.step == s
+    assert str(e.value) == ('step %d: reflexivity: conclusion mismatch: claimed %s, '
+                            'derived %s' % (s, claim.strip(), derived.strip()))
+
+
+def test_a_shared_memo_prints_each_transient_term_as_itself():
+    # each term is built, printed and dropped, so the id of a freed term can
+    # come back as another's: a memo keyed by id() would print the old text.
+    # At depth 0 the entry from a printing back to its term holds the term
+    # anyway; under a binder only the memo's key can.
+    memo = {}
+    for i in range(200):
+        for depth, name in ((0, 'v%d' % i), (1, 'w%d' % i)):
+            t = kernel.mk_eq(Var(name, IND), X)
+            assert syntax._canon(t, depth, memo) == '((eq[Ind] %s:Ind) x:Ind)' % name
+            del t
+
+
+def test_no_term_outlives_export_or_verify(toy):
+    # the memos live for one call: a term that only a trace held is freed
+    # once export_trace and verify_trace return
+    thm = kernel.assume(toy.theory, kernel.mk_eq(Var('only_here', IND), X))
+    text = export_trace(thm)
+    gone = weakref.ref(thm.concl)
+    del thm
+    gc.collect()
+    assert gone() is None
+    (thm,) = verify_trace(text, toy.theory)
+    assert syntax.canonical_term(thm.concl) == '((eq[Ind] only_here:Ind) x:Ind)'
+    gone = weakref.ref(thm.concl)
+    del thm
+    gc.collect()
+    assert gone() is None
 
 
 def test_claim_of_another_step_rejected_at_its_step(toy):
