@@ -23,6 +23,7 @@ sign is s2, and the certificate's second disjunct gives a2 = a.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from . import kernel, rules, syntax
 from .grammar import Word
@@ -99,7 +100,10 @@ class TermUniverse:
 
     ``vectors`` maps each term to its truth vector over ``vars``, an int
     whose bit i is the term's value under the i-th assignment of
-    ``itertools.product((False, True), repeat=len(vars))``.
+    ``itertools.product((False, True), repeat=len(vars))``.  Terms with
+    one vector form a class; classes are numbered in first-seen order, and
+    for each truth-table row, bit k of ``_rows[row]`` says whether class k
+    is true on that row.
     """
 
     def __init__(self, terms):
@@ -114,10 +118,16 @@ class TermUniverse:
         self.vars = tuple(sorted(vs, key=lambda v: v.name))
         masks, full = _var_masks(self.vars)
         self.vectors = {t: _truth_vector(t, masks, full) for t in self.terms}
-        # realized vector -> first universe term realizing it, in first-seen order
-        self._rep = {}
-        for t in self.terms:
-            self._rep.setdefault(self.vectors[t], t)
+        index = {}      # realized vector -> class index
+        self._class_of = {t: index.setdefault(v, len(index))
+                          for t, v in self.vectors.items()}
+        self._class_vectors = tuple(index)
+        first = {}      # class index -> first term realizing it
+        for t, k in self._class_of.items():
+            first.setdefault(k, t)
+        self._first = tuple(first.values())
+        self._rows = tuple(sum(1 << k for k, v in enumerate(index) if v >> r & 1)
+                           for r in range(full.bit_length()))
 
     @classmethod
     def from_text(cls, text, theory=None):
@@ -161,46 +171,85 @@ def _check_subset(universe, subset):
 def _saturate(universe, subset):
     """(members in universe order, witness dict added-term -> (b, c)).
 
-    A term a is in the closure iff its truth vector is a pointwise mix of
-    two member vectors, so saturation runs as a fixpoint over the realized
-    vectors of the universe, then one scan assigns terms to vector classes.
+    A term a is in the closure iff its truth vector u agrees with b or with
+    c on every row for two members b, c, that is ``b & c <= u <= b | c``.
+    Saturation is a semi-naive fixpoint over truth-vector classes: when a
+    class joins, each pair it makes with a member is tested once, and the
+    classes that pair produces, an AND of row bitmaps, go into ``cover``.
+    Passes run over the classes in universe order and a covered class joins
+    when its pass reaches it, as a scan of every pair on every pass would
+    have it.  A witness is looked up only when its class joins: the first
+    member b in member order, and with it the first member c.  Then one
+    scan assigns terms to classes.
     """
     subset = _check_subset(universe, subset)
-    vt, universe_rep = universe.vectors, universe._rep
+    class_of, cvec, rows = universe._class_of, universe._class_vectors, universe._rows
     rep = {}
     for t in subset:
-        rep.setdefault(vt[t], t)
-    active = [v for v in universe_rep if v in rep]
-    wit_vec = {}
-    changed = True
-    while changed:
-        changed = False
-        for u in universe_rep:
-            if u in rep:
-                continue
-            # u agrees with b or with c at every assignment
-            found = next(((b, c) for b in active for c in active
-                          if not (u ^ b) & (u ^ c)), None)
-            if found:
-                rep[u] = universe_rep[u]
-                wit_vec[u] = found
-                active.append(u)
-                changed = True
-    members = []
+        rep.setdefault(class_of[t], t)
+    members = []                    # class indices, in the order they joined
+    member_rows = [0] * len(rows)   # per row, the member positions true on it
+    cover = 0                       # non-members that a pair of members produces
+    open_ = (1 << len(cvec)) - 1    # classes neither members nor covered
+    full = (1 << len(rows)) - 1
+
+    def join(k):
+        nonlocal cover, open_
+        x = cvec[k]
+        bit = 1 << len(members)
+        for r in range(len(rows)):
+            if x >> r & 1:
+                member_rows[r] |= bit
+        cover &= ~(1 << k)
+        open_ &= ~(1 << k)
+        for b in members:
+            same = full ^ x ^ cvec[b]
+            s = open_
+            while same and s:
+                low = same & -same
+                row = rows[low.bit_length() - 1]
+                s &= row if x & low else ~row
+                same ^= low
+            cover |= s
+            open_ ^= s
+        members.append(k)
+
+    def witness_pair(u):
+        everyone = (1 << len(members)) - 1
+        agree = [m if u >> r & 1 else everyone ^ m for r, m in enumerate(member_rows)]
+        for b in members:
+            differ = cvec[b] ^ u
+            cs = everyone
+            while differ:
+                low = differ & -differ
+                cs &= agree[low.bit_length() - 1]
+                differ ^= low
+            if cs:
+                return b, members[(cs & -cs).bit_length() - 1]
+
+    for k in sorted(rep):
+        join(k)
+    wit = {}
+    start = 0
+    while cover:
+        todo = cover >> start << start
+        if not todo:
+            start = 0
+            continue
+        k = (todo & -todo).bit_length() - 1
+        wit[k] = witness_pair(cvec[k])
+        rep[k] = universe._first[k]
+        join(k)
+        start = k + 1
+    out = list(compress(universe.terms, map(rep.__contains__, class_of.values())))
     witness = {}
     inset = set(subset)
-    for t in universe.terms:
-        u = vt[t]
-        if u not in rep:
-            continue
-        members.append(t)
+    for t in out:
         if t not in inset:
-            if u in wit_vec:
-                b, c = wit_vec[u]
-                witness[t] = (rep[b], rep[c])
-            else:
-                witness[t] = (rep[u], rep[u])
-    return members, witness
+            k = class_of[t]
+            b, c = wit.get(k, (k, k))
+            witness[t] = (rep[b], rep[c])
+    return out, witness
 
 
 def closure_saturate(universe, subset):

@@ -1,5 +1,6 @@
 """Boolean fragment, term universes, closure saturation, certificates, merging."""
 
+import hashlib
 import itertools
 import random
 
@@ -192,6 +193,42 @@ def test_empty_subset_is_closed(universe2):
     assert closure_violation(universe2, []) is None
 
 
+def _report_witnesses(u, report):
+    """{added term: (b, c)} read back from the report's witness column."""
+    by_text = {syntax.pretty_term(t): t for t in u.terms}
+    out = {}
+    for t, row in zip(u.terms, report.split('\n')[6:-1]):
+        cols = row[len(syntax.pretty_term(t)):].split(None, 2)
+        if cols[2] != '-':
+            b, c = cols[2].split(' ; ')
+            out[t] = (by_text[b], by_text[c])
+    return out
+
+
+@given(st.randoms(use_true_random=False), st.integers(0, 4), st.integers(0, 8))
+@settings(max_examples=60, deadline=None)
+def test_saturate_properties_on_generated_universes(rng, nvars, nterms):
+    # 1 to 16 truth-table rows, as every variable is a universe term;
+    # nvars = nterms = 0 is the empty universe
+    names = ('p', 'q', 'r', 's')[:nvars]
+    u = TermUniverse([Var(n, BOOL) for n in names]
+                     + [helpers.random_fragment(rng, names, 2) for _ in range(nterms)])
+    assert [v.name for v in u.vars] == list(names)
+    subset = rng.sample(list(u.terms), rng.randint(0, min(4, len(u))))
+    closed = closure_saturate(u, subset)
+    assert closed == helpers.naive_closure(u, subset)
+    assert closure_saturate(u, closed) == closed
+    witnesses = list(_report_witnesses(u, closure_report(u, subset)).items())
+    assert {t for t, _ in witnesses} == set(closed) - set(subset)
+    v = closure_violation(u, subset)
+    assert (v is None) == (len(closed) == len(subset))
+    if v is not None:
+        witnesses.append(v)
+    for a, (b, c) in witnesses:
+        assert a in closed and b in closed and c in closed
+        assert bool_valid(mk_disj(mk_eq(a, b), mk_eq(a, c)))
+
+
 def test_closure_keeps_universe_order(universe3):
     rng = random.Random(5)
     subset = rng.sample(list(universe3.terms), 4)
@@ -216,6 +253,38 @@ def test_closure_report(universe2):
     rep2 = closure_report(TermUniverse([P, Q, mk_conj(P, Q)]), [P, Q])
     assert 'input logically closed: no' in rep2
     assert 'p ; q' in rep2 or 'q ; p' in rep2  # witness column filled
+
+
+# Closed terms, four in each of the two classes; and a universe with a
+# class realized five ways, two of them listed before ``p`` itself, so which
+# term stands for a class depends on the subset's order.
+CLOSED_TERMS = [true_c(), false_c(), mk_not(true_c()), mk_conj(true_c(), false_c()),
+                mk_disj(false_c(), true_c()), mk_eq(true_c(), false_c()),
+                mk_not(false_c()), mk_cond(true_c(), false_c(), true_c())]
+SHARED_TERMS = [mk_not(mk_not(P)), mk_conj(P, P), P, Q, mk_disj(P, P),
+                mk_conj(P, Q), mk_not(mk_not(Q)), mk_cond(P, P, Q),
+                mk_disj(P, Q), mk_conj(Q, P), mk_eq(P, Q), mk_not(P),
+                mk_not(Q), mk_disj(Q, P), mk_eq(P, mk_not(Q)), true_c()]
+# Three variables, so that a class can be covered only after a later
+# class joins and the order of passes shows in the witnesses.
+THREE_VAR_TERMS = [helpers.random_fragment(random.Random(2009 + i), ('p', 'q', 'r'), 3)
+                   for i in range(40)]
+WITNESS_DIGEST = 'fef94145888f1a20a4919b129eb45ff2749f1de17819e585e7f6d67cf0b08b57'
+
+
+def test_closure_report_witnesses_pinned(universe2, universe3):
+    # One digest of the report text, witnesses included, for seeded
+    # subsets of each universe: which pair witnesses a term is part of the
+    # contract, since merging closure members follows the witnesses.
+    rng = random.Random(17)
+    h = hashlib.sha256()
+    for u in (universe2, universe3, TermUniverse(CLOSED_TERMS),
+              TermUniverse(SHARED_TERMS), TermUniverse(THREE_VAR_TERMS)):
+        terms = list(u.terms)
+        for _ in range(40):
+            subset = rng.sample(terms, rng.randint(0, min(5, len(terms))))
+            h.update(closure_report(u, subset).encode())
+    assert h.hexdigest() == WITNESS_DIGEST
 
 
 # ---------------------------------------------------------------------------
