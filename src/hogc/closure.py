@@ -128,6 +128,7 @@ class TermUniverse:
         self._first = tuple(first.values())
         self._rows = tuple(sum(1 << k for k, v in enumerate(index) if v >> r & 1)
                            for r in range(full.bit_length()))
+        self._printed = None    # term -> its printing, made by the first report
 
     @classmethod
     def from_text(cls, text, theory=None):
@@ -327,13 +328,16 @@ def closure_report(universe, subset):
     closed, witness = _saturate(universe, subset)
     inset = set(subset)
     closedset = set(closed)
+    if universe._printed is None:
+        # fragment terms have no binders, so their printing is fixed
+        universe._printed = {t: syntax.pretty_term(t) for t in universe.terms}
+    printed = universe._printed
     rows = []
     for t in universe.terms:
         wit = '-'
         if t in witness:
-            wit = '%s ; %s' % (syntax.pretty_term(witness[t][0]),
-                               syntax.pretty_term(witness[t][1]))
-        rows.append((syntax.pretty_term(t),
+            wit = '%s ; %s' % (printed[witness[t][0]], printed[witness[t][1]])
+        rows.append((printed[t],
                      'yes' if t in inset else 'no',
                      'yes' if t in closedset else 'no',
                      wit))

@@ -475,8 +475,7 @@ def word_to_phon(g, word):
         raise GrammarError(str(e))
 
 
-def _phon_schemas(g):
-    th = g.theory
+def _phon_schemas(th):
     def build():
         return {
             'assoc': rules.spec_all(kernel.axiom(th, 'phon.assoc')),
@@ -484,6 +483,37 @@ def _phon_schemas(g):
             'runit': rules.spec_all(kernel.axiom(th, 'phon.runit')),
         }
     return rules._cached(th, 'phon_schemas', build)
+
+
+_X, _Z = Var('x', PHON), Var('z', PHON)
+
+
+def _append_vars(n):
+    return [Var('x%d' % i, PHON) for i in range(1, n + 1)]
+
+
+def _append_schema(th, n):
+    """|- (x1 ++ ... ++ xn) ++ z = x1 ++ ... ++ xn ++ z, right-nested, for
+    n >= 2.  Derived once per theory and length, shortest first: n = 2 is an
+    instance of phon.assoc, and each longer schema is assoc followed by the
+    one before it under x1 ++ _."""
+    cache = th._derived_cache
+    if ('phon_append', n) not in cache:
+        assoc, y = _phon_schemas(th)['assoc'], Var('y', PHON)
+        for k in range(2, n + 1):
+            if ('phon_append', k) in cache:
+                continue
+            xs = _append_vars(k)
+            e = kernel.instantiate(assoc, {_X: xs[0], y: syntax.mk_conc(*xs[1:])})
+            if k > 2:
+                # |- (x2 ++ ... ++ xk) ++ z = x2 ++ ... ++ xk ++ z
+                shifted = kernel.instantiate(cache[('phon_append', k - 1)],
+                                             dict(zip(xs, xs[1:])))
+                cat, pair = rules.rhs(e).fn, rules.rhs(e).arg
+                e = kernel.transitivity(e, rules.ap_term(
+                    cat, rules._pair_congruence(th, pair, None, shifted)))
+            cache[('phon_append', k)] = e
+    return cache[('phon_append', n)]
 
 
 def _dest_cat(t):
@@ -497,29 +527,33 @@ def _is_unit(t):
     return isinstance(t, kernel.Const) and t.name == '//'
 
 
-def _phon_step(g):
-    s = _phon_schemas(g)
-    x, y, z = Var('x', PHON), Var('y', PHON), Var('z', PHON)
-
-    def step(th, t):
-        d = _dest_cat(t)
-        if d is None:
-            return None
-        l, r = d
-        if _is_unit(l):
-            return kernel.instantiate(s['lunit'], {x: r})
-        if _is_unit(r):
-            return kernel.instantiate(s['runit'], {x: l})
-        inner = _dest_cat(l)
-        if inner is not None:
-            return kernel.instantiate(s['assoc'], {x: inner[0], y: inner[1], z: r})
+def phon_step(th, t):
+    """One normalising step at a ``++`` node, or None: a unit operand goes,
+    and a left operand x1 ++ ... ++ xn moves right by one instance of the
+    append schema for n.  The rewrite pass applies it bottom-up."""
+    d = _dest_cat(t)
+    if d is None:
         return None
-    return step
+    l, r = d
+    if _is_unit(l):
+        return kernel.instantiate(_phon_schemas(th)['lunit'], {_X: r})
+    if _is_unit(r):
+        return kernel.instantiate(_phon_schemas(th)['runit'], {_X: l})
+    parts = []
+    while (inner := _dest_cat(l)) is not None:
+        parts.append(inner[0])
+        l = inner[1]
+    if not parts:
+        return None
+    parts.append(l)
+    m = dict(zip(_append_vars(len(parts)), parts))
+    m[_Z] = r
+    return kernel.instantiate(_append_schema(th, len(parts)), m)
 
 
 def phon_norm(g, t):
     """|- t = nf where nf is the right-nested unit-free normal form."""
-    return rules.depth_rewrite(g.theory, t, _phon_step(g))
+    return rules.depth_rewrite(g.theory, t, phon_step)
 
 
 def phon_to_word(g, t):

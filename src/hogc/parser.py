@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from . import grammar as gmod
 from . import kernel, rules, syntax
 from .grammar import GrammarError, Word, word_to_phon
-from .kernel import App, BOOL, Term, Theorem, beta_normalize
+from .kernel import App, BOOL, PHON, Term, Theorem, Var, beta_normalize
 
 
 @dataclass
@@ -116,34 +116,63 @@ def _sign_conjuncts(th, axname):
     return rules._cached(th, ('sign_conjuncts', axname), build)
 
 
+def _phon_schema(th, axname, opvars):
+    """{phon_T1(x1) = w1, ..., phon_Tm(xm) = wm} |- phon_T(R x1 ... xm) =
+    w_p1 ++ ... ++ w_pm: the rule's phon conjunct with each operand's
+    phonology replaced by a variable; derived once per theory."""
+    def build():
+        memo = {}
+        for i, v in enumerate(opvars):
+            p = App(th.const('phon_%s' % v.ty.name), v)
+            memo[p] = kernel.assume(th, kernel.mk_eq(p, _phon_var(i)))
+        phon, _sem = _sign_conjuncts(th, axname)
+        return rules.rewrite_rhs(phon, lambda th, t: None, memo)
+    return rules._cached(th, ('phon_schema', axname), build)
+
+
+def _phon_var(i):
+    return Var('w%d' % (i + 1), PHON)
+
+
 class _ProofBuilder:
+    """The proofs of a parse's chart signs, each sign's built once.  The
+    rewrite memos, one per side, keep what the passes proved for the whole
+    parse, so each child's value is walked once."""
+
     def __init__(self, g):
-        self.g = g
-        self.phon_step = gmod._phon_step(g)
+        self.th = g.theory
         self.memo = {}
+        self.phon_memo, self.sem_memo = {}, {}
 
     def build(self, sign, deriv_map):
-        """(phon_proof, sem_proof) for a chart sign: the axiom's conjuncts
-        at the children, each side then rewritten in one bottom-up pass that
-        normalizes.  The pass takes each child's equation as it stands at
-        ``phon_T(c)`` or ``sem_T(c)``: it does not descend into the child
-        sign, nor walk the child's value, which the child's own pass left
-        in normal form."""
+        """(phon_proof, sem_proof) for a chart sign.  The phon proof is one
+        instance of the rule's phon schema, each hypothesis discharged by
+        the child's phon proof, and then normalised.  The sem proof is the
+        axiom's sem conjunct at the children, rewritten in one bottom-up
+        pass that takes each child's equations from the memo as they
+        stand."""
         if sign in self.memo:
             return self.memo[sign]
+        th = self.th
         axname, opvars, children = deriv_map[sign]
-        phon, sem = _sign_conjuncts(self.g.theory, axname)
+        phon, sem = _sign_conjuncts(th, axname)
+        child_phon = []
+        for c in children:   # a plain loop: one frame per level of the sign
+            cp, cs = self.build(c, deriv_map)
+            child_phon.append(cp)
+            self.sem_memo[rules.lhs(cp)] = cp
+            self.sem_memo[rules.lhs(cs)] = cs
         if children:
             inst = dict(zip(opvars, children))
-            phon = kernel.instantiate(phon, inst)
             sem = kernel.instantiate(sem, inst)
-        child_phon, child_eqs = {}, {}
-        for c in children:
-            cp, cs = self.build(c, deriv_map)
-            child_phon[rules.lhs(cp)] = child_eqs[rules.lhs(cp)] = cp
-            child_eqs[rules.lhs(cs)] = cs
-        out = (rules.rewrite_rhs(phon, self.phon_step, child_phon),
-               rules.rewrite_rhs(sem, rules._bp_step, child_eqs))
+            for i, cp in enumerate(child_phon):
+                inst[_phon_var(i)] = rules.rhs(cp)
+            phon = kernel.instantiate(_phon_schema(th, axname, opvars), inst)
+            for cp in child_phon:
+                if cp.concl in phon.hyps:   # two equal children share one
+                    phon = rules.prove_hyp(cp, phon)
+            phon = rules.rewrite_rhs(phon, gmod.phon_step, self.phon_memo)
+        out = (phon, rules.rewrite_rhs(sem, rules._bp_step, self.sem_memo))
         self.memo[sign] = out
         return out
 

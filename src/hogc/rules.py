@@ -5,9 +5,10 @@ carries a full primitive-step provenance and can be exported as a trace.
 The layer covers the standard propositional toolkit for the equality-based
 connectives, a small conversion framework (context substitution, full
 beta/projection normalization, bottom-up rewriting that proves nothing
-about the subterms it leaves unchanged and can take given equations as they
-stand), the derived rules for the if-then-else constants C and their laws,
-and a case-split tautology prover for the quantifier-free boolean fragment.
+about the subterms it leaves unchanged and keeps what it proves in a memo
+that later passes with the same rule read), the derived rules for the
+if-then-else constants C and their laws, and a case-split tautology prover
+for the quantifier-free boolean fragment.
 That fragment is defined here once, by ``fragment_vars``; the closure lab
 decides it with the same scanner.
 
@@ -510,55 +511,61 @@ def depth_rewrite(th, t, node_fn):
     return reflexivity(th, t) if e is None else e
 
 
-def rewrite_rhs(thm, node_fn, given=None):
+def rewrite_rhs(thm, node_fn, memo=None):
     """From A |- a = b derive A |- a = b' with b rewritten as by
     depth_rewrite; thm itself when nothing rewrites.
 
-    ``given`` maps terms l to hypothesis-free equations |- l = r whose r
-    node_fn leaves as it is: a subterm alpha-equal to some l gets that
-    equation as it stands, without descending into l or walking r.
+    ``memo`` maps terms to what passes with this node_fn proved about them:
+    an equation l = r whose r node_fn leaves as it is, or None for a term
+    left unchanged.  A subterm found there gets its entry as it stands,
+    without descending into it or walking r, and every subterm the pass
+    enters is added, so passes that share a memo walk each term once.  An
+    entry's hypotheses pass to the result.
     """
-    e = _rewrite(thm.theory, rhs(thm), node_fn, given)
+    e = _rewrite(thm.theory, rhs(thm), node_fn, memo)
     return thm if e is None else transitivity(thm, e)
 
 
-def _rewrite(th, t, node_fn, given=None):
+def _rewrite(th, t, node_fn, memo=None):
     # |- t = t', or None when t is left unchanged: unchanged subterms get
     # no proof at all, so no reflexivity or congruence step concludes t = t
-    if given and (g := given.get(t)) is not None:
-        return g
-    e = _children_rewrite(th, t, node_fn, given)
+    if memo is None:
+        memo = {}
+    if t in memo:
+        return memo[t]
+    e = _children_rewrite(th, t, node_fn, memo)
     r = node_fn(th, t if e is None else rhs(e))
-    if r is None:
-        return e
-    if r.hyps:
-        raise RuleError('rewrite rules must be hypothesis-free')
-    e2 = _rewrite(th, rhs(r), node_fn, given)
-    if e2 is not None:
-        r = transitivity(r, e2)
-    return r if e is None else transitivity(e, r)
+    if r is not None:
+        if r.hyps:
+            raise RuleError('rewrite rules must be hypothesis-free')
+        e2 = _rewrite(th, rhs(r), node_fn, memo)
+        if e2 is not None:
+            r = transitivity(r, e2)
+        e = r if e is None else transitivity(e, r)
+    memo[t] = e
+    return e
 
 
-def _children_rewrite(th, t, node_fn, given):
+def _children_rewrite(th, t, node_fn, memo):
     if isinstance(t, App):
-        ef = _rewrite(th, t.fn, node_fn, given)
-        ea = _rewrite(th, t.arg, node_fn, given)
+        ef = _rewrite(th, t.fn, node_fn, memo)
+        ea = _rewrite(th, t.arg, node_fn, memo)
         if ef is None and ea is None:
             return None
         return congruence(reflexivity(th, t.fn) if ef is None else ef,
                           reflexivity(th, t.arg) if ea is None else ea)
     if isinstance(t, Abs):
         v, body = kernel.dest_abs(t)
-        eb = _rewrite(th, body, node_fn, given)
+        eb = _rewrite(th, body, node_fn, memo)
         return None if eb is None else abstraction(v, eb)
     if isinstance(t, Pair):
-        el = _rewrite(th, t.left, node_fn, given)
-        er = _rewrite(th, t.right, node_fn, given)
+        el = _rewrite(th, t.left, node_fn, memo)
+        er = _rewrite(th, t.right, node_fn, memo)
         if el is None and er is None:
             return None
         return _pair_congruence(th, t, el, er)
     if isinstance(t, Proj):
-        ea = _rewrite(th, t.arg, node_fn, given)
+        ea = _rewrite(th, t.arg, node_fn, memo)
         return None if ea is None else _proj_congruence(th, t, ea)
     return None
 

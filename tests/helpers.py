@@ -105,6 +105,24 @@ def chain_word(n):
     return ' '.join(['a'] * (n - 1) + ['b'])
 
 
+# left-branching: the n-token word b a ... a has one parse, at depth n, and
+# its phonology proof appends a word of every length from 1 to n - 1
+LEFT_CHAIN = r"""
+alphabet: a b
+signtype S sem Bool
+signtype W sem Bool
+const t : Bool
+lex A : W { phon = /a/; sem = t; }
+lex B : S { phon = /b/; sem = t; }
+rule L : S W -> S { phon = $1 ++ $2; sem = sem($1) /\ sem($2); }
+"""
+
+
+def left_chain_word(n):
+    """The n-token word of LEFT_CHAIN."""
+    return ' '.join(['b'] + ['a'] * (n - 1))
+
+
 AMBIG_WORD = 'fajdo blt'
 
 

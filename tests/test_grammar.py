@@ -1,6 +1,7 @@
 """Grammar files: parsing, elaboration into a theory, phonology helpers."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hogc import grammar, kernel, rules, syntax
 from hogc.grammar import (
@@ -227,6 +228,57 @@ def test_phon_homomorphism(toy):
     # empty sides normalize through the unit laws
     e2 = phon_homomorphism(toy, Word(()), v)
     assert kernel.dest_eq(e2.concl)[1] == word_to_phon(toy, v)
+
+
+def _spine(t):
+    """The operands of a right-nested ++ chain, left to right."""
+    parts = []
+    while (d := grammar._dest_cat(t)) is not None:
+        parts.append(d[0])
+        t = d[1]
+    return parts + [t]
+
+
+def test_append_schema_per_length():
+    # |- (x1 ++ ... ++ xn) ++ z = x1 ++ ... ++ xn ++ z for n = 2..16, each
+    # derived once per theory and without hypotheses, the longest first here
+    th = grammar.elaborate(helpers.TOY, name='toy').theory
+    z = Var('z', PHON)
+    for n in range(16, 1, -1):
+        e = grammar._append_schema(th, n)
+        xs = [Var('x%d' % i, PHON) for i in range(1, n + 1)]
+        assert e.hyps == ()
+        assert e.concl == mk_eq(syntax.mk_conc(syntax.mk_conc(*xs), z),
+                                syntax.mk_conc(*xs, z))
+        assert _spine(rules.rhs(e)) == xs + [z]
+        assert grammar._append_schema(th, n) is e
+
+
+def _phon_trees(th):
+    leaves = [th.const(name) for name in sorted(th.constants) if name.startswith('/')]
+    conc = lambda p: App(th.const('conc'), kernel.Pair(*p))
+    return st.recursive(st.sampled_from(leaves),
+                        lambda inner: st.tuples(inner, inner).map(conc),
+                        max_leaves=24)
+
+
+def _leaves(t):
+    d = grammar._dest_cat(t)
+    return [t] if d is None else _leaves(d[0]) + _leaves(d[1])
+
+
+_TOY = grammar.elaborate(helpers.TOY, name='toy')
+
+
+@given(_phon_trees(_TOY.theory))
+@settings(max_examples=150, deadline=None)
+def test_phon_norm_flattens_any_tree(t):
+    # the normal form of a ++ tree over tokens and // is the right-nested
+    # concatenation of its tokens, or // when it has none
+    e = phon_norm(_TOY, t)
+    assert e.hyps == () and rules.lhs(e) == t
+    toks = [u for u in _leaves(t) if u != _TOY.theory.const('//')]
+    assert rules.rhs(e) == (syntax.mk_conc(*toks) if toks else _TOY.theory.const('//'))
 
 
 def test_grammar_term_env(toy):

@@ -6,7 +6,7 @@ import pytest
 
 from hogc import grammar, kernel, parser, rules, syntax, trace
 from hogc.grammar import GrammarError, Word, word_to_phon
-from hogc.kernel import App, mk_eq
+from hogc.kernel import App, BaseType, PHON, Var, mk_eq
 
 import helpers
 
@@ -239,24 +239,58 @@ def _steps(thm):
 
 
 def _instance_premise(thm):
-    """The premise of the instantiate step a parse proof starts from."""
-    while thm.rule == 'transitivity':
-        thm = thm.args[0]
+    """The premise of the instantiate step a parse proof starts from: the
+    rewrite's transitivities and each child's discharge lead back to it."""
+    while thm.rule in ('transitivity', 'modus_ponens_eq'):
+        # prove_hyp(c, e) is modus_ponens_eq(deduct_antisym(c, e), c)
+        thm = thm.args[0] if thm.rule == 'transitivity' else thm.args[0].args[1]
     assert thm.rule == 'instantiate'
     return thm.args[0]
 
 
 def test_parses_share_cached_axiom_conjuncts(boolsem):
-    # the rule axiom's conjuncts are derived once per theory; every sign
-    # instantiates the same theorem objects
+    # the rule axiom's sem conjunct and its phon schema are derived once per
+    # theory; every sign instantiates the same theorem objects
     r1, = parser.parse(boolsem, 'nicht ja', 2)
     r2, = parser.parse(boolsem, 'nicht ja', 2)
     assert r1.sem_proof is not r2.sem_proof
     for a, b in ((r1.phon_proof, r2.phon_proof), (r1.sem_proof, r2.sem_proof)):
         assert _instance_premise(a) is _instance_premise(b)
-    # the premise is the sem conjunct at the rule's operand variables
+    # the sem premise is the sem conjunct at the rule's operand variables
     conj = _instance_premise(r1.sem_proof).concl
     assert {v.name for v in conj.free_vars} == {'x1', 'x2'}
+    # the phon premise is the rule's phon schema, one hypothesis per operand
+    th = boolsem.theory
+    x1, x2 = Var('x1', BaseType('NEG')), Var('x2', BaseType('S'))
+    w1, w2 = Var('w1', PHON), Var('w2', PHON)
+    schema = _instance_premise(r1.phon_proof)
+    assert schema.concl == mk_eq(
+        App(th.const('phon_S'), App(App(th.const('NEGATE'), x1), x2)),
+        syntax.mk_conc(w1, w2))
+    assert set(schema.hyps) == {mk_eq(App(th.const('phon_NEG'), x1), w1),
+                                mk_eq(App(th.const('phon_S'), x2), w2)}
+
+
+def test_coordination_of_a_sign_with_itself(boolsem):
+    # COORD(YES)(AND)(YES): two operands share one hypothesis of the phon
+    # schema's instance, which the first child's phon proof discharges
+    (r,) = parser.parse(boolsem, 'ja en ja', 2)
+    th = boolsem.theory
+    yes = th.const('YES')
+    assert r.sign == App(App(App(th.const('COORD'), yes), th.const('AND')), yes)
+    assert r.meaning == kernel.mk_conj(kernel.true_c(), kernel.true_c())
+    assert r.phon_proof.hyps == r.sem_proof.hyps == ()
+    assert rules.rhs(r.phon_proof) == word_to_phon(boolsem, 'ja en ja')
+    inst, discharged = r.phon_proof, []
+    while inst.rule == 'modus_ponens_eq':
+        discharged.append(inst.args[1].concl)
+        inst = inst.args[0].args[1]
+    assert inst.rule == 'instantiate' and len(inst.hyps) == 2
+    assert sorted(map(str, discharged)) == sorted(map(str, inst.hyps))
+    fresh = grammar.elaborate(helpers.BOOLSEM, name='boolsem')
+    text = trace.export_trace([r.phon_proof, r.sem_proof])
+    got = trace.verify_trace(text, fresh.theory, strict_fingerprint=True)
+    assert [t.concl for t in got] == [r.phon_proof.concl, r.sem_proof.concl]
 
 
 @pytest.mark.parametrize('name,word,k', [
@@ -279,7 +313,11 @@ def test_parse_proofs_have_no_identity_congruences(name, word, k):
     ('perm', 4, ''),
     # constants named like the congruence schemas' variables, at their type
     ('boolsem', 3, ''.join('const %s : Phon\n' % n for n in 'xyuvh')),
-], ids=['boolsem', 'perm', 'boolsem-schema-variable-names'])
+    # and like the append and phon schemas' variables
+    ('boolsem', 3, ''.join('const %s : Phon\n' % n
+                           for n in ('z', 'x1', 'x2', 'x3', 'w1', 'w2', 'w3'))),
+], ids=['boolsem', 'perm', 'boolsem-schema-variable-names',
+        'boolsem-append-schema-variable-names'])
 def test_every_parse_verifies_in_a_fresh_elaboration(name, k, extra):
     # every parse of every word up to 4 tokens, with the Pair and projection
     # congruence schemas in its derivation, replays with the fingerprint

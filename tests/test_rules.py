@@ -387,9 +387,9 @@ def test_prove_hyp(th):
 
 
 def test_rewrite_rhs_takes_given_equations_as_they_stand(th):
-    # a subterm alpha-equal to a given left-hand side gets that equation;
-    # the pass neither descends into it nor walks its right-hand side, so
-    # the redexes hidden there stay
+    # a subterm alpha-equal to a left-hand side in the memo gets that
+    # equation; the pass neither descends into it nor walks its right-hand
+    # side, so the redexes hidden there stay
     x, y = Var('x', BOOL), Var('y', BOOL)
     f = Var('f', FunType(BOOL, BOOL))
     lhs_term = App(f, _redex(x))
@@ -402,6 +402,45 @@ def test_rewrite_rhs_takes_given_equations_as_they_stand(th):
     # no given equation at a node that is not its left-hand side
     e = rules.rewrite_rhs(thm, rules._bp_step, {App(f, x): given_eq})
     assert rules.rhs(e) == mk_conj(App(f, x), x)
+
+
+def _subterms(t, out=None):
+    out = set() if out is None else out
+    if t not in out:
+        out.add(t)
+        for a in t._children:
+            _subterms(getattr(t, a), out)
+    return out
+
+
+def test_rewrite_pass_calls_node_fn_once_per_distinct_subterm(th):
+    x, y = Var('x', BOOL), Var('y', BOOL)
+    a = mk_disj(x, mk_not(y))
+    t = mk_conj(mk_conj(a, a), mk_eq(a, mk_conj(a, a)))
+    calls = []
+
+    def node(th_, u):
+        calls.append(u)
+        return None
+    memo = {}
+    thm = kernel.reflexivity(th, t)
+    assert rules.rewrite_rhs(thm, node, memo) is thm
+    assert len(calls) == len(set(calls)) == len(_subterms(t)) == len(memo)
+    assert set(memo.values()) == {None}
+    # a later pass with the same memo enters only the nodes it has not seen
+    calls.clear()
+    rules.rewrite_rhs(kernel.reflexivity(th, mk_not(t)), node, memo)
+    assert calls == [mk_not(t)]
+    # a redex met three times is contracted once and its equation reused
+    r = _redex(a)
+    steps = []
+
+    def beta(th_, u):
+        e = rules._bp_step(th_, u)
+        steps.extend([e] if e is not None else [])
+        return e
+    e = rules.rewrite_rhs(kernel.reflexivity(th, mk_conj(r, mk_conj(r, r))), beta)
+    assert rules.rhs(e) == mk_conj(a, mk_conj(a, a)) and len(steps) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -144,7 +144,7 @@ def test_pinned_merge_trace_bytes(seed):
                        capture_output=True, env=env, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.split() == [
-        '964', '269cd966770922e82b5ca77a619cc028ddafc82a76c42df5a35e0387a0d6928e']
+        '938', '4324905c81cb7776a98c1f9da397167a61c7c99a90fc7e5c1085e63f2b1b1f2f']
 
 
 def test_long_chain_word_round_trip():
@@ -159,6 +159,21 @@ def test_long_chain_word_round_trip():
     assert [t.concl for t in got] == [r.phon_proof.concl, r.sem_proof.concl]
     w = grammar.word_to_phon(g, word)
     assert syntax.parse_term(syntax.canonical_term(w), syntax.TermEnv(theory=g.theory)) is w
+
+
+def test_left_chain_word_round_trip():
+    # a left-branching word 60 tokens long: its phonology proof uses the
+    # append schema of every length from 2 to 59, and its trace re-verifies
+    # in a fresh elaboration
+    g = grammar.elaborate(helpers.LEFT_CHAIN, name='left_chain')
+    word = helpers.left_chain_word(60)
+    (r,) = parser.parse(g, word, 60)
+    assert rules.rhs(r.phon_proof) == grammar.word_to_phon(g, word)
+    assert all(('phon_append', n) in g.theory._derived_cache for n in range(2, 60))
+    text = export_trace([r.phon_proof, r.sem_proof])
+    fresh = grammar.elaborate(helpers.LEFT_CHAIN, name='left_chain')
+    got = verify_trace(text, fresh.theory, strict_fingerprint=True)
+    assert [t.concl for t in got] == [r.phon_proof.concl, r.sem_proof.concl]
 
 
 def test_export_rejects_mixed_theories(toy, ambig):
@@ -397,7 +412,7 @@ def test_replay_parses_each_distinct_literal_once_and_no_claim(monkeypatch):
     verify_trace(text, fresh.theory, strict_fingerprint=True)
     assert len(parsed) == len(set(parsed))
     assert set(parsed) == unprinted
-    assert (len(unprinted), len(used)) == (48, 200)
+    assert (len(unprinted), len(used)) == (50, 203)
 
 
 def _edit_steps(text, edit):
