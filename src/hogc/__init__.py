@@ -10,7 +10,8 @@ boolean meaning sets.
 from .kernel import (Abs, App, BOOL, BaseType, Const, FunType, IND, KernelError,
                      PHON, Pair, ProdType, Proj, RuleError, Term, Theorem,
                      Theory, TheoryError, Type, TypingError, Var, axiom,
-                     beta_normalize, core_theory, free_vars, substitute, type_of)
+                     beta_normalize, core_theory, type_of)
+from .terms import substitute
 from .syntax import ParseError, TermEnv, canonical_term, canonical_theorem, \
     parse_term, pretty_term, pretty_theorem
 from .grammar import Grammar, GrammarError, GrammarSpec, Word, elaborate, \
@@ -40,7 +41,7 @@ __all__ = [
     'certificate_right', 'certificate_taut', 'check_membership',
     'closure_report', 'closure_saturate', 'closure_violation',
     'core_theory', 'elaborate', 'enumerate_signs', 'export_trace',
-    'free_vars', 'identity_language', 'in_fragment', 'is_logically_closed',
+    'identity_language', 'in_fragment', 'is_logically_closed',
     'language_logically_closed', 'load_grammar', 'logical_singleton',
     'merge_parses', 'parse', 'parse_term', 'phon_homomorphism',
     'phon_norm', 'phon_to_word', 'pretty_term', 'pretty_theorem',

@@ -27,12 +27,11 @@ from itertools import compress
 
 from . import kernel, rules, syntax
 from .grammar import Word
-from .kernel import (App, Var, Term, Theorem, BOOL, dest_conj,
-                     dest_disj, dest_eq, dest_not, dest_cond,
-                     is_false, is_true, mk_cond, mk_disj, mk_eq, substitute,
+from .kernel import (App, Var, Term, Theorem, BOOL, dest_eq, mk_cond, mk_disj, mk_eq,
                      true_c, false_c)
 from .parser import ParseResult
 from .rules import FragmentError, fragment_vars
+from .terms import dest_cond, dest_conj, dest_disj, dest_not, is_false, is_true, substitute
 
 
 class ClosureError(Exception):
@@ -156,21 +155,9 @@ class TermUniverse:
         return t in self.vectors
 
 
-def _check_subset(universe, subset):
-    out = []
-    seen = {}
-    for t in subset:
-        if t not in universe:
-            raise ClosureError('term not in the universe: %s'
-                               % syntax.pretty_term(t))
-        if t not in seen:
-            seen[t] = None
-            out.append(t)
-    return out
-
-
 def _saturate(universe, subset):
-    """(members in universe order, witness dict added-term -> (b, c)).
+    """(members in universe order, witness dict added-term -> (b, c) in the
+    same order).  The one check that each subset term is in the universe.
 
     A term a is in the closure iff its truth vector u agrees with b or with
     c on every row for two members b, c, that is ``b & c <= u <= b | c``.
@@ -183,10 +170,14 @@ def _saturate(universe, subset):
     member b in member order, and with it the first member c.  Then one
     scan assigns terms to classes.
     """
-    subset = _check_subset(universe, subset)
     class_of, cvec, rows = universe._class_of, universe._class_vectors, universe._rows
     rep = {}
+    inset = set()
     for t in subset:
+        if t not in universe:
+            raise ClosureError('term not in the universe: %s'
+                               % syntax.pretty_term(t))
+        inset.add(t)
         rep.setdefault(class_of[t], t)
     members = []                    # class indices, in the order they joined
     member_rows = [0] * len(rows)   # per row, the member positions true on it
@@ -244,7 +235,6 @@ def _saturate(universe, subset):
         start = k + 1
     out = list(compress(universe.terms, map(rep.__contains__, class_of.values())))
     witness = {}
-    inset = set(subset)
     for t in out:
         if t not in inset:
             k = class_of[t]
@@ -259,21 +249,13 @@ def closure_saturate(universe, subset):
 
 
 def is_logically_closed(universe, subset):
-    subset = _check_subset(universe, subset)
-    closed = closure_saturate(universe, subset)
-    return len(closed) == len(subset)
+    return not _saturate(universe, subset)[1]
 
 
 def closure_violation(universe, subset):
     """None when closed, else (a, (b, c)): a joins the closure because of
     members b and c but is not in the subset."""
-    subset = _check_subset(universe, subset)
-    closed, witness = _saturate(universe, subset)
-    inset = set(subset)
-    for t in closed:
-        if t not in inset:
-            return t, witness[t]
-    return None
+    return next(iter(_saturate(universe, subset)[1].items()), None)
 
 
 def sets_equivalent(universe, s1, s2):
@@ -304,15 +286,10 @@ def language_violation(universe, pairs):
     universe, else ((word, a), (b, c)): the word also means a because it
     means both b and c, yet (word, a) is missing."""
     by_word = {}
-    order = []
     for w, t in pairs:
-        if w not in by_word:
-            by_word[w] = []
-            order.append(w)
-        if not any(t == u for u in by_word[w]):
-            by_word[w].append(t)
-    for w in order:
-        v = closure_violation(universe, by_word[w])
+        by_word.setdefault(w, {})[t] = None
+    for w, meanings in by_word.items():
+        v = closure_violation(universe, meanings)
         if v is not None:
             return (w, v[0]), v[1]
     return None
@@ -324,10 +301,9 @@ def language_logically_closed(universe, pairs):
 
 def closure_report(universe, subset):
     """A plain-text closure table, deterministic byte for byte."""
-    subset = _check_subset(universe, subset)
     closed, witness = _saturate(universe, subset)
-    inset = set(subset)
     closedset = set(closed)
+    inset = closedset.difference(witness)
     if universe._printed is None:
         # fragment terms have no binders, so their printing is fixed
         universe._printed = {t: syntax.pretty_term(t) for t in universe.terms}
@@ -346,10 +322,10 @@ def closure_report(universe, subset):
     lines = []
     lines.append('universe: %d terms over variables %s'
                  % (len(universe), ' '.join(v.name for v in universe.vars) or '(none)'))
-    lines.append('input: %d terms' % len(subset))
+    lines.append('input: %d terms' % len(inset))
     lines.append('closure: %d terms' % len(closed))
     lines.append('input logically closed: %s'
-                 % ('yes' if len(closed) == len(subset) else 'no'))
+                 % ('yes' if len(closed) == len(inset) else 'no'))
     lines.append('')
     fmt = '  '.join('%%-%ds' % w for w in widths)
     lines.append(fmt % head)

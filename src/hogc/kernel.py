@@ -141,11 +141,18 @@ def _live(key):
     return None if ref is None else ref()
 
 
-def _intern(key, t, ty, h, free_vars, loose):
-    """Enter the new term ``t`` under ``key`` with its type, structural hash,
-    free variables and the number of binders it needs around it to be
-    closed; the term already there wins when threads race."""
-    t.ty, t._h, t.free_vars, t._loose, t._checked = ty, h, free_vars, loose, None
+def _intern(cls, key, fields, ty, h, free_vars, loose):
+    """Make a ``cls`` node with its own ``fields`` (in slot order) and enter
+    it under ``key`` with its type, structural hash, free variables (None
+    for a variable, whose set holds itself) and the number of binders it
+    needs around it to be closed; the term already there wins when threads
+    race."""
+    t = object.__new__(cls)
+    for slot, value in zip(cls.__slots__, fields):
+        setattr(t, slot, value)
+    t.ty, t._h, t._loose, t._checked = ty, h, loose, None
+    # hashed before its free-variable set, which holds a variable itself
+    t.free_vars = frozenset((t,)) if free_vars is None else free_vars
     ref = KeyedRef(t, _forget, key)
     while True:
         old = _terms.setdefault(key, ref)
@@ -190,10 +197,7 @@ class Var(Term):
         if t is None:
             if not isinstance(ty, Type):
                 raise TypingError('variable %s needs a Type' % name)
-            t = object.__new__(cls)
-            # hashed before its free-variable set, which holds it
-            t.name, t._h = name, hash(('v', name, ty._hash))
-            t = _intern(key, t, ty, t._h, frozenset((t,)), 0)
+            t = _intern(cls, key, (name,), ty, hash(('v', name, ty._hash)), None, 0)
         return t
 
 
@@ -208,12 +212,10 @@ class Const(Term):
         if t is None:
             if not all(isinstance(a, Type) for a in (ty,) + targs):
                 raise TypingError('constant %s needs Types' % name)
-            t = object.__new__(cls)
-            t.name, t.targs = name, targs
             # name[T1,...] for a schematic instance
-            t.display_name = ('%s[%s]' % (name, ','.join(map(type_to_str, targs)))
-                              if targs else name)
-            t = _intern(key, t, ty, hash(('c', name, ty._hash, targs)), _NO_VARS, 0)
+            display = '%s[%s]' % (name, ','.join(map(type_to_str, targs))) if targs else name
+            t = _intern(cls, key, (name, targs, display), ty,
+                        hash(('c', name, ty._hash, targs)), _NO_VARS, 0)
         return t
 
 
@@ -228,9 +230,7 @@ class Bound(Term):
         key = ('b', index, id(ty))
         t = _live(key)
         if t is None:
-            t = object.__new__(cls)
-            t.index = index
-            t = _intern(key, t, ty, hash(('b', index, ty._hash)), _NO_VARS, index + 1)
+            t = _intern(cls, key, (index,), ty, hash(('b', index, ty._hash)), _NO_VARS, index + 1)
         return t
 
 
@@ -248,9 +248,7 @@ class App(Term):
             if fty.dom != arg.ty:
                 raise TypingError('argument type %s does not match domain %s'
                                   % (type_to_str(arg.ty), type_to_str(fty.dom)))
-            t = object.__new__(cls)
-            t.fn, t.arg = fn, arg
-            t = _intern(key, t, fty.cod, hash(('a', fn._h, arg._h)),
+            t = _intern(cls, key, (fn, arg), fty.cod, hash(('a', fn._h, arg._h)),
                         _union(fn.free_vars, arg.free_vars), max(fn._loose, arg._loose))
         return t
 
@@ -279,9 +277,8 @@ def _abs(hint, dom, body):
     key = ('l', id(dom), id(body))
     t = _live(key)
     if t is None:
-        t = object.__new__(Abs)
-        t.hint, t.body = hint, body
-        t = _intern(key, t, FunType(dom, body.ty), hash(('l', dom._hash, body._h)),
+        t = _intern(Abs, key, (hint, body), FunType(dom, body.ty),
+                    hash(('l', dom._hash, body._h)),
                     body.free_vars, max(body._loose - 1, 0))
     return t
 
@@ -294,9 +291,8 @@ class Pair(Term):
         key = ('p', id(left), id(right))
         t = _live(key)
         if t is None:
-            t = object.__new__(cls)
-            t.left, t.right = left, right
-            t = _intern(key, t, ProdType(left.ty, right.ty), hash(('p', left._h, right._h)),
+            t = _intern(cls, key, (left, right), ProdType(left.ty, right.ty),
+                        hash(('p', left._h, right._h)),
                         _union(left.free_vars, right.free_vars),
                         max(left._loose, right._loose))
         return t
@@ -315,9 +311,7 @@ class Proj(Term):
             if not isinstance(arg.ty, ProdType):
                 raise TypingError('projecting from non-product of type %s'
                                   % type_to_str(arg.ty))
-            t = object.__new__(cls)
-            t.index, t.arg = index, arg
-            t = _intern(key, t, arg.ty.left if index == 1 else arg.ty.right,
+            t = _intern(cls, key, (index, arg), arg.ty.left if index == 1 else arg.ty.right,
                         hash(('j', index, arg._h)), arg.free_vars, arg._loose)
         return t
 
@@ -369,11 +363,6 @@ def dest_abs(t, base=None):
     return v, _open(t.body, v, 0)
 
 
-def free_vars(t):
-    """The free variables of ``t`` as a set of Var objects."""
-    return set(t.free_vars)
-
-
 def subst_parallel(t, mapping):
     """Parallel substitution of closed terms for free variables.
 
@@ -389,11 +378,6 @@ def subst_parallel(t, mapping):
         if r._loose:
             raise TypingError('substituting a term with loose bound variables')
     return _subst(t, (mapping, frozenset(mapping)), 0)
-
-
-def substitute(t, v, r):
-    """Replace free occurrences of variable ``v`` in ``t`` by ``r``."""
-    return subst_parallel(t, {v: r})
 
 
 def beta_normalize(t):
@@ -500,10 +484,6 @@ def mk_forall(v, body):
     return App(logical_const('forall', (v.ty,)), Abs(v, body))
 
 
-def mk_exists(v, body):
-    return App(logical_const('exists', (v.ty,)), Abs(v, body))
-
-
 def mk_cond(x, y, z):
     """The if-then-else application C(x, y, z) with a right-nested triple."""
     if x.ty != y.ty:
@@ -523,49 +503,6 @@ def dest_bin(name, t):
 
 def dest_eq(t):
     return dest_bin('eq', t)
-
-
-def dest_conj(t):
-    return dest_bin('and', t)
-
-
-def dest_disj(t):
-    return dest_bin('or', t)
-
-
-def dest_imp(t):
-    return dest_bin('imp', t)
-
-
-def dest_not(t):
-    if isinstance(t, App) and isinstance(t.fn, Const) and t.fn.name == 'not':
-        return t.arg
-    return None
-
-
-def dest_forall(t):
-    """Open ``!x. b`` into (x, b) as ``dest_abs`` does; None when not of
-    that shape."""
-    if (isinstance(t, App) and isinstance(t.fn, Const)
-            and t.fn.name == 'forall' and isinstance(t.arg, Abs)):
-        return dest_abs(t.arg)
-    return None
-
-
-def dest_cond(t):
-    """Split C(x, y, z) into (x, y, z); None when not of that shape."""
-    if (isinstance(t, App) and isinstance(t.fn, Const) and t.fn.name == 'cond'
-            and isinstance(t.arg, Pair) and isinstance(t.arg.right, Pair)):
-        return t.arg.left, t.arg.right.left, t.arg.right.right
-    return None
-
-
-def is_true(t):
-    return isinstance(t, Const) and t.name == 'true'
-
-
-def is_false(t):
-    return isinstance(t, Const) and t.name == 'false'
 
 
 # ---------------------------------------------------------------------------

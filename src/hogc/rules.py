@@ -39,13 +39,13 @@ arguments are answered by instantiating the cached schema.
 from __future__ import annotations
 
 from . import kernel
-from .kernel import (Abs, App, BOOL, FunType, Pair, Proj, RuleError, Var,
-                     abstraction, assume, axiom, beta_conversion, congruence,
-                     deduct_antisym, dest_cond, dest_conj, dest_disj, dest_eq,
-                     dest_forall, dest_imp, dest_not, false_c, instantiate,
-                     is_false, is_true, mk_conj, mk_cond, mk_disj, mk_eq,
-                     mk_forall, mk_imp, mk_not, modus_ponens_eq, pair_beta,
-                     reflexivity, substitute, symmetry, transitivity, true_c)
+from .kernel import (Abs, App, BOOL, FunType, Pair, Proj, RuleError, Var, abstraction,
+                     assume, axiom, beta_conversion, congruence, deduct_antisym, dest_eq,
+                     false_c, instantiate, mk_conj, mk_cond, mk_disj, mk_eq, mk_forall,
+                     mk_imp, mk_not, modus_ponens_eq, pair_beta, reflexivity, symmetry,
+                     transitivity, true_c)
+from .terms import (dest_cond, dest_conj, dest_disj, dest_forall, dest_imp, dest_not,
+                    is_false, is_true, substitute)
 
 
 def lhs(thm):

@@ -35,7 +35,7 @@ variables may be annotated with their type (``x:(Ind -> Bool)``).  ``%0``,
 
 from __future__ import annotations
 
-from . import kernel
+from . import kernel, terms
 from .kernel import (App, Abs, Bound, Const, FunType, Pair, PHON, ProdType, Proj,
                      Var, dest_abs, type_to_str)
 
@@ -181,7 +181,7 @@ def _pretty_app(t, ctx, depth):
         if name in ('forall', 'exists') and isinstance(arg, Abs):
             return _wrap(_binder('!' if name == 'forall' else '?', arg, depth), 0, ctx)
         if name == 'cond':
-            d = kernel.dest_cond(t)
+            d = terms.dest_cond(t)
             if d is not None:
                 return '%s(%s)' % (fn.display_name, ', '.join(_pretty(a, 0, depth) for a in d))
     if isinstance(fn, Abs):

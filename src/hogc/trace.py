@@ -190,6 +190,17 @@ def _split_axiom_name(th, name, step):
         raise TraceError('bad type in axiom name %r: %s' % (name, e), step)
 
 
+# rule -> whether it takes the theory first, then its argument kinds; the
+# term of ``abstraction`` is its binder
+_ARG_KINDS = {
+    'reflexivity': (True, 'term'), 'symmetry': (False, 'ref'),
+    'transitivity': (False, 'ref', 'ref'), 'congruence': (False, 'ref', 'ref'),
+    'abstraction': (False, 'term', 'ref'), 'beta_conversion': (True, 'term'),
+    'pair_beta': (True, 'term'), 'assume': (True, 'term'),
+    'modus_ponens_eq': (False, 'ref', 'ref'), 'deduct_antisym': (False, 'ref', 'ref'),
+}
+
+
 def _run_step(th, rule, args, steps, step, parse_literal):
     def ref(i):
         if not 0 <= i < len(steps):
@@ -202,39 +213,23 @@ def _run_step(th, rule, args, steps, step, parse_literal):
         except (syntax.ParseError, kernel.KernelError) as e:
             raise TraceError('bad term %r: %s' % (s, e), step)
 
-    if rule == 'reflexivity':
-        (t,) = _need(args, step, 'term')
-        return kernel.reflexivity(th, term(t))
-    if rule == 'symmetry':
-        (i,) = _need(args, step, 'ref')
-        return kernel.symmetry(ref(i))
-    if rule == 'transitivity':
-        i, j = _need(args, step, 'ref', 'ref')
-        return kernel.transitivity(ref(i), ref(j))
-    if rule == 'congruence':
-        i, j = _need(args, step, 'ref', 'ref')
-        return kernel.congruence(ref(i), ref(j))
-    if rule == 'abstraction':
-        v, i = _need(args, step, 'term', 'ref')
-        vt = term(v)
-        if not isinstance(vt, Var):
-            raise TraceError('abstraction binder is not a variable', step)
-        return kernel.abstraction(vt, ref(i))
-    if rule == 'beta_conversion':
-        (t,) = _need(args, step, 'term')
-        return kernel.beta_conversion(th, term(t))
-    if rule == 'pair_beta':
-        (t,) = _need(args, step, 'term')
-        return kernel.pair_beta(th, term(t))
-    if rule == 'assume':
-        (t,) = _need(args, step, 'term')
-        return kernel.assume(th, term(t))
-    if rule == 'modus_ponens_eq':
-        i, j = _need(args, step, 'ref', 'ref')
-        return kernel.modus_ponens_eq(ref(i), ref(j))
-    if rule == 'deduct_antisym':
-        i, j = _need(args, step, 'ref', 'ref')
-        return kernel.deduct_antisym(ref(i), ref(j))
+    def var(s, what):
+        v = term(s)
+        if not isinstance(v, Var):
+            raise TraceError('%s is not a variable' % what, step)
+        return v
+
+    if rule in _ARG_KINDS:
+        with_theory, *kinds = _ARG_KINDS[rule]
+        vals = [th] if with_theory else []
+        for kind, a in zip(kinds, _need(args, step, *kinds)):
+            if kind == 'ref':
+                vals.append(ref(a))
+            elif rule == 'abstraction':
+                vals.append(var(a, 'abstraction binder'))
+            else:
+                vals.append(term(a))
+        return getattr(kernel, rule)(*vals)
     if rule == 'axiom':
         (name,) = _need(args, step, 'name')
         return kernel.axiom(th, *_split_axiom_name(th, name, step))
@@ -247,9 +242,7 @@ def _run_step(th, rule, args, steps, step, parse_literal):
         for k in range(0, len(rest), 2):
             if rest[k][0] != 'term' or rest[k + 1][0] != 'term':
                 raise TraceError('malformed instantiate pair', step)
-            v = term(rest[k][1])
-            if not isinstance(v, Var):
-                raise TraceError('instantiate target is not a variable', step)
+            v = var(rest[k][1], 'instantiate target')
             mapping[v] = term(rest[k + 1][1])
         return kernel.instantiate(prem, mapping)
     raise TraceError('unknown rule %s' % rule, step)

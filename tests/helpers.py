@@ -6,7 +6,7 @@ validity checker, and the random term generators build kernel terms
 directly from the constructors.
 """
 
-from hogc import kernel, rules
+from hogc import kernel, rules, terms
 from hogc.closure import bool_valid
 from hogc.kernel import (
     Abs, App, BOOL, FunType, IND, Pair, PHON, ProdType, Var,
@@ -225,11 +225,11 @@ def eval_fragment(t, env):
     """Tiny standalone truth evaluator used to cross-check the oracle."""
     if isinstance(t, Var):
         return env[t.name]
-    if kernel.is_true(t):
+    if terms.is_true(t):
         return True
-    if kernel.is_false(t):
+    if terms.is_false(t):
         return False
-    n = kernel.dest_not(t)
+    n = terms.dest_not(t)
     if n is not None:
         return not eval_fragment(n, env)
     for name, op in (('and', lambda a, b: a and b),
@@ -238,7 +238,7 @@ def eval_fragment(t, env):
         d = kernel.dest_bin(name, t)
         if d is not None:
             return op(eval_fragment(d[0], env), eval_fragment(d[1], env))
-    d = kernel.dest_cond(t)
+    d = terms.dest_cond(t)
     if d is not None:
         return eval_fragment(d[0], env) if eval_fragment(d[2], env) \
             else eval_fragment(d[1], env)
@@ -247,7 +247,7 @@ def eval_fragment(t, env):
 
 def undisch(thm):
     """From A |- p => q derive A u {p} |- q."""
-    d = kernel.dest_imp(thm.concl)
+    d = terms.dest_imp(thm.concl)
     if d is None:
         raise kernel.RuleError('not an implication: %r' % thm)
     return rules.mp(thm, kernel.assume(thm.theory, d[0]))

@@ -10,7 +10,7 @@ kernels, parser/enumeration agreement, and the closure-operator laws.
 import random
 import time
 
-from hogc import closure, grammar, kernel, parser, rules, syntax, trace
+from hogc import closure, grammar, kernel, parser, rules, syntax, terms, trace
 from hogc.kernel import (Abs, App, BOOL, FunType, IND, PHON, ProdType, Var,
                          beta_normalize, dest_eq, false_c, mk_cond, mk_disj,
                          mk_eq, true_c)
@@ -23,15 +23,15 @@ FIVE_TYPES = (BOOL, IND, PHON, FunType(IND, BOOL), ProdType(BOOL, IND))
 def _collapse_node(th, t):
     """Rewrite step: conditionals at true/false, ground booleans to their
     value."""
-    d = kernel.dest_cond(t)
+    d = terms.dest_cond(t)
     if d is not None:
         x, y, z = d
-        if kernel.is_true(z):
+        if terms.is_true(z):
             return rules.cond_true(th, x, y)
-        if kernel.is_false(z):
+        if terms.is_false(z):
             return rules.cond_false(th, x, y)
     if (t.ty == BOOL and not t.free_vars and closure.in_fragment(t)
-            and not (kernel.is_true(t) or kernel.is_false(t))):
+            and not (terms.is_true(t) or terms.is_false(t))):
         return rules.ground_eval(th, t)
     return None
 

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hogc import grammar, kernel, rules, syntax
+from hogc import grammar, kernel, rules, syntax, terms
 from hogc.grammar import (
     GrammarError, GrammarSpec, Word, elaborate, load_grammar,
     phon_homomorphism, phon_norm, phon_to_word, word_to_phon,
@@ -83,7 +83,7 @@ def test_toy_theory_signature(toy):
 def test_lex_axiom_shape(toy):
     th = toy.theory
     ax = th.axioms['lex.FIDO']
-    phon_eq, sem_eq = kernel.dest_conj(ax)
+    phon_eq, sem_eq = terms.dest_conj(ax)
     fido_sign = th.const('FIDO')
     assert phon_eq == mk_eq(App(th.const('phon_NP'), fido_sign),
                             th.const('/fajdo/'))
@@ -94,9 +94,9 @@ def test_lex_axiom_shape(toy):
 def test_rule_axiom_shape(toy):
     th = toy.theory
     ax = th.axioms['rule.SUBJ']
-    v1, body = kernel.dest_forall(ax)
-    v2, body = kernel.dest_forall(body)
-    phon_eq, sem_eq = kernel.dest_conj(body)
+    v1, body = terms.dest_forall(ax)
+    v2, body = terms.dest_forall(body)
+    phon_eq, sem_eq = terms.dest_conj(body)
     sign = App(App(th.const('SUBJ'), v1), v2)
     l, _ = kernel.dest_eq(phon_eq)
     assert l == App(th.const('phon_S'), sign)
@@ -295,6 +295,6 @@ def test_grammar_term_env(toy):
 def test_empty_phonology_lexeme(eps):
     th = eps.theory
     ax = th.axioms['lex.NULL']
-    phon_eq, _sem_eq = kernel.dest_conj(ax)
+    phon_eq, _sem_eq = terms.dest_conj(ax)
     assert phon_eq == mk_eq(App(th.const('phon_E'), th.const('NULL')),
                             th.const('//'))

@@ -5,12 +5,12 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from hogc import kernel, rules
+from hogc import kernel, rules, terms
 from hogc.kernel import (
     Abs, App, BOOL, FunType, IND, Pair, ProdType, Proj, Var,
-    dest_eq, false_c, is_false, is_true, mk_conj, mk_cond, mk_disj, mk_eq,
-    mk_forall, mk_imp, mk_not, true_c,
+    dest_eq, false_c, mk_conj, mk_cond, mk_disj, mk_eq, mk_forall, mk_imp, mk_not, true_c,
 )
+from hogc.terms import is_false, is_true
 
 import helpers
 from test_kernel import FRAG
@@ -308,9 +308,9 @@ def test_depth_rewrite_custom_rule(th):
     eq = rules.taut(th, mk_eq(mk_not(mk_not(p)), p))
 
     def node(th_, t):
-        d = kernel.dest_not(t)
-        if d is not None and kernel.dest_not(d) is not None:
-            return kernel.instantiate(eq, {p: kernel.dest_not(d)})
+        d = terms.dest_not(t)
+        if d is not None and terms.dest_not(d) is not None:
+            return kernel.instantiate(eq, {p: terms.dest_not(d)})
         return None
 
     t = mk_conj(mk_not(mk_not(mk_not(mk_not(p)))), p)

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 from hogc import kernel, syntax
 from hogc.kernel import (
     Abs, App, BOOL, FunType, IND, PHON, Pair, ProdType, Proj, Var,
-    false_c, mk_conj, mk_cond, mk_disj, mk_eq, mk_exists, mk_forall,
-    mk_imp, mk_not, true_c,
+    false_c, mk_conj, mk_cond, mk_disj, mk_eq, mk_forall, mk_imp, mk_not, true_c,
 )
+from hogc.terms import mk_exists
 from hogc.syntax import TermEnv, canonical_term, parse_term, pretty_term
 
 from test_kernel import FRAG

@@ -608,6 +608,11 @@ _PRELUDE = '# hogc trace v1\n'
      "bad roots line '# roots': want one or more step indexes"),
     ('# roots 0\n# roots 0\n0 reflexivity {true} ==>  |- true = true',
      "more than one roots line: '# roots 0'"),
+    # a binder or target is checked before the arguments after it are read
+    ('0 abstraction {true} @5 ==>  |- true', 'step 0: abstraction binder is not a variable'),
+    ('0 reflexivity {true} ==>  |- ((eq[Bool] true) true)\n'
+     '1 instantiate @0 {true} {moo} ==>  |- true',
+     'step 1: instantiate target is not a variable'),
 ])
 def test_malformed_traces(body, frag):
     th = kernel.core_theory()
