@@ -5,10 +5,16 @@ logic; parsing a word produces kernel-checked proofs of its phonology and
 meaning, ambiguity is resolved by certificate-driven merging through the
 if-then-else constants, and a small laboratory explores logical closure of
 boolean meaning sets.
+
+``hogc.Pair`` and ``hogc.Proj`` are gone: pairs and their projections are
+the logical constants ``pair[A,B]``, ``fst[A,B]`` and ``snd[A,B]``.  Write
+``hogc.terms.mk_pair(a, b)`` for ``Pair(a, b)``, and
+``App(kernel.logical_const('fst', (A, B)), p)`` for ``Proj(1, p)``; the term
+reader still takes ``<a, b>``, ``(a, b)``, ``fst p`` and ``snd p``.
 """
 
 from .kernel import (Abs, App, BOOL, BaseType, Const, FunType, IND, KernelError,
-                     PHON, Pair, ProdType, Proj, RuleError, Term, Theorem,
+                     PHON, ProdType, RuleError, Term, Theorem,
                      Theory, TheoryError, Type, TypingError, Var, axiom,
                      beta_normalize, core_theory, type_of)
 from .terms import substitute
@@ -32,8 +38,8 @@ __version__ = '0.1.0'
 __all__ = [
     'Abs', 'App', 'BOOL', 'BaseType', 'ClosureCertificate', 'ClosureError',
     'Const', 'FragmentError', 'FunType', 'Grammar', 'GrammarError',
-    'GrammarSpec', 'IND', 'KernelError', 'PHON', 'Pair',
-    'ParseError', 'ParseResult', 'ProdType', 'Proj', 'RuleError', 'Term',
+    'GrammarSpec', 'IND', 'KernelError', 'PHON',
+    'ParseError', 'ParseResult', 'ProdType', 'RuleError', 'Term',
     'TermEnv', 'TermUniverse', 'Theorem', 'Theory', 'TheoryError',
     'TraceError', 'Type', 'TypingError', 'Var', 'Word', 'axiom',
     'beta_normalize', 'bool_valid', 'canonical_term', 'canonical_theorem',

@@ -30,8 +30,8 @@ import re
 from dataclasses import dataclass, field
 
 from . import kernel, rules, syntax
-from .kernel import (App, BaseType, FunType, PHON, Pair, ProdType, Term,
-                     Theory, Var, mk_conj, mk_eq, mk_forall)
+from .kernel import (App, BaseType, FunType, PHON, Term, Theory, Var, mk_conj, mk_eq,
+                     mk_forall)
 
 
 class GrammarError(Exception):
@@ -40,7 +40,7 @@ class GrammarError(Exception):
 
 _NAME_RE = re.compile(r'^[A-Za-z_][A-Za-z0-9_]*$')
 _TOKEN_RE = re.compile(r"^[a-z0-9'][a-z0-9'_-]*$")
-_RESERVED = frozenset(('fst', 'snd', 'sem', 'phon', 'conc', 'true', 'false',
+_RESERVED = frozenset(('pair', 'fst', 'snd', 'sem', 'phon', 'conc', 'true', 'false',
                        'not', 'and', 'or', 'imp', 'eq', 'iota', 'forall',
                        'exists', 'cond', 'Bool', 'Ind', 'Phon'))
 
@@ -327,7 +327,7 @@ def elaborate(spec, name='g'):
     for sty in spec.sign_types:
         _sem_type(th, spec, sem_types, sty, frozenset())
 
-    th.add_constant('conc', FunType(ProdType(PHON, PHON), PHON))
+    th.add_constant('conc', FunType(PHON, FunType(PHON, PHON)))
     th.add_constant('//', PHON)
     for tok in spec.alphabet:
         th.add_constant('/%s/' % tok, PHON)
@@ -509,18 +509,13 @@ def _append_schema(th, n):
                 # |- (x2 ++ ... ++ xk) ++ z = x2 ++ ... ++ xk ++ z
                 shifted = kernel.instantiate(cache[('phon_append', k - 1)],
                                              dict(zip(xs, xs[1:])))
-                cat, pair = rules.rhs(e).fn, rules.rhs(e).arg
-                e = kernel.transitivity(e, rules.ap_term(
-                    cat, rules._pair_congruence(th, pair, None, shifted)))
+                e = kernel.transitivity(e, rules.ap_term(rules.rhs(e).fn, shifted))
             cache[('phon_append', k)] = e
     return cache[('phon_append', n)]
 
 
 def _dest_cat(t):
-    if (isinstance(t, App) and isinstance(t.fn, kernel.Const)
-            and t.fn.name == 'conc' and isinstance(t.arg, Pair)):
-        return t.arg.left, t.arg.right
-    return None
+    return kernel.dest_bin('conc', t)
 
 
 def _is_unit(t):

@@ -1,7 +1,9 @@
 """Trusted proof kernel: types, terms, theories, theorems, primitive rules.
 
 The kernel is a small LCF-style core for classical simply typed higher-order
-logic with product types.  Everything outside this module manipulates
+logic with product types.  Its terms are variables, constants, bound
+variables, applications and abstractions; pairs and their projections are
+logical constants like the rest.  Everything outside this module manipulates
 ``Theorem`` values only through the primitive rules and axiom accessor
 defined here; no other way of constructing a ``Theorem`` exists.
 
@@ -20,16 +22,17 @@ Design points that matter for soundness:
   identity: the first hint interned for an alpha-class is the one printed.
   ``dest_abs`` opens a binder, renaming the hint only when it clashes with
   a free variable of the body.  Substitution cannot capture.
-* Terms are typed eagerly: ill-typed applications and projections cannot be
-  constructed at all.  So validating a term against a theory checks only its
+* Terms are typed eagerly: ill-typed applications cannot be constructed at
+  all.  So validating a term against a theory checks only its
   leaves and binders, where types come in, and a node validated against a
   frozen theory is not visited again for it.  A frozen theory rejects every
   attribute assignment.
 * Hypotheses are kept once each, in the order the derivation first meets
   them, so theorem printing is reproducible.
 * The kernel is monomorphic.  The logical constant families (equality,
-  description, quantifiers, the if-then-else family) are schematic: an
-  instance at a concrete type is a distinct constant, generated on demand.
+  description, quantifiers, the if-then-else family, pairing and the
+  projections) are schematic: an instance at concrete types is a distinct
+  constant, generated on demand.
 * Logical connectives are defined constants in the equality-based style;
   only their defining equations are axioms, next to function extensionality,
   boolean case analysis, the description axiom and surjective pairing.
@@ -141,15 +144,11 @@ def _live(key):
     return None if ref is None else ref()
 
 
-def _intern(cls, key, fields, ty, h, free_vars, loose):
-    """Make a ``cls`` node with its own ``fields`` (in slot order) and enter
-    it under ``key`` with its type, structural hash, free variables (None
-    for a variable, whose set holds itself) and the number of binders it
-    needs around it to be closed; the term already there wins when threads
-    race."""
-    t = object.__new__(cls)
-    for slot, value in zip(cls.__slots__, fields):
-        setattr(t, slot, value)
+def _intern(t, key, ty, h, free_vars, loose):
+    """Enter the new node ``t``, its own fields already set, under ``key``
+    with its type, structural hash, free variables (None for a variable,
+    whose set holds itself) and the number of binders it needs around it to
+    be closed; the term already there wins when threads race."""
     t.ty, t._h, t._loose, t._checked = ty, h, loose, None
     # hashed before its free-variable set, which holds a variable itself
     t.free_vars = frozenset((t,)) if free_vars is None else free_vars
@@ -197,7 +196,9 @@ class Var(Term):
         if t is None:
             if not isinstance(ty, Type):
                 raise TypingError('variable %s needs a Type' % name)
-            t = _intern(cls, key, (name,), ty, hash(('v', name, ty._hash)), None, 0)
+            t = object.__new__(cls)
+            t.name = name
+            t = _intern(t, key, ty, hash(('v', name, ty._hash)), None, 0)
         return t
 
 
@@ -214,8 +215,9 @@ class Const(Term):
                 raise TypingError('constant %s needs Types' % name)
             # name[T1,...] for a schematic instance
             display = '%s[%s]' % (name, ','.join(map(type_to_str, targs))) if targs else name
-            t = _intern(cls, key, (name, targs, display), ty,
-                        hash(('c', name, ty._hash, targs)), _NO_VARS, 0)
+            t = object.__new__(cls)
+            t.name, t.targs, t.display_name = name, targs, display
+            t = _intern(t, key, ty, hash(('c', name, ty._hash, targs)), _NO_VARS, 0)
         return t
 
 
@@ -230,7 +232,9 @@ class Bound(Term):
         key = ('b', index, id(ty))
         t = _live(key)
         if t is None:
-            t = _intern(cls, key, (index,), ty, hash(('b', index, ty._hash)), _NO_VARS, index + 1)
+            t = object.__new__(cls)
+            t.index = index
+            t = _intern(t, key, ty, hash(('b', index, ty._hash)), _NO_VARS, index + 1)
         return t
 
 
@@ -248,7 +252,9 @@ class App(Term):
             if fty.dom != arg.ty:
                 raise TypingError('argument type %s does not match domain %s'
                                   % (type_to_str(arg.ty), type_to_str(fty.dom)))
-            t = _intern(cls, key, (fn, arg), fty.cod, hash(('a', fn._h, arg._h)),
+            t = object.__new__(cls)
+            t.fn, t.arg = fn, arg
+            t = _intern(t, key, fty.cod, hash(('a', fn._h, arg._h)),
                         _union(fn.free_vars, arg.free_vars), max(fn._loose, arg._loose))
         return t
 
@@ -277,55 +283,18 @@ def _abs(hint, dom, body):
     key = ('l', id(dom), id(body))
     t = _live(key)
     if t is None:
-        t = _intern(Abs, key, (hint, body), FunType(dom, body.ty),
-                    hash(('l', dom._hash, body._h)),
+        t = object.__new__(Abs)
+        t.hint, t.body = hint, body
+        t = _intern(t, key, FunType(dom, body.ty), hash(('l', dom._hash, body._h)),
                     body.free_vars, max(body._loose - 1, 0))
     return t
 
 
-class Pair(Term):
-    __slots__ = ('left', 'right')
-    _args = _children = __slots__
-
-    def __new__(cls, left, right):
-        key = ('p', id(left), id(right))
-        t = _live(key)
-        if t is None:
-            t = _intern(cls, key, (left, right), ProdType(left.ty, right.ty),
-                        hash(('p', left._h, right._h)),
-                        _union(left.free_vars, right.free_vars),
-                        max(left._loose, right._loose))
-        return t
-
-
-class Proj(Term):
-    __slots__ = ('index', 'arg')
-    _args, _children = __slots__, ('arg',)
-
-    def __new__(cls, index, arg):
-        key = ('j', index, id(arg))
-        t = _live(key)
-        if t is None:
-            if index not in (1, 2):
-                raise TypingError('projection index must be 1 or 2')
-            if not isinstance(arg.ty, ProdType):
-                raise TypingError('projecting from non-product of type %s'
-                                  % type_to_str(arg.ty))
-            t = _intern(cls, key, (index, arg), arg.ty.left if index == 1 else arg.ty.right,
-                        hash(('j', index, arg._h)), arg.free_vars, arg._loose)
-        return t
-
-
 def _rebuild(t, f, x, d):
     # t with f(child, x, depth) for each child, d the binder depth at t
-    cls = type(t)
-    if cls is App:
+    if type(t) is App:
         return App(f(t.fn, x, d), f(t.arg, x, d))
-    if cls is Abs:
-        return _abs(t.hint, t.ty.dom, f(t.body, x, d + 1))
-    if cls is Pair:
-        return Pair(f(t.left, x, d), f(t.right, x, d))
-    return Proj(t.index, f(t.arg, x, d))
+    return _abs(t.hint, t.ty.dom, f(t.body, x, d + 1))
 
 
 def _close(t, v, d):
@@ -381,7 +350,7 @@ def subst_parallel(t, mapping):
 
 
 def beta_normalize(t):
-    """Plain beta/projection normal form, computed outside the kernel rules.
+    """Plain beta normal form, computed outside the kernel rules.
 
     Simply typed terms are strongly normalizing, so this terminates.
     """
@@ -391,16 +360,9 @@ def beta_normalize(t):
     if cls is Abs:
         v, body = dest_abs(t)
         return Abs(v, beta_normalize(body))
-    if cls is Proj:
-        arg = beta_normalize(t.arg)
-        if type(arg) is Pair:
-            return arg.left if t.index == 1 else arg.right
-        return Proj(t.index, arg)
     if cls is App:
         fn, arg = beta_normalize(t.fn), beta_normalize(t.arg)
         return beta_normalize(_open(fn.body, arg, 0)) if type(fn) is Abs else App(fn, arg)
-    if cls is Pair:
-        return Pair(beta_normalize(t.left), beta_normalize(t.right))
     raise KernelError('not a term: %r' % (t,))
 
 
@@ -414,17 +376,19 @@ def _fun(*tys):
     return ty
 
 
-# name -> the constant's type at its type argument (None for nullary ones)
+# name -> (number of type arguments, the constant's type at them)
 _LOGICAL = {
-    'true': lambda a: BOOL, 'false': lambda a: BOOL, 'not': lambda a: FunType(BOOL, BOOL),
-    'and': lambda a: _fun(BOOL, BOOL, BOOL), 'or': lambda a: _fun(BOOL, BOOL, BOOL),
-    'imp': lambda a: _fun(BOOL, BOOL, BOOL), 'eq': lambda a: _fun(a, a, BOOL),
-    'iota': lambda a: FunType(FunType(a, BOOL), a),
-    'forall': lambda a: FunType(FunType(a, BOOL), BOOL),
-    'exists': lambda a: FunType(FunType(a, BOOL), BOOL),
-    'cond': lambda a: FunType(ProdType(a, ProdType(a, BOOL)), a),
+    'true': (0, lambda: BOOL), 'false': (0, lambda: BOOL),
+    'not': (0, lambda: FunType(BOOL, BOOL)), 'and': (0, lambda: _fun(BOOL, BOOL, BOOL)),
+    'or': (0, lambda: _fun(BOOL, BOOL, BOOL)), 'imp': (0, lambda: _fun(BOOL, BOOL, BOOL)),
+    'eq': (1, lambda a: _fun(a, a, BOOL)), 'iota': (1, lambda a: FunType(FunType(a, BOOL), a)),
+    'forall': (1, lambda a: FunType(FunType(a, BOOL), BOOL)),
+    'exists': (1, lambda a: FunType(FunType(a, BOOL), BOOL)),
+    'cond': (1, lambda a: _fun(a, a, BOOL, a)),
+    'pair': (2, lambda a, b: _fun(a, b, ProdType(a, b))),
+    'fst': (2, lambda a, b: FunType(ProdType(a, b), a)),
+    'snd': (2, lambda a, b: FunType(ProdType(a, b), b)),
 }
-_UNARY_LOGICAL = frozenset(('eq', 'iota', 'forall', 'exists', 'cond'))
 LOGICAL_NAMES = frozenset(_LOGICAL)
 
 
@@ -433,10 +397,10 @@ def logical_const(name, targs=()):
     """The schematic logical constant ``name`` at the given type arguments."""
     if name not in _LOGICAL:
         raise TheoryError('unknown logical constant %s' % name)
-    unary = name in _UNARY_LOGICAL
-    if len(targs) != int(unary):
-        raise TheoryError('%s takes %s type argument' % (name, 'one' if unary else 'no'))
-    return Const(name, _LOGICAL[name](targs[0] if unary else None), targs)
+    arity, ty = _LOGICAL[name]
+    if len(targs) != arity:
+        raise TheoryError('%s takes %d type arguments, got %d' % (name, arity, len(targs)))
+    return Const(name, ty(*targs), targs)
 
 
 def eq_c(ty):
@@ -485,12 +449,12 @@ def mk_forall(v, body):
 
 
 def mk_cond(x, y, z):
-    """The if-then-else application C(x, y, z) with a right-nested triple."""
+    """The if-then-else application C x y z."""
     if x.ty != y.ty:
         raise TypingError('branches of cond must share a type')
     if z.ty != BOOL:
         raise TypingError('cond condition must be Bool')
-    return App(logical_const('cond', (x.ty,)), Pair(x, Pair(y, z)))
+    return App(App(App(logical_const('cond', (x.ty,)), x), y), z)
 
 
 def dest_bin(name, t):
@@ -539,16 +503,11 @@ def _def_rhs(name, targs):
         return App(logical_const('forall', (BOOL,)), Abs(p, p))
     if name == 'not':
         return Abs(p, mk_imp(p, false_c()))
-    if name == 'cond':
+    if name == 'cond':     # \x y z. iota(\w. (z /\ w = x) \/ (~z /\ w = y))
         (a,) = targs
-        t = Var('t', ProdType(a, ProdType(a, BOOL)))
-        w = Var('w', a)
-        third = Proj(2, Proj(2, t))
-        first = Proj(1, t)
-        second = Proj(1, Proj(2, t))
-        body = mk_disj(mk_conj(third, mk_eq(w, first)),
-                       mk_conj(mk_not(third), mk_eq(w, second)))
-        return Abs(t, App(logical_const('iota', (a,)), Abs(w, body)))
+        x, y, z, w = Var('x', a), Var('y', a), Var('z', BOOL), Var('w', a)
+        body = mk_disj(mk_conj(z, mk_eq(w, x)), mk_conj(mk_not(z), mk_eq(w, y)))
+        return Abs(x, Abs(y, Abs(z, App(logical_const('iota', (a,)), Abs(w, body)))))
     raise TheoryError('no definition for %s' % name)
 
 
@@ -556,7 +515,7 @@ _DEFINED_ORDER = ('true', 'and', 'imp', 'forall', 'exists', 'or', 'false', 'not'
 
 # axiom schema name -> number of type arguments
 _SCHEMA_ARITY = {'bool-cases': 0, 'description': 1, 'ext': 2, 'pairing': 2,
-                 **{'def.' + c: int(c in _UNARY_LOGICAL) for c in _DEFINED_ORDER}}
+                 **{'def.' + c: _LOGICAL[c][0] for c in _DEFINED_ORDER}}
 
 
 # ---------------------------------------------------------------------------
@@ -809,12 +768,13 @@ def beta_conversion(th, redex):
 
 
 def pair_beta(th, redex):
-    """|- fst <a, b> = a  (or snd <a, b> = b)"""
+    """|- fst (pair a b) = a  (or snd (pair a b) = b)"""
     type_of(redex, th)
-    if not (isinstance(redex, Proj) and isinstance(redex.arg, Pair)):
+    proj = redex.fn if type(redex) is App else None
+    ab = dest_bin('pair', redex.arg) if type(proj) is Const else None
+    if ab is None or proj.name not in ('fst', 'snd'):
         raise RuleError('pair_beta needs a projection of a pair')
-    val = redex.arg.left if redex.index == 1 else redex.arg.right
-    return _thm(th, (), mk_eq(redex, val), 'pair_beta', (redex,))
+    return _thm(th, (), mk_eq(redex, ab[proj.name == 'snd']), 'pair_beta', (redex,))
 
 
 def assume(th, p):
@@ -915,6 +875,7 @@ def _schema(name, targs):
     if name == 'pairing':
         a, b = targs
         p = Var('p', ProdType(a, b))
-        return mk_forall(p, mk_eq(Pair(Proj(1, p), Proj(2, p)), p))
+        fst, snd = (App(logical_const(c, targs), p) for c in ('fst', 'snd'))
+        return mk_forall(p, mk_eq(App(App(logical_const('pair', targs), fst), snd), p))
     cname = name[len('def.'):]
     return mk_eq(logical_const(cname, targs), _def_rhs(cname, targs))

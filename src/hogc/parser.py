@@ -213,11 +213,6 @@ def _plain_replace(t, target, repl):
     if isinstance(t, kernel.Abs):
         v, body = kernel.dest_abs(t)
         return kernel.Abs(v, _plain_replace(body, target, repl))
-    if isinstance(t, kernel.Pair):
-        return kernel.Pair(_plain_replace(t.left, target, repl),
-                           _plain_replace(t.right, target, repl))
-    if isinstance(t, kernel.Proj):
-        return kernel.Proj(t.index, _plain_replace(t.arg, target, repl))
     return t
 
 

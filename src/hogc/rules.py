@@ -4,7 +4,7 @@ Everything here bottoms out in kernel rules, so every theorem produced
 carries a full primitive-step provenance and can be exported as a trace.
 The layer covers the standard propositional toolkit for the equality-based
 connectives, a small conversion framework (context substitution, full
-beta/projection normalization, bottom-up rewriting that proves nothing
+beta normalization, bottom-up rewriting that proves nothing
 about the subterms it leaves unchanged and keeps what it proves in a memo
 that later passes with the same rule read), the derived rules for the
 if-then-else constants C and their laws, and a case-split tautology prover
@@ -13,9 +13,9 @@ That fragment is defined here once, by ``fragment_vars``; the closure lab
 decides it with the same scanner.
 
 Rule schemas (the propositional rules, the C laws, the boolean
-simplification lemmas, the Pair and projection congruences) are derived
-once per theory and type and cached on the theory; requests at concrete
-arguments are answered by instantiating the cached schema.
+simplification lemmas) are derived once per theory and type and cached on
+the theory; requests at concrete arguments are answered by instantiating
+the cached schema.
 
 * A propositional rule is one instance of a schema over p, q, r whose
   hypotheses stand for its premises, for example {p, q} |- p /\\ q for
@@ -30,20 +30,15 @@ arguments are answered by instantiating the cached schema.
   {p /\\ q} |- p, folded by the cached unfolded
   |- (p ==> q) = (p /\\ q = p).  ``disj_cases`` discharges its branches'
   implications, built by ``disch``.
-* A congruence schema carries one hypothesis x = y per changed side, which
-  the rewrite discharges with that side's equation: rewriting one side of a
-  Pair costs one instantiate and two more steps, both sides one instantiate
-  and four.
 """
 
 from __future__ import annotations
 
 from . import kernel
-from .kernel import (Abs, App, BOOL, FunType, Pair, Proj, RuleError, Var, abstraction,
-                     assume, axiom, beta_conversion, congruence, deduct_antisym, dest_eq,
-                     false_c, instantiate, mk_conj, mk_cond, mk_disj, mk_eq, mk_forall,
-                     mk_imp, mk_not, modus_ponens_eq, pair_beta, reflexivity, symmetry,
-                     transitivity, true_c)
+from .kernel import (Abs, App, BOOL, FunType, RuleError, Var, abstraction, assume, axiom,
+                     beta_conversion, congruence, deduct_antisym, dest_eq, false_c,
+                     instantiate, mk_conj, mk_cond, mk_disj, mk_eq, mk_forall, mk_imp,
+                     mk_not, modus_ponens_eq, reflexivity, symmetry, transitivity, true_c)
 from .terms import (dest_cond, dest_conj, dest_disj, dest_forall, dest_imp, dest_not,
                     is_false, is_true, substitute)
 
@@ -450,54 +445,6 @@ def subst_context(th, tmpl, v, eqthm):
     return transitivity(symmetry(b1), transitivity(c, b2))
 
 
-def _pair_cong_schema(th, tyl, tyr, side):
-    """{x = y} |- <x, u> = <y, u> (side 'left'), {u = v} |- <x, u> = <x, v>
-    ('right') or {x = y, u = v} |- <x, u> = <y, v> ('both')."""
-    def build():
-        x, y, hl = Var('x', tyl), Var('y', tyl), Var('h', tyl)
-        u, v, hr = Var('u', tyr), Var('v', tyr), Var('h', tyr)
-        el = subst_context(th, Pair(hl, u), hl, assume(th, mk_eq(x, y)))
-        if side == 'left':
-            return el
-        er = subst_context(th, Pair(x if side == 'right' else y, hr), hr,
-                           assume(th, mk_eq(u, v)))
-        return er if side == 'right' else transitivity(el, er)
-    return _cached(th, ('pair_cong', side, tyl, tyr), build)
-
-
-def _proj_cong_schema(th, index, ty):
-    """{x = y} |- fst x = fst y (index 1) or |- snd x = snd y (index 2)."""
-    def build():
-        x, y, h = Var('x', ty), Var('y', ty), Var('h', ty)
-        return subst_context(th, Proj(index, h), h, assume(th, mk_eq(x, y)))
-    return _cached(th, ('proj_cong', index, ty), build)
-
-
-def _pair_congruence(th, t, el, er):
-    """|- <l, r> = <l', r'> from |- l = l' and |- r = r' (None for a side
-    left unchanged): one schema instance, each hypothesis discharged by the
-    side's equation."""
-    tyl, tyr = t.left.ty, t.right.ty
-    m = {Var('x', tyl): t.left, Var('u', tyr): t.right}
-    if el is not None:
-        m[Var('y', tyl)] = rhs(el)
-    if er is not None:
-        m[Var('v', tyr)] = rhs(er)
-    side = 'right' if el is None else 'left' if er is None else 'both'
-    e = instantiate(_pair_cong_schema(th, tyl, tyr, side), m)
-    for c in (el, er):
-        if c is not None:
-            e = prove_hyp(c, e)
-    return e
-
-
-def _proj_congruence(th, t, ea):
-    """|- fst a = fst a' (or snd) from |- a = a', as _pair_congruence."""
-    ty = t.arg.ty
-    m = {Var('x', ty): t.arg, Var('y', ty): rhs(ea)}
-    return prove_hyp(ea, instantiate(_proj_cong_schema(th, t.index, ty), m))
-
-
 def depth_rewrite(th, t, node_fn):
     """|- t = t' by applying node_fn bottom-up until no rule applies.
 
@@ -558,23 +505,12 @@ def _children_rewrite(th, t, node_fn, memo):
         v, body = kernel.dest_abs(t)
         eb = _rewrite(th, body, node_fn, memo)
         return None if eb is None else abstraction(v, eb)
-    if isinstance(t, Pair):
-        el = _rewrite(th, t.left, node_fn, memo)
-        er = _rewrite(th, t.right, node_fn, memo)
-        if el is None and er is None:
-            return None
-        return _pair_congruence(th, t, el, er)
-    if isinstance(t, Proj):
-        ea = _rewrite(th, t.arg, node_fn, memo)
-        return None if ea is None else _proj_congruence(th, t, ea)
     return None
 
 
 def _bp_step(th, t):
     if isinstance(t, App) and isinstance(t.fn, Abs):
         return beta_conversion(th, t)
-    if isinstance(t, Proj) and isinstance(t.arg, Pair):
-        return pair_beta(th, t)
     return None
 
 
@@ -585,8 +521,7 @@ def _cond_schema(th, ty, z):
     """|- C(x, y, z) = x for z = true, |- C(x, y, z) = y for z = false."""
     def build():
         x, y = Var('x', ty), Var('y', ty)
-        u = unfold_head(th, mk_cond(x, y, z))
-        u = rewrite_rhs(rewrite_rhs(u, _bp_step), _ground_simp)
+        u = rewrite_rhs(unfold_head(th, mk_cond(x, y, z)), _ground_simp)
         desc = spec(x if is_true(z) else y, axiom(th, 'description', (ty,)))
         return transitivity(u, desc)
     return _cached(th, ('cond_true' if is_true(z) else 'cond_false', ty), build)

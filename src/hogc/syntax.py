@@ -19,7 +19,7 @@ Term syntax summary (loosest to tightest):
                                         the rows of ``INFIX``
     ~a
     f a   f(a)                          application, left associative
-    (a, b, c)  <a, b>                   right-nested pairs
+    (a, b, c)  <a, b>                   right-nested pairs: pair[A,B] a b
     fst t   snd t   cond[T](x,y,z)  iota[T](p)   /word/   //   x:T
 
 ``INFIX`` is the one table of the infix operators, loosest first; the
@@ -28,7 +28,8 @@ right associative except ``=``, which is non-associative, and a binder may
 stand directly right of any of them.  ``++`` joins Phon terms.  A ``/word/``
 literal is resolved against the theory of the ``TermEnv`` by ``phon_term``.
 
-Identifiers may carry one type argument in brackets (``eq[Ind]``) and free
+Identifiers may carry type arguments in brackets (``eq[Ind]``,
+``pair[Ind,Bool]``); ``fst t`` and ``snd t`` take theirs from ``t``.  Free
 variables may be annotated with their type (``x:(Ind -> Bool)``).  ``%0``,
 ``%1``, ... are identifiers too, but only a binder can introduce one.
 """
@@ -36,8 +37,8 @@ variables may be annotated with their type (``x:(Ind -> Bool)``).  ``%0``,
 from __future__ import annotations
 
 from . import kernel, terms
-from .kernel import (App, Abs, Bound, Const, FunType, Pair, PHON, ProdType, Proj,
-                     Var, dest_abs, type_to_str)
+from .kernel import (App, Abs, Bound, Const, FunType, PHON, ProdType, Var, dest_abs,
+                     type_to_str)
 
 
 class ParseError(Exception):
@@ -49,11 +50,10 @@ class ParseError(Exception):
 
 # (symbol, constant), loosest first.  An operator's precedence is its place
 # here, counted from 1 because a binder's is 0; '=' is the one
-# non-associative entry.  ``conc`` takes its two operands as a pair.
+# non-associative entry.
 INFIX = (('=>', 'imp'), ('\\/', 'or'), ('/\\', 'and'), ('=', 'eq'), ('++', 'conc'))
 _PREC = {sym: i for i, (sym, _) in enumerate(INFIX, 1)}
 _BY_CONST = {c: (sym, i) for i, (sym, c) in enumerate(INFIX, 1)}
-_CURRIED = frozenset(_BY_CONST) - {'conc'}
 _NOT = len(INFIX) + 1       # the operand of ~ holds no infix operator
 _APP = _NOT + 1
 
@@ -98,10 +98,6 @@ def _canon(t, depth, memo):
         s = '%s:%s' % (t.name, type_to_str(t.ty))
     elif cls is Abs:
         s = '(\\%%%d:%s. %s)' % (depth, type_to_str(t.ty.dom), _canon(t.body, depth + 1, memo))
-    elif cls is Pair:
-        s = '<%s, %s>' % (_canon(t.left, depth, memo), _canon(t.right, depth, memo))
-    elif cls is Proj:
-        s = '(%s %s)' % ('fst' if t.index == 1 else 'snd', _canon(t.arg, depth, memo))
     else:
         raise ParseError('not a term: %r' % (t,))
     memo[key] = s
@@ -150,11 +146,6 @@ def _pretty(t, ctx, depth):
         return t.display_name
     if isinstance(t, Abs):
         return _wrap(_binder('\\', t, depth), 0, ctx)
-    if isinstance(t, Pair):
-        return '<%s, %s>' % (_pretty(t.left, 0, depth), _pretty(t.right, 0, depth))
-    if isinstance(t, Proj):
-        word = 'fst' if t.index == 1 else 'snd'
-        return '%s(%s)' % (word, _pretty(t.arg, 0, depth))
     if isinstance(t, App):
         return _pretty_app(t, ctx, depth)
     raise ParseError('not a term: %r' % (t,))
@@ -162,28 +153,23 @@ def _pretty(t, ctx, depth):
 
 def _pretty_app(t, ctx, depth):
     fn, arg = t.fn, t.arg
-    # an infix operator: conc applied to a pair, the others to two operands
-    if isinstance(fn, App) and isinstance(fn.fn, Const) and fn.fn.name in _CURRIED:
-        name, left, right = fn.fn.name, fn.arg, arg
-    elif isinstance(fn, Const) and fn.name == 'conc' and isinstance(arg, Pair):
-        name, left, right = 'conc', arg.left, arg.right
-    else:
-        name = None
-    if name is not None:
-        sym, prec = _BY_CONST[name]
-        s = '%s %s %s' % (_pretty(left, prec + 1, depth), sym,
-                          _pretty(right, prec + (sym == '='), depth))
+    head = fn.fn if isinstance(fn, App) else None
+    # an infix operator applied to its two operands
+    if isinstance(head, Const) and head.name in _BY_CONST:
+        sym, prec = _BY_CONST[head.name]
+        s = '%s %s %s' % (_pretty(fn.arg, prec + 1, depth), sym,
+                          _pretty(arg, prec + (sym == '='), depth))
         return _wrap(s, prec, ctx)
+    # cond[T] x y z, written cond[T](x, y, z)
+    if isinstance(head, App) and isinstance(head.fn, Const) and head.fn.name == 'cond':
+        parts = ', '.join(_pretty(a, 0, depth) for a in (head.arg, fn.arg, arg))
+        return '%s(%s)' % (head.fn.display_name, parts)
     if isinstance(fn, Const):
         name = fn.name
         if name == 'not':
             return _wrap('~%s' % _pretty(arg, _NOT, depth), _NOT, ctx)
         if name in ('forall', 'exists') and isinstance(arg, Abs):
             return _wrap(_binder('!' if name == 'forall' else '?', arg, depth), 0, ctx)
-        if name == 'cond':
-            d = terms.dest_cond(t)
-            if d is not None:
-                return '%s(%s)' % (fn.display_name, ', '.join(_pretty(a, 0, depth) for a in d))
     if isinstance(fn, Abs):
         return '(%s)(%s)' % (_pretty(fn, 0, depth), _pretty(arg, 0, depth))
     return '%s(%s)' % (_pretty(fn, _APP, depth), _pretty(arg, 0, depth))
@@ -379,13 +365,13 @@ class _Parser:
                 self.next()
                 items.append(self.term())
             self.expect('sym', ')')
-            return _right_nested(Pair, items)
+            return _right_nested(terms.mk_pair, items)
         if t.kind == 'sym' and t.val == '<':
             left = self.term()
             self.expect('sym', ',')
             right = self.term()
             self.expect('sym', '>')
-            return Pair(left, right)
+            return terms.mk_pair(left, right)
         if t.kind == 'word':
             return phon_term(self.env.theory, t.val)
         if t.kind == 'placeholder':
@@ -397,8 +383,11 @@ class _Parser:
         raise ParseError('unexpected %r at %d' % (t.val, t.pos))
 
     def ident_expr(self, name):
-        if name in ('fst', 'snd'):
-            return Proj(1 if name == 'fst' else 2, self.primary(self.next()))
+        if name in ('fst', 'snd') and not self.at_sym('['):
+            arg = self.primary(self.next())
+            if not isinstance(arg.ty, ProdType):
+                raise ParseError('%s of a term of type %s' % (name, type_to_str(arg.ty)))
+            return App(kernel.logical_const(name, (arg.ty.left, arg.ty.right)), arg)
         if name in ('sem', 'phon') and (self.env.sem_fn or self.env.phon_fn):
             self.expect('sym', '(')
             arg = self.term()
@@ -411,7 +400,17 @@ class _Parser:
         if targs is not None:
             if name not in kernel.LOGICAL_NAMES:
                 raise ParseError('%s takes no type argument' % name)
-            return kernel.logical_const(name, targs)
+            c = kernel.logical_const(name, targs)
+            if name == 'cond' and self.at_sym('('):
+                # cond[T](x, y, z) is written for C x y z, not for C applied
+                # to a triple
+                self.next()
+                c = App(c, self.term())
+                while self.at_sym(','):
+                    self.next()
+                    c = App(c, self.term())
+                self.expect('sym', ')')
+            return c
         # bound variables shadow everything else
         for v in reversed(self.bound):
             if v.name == name:
@@ -425,8 +424,8 @@ class _Parser:
             self.env.var_types.setdefault(name, ty)
             return Var(name, ty)
         if name in kernel.LOGICAL_NAMES:
-            if name in kernel._UNARY_LOGICAL:
-                raise ParseError('%s needs a type argument' % name)
+            if kernel._LOGICAL[name][0]:
+                raise ParseError('%s needs type arguments' % name)
             return kernel.logical_const(name)
         th = self.env.theory
         if th is not None and name in th.constants:
@@ -493,7 +492,7 @@ class _Parser:
         return kernel.BaseType(name)
 
 
-_CONC = Const('conc', FunType(ProdType(PHON, PHON), PHON))
+_CONC = Const('conc', FunType(PHON, FunType(PHON, PHON)))
 
 
 def _right_nested(mk, items):
@@ -506,12 +505,12 @@ def _right_nested(mk, items):
 def _conc2(left, right):
     if left.ty != PHON or right.ty != PHON:
         raise ParseError('++ needs Phon operands')
-    return App(_CONC, Pair(left, right))
+    return App(App(_CONC, left), right)
 
 
 def mk_conc(*parts):
     """The right-nested concatenation ``p1 ++ (p2 ++ ...)`` of one or more
-    Phon terms: ``conc`` applied to the pair of each two operands."""
+    Phon terms."""
     return _right_nested(_conc2, parts)
 
 

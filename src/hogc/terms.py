@@ -7,7 +7,7 @@ and axiom schemas use (``mk_eq``, ``dest_eq``, ``mk_forall``, ``mk_imp`` and
 the like) stay in ``hogc.kernel``.
 """
 
-from .kernel import Abs, App, Const, Pair, dest_abs, dest_bin, logical_const, subst_parallel
+from .kernel import Abs, App, Const, dest_abs, dest_bin, logical_const, subst_parallel
 
 
 def substitute(t, v, r):
@@ -17,6 +17,10 @@ def substitute(t, v, r):
 
 def mk_exists(v, body):
     return App(logical_const('exists', (v.ty,)), Abs(v, body))
+
+
+def mk_pair(a, b):
+    return App(App(logical_const('pair', (a.ty, b.ty)), a), b)
 
 
 def dest_conj(t):
@@ -47,10 +51,11 @@ def dest_forall(t):
 
 
 def dest_cond(t):
-    """Split C(x, y, z) into (x, y, z); None when not of that shape."""
-    if (isinstance(t, App) and isinstance(t.fn, Const) and t.fn.name == 'cond'
-            and isinstance(t.arg, Pair) and isinstance(t.arg.right, Pair)):
-        return t.arg.left, t.arg.right.left, t.arg.right.right
+    """Split C x y z into (x, y, z); None when not of that shape."""
+    if isinstance(t, App) and isinstance(t.fn, App) and isinstance(t.fn.fn, App):
+        c = t.fn.fn.fn
+        if isinstance(c, Const) and c.name == 'cond':
+            return t.fn.fn.arg, t.fn.arg, t.arg
     return None
 
 

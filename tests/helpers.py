@@ -9,7 +9,7 @@ directly from the constructors.
 from hogc import kernel, rules, terms
 from hogc.closure import bool_valid
 from hogc.kernel import (
-    Abs, App, BOOL, FunType, IND, Pair, PHON, ProdType, Var,
+    Abs, App, BOOL, FunType, IND, PHON, ProdType, Var,
     false_c, mk_conj, mk_cond, mk_disj, mk_eq, mk_not, true_c,
 )
 
@@ -189,8 +189,8 @@ def random_term(rng, ty, depth=2):
         v = Var('w%d' % rng.randrange(4), ty.dom)
         return Abs(v, random_term(rng, ty.cod, depth - 1))
     if shape == 1 and isinstance(ty, ProdType):
-        return Pair(random_term(rng, ty.left, depth - 1),
-                    random_term(rng, ty.right, depth - 1))
+        return terms.mk_pair(random_term(rng, ty.left, depth - 1),
+                             random_term(rng, ty.right, depth - 1))
     dom = rng.choice((BOOL, IND, PHON))
     f = random_term(rng, FunType(dom, ty), depth - 1)
     return App(f, random_term(rng, dom, depth - 1))
@@ -254,7 +254,7 @@ def undisch(thm):
 
 
 def bp_norm(th, t):
-    """|- t = nf(t), full beta/projection normalization inside the logic."""
+    """|- t = nf(t), full beta normalization inside the logic."""
     return rules.depth_rewrite(th, t, rules._bp_step)
 
 

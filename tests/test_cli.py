@@ -87,6 +87,15 @@ def test_bad_grammar_source(files, capsys):
     assert 'duplicate sign type' in out
 
 
+@pytest.mark.parametrize('name', ['pair', 'fst', 'snd'])
+def test_pair_constant_names_are_reserved(files, capsys, name):
+    # pair, fst and snd are logical constants, so no grammar may declare one
+    p = files['dir'] / 'reserved.hog'
+    p.write_text('alphabet: a\nsigntype S sem Bool\nconst %s : Ind\n' % name)
+    code, out = _run(capsys, ['check', '-g', str(p)])
+    assert (code, out) == (2, 'check error: %s is reserved\n' % name)
+
+
 @pytest.mark.parametrize('decl,msg', [
     ('const c : Ind ->', "const c: bad type 'Ind ->': expected a type at 6"),
     ('signtype T sem Ind * Und', "signtype T: bad type 'Ind * Und': unknown base type Und"),

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hogc import grammar, kernel, rules, syntax, terms
+from hogc import grammar, kernel, parser, rules, syntax, terms, trace
 from hogc.grammar import (
     GrammarError, GrammarSpec, Word, elaborate, load_grammar,
     phon_homomorphism, phon_norm, phon_to_word, word_to_phon,
@@ -173,6 +173,36 @@ def test_declared_types_may_name_sign_types():
     assert g.theory.constants['c'] == kernel.ProdType(FunType(T, IND), PHON)
 
 
+# products in sign types' meanings, built as tuples and taken apart by fst
+# and snd; pairs are constants, so a projection of a pair stays as written
+_PRODUCT = r"""
+alphabet: a b c
+signtype S sem Bool
+signtype T sem Ind -> S * S
+signtype P sem Ind * Bool
+const k : Ind
+lex B : S { phon = /b/; sem = true; }
+lex A : T { phon = /a/; sem = \x:Ind. <B, B>; }
+lex C : P { phon = /c/; sem = (k, true); }
+rule R : T S -> S { phon = $1 ++ $2; sem = sem($2) /\ snd(sem($1)(k)) = fst(sem($1)(k)); }
+rule Q : P -> S { phon = $1; sem = snd sem($1); }
+"""
+
+
+@pytest.mark.parametrize('word,meanings', [
+    ('a b', ['true /\\ snd[S,S](pair[S,S](B)(B)) = fst[S,S](pair[S,S](B)(B))']),
+    ('c', ['pair[Ind,Bool](k)(true)', 'snd[Ind,Bool](pair[Ind,Bool](k)(true))']),
+])
+def test_product_sign_types_parse_and_verify(word, meanings):
+    g = elaborate(_PRODUCT, name='product')
+    results = parser.parse(g, word, 2)
+    assert [syntax.pretty_term(r.meaning) for r in results] == meanings
+    thms = [t for r in results for t in (r.phon_proof, r.sem_proof)]
+    fresh = elaborate(_PRODUCT, name='product')
+    got = trace.verify_trace(trace.export_trace(thms), fresh.theory, strict_fingerprint=True)
+    assert [t.concl for t in got] == [t.concl for t in thms]
+
+
 def test_load_grammar_from_file(tmp_path):
     path = tmp_path / 'pet.hog'
     path.write_text(helpers.TOY)
@@ -197,8 +227,7 @@ def test_word_to_phon(toy):
     assert word_to_phon(toy, Word(())) == th.const('//')
     assert word_to_phon(toy, 'fajdo') == th.const('/fajdo/')
     two = word_to_phon(toy, 'fajdo blt')
-    pair = two.arg  # conc applies to a pair
-    assert pair.left == th.const('/fajdo/') and pair.right == th.const('/blt/')
+    assert two == App(App(th.const('conc'), th.const('/fajdo/')), th.const('/blt/'))
     with pytest.raises(GrammarError):
         word_to_phon(toy, 'zork')
 
@@ -207,7 +236,7 @@ def test_phon_norm_and_read_back(toy):
     th = toy.theory
     a, b, c = (th.const('/fajdo/'), th.const('/blt/'), th.const('/awl/'))
     unit = th.const('//')
-    conc = lambda l, r: App(th.const('conc'), kernel.Pair(l, r))
+    conc = syntax.mk_conc
     messy = conc(conc(a, unit), conc(unit, conc(b, c)))
     e = phon_norm(toy, messy)
     assert rules.lhs(e) == messy
@@ -222,8 +251,7 @@ def test_phon_homomorphism(toy):
     e = phon_homomorphism(toy, u, v)
     assert e.hyps == ()
     l, r = kernel.dest_eq(e.concl)
-    assert l == App(toy.theory.const('conc'),
-                    kernel.Pair(word_to_phon(toy, u), word_to_phon(toy, v)))
+    assert l == syntax.mk_conc(word_to_phon(toy, u), word_to_phon(toy, v))
     assert r == word_to_phon(toy, u + v)
     # empty sides normalize through the unit laws
     e2 = phon_homomorphism(toy, Word(()), v)
@@ -256,9 +284,8 @@ def test_append_schema_per_length():
 
 def _phon_trees(th):
     leaves = [th.const(name) for name in sorted(th.constants) if name.startswith('/')]
-    conc = lambda p: App(th.const('conc'), kernel.Pair(*p))
     return st.recursive(st.sampled_from(leaves),
-                        lambda inner: st.tuples(inner, inner).map(conc),
+                        lambda inner: st.builds(syntax.mk_conc, inner, inner),
                         max_leaves=24)
 
 

@@ -14,9 +14,10 @@ from hypothesis import given, settings, strategies as st
 
 from hogc import kernel, rules, syntax, terms
 from hogc.kernel import (
-    Abs, App, BOOL, BaseType, Const, FunType, IND, PHON, Pair, ProdType, Proj, Var,
+    Abs, App, BOOL, BaseType, Const, FunType, IND, PHON, ProdType, Var,
     eq_c, false_c, mk_conj, mk_cond, mk_disj, mk_eq, mk_forall, mk_not, true_c,
 )
+from hogc.terms import mk_pair
 
 import helpers
 
@@ -24,6 +25,11 @@ import helpers
 @pytest.fixture(scope='module')
 def th():
     return kernel.core_theory()
+
+
+def _proj(name, p):
+    """``fst p`` or ``snd p``, the projection constant at p's product type."""
+    return App(kernel.logical_const(name, (p.ty.left, p.ty.right)), p)
 
 
 # ---------------------------------------------------------------------------
@@ -142,14 +148,17 @@ def test_app_typing():
 
 
 def test_pair_and_proj_typing():
-    pr = Pair(Var('x', IND), Var('b', BOOL))
+    pr = mk_pair(Var('x', IND), Var('b', BOOL))
     assert pr.ty == ProdType(IND, BOOL)
-    assert Proj(1, pr).ty == IND
-    assert Proj(2, pr).ty == BOOL
+    assert _proj('fst', pr).ty == IND
+    assert _proj('snd', pr).ty == BOOL
+    assert kernel.logical_const('pair', (IND, BOOL)).ty == FunType(IND, FunType(BOOL, pr.ty))
     with pytest.raises(kernel.TypingError):
-        Proj(3, pr)
+        App(kernel.logical_const('fst', (BOOL, IND)), pr)
     with pytest.raises(kernel.TypingError):
-        Proj(1, Var('x', IND))
+        App(kernel.logical_const('fst', (IND, BOOL)), Var('x', IND))
+    with pytest.raises(kernel.TheoryError, match='^snd takes 2 type arguments, got 1$'):
+        kernel.logical_const('snd', (IND,))
 
 
 def test_eq_needs_shared_type():
@@ -296,7 +305,9 @@ def test_beta_normalize():
     x = Var('x', IND)
     a = Var('a', IND)
     assert kernel.beta_normalize(App(Abs(x, x), a)) == a
-    assert kernel.beta_normalize(Proj(1, Pair(a, true_c()))) == a
+    # pairs are constants, so a projection of a pair is beta-normal
+    fst_pair = _proj('fst', mk_pair(a, true_c()))
+    assert kernel.beta_normalize(fst_pair) is fst_pair
     # nested redex under a binder
     y = Var('y', IND)
     t = Abs(y, App(Abs(x, x), y))
@@ -410,8 +421,8 @@ def test_type_of_rejects_foreign_constants(th):
 
 
 def _hidden(t):
-    """``t`` inside a Pair and a Proj, so the whole term is Bool-typed."""
-    return Proj(2, Pair(t, true_c()))
+    """``t`` inside a pair and a projection, so the whole term is Bool-typed."""
+    return _proj('snd', mk_pair(t, true_c()))
 
 
 _UND = BaseType('Und')
@@ -483,7 +494,7 @@ def test_description_axiom_shape(th):
 def test_pairing_axiom_shape(th):
     p = kernel.axiom(th, 'pairing', (IND, BOOL))
     v, body = terms.dest_forall(p.concl)
-    assert body == mk_eq(Pair(Proj(1, v), Proj(2, v)), v)
+    assert body == mk_eq(mk_pair(_proj('fst', v), _proj('snd', v)), v)
 
 
 def test_def_axiom_is_a_defining_equation(th):
@@ -574,12 +585,14 @@ def test_beta_conversion(th):
 
 def test_pair_beta(th):
     a, b = Var('a', IND), Var('b', BOOL)
-    p1 = kernel.pair_beta(th, Proj(1, Pair(a, b)))
-    assert p1.concl == mk_eq(Proj(1, Pair(a, b)), a)
-    p2 = kernel.pair_beta(th, Proj(2, Pair(a, b)))
-    assert p2.concl == mk_eq(Proj(2, Pair(a, b)), b)
-    with pytest.raises(kernel.RuleError):
-        kernel.pair_beta(th, Proj(1, Var('p', ProdType(IND, BOOL))))
+    p1 = kernel.pair_beta(th, _proj('fst', mk_pair(a, b)))
+    assert p1.concl == mk_eq(_proj('fst', mk_pair(a, b)), a)
+    p2 = kernel.pair_beta(th, _proj('snd', mk_pair(a, b)))
+    assert p2.concl == mk_eq(_proj('snd', mk_pair(a, b)), b)
+    for bad in (_proj('fst', Var('p', ProdType(IND, BOOL))), mk_pair(a, b), a,
+                App(Var('f', FunType(ProdType(IND, BOOL), IND)), mk_pair(a, b))):
+        with pytest.raises(kernel.RuleError):
+            kernel.pair_beta(th, bad)
 
 
 def test_assume_requires_bool(th):

@@ -319,8 +319,7 @@ def test_parse_proofs_have_no_identity_congruences(name, word, k):
 ], ids=['boolsem', 'perm', 'boolsem-schema-variable-names',
         'boolsem-append-schema-variable-names'])
 def test_every_parse_verifies_in_a_fresh_elaboration(name, k, extra):
-    # every parse of every word up to 4 tokens, with the Pair and projection
-    # congruence schemas in its derivation, replays with the fingerprint
+    # every parse of every word up to 4 tokens replays with the fingerprint
     # checked
     src = helpers.GRAMMARS[name] + extra
     g = grammar.elaborate(src, name=name)

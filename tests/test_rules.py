@@ -3,14 +3,14 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
-from hogc import kernel, rules, terms
+from hogc import kernel, rules, syntax, terms
 from hogc.kernel import (
-    Abs, App, BOOL, FunType, IND, Pair, ProdType, Proj, Var,
+    Abs, App, BOOL, FunType, IND, PHON, ProdType, Var,
     dest_eq, false_c, mk_conj, mk_cond, mk_disj, mk_eq, mk_forall, mk_imp, mk_not, true_c,
 )
-from hogc.terms import is_false, is_true
+from hogc.terms import is_false, is_true, mk_pair
 
 import helpers
 from test_kernel import FRAG
@@ -302,6 +302,23 @@ def test_bp_norm_matches_beta_normalize(th):
     assert rules.rhs(e) == kernel.beta_normalize(t)
 
 
+# products and functions of products: pairs are constants, so the in-logic
+# beta pass and the kernel's own normaliser agree on them, and their
+# canonical form reads back as the same term
+_PRODUCT_TYPES = (ProdType(IND, BOOL), ProdType(FunType(IND, BOOL), PHON),
+                  FunType(IND, ProdType(BOOL, IND)), FunType(ProdType(IND, IND), BOOL))
+
+
+@given(st.sampled_from(_PRODUCT_TYPES), st.integers(0, 2 ** 32))
+@settings(max_examples=200, deadline=None)
+def test_beta_pass_at_product_types_matches_beta_normalize(ty, seed):
+    th = kernel.core_theory()
+    t = helpers.random_term(random.Random(seed), ty, 3)
+    e = rules.rewrite_rhs(kernel.reflexivity(th, t), rules._bp_step)
+    assert e.hyps == () and e.concl == mk_eq(t, kernel.beta_normalize(t))
+    assert syntax.parse_term(syntax.canonical_term(t), syntax.TermEnv(theory=th)) is t
+
+
 def test_depth_rewrite_custom_rule(th):
     # rewrite ~~p to p everywhere via a one-node rule
     p = Var('p', BOOL)
@@ -338,40 +355,37 @@ def _redex(t):
     return App(Abs(w, w), t)
 
 
-# each use of a schema is one instantiate and, per rewritten side, the side's
-# beta step and the deduct_antisym and modus_ponens_eq that discharge it
-@pytest.mark.parametrize('make,key,sides', [
-    (lambda a, b, c: Pair(_redex(a), b), ('pair_cong', 'left', IND, BOOL), 1),
-    (lambda a, b, c: Pair(a, _redex(b)), ('pair_cong', 'right', IND, BOOL), 1),
-    (lambda a, b, c: Pair(_redex(a), _redex(b)), ('pair_cong', 'both', IND, BOOL), 2),
-    (lambda a, b, c: Proj(1, _redex(c)), ('proj_cong', 1, _PR), 1),
-    (lambda a, b, c: Proj(2, _redex(c)), ('proj_cong', 2, _PR), 1),
+def _proj(name, p):
+    return App(kernel.logical_const(name, (p.ty.left, p.ty.right)), p)
+
+
+# pairs and projections are constants, so rewriting inside one is plain App
+# congruence: no schema, and a reflexivity for each unchanged operand
+@pytest.mark.parametrize('make,steps', [
+    (lambda a, b, c: mk_pair(_redex(a), b), ['beta_conversion', 'congruence',
+                                             'congruence', 'reflexivity', 'reflexivity']),
+    (lambda a, b, c: mk_pair(a, _redex(b)), ['beta_conversion', 'congruence', 'reflexivity']),
+    (lambda a, b, c: mk_pair(_redex(a), _redex(b)), ['beta_conversion', 'beta_conversion',
+                                                     'congruence', 'congruence',
+                                                     'reflexivity']),
+    (lambda a, b, c: _proj('fst', _redex(c)), ['beta_conversion', 'congruence', 'reflexivity']),
+    (lambda a, b, c: _proj('snd', _redex(c)), ['beta_conversion', 'congruence', 'reflexivity']),
 ], ids=['left', 'right', 'both', 'fst', 'snd'])
-def test_pair_and_projection_congruence_by_one_schema_instance(make, key, sides):
+def test_pair_and_projection_rewrite_by_app_congruence(make, steps):
     th = kernel.core_theory()
-    cache = th._derived_cache
-    for n in range(2):
-        a, b, c = Var('a%d' % n, IND), Var('b%d' % n, BOOL), Var('c%d' % n, _PR)
-        before = len(cache)
-        t = make(a, b, c)
-        e = rules.depth_rewrite(th, t, rules._bp_step)
-        assert e.hyps == () and e.concl == mk_eq(t, kernel.beta_normalize(t))
-        # derived on first use only, at these types
-        assert len(cache) == before + (n == 0) and key in cache
-        schema = cache[key]
-        assert len(schema.hyps) == sides
-        steps = _dag(e).keys() - _dag(schema).keys()
-        rules_used = sorted(_dag(e)[i].rule for i in steps)
-        assert rules_used == sorted(['instantiate'] + sides * [
-            'beta_conversion', 'deduct_antisym', 'modus_ponens_eq'])
+    t = make(Var('a', IND), Var('b', BOOL), Var('c', _PR))
+    e = rules.depth_rewrite(th, t, rules._bp_step)
+    assert e.hyps == () and e.concl == mk_eq(t, kernel.beta_normalize(t))
+    assert th._derived_cache == {}
+    assert sorted(s.rule for s in _dag(e).values()) == steps
 
 
 def test_pair_congruence_schemas_at_one_type_keep_sides_apart(th):
     # left and right components of one type: each side is rewritten in place
     a, b = Var('a', IND), Var('b', IND)
-    for t, want in ((Pair(_redex(a), b), Pair(a, b)),
-                    (Pair(a, _redex(b)), Pair(a, b)),
-                    (Pair(_redex(b), _redex(a)), Pair(b, a))):
+    for t, want in ((mk_pair(_redex(a), b), mk_pair(a, b)),
+                    (mk_pair(a, _redex(b)), mk_pair(a, b)),
+                    (mk_pair(_redex(b), _redex(a)), mk_pair(b, a))):
         e = rules.depth_rewrite(th, t, rules._bp_step)
         assert e.hyps == () and e.concl == mk_eq(t, want)
 

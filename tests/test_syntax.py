@@ -7,13 +7,18 @@ from hypothesis import given, settings, strategies as st
 
 from hogc import kernel, syntax
 from hogc.kernel import (
-    Abs, App, BOOL, FunType, IND, PHON, Pair, ProdType, Proj, Var,
+    Abs, App, BOOL, FunType, IND, PHON, ProdType, Var,
     false_c, mk_conj, mk_cond, mk_disj, mk_eq, mk_forall, mk_imp, mk_not, true_c,
 )
-from hogc.terms import mk_exists
+from hogc.terms import mk_exists, mk_pair
 from hogc.syntax import TermEnv, canonical_term, parse_term, pretty_term
 
 from test_kernel import FRAG
+
+
+def _proj(name, p):
+    """``fst p`` or ``snd p``, the projection constant at p's product type."""
+    return App(kernel.logical_const(name, (p.ty.left, p.ty.right)), p)
 
 
 @pytest.fixture(scope='module')
@@ -62,10 +67,24 @@ def test_parse_binders(env):
 
 def test_parse_pair_proj_cond(env):
     x, p = Var('x', IND), Var('p', BOOL)
-    assert parse_term('<x, p>', env) == Pair(x, p)
-    assert parse_term('fst <x, p>', env) == Proj(1, Pair(x, p))
-    assert parse_term('snd <x, p>', env) == Proj(2, Pair(x, p))
-    assert parse_term('cond[Ind](x, y, p)', env) == mk_cond(x, Var('y', IND), p)
+    xp = mk_pair(x, p)
+    assert parse_term('<x, p>', env) == parse_term('(x, p)', env) == xp
+    assert xp == App(App(kernel.logical_const('pair', (IND, BOOL)), x), p)
+    assert parse_term('fst <x, p>', env) == parse_term('fst[Ind,Bool](x, p)', env) \
+        == _proj('fst', xp)
+    assert parse_term('snd <x, p>', env) == _proj('snd', xp)
+    with pytest.raises(syntax.ParseError, match=r'^fst of a term of type Ind$'):
+        parse_term('fst x', env)
+    with pytest.raises(syntax.ParseError, match='^pair needs type arguments$'):
+        parse_term('pair', env)
+    # cond[T](x, y, z) is the curried application C x y z
+    y = Var('y', IND)
+    assert parse_term('cond[Ind](x, y, p)', env) == mk_cond(x, y, p) \
+        == App(App(App(kernel.logical_const('cond', (IND,)), x), y), p)
+    assert parse_term('cond[Ind](x)(y)(p)', env) == mk_cond(x, y, p)
+    assert pretty_term(App(kernel.logical_const('cond', (IND,)), x)) == 'cond[Ind](x)'
+    assert pretty_term(mk_cond(x, y, p)) == 'cond[Ind](x, y, p)'
+    assert pretty_term(xp) == 'pair[Ind,Bool](x)(p)'
 
 
 def test_default_var_type():
@@ -127,7 +146,7 @@ def test_canonical_roundtrip_samples(th):
         mk_conj(p, mk_not(p)),
         Abs(x, App(f, x)),
         mk_forall(x, mk_eq(App(f, x), p)),
-        Pair(x, Proj(1, Pair(x, p))),
+        mk_pair(x, _proj('fst', mk_pair(x, p))),
         mk_cond(x, x, p),
         App(Abs(x, mk_eq(x, x)), x),
     ]
@@ -162,16 +181,14 @@ def test_phon_resolver(th):
     g.add_constant('//', kernel.PHON)
     g.add_constant('/a/', kernel.PHON)
     g.add_constant('/b/', kernel.PHON)
-    g.add_constant('conc', FunType(kernel.ProdType(kernel.PHON, kernel.PHON),
-                                   kernel.PHON))
+    g.add_constant('conc', FunType(kernel.PHON, FunType(kernel.PHON, kernel.PHON)))
     g.freeze()
     resolve = functools.partial(syntax.phon_term, g)
     assert resolve(()) == g.const('//')
     assert resolve(('a',)) == g.const('/a/')
-    # right-nested concatenation of a pair of operands
+    # right-nested concatenation
     t = resolve(('a', 'b', 'a'))
-    assert t.arg.left == g.const('/a/')
-    assert t.arg.right == resolve(('b', 'a'))
+    assert t == syntax.mk_conc(g.const('/a/'), resolve(('b', 'a')))
     # the reader resolves /word/ literals against the env's theory
     env = TermEnv(theory=g)
     assert parse_term('/a b a/', env) == t
@@ -249,18 +266,18 @@ def _clash_term(ty, depth, scope=()):
     parts = [_leaf(ty, scope)]
     parts += [st.builds(App, _clash_term(FunType(dom, ty), sub, scope),
                         _clash_term(dom, sub, scope)) for dom in (BOOL, IND)]
-    parts.append(_clash_term(ProdType(ty, IND), sub, scope).map(functools.partial(Proj, 1)))
+    parts.append(_clash_term(ProdType(ty, IND), sub, scope).map(functools.partial(_proj, 'fst')))
     if isinstance(ty, FunType):
         parts.append(binder(ty.dom, ty.cod, Abs))
     if isinstance(ty, ProdType):
-        parts.append(st.builds(Pair, _clash_term(ty.left, sub, scope),
+        parts.append(st.builds(mk_pair, _clash_term(ty.left, sub, scope),
                                _clash_term(ty.right, sub, scope)))
     if ty == BOOL:
         parts.append(binder(IND, BOOL, mk_forall))
     return st.one_of(parts)
 
 
-_CHILDREN = {App: ('fn', 'arg'), Pair: ('left', 'right'), Proj: ('arg',), Abs: ('body',)}
+_CHILDREN = {App: ('fn', 'arg'), Abs: ('body',)}
 
 
 def _leaf_sites(t, scope=()):
@@ -284,8 +301,6 @@ def _replace(t, path, new):
     if isinstance(t, Abs):
         v, body = kernel.dest_abs(t)
         return Abs(v, _replace(body, path[1:], new))
-    if isinstance(t, Proj):
-        return Proj(t.index, _replace(t.arg, path[1:], new))
     return type(t)(*(_replace(getattr(t, a), path[1:], new) if a == path[0] else getattr(t, a)
                      for a in _CHILDREN[type(t)]))
 
@@ -324,7 +339,7 @@ def test_canonical_term_is_injective_with_clashing_names(pair):
 # product and a function type.  Free variables have one type per name, and
 # binders take other names, so pretty printing captures nothing.
 _OPS_TH = kernel.Theory('ops')
-for _name, _ty in (('conc', FunType(ProdType(PHON, PHON), PHON)), ('//', PHON),
+for _name, _ty in (('conc', FunType(PHON, FunType(PHON, PHON))), ('//', PHON),
                    ('/a/', PHON), ('/b/', PHON), ('c', IND)):
     _OPS_TH.add_constant(_name, _ty)
 _OPS_TH.freeze()
@@ -333,10 +348,6 @@ _OPS_VARS = {'p': BOOL, 'q': BOOL, 'x': IND, 'y': IND, 'u': PHON, 'v': PHON,
              'f': _IB, 'g': _IB, 'h': FunType(PHON, BOOL), 'z': ProdType(BOOL, IND)}
 _OPS_CONSTS = [true_c(), false_c()] + [_OPS_TH.const(n) for n in ('c', '//', '/a/', '/b/')]
 _OPS_TYPES = (BOOL, IND, PHON, ProdType(BOOL, PHON), _IB)
-
-
-def _conc(a, b):
-    return App(_OPS_TH.const('conc'), Pair(a, b))
 
 
 @functools.lru_cache(maxsize=None)
@@ -363,14 +374,14 @@ def _ops_term(ty, depth, scope=()):
         parts.append(st.builds(App, st.just(Var('h', _OPS_VARS['h'])), sub(PHON)))
         parts += [binder(dom, BOOL, mk) for dom in (IND, PHON) for mk in (mk_forall, mk_exists)]
     if ty == PHON:
-        parts.append(st.builds(_conc, sub(PHON), sub(PHON)))
+        parts.append(st.builds(syntax.mk_conc, sub(PHON), sub(PHON)))
     if ty == _IB:
         parts.append(binder(IND, BOOL, Abs))
     if isinstance(ty, ProdType):
-        parts.append(st.builds(Pair, sub(ty.left), sub(ty.right)))
+        parts.append(st.builds(mk_pair, sub(ty.left), sub(ty.right)))
     parts.append(st.builds(mk_cond, sub(ty), sub(ty), sub(BOOL)))
-    parts.append(st.builds(lambda a, b: Proj(1, Pair(a, b)), sub(ty), sub(IND)))
-    parts.append(st.builds(lambda a, b: Proj(2, Pair(a, b)), sub(BOOL), sub(ty)))
+    parts.append(st.builds(lambda a, b: _proj('fst', mk_pair(a, b)), sub(ty), sub(IND)))
+    parts.append(st.builds(lambda a, b: _proj('snd', mk_pair(a, b)), sub(BOOL), sub(ty)))
     parts.append(binder(BOOL, ty, Abs).flatmap(lambda f: sub(BOOL).map(functools.partial(App, f))))
     return st.one_of(parts)
 

@@ -10,8 +10,8 @@ import weakref
 import pytest
 
 from hogc import closure, grammar, kernel, parser, rules, syntax
-from hogc.kernel import (BOOL, IND, PHON, App, BaseType, FunType, Pair, ProdType,
-                         Proj, Var, true_c)
+from hogc.kernel import BOOL, IND, PHON, App, BaseType, FunType, ProdType, Var, true_c
+from hogc.terms import mk_pair
 from hogc.trace import TraceError, export_trace, theory_fingerprint, verify_trace
 
 import helpers
@@ -144,7 +144,7 @@ def test_pinned_merge_trace_bytes(seed):
                        capture_output=True, env=env, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.split() == [
-        '938', '4324905c81cb7776a98c1f9da397167a61c7c99a90fc7e5c1085e63f2b1b1f2f']
+        '817', '3d59a54963fd55c31ab1e7b4aa2e68307f4e7026abc653579da9b2e45e2a2388']
 
 
 def test_long_chain_word_round_trip():
@@ -307,7 +307,7 @@ def test_roundtrip_every_primitive_rule():
                           kernel.reflexivity(th, X)),
         kernel.abstraction(X, kernel.reflexivity(th, X)),
         kernel.beta_conversion(th, kernel.App(kernel.Abs(X, X), X)),
-        kernel.pair_beta(th, Proj(1, Pair(X, P))),
+        kernel.pair_beta(th, App(kernel.logical_const('fst', (IND, BOOL)), mk_pair(X, P))),
         assume_p,
         kernel.modus_ponens_eq(kernel.reflexivity(th, P), assume_p),
         kernel.deduct_antisym(assume_p, assume_p),
@@ -368,10 +368,6 @@ def _outside_binders(t):
             out.add(u)
             if isinstance(u, App):
                 todo += (u.fn, u.arg)
-            elif isinstance(u, Pair):
-                todo += (u.left, u.right)
-            elif isinstance(u, Proj):
-                todo.append(u.arg)
     return out
 
 
@@ -412,7 +408,7 @@ def test_replay_parses_each_distinct_literal_once_and_no_claim(monkeypatch):
     verify_trace(text, fresh.theory, strict_fingerprint=True)
     assert len(parsed) == len(set(parsed))
     assert set(parsed) == unprinted
-    assert (len(unprinted), len(used)) == (50, 203)
+    assert (len(unprinted), len(used)) == (34, 148)
 
 
 def _edit_steps(text, edit):
