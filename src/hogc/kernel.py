@@ -23,7 +23,8 @@ Design points that matter for soundness:
   ``dest_abs`` opens a binder, renaming the hint only when it clashes with
   a free variable of the body.  Substitution cannot capture.
 * Terms are typed eagerly: ill-typed applications cannot be constructed at
-  all.  So validating a term against a theory checks only its
+  all, so a rule leaves the typing of the terms it builds to the
+  constructors.  Validating a term against a theory checks only its
   leaves and binders, where types come in, and a node validated against a
   frozen theory is not visited again for it.  A frozen theory rejects every
   attribute assignment.
@@ -35,7 +36,8 @@ Design points that matter for soundness:
   constant, generated on demand.
 * Logical connectives are defined constants in the equality-based style;
   only their defining equations are axioms, next to function extensionality,
-  boolean case analysis, the description axiom and surjective pairing.
+  boolean case analysis, the description axiom, surjective pairing and the
+  two projection laws.
 * The kernel parses no text, and prints none outside ``repr``: axiom
   schemas take structured type arguments.
 
@@ -450,10 +452,6 @@ def mk_forall(v, body):
 
 def mk_cond(x, y, z):
     """The if-then-else application C x y z."""
-    if x.ty != y.ty:
-        raise TypingError('branches of cond must share a type')
-    if z.ty != BOOL:
-        raise TypingError('cond condition must be Bool')
     return App(App(App(logical_const('cond', (x.ty,)), x), y), z)
 
 
@@ -503,18 +501,18 @@ def _def_rhs(name, targs):
         return App(logical_const('forall', (BOOL,)), Abs(p, p))
     if name == 'not':
         return Abs(p, mk_imp(p, false_c()))
-    if name == 'cond':     # \x y z. iota(\w. (z /\ w = x) \/ (~z /\ w = y))
-        (a,) = targs
-        x, y, z, w = Var('x', a), Var('y', a), Var('z', BOOL), Var('w', a)
-        body = mk_disj(mk_conj(z, mk_eq(w, x)), mk_conj(mk_not(z), mk_eq(w, y)))
-        return Abs(x, Abs(y, Abs(z, App(logical_const('iota', (a,)), Abs(w, body)))))
-    raise TheoryError('no definition for %s' % name)
+    # the last of _DEFINED_ORDER, cond: \x y z. iota(\w. (z /\ w = x) \/ (~z /\ w = y))
+    (a,) = targs
+    x, y, z, w = Var('x', a), Var('y', a), Var('z', BOOL), Var('w', a)
+    body = mk_disj(mk_conj(z, mk_eq(w, x)), mk_conj(mk_not(z), mk_eq(w, y)))
+    return Abs(x, Abs(y, Abs(z, App(logical_const('iota', (a,)), Abs(w, body)))))
 
 
 _DEFINED_ORDER = ('true', 'and', 'imp', 'forall', 'exists', 'or', 'false', 'not', 'cond')
 
 # axiom schema name -> number of type arguments
 _SCHEMA_ARITY = {'bool-cases': 0, 'description': 1, 'ext': 2, 'pairing': 2,
+                 'fst_pair': 2, 'snd_pair': 2,
                  **{'def.' + c: _LOGICAL[c][0] for c in _DEFINED_ORDER}}
 
 
@@ -683,9 +681,9 @@ class Theorem:
 
 
 def _thm(th, hyps, concl, rule, args):
-    if concl.ty != BOOL:
-        raise TypingError('theorem conclusion must be Bool')
-    # each hypothesis is kept once, the first in derivation order
+    # concl is Bool: each rule concludes an equation or a term already
+    # checked to be Bool.  Each hypothesis is kept once, the first in
+    # derivation order.
     hyps = tuple(dict.fromkeys(hyps)) if len(hyps) > 1 else tuple(hyps)
     return Theorem(hyps, concl, th, rule, args, _token=_KERNEL_TOKEN)
 
@@ -737,16 +735,12 @@ def congruence(thm_fun, thm_arg):
         raise RuleError('congruence needs equations')
     f, g = ef
     a, b = ea
-    if not isinstance(f.ty, FunType) or f.ty.dom != a.ty:
-        raise RuleError('congruence: types do not fit')
     return _thm(th, thm_fun.hyps + thm_arg.hyps, mk_eq(App(f, a), App(g, b)),
                 'congruence', (thm_fun, thm_arg))
 
 
 def abstraction(v, thm):
     """From A |- a = b derive A |- (\\v. a) = (\\v. b), v not free in A."""
-    if type(v) is not Var:
-        raise RuleError('abstraction needs a variable')
     e = dest_eq(thm.concl)
     if e is None:
         raise RuleError('abstraction needs an equation')
@@ -767,16 +761,6 @@ def beta_conversion(th, redex):
     return _thm(th, (), mk_eq(redex, contractum), 'beta_conversion', (redex,))
 
 
-def pair_beta(th, redex):
-    """|- fst (pair a b) = a  (or snd (pair a b) = b)"""
-    type_of(redex, th)
-    proj = redex.fn if type(redex) is App else None
-    ab = dest_bin('pair', redex.arg) if type(proj) is Const else None
-    if ab is None or proj.name not in ('fst', 'snd'):
-        raise RuleError('pair_beta needs a projection of a pair')
-    return _thm(th, (), mk_eq(redex, ab[proj.name == 'snd']), 'pair_beta', (redex,))
-
-
 def assume(th, p):
     """{p} |- p"""
     if type_of(p, th) != BOOL:
@@ -788,8 +772,8 @@ def modus_ponens_eq(thm_eq, thm):
     """From A |- p = q and B |- p derive A u B |- q."""
     th = _same_theory(thm_eq, thm)
     e = dest_eq(thm_eq.concl)
-    if e is None or e[0].ty != BOOL:
-        raise RuleError('modus_ponens_eq needs a Bool equation')
+    if e is None:
+        raise RuleError('modus_ponens_eq needs an equation')
     if e[0] is not thm.concl:
         raise RuleError('modus_ponens_eq: conclusion does not match equation')
     return _thm(th, thm_eq.hyps + thm.hyps, e[1], 'modus_ponens_eq', (thm_eq, thm))
@@ -807,10 +791,8 @@ def deduct_antisym(thm1, thm2):
 def instantiate(thm, mapping):
     """Parallel substitution of terms for free variables, in hypotheses too."""
     items = sorted(mapping.items(), key=lambda kv: (kv[0].name, type_to_str(kv[0].ty)))
-    for v, r in items:
+    for _, r in items:
         type_of(r, thm.theory)
-        if v.ty != r.ty:
-            raise RuleError('instantiating %s at the wrong type' % v.name)
     m = dict(items)
     hyps = tuple(subst_parallel(h, m) for h in thm.hyps)
     concl = subst_parallel(thm.concl, m)
@@ -818,8 +800,8 @@ def instantiate(thm, mapping):
 
 
 PRIMITIVE_RULES = ('reflexivity', 'symmetry', 'transitivity', 'congruence',
-                   'abstraction', 'beta_conversion', 'pair_beta', 'assume',
-                   'modus_ponens_eq', 'deduct_antisym', 'instantiate', 'axiom')
+                   'abstraction', 'beta_conversion', 'assume', 'modus_ponens_eq',
+                   'deduct_antisym', 'instantiate', 'axiom')
 
 
 # ---------------------------------------------------------------------------
@@ -831,11 +813,11 @@ def axiom(th, name, targs=()):
 
     The logical axiom schemas are generated on demand, each with a fixed
     number of type arguments: ``bool-cases`` (none), ``description`` (one),
-    ``ext`` and ``pairing`` (two), and ``def.<const>``, the defining equation
-    of a defined logical constant (one for ``forall``, ``exists`` and
-    ``cond``, none otherwise).  The theorem records an instance as
-    ``name[T1,...]``.  Named (grammar) axioms take no type arguments and are
-    looked up in the theory's axiom table.
+    ``ext``, ``pairing``, ``fst_pair`` and ``snd_pair`` (two), and
+    ``def.<const>``, the defining equation of a defined logical constant
+    (one for ``forall``, ``exists`` and ``cond``, none otherwise).  The
+    theorem records an instance as ``name[T1,...]``.  Named (grammar) axioms
+    take no type arguments and are looked up in the theory's axiom table.
     """
     if not th.frozen:
         raise TheoryError('theory %s is not frozen' % th.name)
@@ -877,5 +859,9 @@ def _schema(name, targs):
         p = Var('p', ProdType(a, b))
         fst, snd = (App(logical_const(c, targs), p) for c in ('fst', 'snd'))
         return mk_forall(p, mk_eq(App(App(logical_const('pair', targs), fst), snd), p))
+    if name in ('fst_pair', 'snd_pair'):    # !x y. fst (pair x y) = x, and snd's
+        x, y = Var('x', targs[0]), Var('y', targs[1])
+        proj = App(logical_const(name[:3], targs), App(App(logical_const('pair', targs), x), y))
+        return mk_forall(x, mk_forall(y, mk_eq(proj, x if name == 'fst_pair' else y)))
     cname = name[len('def.'):]
     return mk_eq(logical_const(cname, targs), _def_rhs(cname, targs))

@@ -14,13 +14,13 @@ normal form.
 ``enumerate_signs`` is an independent oracle: it generates every derivable
 sign up to the depth bound by plain recursion, without touching the proof
 machinery, computing words and meanings directly.  ``check_membership``
-answers whether a word means a given term, merging non-identical but
-provably equal boolean meanings through a certificate.
+answers whether a word means a given term, carrying a parse's meaning
+equation to a non-identical but provably equal boolean meaning.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import grammar as gmod
 from . import kernel, rules, syntax
@@ -277,9 +277,9 @@ def check_membership(g, word, meaning, depth_bound):
 
     The meaning is compared after beta normalization.  When no parse
     matches syntactically but a parse's meaning is provably equal to the
-    requested one in the boolean fragment, the parse is merged with itself
-    through an equality certificate, so the result's meaning equation is a
-    theorem about the requested meaning.
+    requested one in the boolean fragment, the result is that parse's sign
+    with its meaning equation carried to the requested meaning by one
+    ``transitivity`` with the ``taut`` proof of their equivalence.
     """
     from . import closure
     th = g.theory
@@ -295,9 +295,6 @@ def check_membership(g, word, meaning, depth_bound):
                 continue
             if not closure.bool_valid(kernel.mk_eq(nf, r.meaning)):
                 continue
-            eq = rules.taut(th, kernel.mk_eq(nf, r.meaning))
-            cert = closure.ClosureCertificate(
-                target=nf, left=r.meaning, right=r.meaning,
-                proof=rules.disj1(eq, kernel.mk_eq(nf, r.meaning)))
-            return closure.merge_parses(g, r, r, cert)
+            eq = kernel.symmetry(rules.taut(th, kernel.mk_eq(nf, r.meaning)))
+            return replace(r, meaning=nf, sem_proof=kernel.transitivity(r.sem_proof, eq))
     return None

@@ -152,27 +152,40 @@ def _pretty(t, ctx, depth):
 
 
 def _pretty_app(t, ctx, depth):
-    fn, arg = t.fn, t.arg
-    head = fn.fn if isinstance(fn, App) else None
-    # an infix operator applied to its two operands
-    if isinstance(head, Const) and head.name in _BY_CONST:
-        sym, prec = _BY_CONST[head.name]
-        s = '%s %s %s' % (_pretty(fn.arg, prec + 1, depth), sym,
-                          _pretty(arg, prec + (sym == '='), depth))
-        return _wrap(s, prec, ctx)
-    # cond[T] x y z, written cond[T](x, y, z)
-    if isinstance(head, App) and isinstance(head.fn, Const) and head.fn.name == 'cond':
-        parts = ', '.join(_pretty(a, 0, depth) for a in (head.arg, fn.arg, arg))
-        return '%s(%s)' % (head.fn.display_name, parts)
-    if isinstance(fn, Const):
-        name = fn.name
-        if name == 'not':
-            return _wrap('~%s' % _pretty(arg, _NOT, depth), _NOT, ctx)
-        if name in ('forall', 'exists') and isinstance(arg, Abs):
-            return _wrap(_binder('!' if name == 'forall' else '?', arg, depth), 0, ctx)
-    if isinstance(fn, Abs):
-        return '(%s)(%s)' % (_pretty(fn, 0, depth), _pretty(arg, 0, depth))
-    return '%s(%s)' % (_pretty(fn, _APP, depth), _pretty(arg, 0, depth))
+    # walks the spine of a plain application f(a)(b)... in a loop, down to a
+    # head that prints on its own, then appends the arguments
+    args = []
+    while True:
+        fn, arg = t.fn, t.arg
+        head = fn.fn if isinstance(fn, App) else None
+        # an infix operator applied to its two operands
+        if isinstance(head, Const) and head.name in _BY_CONST:
+            sym, prec = _BY_CONST[head.name]
+            s = _wrap('%s %s %s' % (_pretty(fn.arg, prec + 1, depth), sym,
+                                    _pretty(arg, prec + (sym == '='), depth)), prec, ctx)
+            break
+        # cond[T] x y z, written cond[T](x, y, z)
+        if isinstance(head, App) and isinstance(head.fn, Const) and head.fn.name == 'cond':
+            parts = ', '.join(_pretty(a, 0, depth) for a in (head.arg, fn.arg, arg))
+            s = '%s(%s)' % (head.fn.display_name, parts)
+            break
+        if isinstance(fn, Const) and fn.name == 'not':
+            s = _wrap('~%s' % _pretty(arg, _NOT, depth), _NOT, ctx)
+            break
+        if isinstance(fn, Const) and fn.name in ('forall', 'exists') and isinstance(arg, Abs):
+            s = _wrap(_binder('!' if fn.name == 'forall' else '?', arg, depth), 0, ctx)
+            break
+        if isinstance(fn, Abs):
+            s = '(%s)(%s)' % (_pretty(fn, 0, depth), _pretty(arg, 0, depth))
+            break
+        args.append(arg)
+        if not isinstance(fn, App):
+            s = _pretty(fn, _APP, depth)
+            break
+        t, ctx = fn, _APP
+    for a in reversed(args):
+        s += '(%s)' % _pretty(a, 0, depth)
+    return s
 
 
 def pretty_theorem(thm, depth_names=False):

@@ -13,6 +13,8 @@ canonical terms.  Lines starting with ``#`` are comments, except the
 exporter records the theory fingerprint and the root step indexes; it writes
 a comment line that starts with ``theory`` or ``roots`` as ``# # ...``.
 Lines are read byte for byte: a blank at the end of a claim is a mismatch.
+A rule name is one of ``kernel.PRIMITIVE_RULES``; any other fails with
+``unknown rule``.
 
 ``verify_trace`` replays every step through the kernel of a freshly
 supplied theory and checks the claimed judgement against the replayed one,
@@ -196,7 +198,7 @@ _ARG_KINDS = {
     'reflexivity': (True, 'term'), 'symmetry': (False, 'ref'),
     'transitivity': (False, 'ref', 'ref'), 'congruence': (False, 'ref', 'ref'),
     'abstraction': (False, 'term', 'ref'), 'beta_conversion': (True, 'term'),
-    'pair_beta': (True, 'term'), 'assume': (True, 'term'),
+    'assume': (True, 'term'),
     'modus_ponens_eq': (False, 'ref', 'ref'), 'deduct_antisym': (False, 'ref', 'ref'),
 }
 

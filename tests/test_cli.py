@@ -2,6 +2,7 @@
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 
@@ -476,3 +477,48 @@ def test_reports_hash_seed_independent(files):
                  ['closure', '-u', files['universe'], 'p', 'q'],
                  ['check', '-g', files['boolsem']]):
         assert run_with_seed('0', argv) == run_with_seed('1', argv)
+
+
+# ---------------------------------------------------------------------------
+# the README's examples
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 'README.md')
+
+
+def test_readme_examples_match_the_cli(tmp_path, monkeypatch, capsys):
+    # each `$ hogc ...` line of a README example, run through cli.main in a
+    # directory of the files the README shows (a block that starts with
+    # "# <file> — ..."), prints the lines the README shows under it.  The one
+    # elision allowed is the theory fingerprint, a line that ends in "...",
+    # which stands for the rest of the line
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv('HOGC_COLOR', raising=False)
+    with open(README) as f:
+        blocks = re.findall(r'^```text\n(.*?)^```', f.read(), re.M | re.S)
+    files = {'ambig.hog': helpers.AMBIG, 'boolsem.hog': helpers.BOOLSEM}
+    for b in blocks:
+        shown_file = re.match(r'# (\S+) — ', b)
+        if shown_file:
+            files[shown_file.group(1)] = b
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    commands = elisions = 0
+    for block in blocks:
+        for run in re.split(r'^\$ ', block, flags=re.M)[1:]:
+            command, _, shown = run.partition('\n')
+            argv = shlex.split(command)
+            if argv[0] == 'head':    # head -<n> <file>
+                with open(argv[2]) as f:
+                    out = ''.join(f.readlines()[:int(argv[1][1:])])
+            else:
+                assert argv[0] == 'hogc' and main(argv[1:]) == 0, command
+                out = capsys.readouterr().out
+                commands += 1
+            got, want = out.splitlines(), shown.splitlines()
+            assert len(got) == len(want), (command, out)
+            for g, w in zip(got, want):
+                if w.endswith('...'):
+                    elisions += 1
+                    w, g = w[:-3], g[:len(w) - 3]
+                assert g == w, command
+    assert commands == 7 and elisions == 1

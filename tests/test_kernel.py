@@ -5,6 +5,7 @@ import copy
 import gc
 import os
 import pickle
+import re
 import subprocess
 import sys
 import threading
@@ -162,8 +163,37 @@ def test_pair_and_proj_typing():
 
 
 def test_eq_needs_shared_type():
-    with pytest.raises(kernel.TypingError):
+    # the term reader's message for an ill-typed equation is mk_eq's
+    with pytest.raises(kernel.TypingError, match='^equation between Ind and Bool$'):
         mk_eq(Var('x', IND), Var('b', BOOL))
+    with pytest.raises(kernel.TypingError, match='^equation between Ind and Bool$'):
+        syntax.parse_term('(x:Ind) = (b:Bool)')
+
+
+_MALFORMED = {
+    'var_type': (lambda: Var('x', 'Ind'), kernel.TypingError, 'variable x needs a Type'),
+    'const_type': (lambda: Const('c', 'Ind'), kernel.TypingError, 'constant c needs Types'),
+    'const_targs': (lambda: Const('c', IND, ('Ind',)), kernel.TypingError,
+                    'constant c needs Types'),
+    'abs_binder': (lambda: Abs(true_c(), true_c()), kernel.TypingError,
+                   'binder must be a variable'),
+    'type_to_str': (lambda: kernel.type_to_str('Ind'), kernel.TypingError, "not a type: 'Ind'"),
+    'type_of': (lambda: kernel.type_of('x', kernel.core_theory()), kernel.KernelError,
+                "not a term: 'x'"),
+    'beta_normalize': (lambda: kernel.beta_normalize('x'), kernel.KernelError, "not a term: 'x'"),
+    'logical_const': (lambda: kernel.logical_const('nosuch'), kernel.TheoryError,
+                      'unknown logical constant nosuch'),
+    'theory_const': (lambda: kernel.core_theory().const('nosuch'), kernel.TheoryError,
+                     'unknown constant nosuch'),
+}
+
+
+@pytest.mark.parametrize('case', sorted(_MALFORMED))
+def test_kernel_rejects_malformed_input(case):
+    # each with the kernel's own error, not a Python error from deeper down
+    make, exc, msg = _MALFORMED[case]
+    with pytest.raises(exc, match='^%s$' % re.escape(msg)):
+        make()
 
 
 def test_cond_shape():
@@ -406,12 +436,31 @@ def test_theory_duplicate_and_reserved_names():
         t.add_axiom('a', true_c())
     with pytest.raises(kernel.TheoryError):
         t.add_axiom('b', t.const('c'))  # not Bool
+    t.add_base_type('S')
+    for name in ('S', 'Bool'):
+        with pytest.raises(kernel.TheoryError, match='^duplicate base type %s$' % name):
+            t.add_base_type(name)
+
+
+def test_theory_declarations_are_validated():
+    t = kernel.Theory('scratch4')
+    with pytest.raises(kernel.TheoryError, match='^unknown base type Und$'):
+        t.add_constant('c', FunType(IND, BaseType('Und')))
+    with pytest.raises(kernel.TypingError, match="^not a type: 'Ind'$"):
+        t.add_constant('c', 'Ind')
+    with pytest.raises(kernel.TheoryError, match='^unknown constant mystery$'):
+        t.add_axiom('a', App(Const('mystery', FunType(IND, BOOL)), Var('x', IND)))
+    with pytest.raises(kernel.TheoryError, match='^unknown base type Und$'):
+        t.add_axiom('a', mk_eq(Var('u', BaseType('Und')), Var('u', BaseType('Und'))))
+    assert not t.constants and not t.axioms
 
 
 def test_unfrozen_theory_proves_nothing():
     t = kernel.Theory('scratch2')
     with pytest.raises(kernel.TheoryError):
         kernel.axiom(t, 'bool-cases')
+    with pytest.raises(kernel.TheoryError, match='^theory scratch2 is not frozen$'):
+        kernel.reflexivity(t, true_c())
 
 
 def test_type_of_rejects_foreign_constants(th):
@@ -439,6 +488,8 @@ _LEAF_FAULTS = {
                       'unknown constant mystery'),
     'logical_const_at_undeclared_type': (_hidden(eq_c(_UND)), kernel.TheoryError,
                                          'unknown base type Und'),
+    'logical_const_at_wrong_type': (_hidden(Const('true', IND)), kernel.TypingError,
+                                    'logical constant true at wrong type'),
     'const_at_wrong_type': (_hidden(Const('c', BOOL)), kernel.TypingError,
                             'constant c at type Bool, declared Ind'),
     'const_at_undeclared_type': (_hidden(Const('c', FunType(IND, _UND))),
@@ -507,7 +558,8 @@ def test_def_axiom_is_a_defining_equation(th):
 
 def test_axiom_schemas_have_fixed_arity(th):
     for name, targs in (('description', ()), ('bool-cases', (IND,)),
-                        ('ext', (IND,)), ('def.cond', ()), ('def.and', (IND,))):
+                        ('ext', (IND,)), ('fst_pair', (IND,)), ('def.cond', ()),
+                        ('def.and', (IND,))):
         with pytest.raises(kernel.TheoryError):
             kernel.axiom(th, name, targs)
     with pytest.raises(kernel.TheoryError):
@@ -523,7 +575,7 @@ def test_named_axioms_take_no_type_arguments(toy):
 
 def test_add_axiom_rejects_schema_names():
     t = kernel.Theory('scratch3')
-    for name in ('bool-cases', 'description', 'ext', 'pairing', 'def.cond',
+    for name in ('bool-cases', 'description', 'ext', 'pairing', 'snd_pair', 'def.cond',
                  'def.true', 'w[Ind]', 'description[Ind]'):
         with pytest.raises(kernel.TheoryError):
             t.add_axiom(name, true_c())
@@ -584,15 +636,18 @@ def test_beta_conversion(th):
 
 
 def test_pair_beta(th):
+    # the projection laws are the axiom schemas fst_pair and snd_pair, not a rule
+    assert 'pair_beta' not in kernel.PRIMITIVE_RULES
+    assert not hasattr(kernel, 'pair_beta')
     a, b = Var('a', IND), Var('b', BOOL)
-    p1 = kernel.pair_beta(th, _proj('fst', mk_pair(a, b)))
-    assert p1.concl == mk_eq(_proj('fst', mk_pair(a, b)), a)
-    p2 = kernel.pair_beta(th, _proj('snd', mk_pair(a, b)))
-    assert p2.concl == mk_eq(_proj('snd', mk_pair(a, b)), b)
-    for bad in (_proj('fst', Var('p', ProdType(IND, BOOL))), mk_pair(a, b), a,
-                App(Var('f', FunType(ProdType(IND, BOOL), IND)), mk_pair(a, b))):
-        with pytest.raises(kernel.RuleError):
-            kernel.pair_beta(th, bad)
+    for name, side in (('fst', a), ('snd', b)):
+        ax = kernel.axiom(th, name + '_pair', (IND, BOOL))
+        assert ax.hyps == () and ax.args == (name + '_pair[Ind,Bool]',)
+        x, body = terms.dest_forall(ax.concl)
+        y, body = terms.dest_forall(body)
+        assert body == mk_eq(_proj(name, mk_pair(x, y)), x if name == 'fst' else y)
+        law = rules.spec(b, rules.spec(a, ax))
+        assert law.hyps == () and law.concl == mk_eq(_proj(name, mk_pair(a, b)), side)
 
 
 def test_assume_requires_bool(th):
@@ -646,6 +701,21 @@ def test_instantiate_in_conclusion_and_hypotheses(th):
     assert r.hyps == (mk_disj(y, x),)
     with pytest.raises(kernel.KernelError):
         kernel.instantiate(a, {x: Var('z', IND)})
+
+
+def test_instantiate_needs_variables_and_declared_replacements(th):
+    p = Var('p', BOOL)
+    a = kernel.assume(th, p)
+    with pytest.raises(kernel.TypingError, match='^substitution domain must be variables$'):
+        kernel.instantiate(a, {Const('p', BOOL): false_c()})
+    with pytest.raises(kernel.TheoryError, match='^unknown constant mystery$'):
+        kernel.instantiate(a, {p: Const('mystery', BOOL)})
+
+
+def test_beta_conversion_validates_the_redex(th):
+    x = Var('x', IND)
+    with pytest.raises(kernel.TheoryError, match='^unknown constant mystery$'):
+        kernel.beta_conversion(th, App(Abs(x, x), Const('mystery', IND)))
 
 
 def test_instantiate_respects_binders(th):

@@ -201,10 +201,17 @@ def test_check_membership_by_equivalence(boolsem):
     assert r.sem_proof.hyps == ()
     l, rr = kernel.dest_eq(r.sem_proof.concl)
     assert rr == target
-    # the merged sign still spells the word
+    # the answer is the parse's own sign, its meaning equation carried to
+    # false by one transitivity step, not a merge of the parse with itself
+    assert syntax.pretty_term(r.sign) == 'NEGATE(NOT)(YES)'
+    assert r.sem_proof.rule == 'transitivity'
     assert r.phon_proof.concl == mk_eq(
         App(boolsem.theory.const('phon_S'), r.sign),
         word_to_phon(boolsem, 'nicht ja'))
+    fresh = grammar.elaborate(helpers.BOOLSEM, name=boolsem.theory.name)
+    text = trace.export_trace([r.phon_proof, r.sem_proof])
+    got = trace.verify_trace(text, fresh.theory, strict_fingerprint=True)
+    assert [t.concl for t in got] == [r.phon_proof.concl, r.sem_proof.concl]
     # an inequivalent fragment meaning stays out
     assert parser.check_membership(boolsem, 'nicht ja', kernel.true_c(), 3) is None
 

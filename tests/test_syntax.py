@@ -1,6 +1,7 @@
 """Term parsing and printing: round trips, precedence, resolution errors."""
 
 import functools
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -174,6 +175,17 @@ def test_pretty_theorem(th):
     p = Var('p', BOOL)
     assert syntax.pretty_theorem(kernel.reflexivity(th, p)) == '|- p = p'
     assert syntax.pretty_theorem(kernel.assume(th, p)) == 'p |- p'
+
+
+def test_pretty_left_nested_rule_applications_400_deep():
+    # LEFT_CHAIN's sign L(...L(B)(A)...)(A): the printer walks each
+    # application spine in a loop, so 400 rule applications print under the
+    # default recursion limit
+    assert sys.getrecursionlimit() == 1000
+    s, l, a = Var('B', IND), Var('L', FunType(IND, FunType(IND, IND))), Var('A', IND)
+    for _ in range(400):
+        s = App(App(l, s), a)
+    assert pretty_term(s) == 'L(' * 400 + 'B' + ')(A)' * 400
 
 
 def test_phon_resolver(th):

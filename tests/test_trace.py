@@ -11,7 +11,6 @@ import pytest
 
 from hogc import closure, grammar, kernel, parser, rules, syntax
 from hogc.kernel import BOOL, IND, PHON, App, BaseType, FunType, ProdType, Var, true_c
-from hogc.terms import mk_pair
 from hogc.trace import TraceError, export_trace, theory_fingerprint, verify_trace
 
 import helpers
@@ -307,7 +306,6 @@ def test_roundtrip_every_primitive_rule():
                           kernel.reflexivity(th, X)),
         kernel.abstraction(X, kernel.reflexivity(th, X)),
         kernel.beta_conversion(th, kernel.App(kernel.Abs(X, X), X)),
-        kernel.pair_beta(th, App(kernel.logical_const('fst', (IND, BOOL)), mk_pair(X, P))),
         assume_p,
         kernel.modus_ponens_eq(kernel.reflexivity(th, P), assume_p),
         kernel.deduct_antisym(assume_p, assume_p),
@@ -318,8 +316,9 @@ def test_roundtrip_every_primitive_rule():
     rules_used = {l.split()[1] for l in _content_lines(text)}
     assert rules_used == {
         'reflexivity', 'symmetry', 'transitivity', 'congruence',
-        'abstraction', 'beta_conversion', 'pair_beta', 'assume',
+        'abstraction', 'beta_conversion', 'assume',
         'modus_ponens_eq', 'deduct_antisym', 'axiom', 'instantiate'}
+    assert rules_used == set(kernel.PRIMITIVE_RULES)
     got = verify_trace(text, kernel.core_theory(), strict_fingerprint=True)
     assert [(t.hyps, t.concl) for t in got] == \
         [(t.hyps, t.concl) for t in thms]
@@ -337,7 +336,9 @@ def test_roundtrip_every_axiom_schema():
     for a, b in ((fn, prod), (prod, fn)):
         thms += [kernel.axiom(g.theory, 'description', (a,)),
                  kernel.axiom(g.theory, 'ext', (a, b)),
-                 kernel.axiom(g.theory, 'pairing', (a, b))]
+                 kernel.axiom(g.theory, 'pairing', (a, b)),
+                 kernel.axiom(g.theory, 'fst_pair', (a, b)),
+                 kernel.axiom(g.theory, 'snd_pair', (a, b))]
         thms += [kernel.axiom(g.theory, 'def.' + c, (a,))
                  for c in ('forall', 'exists', 'cond')]
     text = export_trace(thms)
@@ -585,6 +586,7 @@ _PRELUDE = '# hogc trace v1\n'
     ('x reflexivity {true} ==>  |- true = true', 'bad step index'),
     ('1 reflexivity {true} ==>  |- true = true', 'out of order'),
     ('0 wibble ==>  |- true', 'unknown rule'),
+    ('0 pair_beta {(fst (pair[Bool,Bool] true false))} ==>  |- true', 'unknown rule pair_beta'),
     ('0 symmetry @5 ==>  |- true', 'dangling reference'),
     ('0 reflexivity wat ==>  |- true', 'bad argument syntax'),
     ('0 reflexivity {true ==>  |- true', 'unterminated term literal'),
@@ -615,6 +617,19 @@ def test_malformed_traces(body, frag):
     with pytest.raises(TraceError) as e:
         verify_trace(_PRELUDE + body, th)
     assert frag in str(e.value)
+
+
+@pytest.mark.parametrize('rule,args', [
+    ('symmetry', '@0'), ('transitivity', '@0 @0'), ('congruence', '@0 @0'),
+    ('abstraction', '{q:Bool} @0'), ('modus_ponens_eq', '@0 @0')])
+def test_equation_rules_reject_a_non_equation_at_their_step(rule, args):
+    # step 0 concludes p, not an equation: the rule's own check rejects it,
+    # where a missing check would let a Python TypeError escape the verifier
+    body = '0 assume {p:Bool} ==> p:Bool |- p:Bool\n1 %s %s ==>  |- true' % (rule, args)
+    with pytest.raises(TraceError) as e:
+        verify_trace(_PRELUDE + body, kernel.core_theory())
+    assert e.value.step == 1
+    assert re.search('%s needs (an equation|equations)$' % rule, str(e.value))
 
 
 @pytest.mark.parametrize('edit,msg', [
