@@ -18,8 +18,8 @@ from .kernel import (Abs, App, BOOL, BaseType, Const, FunType, IND, KernelError,
                      Theory, TheoryError, Type, TypingError, Var, axiom,
                      beta_normalize, core_theory, type_of)
 from .terms import substitute
-from .syntax import ParseError, TermEnv, canonical_term, canonical_theorem, \
-    parse_term, pretty_term, pretty_theorem
+from .syntax import ParseError, TermEnv, canonical_term, parse_term, pretty_term, \
+    pretty_theorem
 from .grammar import Grammar, GrammarError, GrammarSpec, Word, elaborate, \
     load_grammar, phon_homomorphism, phon_norm, phon_to_word, word_to_phon
 from .parser import ParseResult, check_membership, enumerate_signs, parse
@@ -42,7 +42,7 @@ __all__ = [
     'ParseError', 'ParseResult', 'ProdType', 'RuleError', 'Term',
     'TermEnv', 'TermUniverse', 'Theorem', 'Theory', 'TheoryError',
     'TraceError', 'Type', 'TypingError', 'Var', 'Word', 'axiom',
-    'beta_normalize', 'bool_valid', 'canonical_term', 'canonical_theorem',
+    'beta_normalize', 'bool_valid', 'canonical_term',
     'certificate_cases', 'certificate_from_script', 'certificate_left',
     'certificate_right', 'certificate_taut', 'check_membership',
     'closure_report', 'closure_saturate', 'closure_violation',

@@ -476,16 +476,21 @@ def word_to_phon(g, word):
 
 
 def _phon_schemas(th):
+    """The monoid axioms specialised to _X, _Y and _Z by name, not to the
+    binders' hints, which are first-come for each alpha-class."""
     def build():
+        assoc = kernel.axiom(th, 'phon.assoc')
+        for v in (_X, _Y, _Z):
+            assoc = rules.spec(v, assoc)
         return {
-            'assoc': rules.spec_all(kernel.axiom(th, 'phon.assoc')),
-            'lunit': rules.spec_all(kernel.axiom(th, 'phon.lunit')),
-            'runit': rules.spec_all(kernel.axiom(th, 'phon.runit')),
+            'assoc': assoc,
+            'lunit': rules.spec(_X, kernel.axiom(th, 'phon.lunit')),
+            'runit': rules.spec(_X, kernel.axiom(th, 'phon.runit')),
         }
     return rules._cached(th, 'phon_schemas', build)
 
 
-_X, _Z = Var('x', PHON), Var('z', PHON)
+_X, _Y, _Z = Var('x', PHON), Var('y', PHON), Var('z', PHON)
 
 
 def _append_vars(n):
@@ -499,12 +504,12 @@ def _append_schema(th, n):
     one before it under x1 ++ _."""
     cache = th._derived_cache
     if ('phon_append', n) not in cache:
-        assoc, y = _phon_schemas(th)['assoc'], Var('y', PHON)
+        assoc = _phon_schemas(th)['assoc']
         for k in range(2, n + 1):
             if ('phon_append', k) in cache:
                 continue
             xs = _append_vars(k)
-            e = kernel.instantiate(assoc, {_X: xs[0], y: syntax.mk_conc(*xs[1:])})
+            e = kernel.instantiate(assoc, {_X: xs[0], _Y: syntax.mk_conc(*xs[1:])})
             if k > 2:
                 # |- (x2 ++ ... ++ xk) ++ z = x2 ++ ... ++ xk ++ z
                 shifted = kernel.instantiate(cache[('phon_append', k - 1)],

@@ -107,11 +107,15 @@ class _Chart:
         return [(end, tuple(combo[s] for s in order)) for end, combo, _fresh in partial]
 
 
-def _sign_conjuncts(th, axname):
+def _sign_conjuncts(th, axname, opvars):
     """The phon and sem conjuncts of a lexeme or rule axiom, specialised to
-    the axiom's own operand variables; derived once per theory."""
+    its operand variables ``opvars``; derived once per theory.  They are
+    named, not taken from the binders: a binder's hint is whichever name its
+    alpha-class was first built with."""
     def build():
-        ax = rules.spec_all(kernel.axiom(th, axname))
+        ax = kernel.axiom(th, axname)
+        for v in opvars:
+            ax = rules.spec(v, ax)
         return rules.conjunct1(ax), rules.conjunct2(ax)
     return rules._cached(th, ('sign_conjuncts', axname), build)
 
@@ -125,7 +129,7 @@ def _phon_schema(th, axname, opvars):
         for i, v in enumerate(opvars):
             p = App(th.const('phon_%s' % v.ty.name), v)
             memo[p] = kernel.assume(th, kernel.mk_eq(p, _phon_var(i)))
-        phon, _sem = _sign_conjuncts(th, axname)
+        phon, _sem = _sign_conjuncts(th, axname, opvars)
         return rules.rewrite_rhs(phon, lambda th, t: None, memo)
     return rules._cached(th, ('phon_schema', axname), build)
 
@@ -155,7 +159,7 @@ class _ProofBuilder:
             return self.memo[sign]
         th = self.th
         axname, opvars, children = deriv_map[sign]
-        phon, sem = _sign_conjuncts(th, axname)
+        phon, sem = _sign_conjuncts(th, axname, opvars)
         child_phon = []
         for c in children:   # a plain loop: one frame per level of the sign
             cp, cs = self.build(c, deriv_map)

@@ -289,7 +289,10 @@ def spec(a, thm):
 
 
 def spec_all(thm):
-    """Strip all outer universal quantifiers, specializing to their own variables."""
+    """Strip all outer universal quantifiers, specializing to their own
+    variables: the binders' hints, which are first-come for each
+    alpha-class.  Code that then names the variables specializes with
+    ``spec`` at them instead."""
     while True:
         d = dest_forall(thm.concl)
         if d is None:
@@ -545,8 +548,10 @@ def bool_cases_split(th, z, hole, tmpl, thm_true, thm_false):
     |- tmpl[z/hole], so each branch may assume its own case."""
     if z.ty != BOOL:
         raise RuleError('case split needs a Bool term')
+    # specialised to _Z itself, not to the binder's hint, which is whatever
+    # name the axiom's alpha-class was first built with
     bc = instantiate(_cached(th, ('rule', 'bool_cases'),
-                             lambda: spec_all(axiom(th, 'bool-cases'))), {_Z: z})
+                             lambda: spec(_Z, axiom(th, 'bool-cases'))), {_Z: z})
     et = assume(th, mk_eq(z, true_c()))
     ef = assume(th, mk_eq(z, false_c()))
     ct = subst_context(th, tmpl, hole, et)

@@ -3,11 +3,10 @@
 Two printers live here.  ``canonical_term`` emits a fully parenthesized
 ASCII form that names the variable of a binder at depth d ``%d``; no
 identifier starts with ``%``, so two terms print alike exactly when they are
-alpha-equal.  It is the written form of proof traces, and it round-trips
-through ``parse_term``, which reads ``%d`` only as a bound variable.  The
-trace verifier compares each claimed judgement with the canonical printing
-of the replayed step byte for byte.  A caller that prints many terms passes
-them one memo dict, so a subterm that recurs is printed once (see
+alpha-equal.  It is the stable machine form of fingerprints, sort keys and
+trace-verify messages, and it round-trips through ``parse_term``, which
+reads ``%d`` only as a bound variable.  A caller that prints many terms
+passes them one memo dict, so a subterm that recurs is printed once (see
 ``_canon``).  ``pretty_term`` names a binder's variable by the kernel's hint
 for it, the name its alpha-class was first built with, and uses infix
 notation for the connectives; it is for reports and error messages only.
@@ -75,13 +74,11 @@ def _canon(t, depth, memo):
 
     ``memo`` maps ``(term, depth)`` to its printing, and a term at depth 0
     by the term alone, so a subterm that comes up again, in this call or a
-    later one that shares the dict, is printed once; it also maps each
-    depth-0 printing back to its term, which is how the trace verifier reads
-    a literal it has already printed.  The key holds the term object itself,
-    never its ``id()``: the dict then keeps its terms alive, whereas the id
-    of a freed term may come back as that of another term, whose printing
-    would then be the wrong text.  The caller owns the dict and drops it when
-    it returns, so no cache outlives a call."""
+    later one that shares the dict, is printed once.  The key holds the
+    term object itself, never its ``id()``: the dict then keeps its terms
+    alive, whereas the id of a freed term may come back as that of another
+    term, whose printing would then be the wrong text.  The caller owns the
+    dict and drops it when it returns, so no cache outlives a call."""
     key = (t, depth) if depth else t
     s = memo.get(key)
     if s is not None:
@@ -101,18 +98,7 @@ def _canon(t, depth, memo):
     else:
         raise ParseError('not a term: %r' % (t,))
     memo[key] = s
-    if not depth:
-        memo[s] = t
     return s
-
-
-def canonical_theorem(thm, memo=None):
-    """``hyps |- concl`` with each term printed by ``canonical_term``, all
-    through one ``memo``."""
-    if memo is None:
-        memo = {}
-    hyps = ' ; '.join(_canon(h, 0, memo) for h in thm.hyps)
-    return '%s |- %s' % (hyps, _canon(thm.concl, 0, memo))
 
 
 # ---------------------------------------------------------------------------

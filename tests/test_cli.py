@@ -195,7 +195,7 @@ def test_emit_proof_then_verify(files, capsys):
                             '--emit-proof', tr])
     assert code == 0
     text = open(tr).read()
-    assert text.startswith('# hogc trace v1\n')
+    assert text.startswith('# hogc trace v2\n')
     code, out = _run(capsys, ['trace-verify', '-g', files['toy'], tr])
     assert code == 0
     assert 'verified roots: 2' in out
@@ -313,6 +313,24 @@ def test_trace_verify_bad_roots_line(files, capsys, roots, msg):
     code, out = _run(capsys, ['trace-verify', '-g', files['toy'], tr])
     assert code == 1
     assert out == 'trace-verify FAIL: %s\n' % (msg % (n_steps - 1) if '%d' in msg else msg)
+
+
+# the first lines of a trace in the earlier v1 format, which spelled out
+# every term: hogc reads only v2
+_V1_TRACE = '''# hogc trace v1
+# parses of fajdo
+# theory toy 1f7a591d8bf43ef1d43b2f41e5bb22c2766015d5564444f7e741f2c966a46e98
+# roots 41 67
+0 axiom "lex.FIDO" ==>  |- ((and ((eq[Phon] (phon_NP FIDO)) /fajdo/)) ((eq[Ind] (sem_NP FIDO)) fido))
+'''
+
+
+def test_trace_verify_names_the_version_line_of_an_old_trace(files, capsys):
+    tr = str(files['dir'] / 'v1.trace')
+    open(tr, 'w').write(_V1_TRACE)
+    code, out = _run(capsys, ['trace-verify', '-g', files['toy'], tr])
+    assert (code, out) == (1, "trace-verify FAIL: the first line is '# hogc trace v1', "
+                              "not the version line '# hogc trace v2'\n")
 
 
 def test_trace_verify_missing_file(capsys):
@@ -507,9 +525,11 @@ def test_readme_examples_match_the_cli(tmp_path, monkeypatch, capsys):
         for run in re.split(r'^\$ ', block, flags=re.M)[1:]:
             command, _, shown = run.partition('\n')
             argv = shlex.split(command)
-            if argv[0] == 'head':    # head -<n> <file>
+            if argv[0] in ('head', 'tail'):    # head -<n> <file>, tail -<n> <file>
                 with open(argv[2]) as f:
-                    out = ''.join(f.readlines()[:int(argv[1][1:])])
+                    lines = f.readlines()
+                n = int(argv[1][1:])
+                out = ''.join(lines[:n] if argv[0] == 'head' else lines[-n:])
             else:
                 assert argv[0] == 'hogc' and main(argv[1:]) == 0, command
                 out = capsys.readouterr().out

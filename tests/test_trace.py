@@ -10,7 +10,7 @@ import weakref
 import pytest
 
 from hogc import closure, grammar, kernel, parser, rules, syntax
-from hogc.kernel import BOOL, IND, PHON, App, BaseType, FunType, ProdType, Var, true_c
+from hogc.kernel import BOOL, IND, PHON, BaseType, FunType, ProdType, Var, true_c
 from hogc.trace import TraceError, export_trace, theory_fingerprint, verify_trace
 
 import helpers
@@ -21,6 +21,27 @@ X = Var('x', IND)
 
 def _content_lines(text):
     return [l for l in text.splitlines() if l and not l.startswith('#')]
+
+
+def _all_steps(text, th):
+    """Every step of a trace as its replayed theorem: the trace with each
+    step made a root."""
+    n = len(_content_lines(text))
+    return verify_trace(re.sub('^# roots .*$', '# roots ' + ' '.join(map(str, range(n))),
+                               text, flags=re.M), th)
+
+
+def _type_names(text):
+    """The printing of each type id of a trace's type table."""
+    names = []
+    for line in text.splitlines():
+        tag, *f = line.split(' ')
+        if tag == '#B':
+            names.append(f[0])
+        elif tag in ('#F', '#P'):
+            names.append('(%s %s %s)' % (names[int(f[0])], '->' if tag == '#F' else '*',
+                                         names[int(f[1])]))
+    return names
 
 
 # ---------------------------------------------------------------------------
@@ -47,15 +68,29 @@ def test_export_format(toy):
     (r,) = parser.parse(toy, 'fajdo blt', 2)
     text = export_trace(r.sem_proof, comment='toy sentence')
     lines = text.splitlines()
-    assert lines[0] == '# hogc trace v1'
+    assert lines[0] == '# hogc trace v2'
     assert lines[1] == '# toy sentence'
     assert lines[2].startswith('# theory toy ')
     assert len(lines[2].split()[-1]) == 64
     assert lines[3].startswith('# roots ')
-    for i, line in enumerate(_content_lines(text)):
+    # then the type table, the term table and the steps, each line once
+    steps = _content_lines(text)
+    table = lines[4:len(lines) - len(steps)]
+    tags = [l[:3] for l in table]
+    n_types = sum(1 for t in tags if t in ('#B ', '#F ', '#P '))
+    assert set(tags[:n_types]) == {'#B ', '#F '} and lines[len(lines) - len(steps):] == steps
+    assert set(tags[n_types:]) == {'#v ', '#c ', '#a ', '#l '}
+    assert len(set(table)) == len(table)
+    ids = {str(i) for i in range(len(table) - n_types)}
+    claims = set()
+    for i, line in enumerate(steps):
         head, sep, claim = line.partition(' ==> ')
         assert sep and head.split()[0] == str(i)
-        assert ' |- ' in ' ' + claim
+        hyps, sep, concl = claim.partition(' |- ')
+        assert sep and concl in ids and all(h in ids for h in hyps.split(' ; ') if hyps)
+        claims.add(claim)
+    # one step per judgement
+    assert len(claims) == len(steps)
     assert export_trace(r.sem_proof, comment='toy sentence') == text
 
 
@@ -84,7 +119,8 @@ def test_comments_are_never_read_as_headers(toy, comment):
 def test_blanks_after_a_claim_are_a_mismatch(toy, tail):
     (r,) = parser.parse(toy, 'fajdo blt', 2)
     lines = export_trace(r.sem_proof).split('\n')
-    i = len(lines) // 2
+    steps = [i for i, l in enumerate(lines) if l and not l.startswith('#')]
+    i = steps[len(steps) // 2]
     step = int(lines[i].split()[0])
     lines[i] += tail
     with pytest.raises(TraceError) as e:
@@ -114,8 +150,9 @@ def test_traces_with_many_hypotheses_are_hash_seed_independent():
 
     text = export('0')
     assert text == export('1')
-    assert ' q:Bool ; p:Bool ; z:Bool ; hole:Bool ; slot:Bool ; b0:Bool |- ' in text
-    verify_trace(text, kernel.core_theory(), strict_fingerprint=True)
+    assert any(l.partition(' ==> ')[2].count(' ; ') == 5 for l in _content_lines(text))
+    thm, _ = verify_trace(text, kernel.core_theory(), strict_fingerprint=True)
+    assert [h.name for h in thm.hyps] == ['q', 'p', 'z', 'hole', 'slot', 'b0']
 
 
 _PINNED_MERGE = '''
@@ -130,7 +167,7 @@ cert = closure.certificate_cases(g.theory, p1.meaning, p2.meaning, Var('q', BOOL
 m = closure.merge_parses(g, p1, p2, cert)
 text = trace.export_trace([m.phon_proof, m.sem_proof])
 steps = sum(1 for l in text.splitlines() if not l.startswith('#'))
-print(steps, hashlib.sha256(text.encode()).hexdigest())
+print(steps, len(text.encode()), hashlib.sha256(text.encode()).hexdigest())
 '''
 
 
@@ -143,7 +180,52 @@ def test_pinned_merge_trace_bytes(seed):
                        capture_output=True, env=env, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.split() == [
-        '817', '3d59a54963fd55c31ab1e7b4aa2e68307f4e7026abc653579da9b2e45e2a2388']
+        '651', '41593', 'c2f4b2d23b83576f70437061cbeb9b24607239b371d99b454ef938323d726769']
+
+
+_PROVE_AFTER_VERIFY = '''
+import gc, sys
+sys.path.insert(0, sys.argv[1])
+import helpers
+from hogc import closure, grammar, parser, syntax, trace
+from hogc.kernel import BOOL, Var
+
+def proofs(g, word):
+    ps = parser.parse(g, word, 3)
+    out = [t for p in ps for t in (p.phon_proof, p.sem_proof)]
+    if len(ps) > 1:
+        cert = closure.certificate_cases(g.theory, ps[0].meaning, ps[1].meaning,
+                                         Var('q', BOOL))
+        m = closure.merge_parses(g, ps[0], ps[1], cert)
+        out += [m.phon_proof, m.sem_proof]
+    return out
+
+def shown(thms):
+    return [([syntax.canonical_term(h) for h in t.hyps], syntax.canonical_term(t.concl))
+            for t in thms]
+
+for src, word in ((helpers.TOY, 'fajdo blt'), (helpers.BOOLSEM, 'nicht ja en nee')):
+    thms = proofs(grammar.elaborate(src), word)
+    want, text = shown(thms), trace.export_trace(thms)
+    del thms
+    gc.collect()
+    g = grammar.elaborate(src)
+    roots = trace.verify_trace(text, g.theory)
+    for h in (g, grammar.elaborate(src)):
+        print(len(want), shown(proofs(h, word)) == want)
+'''
+
+
+def test_proofs_after_a_verify_name_their_own_variables():
+    # the reader gives every binder it builds the hint x, and an alpha-class
+    # keeps the first hint interned for it; parses and merges made while
+    # verified theorems are alive, on the verifying theory and on a fresh
+    # one, must prove what they prove without them.  A process of its own:
+    # in this one, other tests keep these alpha-classes alive.
+    r = subprocess.run([sys.executable, '-c', _PROVE_AFTER_VERIFY, os.path.dirname(__file__)],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split('\n') == ['2 True', '2 True', '6 True', '6 True', '']
 
 
 def test_long_chain_word_round_trip():
@@ -173,6 +255,16 @@ def test_left_chain_word_round_trip():
     fresh = grammar.elaborate(helpers.LEFT_CHAIN, name='left_chain')
     got = verify_trace(text, fresh.theory, strict_fingerprint=True)
     assert [t.concl for t in got] == [r.phon_proof.concl, r.sem_proof.concl]
+
+
+@pytest.mark.parametrize('name', ['%0', 'two words', ''])
+def test_export_rejects_a_name_the_table_cannot_hold(name):
+    # a table field holds no blank, and %d names only a binder's variable,
+    # so a free variable of that name would read back bound
+    th = kernel.core_theory()
+    with pytest.raises(TraceError) as e:
+        export_trace(kernel.assume(th, Var(name, BOOL)))
+    assert str(e.value) == 'cannot write the name %r in a trace' % name
 
 
 def test_export_rejects_mixed_theories(toy, ambig):
@@ -295,19 +387,22 @@ def test_rewriting_under_a_binder_read_from_a_trace_verifies(toy):
 
 
 def test_roundtrip_every_primitive_rule():
+    # each theorem has its own judgement: a step with the judgement of an
+    # earlier one is not written again
     th = kernel.core_theory()
     assume_p = kernel.assume(th, P)
+    y, z = Var('y', IND), Var('z', IND)
+    x_y = kernel.assume(th, kernel.mk_eq(X, y))
     thms = [
         kernel.reflexivity(th, X),
-        kernel.symmetry(kernel.reflexivity(th, X)),
-        kernel.transitivity(kernel.reflexivity(th, X),
-                            kernel.reflexivity(th, X)),
+        kernel.symmetry(x_y),
+        kernel.transitivity(x_y, kernel.assume(th, kernel.mk_eq(y, z))),
         kernel.congruence(kernel.reflexivity(th, Var('f', kernel.FunType(IND, BOOL))),
                           kernel.reflexivity(th, X)),
         kernel.abstraction(X, kernel.reflexivity(th, X)),
         kernel.beta_conversion(th, kernel.App(kernel.Abs(X, X), X)),
         assume_p,
-        kernel.modus_ponens_eq(kernel.reflexivity(th, P), assume_p),
+        kernel.modus_ponens_eq(kernel.assume(th, kernel.mk_eq(P, Var('q', BOOL))), assume_p),
         kernel.deduct_antisym(assume_p, assume_p),
         kernel.axiom(th, 'bool-cases'),
         kernel.instantiate(assume_p, {P: Var('q', BOOL)}),
@@ -342,7 +437,8 @@ def test_roundtrip_every_axiom_schema():
         thms += [kernel.axiom(g.theory, 'def.' + c, (a,))
                  for c in ('forall', 'exists', 'cond')]
     text = export_trace(thms)
-    assert '"ext[(NP -> Bool),(Phon * (Ind -> NP))]"' in text
+    ids = {name: i for i, name in enumerate(_type_names(text))}
+    assert '"ext[%d,%d]"' % (ids['(NP -> Bool)'], ids['(Phon * (Ind -> NP))']) in text
     fresh = grammar.elaborate(helpers.TOY, name='toy')
     got = verify_trace(text, fresh.theory, strict_fingerprint=True)
     assert [(t.args, t.hyps, t.concl) for t in got] == \
@@ -356,60 +452,35 @@ def test_verified_roots_feed_the_kernel(toy):
         *reversed(list(kernel.dest_eq(got.concl))))
 
 
-def _literals(line):
-    return re.findall(r'\{([^}]*)\}', line.partition(' ==> ')[0])
-
-
-def _outside_binders(t):
-    """``t`` and its subterms that lie under no binder."""
-    out, todo = set(), [t]
-    while todo:
-        u = todo.pop()
-        if u not in out:
-            out.add(u)
-            if isinstance(u, App):
-                todo += (u.fn, u.arg)
-    return out
-
-
-def _count_parses(monkeypatch):
-    parsed = []
-    real = syntax.parse_term
-
-    def counting(s, env=None):
-        parsed.append(s)
-        return real(s, env)
-    monkeypatch.setattr(syntax, 'parse_term', counting)
-    return parsed
-
-
-def test_replay_parses_each_distinct_literal_once_and_no_claim(monkeypatch):
-    # each distinct literal is parsed at most once and no claim ever is: a
-    # literal whose text, at its first use, is the printing of a subterm of
-    # an earlier step's judgement outside any binder is that subterm, and
-    # only the others are parsed
+def _pinned_merge():
     g = grammar.elaborate(helpers.AMBIG, name='ambig')
     p1, p2 = parser.parse(g, helpers.AMBIG_WORD, 2)
     cert = closure.certificate_cases(g.theory, p1.meaning, p2.meaning, Var('q', BOOL))
-    m = closure.merge_parses(g, p1, p2, cert)
+    return closure.merge_parses(g, p1, p2, cert)
+
+
+def test_replay_parses_and_prints_no_term(monkeypatch):
+    # the verifier reads terms from the table and compares claims by
+    # identity; only the theory fingerprint prints, and only the theory's
+    # axioms
+    m = _pinned_merge()
     text = export_trace([m.phon_proof, m.sem_proof])
     fresh = grammar.elaborate(helpers.AMBIG, name='ambig')
-    env = syntax.TermEnv(theory=fresh.theory)
-    printed, used, unprinted = set(), set(), set()
-    for line in _content_lines(text):
-        for lit in _literals(line):
-            if lit not in used and lit not in printed:
-                unprinted.add(lit)
-            used.add(lit)
-        hyps, _, concl = line.partition(' ==> ')[2].partition(' |- ')
-        for s in (hyps.split(' ; ') if hyps else []) + [concl]:
-            printed |= {syntax.canonical_term(u)
-                        for u in _outside_binders(syntax.parse_term(s, env))}
-    parsed = _count_parses(monkeypatch)
-    verify_trace(text, fresh.theory, strict_fingerprint=True)
-    assert len(parsed) == len(set(parsed))
-    assert set(parsed) == unprinted
-    assert (len(unprinted), len(used)) == (34, 148)
+    printed = []
+    real = syntax.canonical_term
+
+    def fail(*args, **kw):
+        raise AssertionError('the verifier parsed text')
+
+    def recording(t, memo=None):
+        printed.append(t)
+        return real(t, memo)
+    monkeypatch.setattr(syntax, 'parse_term', fail)
+    monkeypatch.setattr(syntax, 'parse_type', fail)
+    monkeypatch.setattr(syntax, 'canonical_term', recording)
+    got = verify_trace(text, fresh.theory, strict_fingerprint=True)
+    assert [t.concl for t in got] == [m.phon_proof.concl, m.sem_proof.concl]
+    assert sorted(map(id, printed)) == sorted(map(id, fresh.theory.axioms.values()))
 
 
 def _edit_steps(text, edit):
@@ -425,53 +496,53 @@ def _edit_steps(text, edit):
     return '\n'.join(out)
 
 
-def test_a_respelled_literal_is_parsed_and_verifies(toy, monkeypatch):
-    # the lookup matches exact text only: with blanks the printer never
-    # writes, every literal misses it, is parsed, and reads as the same term
+def test_a_respelled_term_id_is_rejected(toy):
+    # an id has one written form: with a leading zero it names nothing, in
+    # a term argument, a claim or the table
     (r,) = parser.parse(toy, 'fajdo blt', 2)
-    respelled = set()
-
-    def respell(step, head, claim):
-        for lit in set(_literals(head)):
-            spelled = ' %s ' % lit.replace(' ', '  ')
-            head = head.replace('{%s}' % lit, '{%s}' % spelled)
-            respelled.add(spelled)
-        return head, claim
-    text = _edit_steps(export_trace(r.sem_proof), respell)
-    parsed = _count_parses(monkeypatch)
-    (got,) = verify_trace(text, toy.theory, strict_fingerprint=True)
-    assert got.concl is r.sem_proof.concl
-    assert respelled and sorted(parsed) == sorted(respelled)
+    text = export_trace(r.sem_proof)
+    s = next(i for i, l in enumerate(_content_lines(text)) if re.search(r'\{[1-9]', l))
+    bad = _edit_steps(text, lambda i, head, claim: (
+        re.sub(r'\{([1-9])', r'{0\1', head) if i == s else head, claim))
+    with pytest.raises(TraceError) as e:
+        verify_trace(bad, toy.theory)
+    assert e.value.step == s and 'bad term id' in str(e.value)
+    bad = _edit_steps(text, lambda i, head, claim: (
+        head, claim.replace('|- ', '|- 0') if i == s else claim))
+    with pytest.raises(TraceError) as e:
+        verify_trace(bad, toy.theory)
+    assert e.value.step == s and 'conclusion mismatch' in str(e.value)
+    bad = re.sub('^#a ([0-9]+)', r'#a 0\1', text, count=1, flags=re.M)
+    with pytest.raises(TraceError) as e:
+        verify_trace(bad, toy.theory)
+    assert e.value.step is None and 'bad id' in str(e.value)
 
 
 def test_a_literal_swapped_for_another_printed_subterm_is_rejected(toy):
-    # a reflexivity literal replaced by the conclusion of an earlier step,
-    # which the verifier has printed: the step replays on that term, and its
-    # claim no longer matches
+    # a reflexivity term replaced by the conclusion of an earlier step: the
+    # step replays on that term, and its claim no longer matches
     (r,) = parser.parse(toy, 'fajdo blt', 2)
     text = export_trace(r.sem_proof)
     lines = _content_lines(text)
-    concls = [l.partition(' ==> ')[2].partition(' |- ')[2] for l in lines]
-    s, lit, other = next((s, lit, c) for s, l in enumerate(lines)
-                         if l.split()[1] == 'reflexivity'
-                         for lit in _literals(l) for c in concls[:s] if c != lit)
-    claim = lines[s].partition(' ==> ')[2]
+    steps = _all_steps(text, toy.theory)
+    concls = [l.rpartition(' |- ')[2] for l in lines]
+    s, j = next((s, j) for s, l in enumerate(lines) if l.split()[1] == 'reflexivity'
+                for j in range(s) if '{%s}' % concls[j] not in l)
     bad = _edit_steps(text, lambda i, head, claim: (
-        head.replace('{%s}' % lit, '{%s}' % other) if i == s else head, claim))
-    derived = syntax.canonical_theorem(kernel.reflexivity(
-        toy.theory, syntax.parse_term(other, syntax.TermEnv(theory=toy.theory))))
+        re.sub(r'\{[0-9]+\}', '{%s}' % concls[j], head) if i == s else head, claim))
+    derived = kernel.reflexivity(toy.theory, steps[j].concl).concl
     with pytest.raises(TraceError) as e:
         verify_trace(bad, toy.theory)
     assert e.value.step == s
-    assert str(e.value) == ('step %d: reflexivity: conclusion mismatch: claimed %s, '
-                            'derived %s' % (s, claim.strip(), derived.strip()))
+    assert str(e.value) == ('step %d: reflexivity: conclusion mismatch: claimed |- %s, '
+                            'derived |- %s' % (s, syntax.canonical_term(steps[s].concl),
+                                               syntax.canonical_term(derived)))
 
 
 def test_a_shared_memo_prints_each_transient_term_as_itself():
     # each term is built, printed and dropped, so the id of a freed term can
     # come back as another's: a memo keyed by id() would print the old text.
-    # At depth 0 the entry from a printing back to its term holds the term
-    # anyway; under a binder only the memo's key can.
+    # The memo's key holds the term itself, at depth 0 and under a binder.
     memo = {}
     for i in range(200):
         for depth, name in ((0, 'v%d' % i), (1, 'w%d' % i)):
@@ -481,7 +552,7 @@ def test_a_shared_memo_prints_each_transient_term_as_itself():
 
 
 def test_no_term_outlives_export_or_verify(toy):
-    # the memos live for one call: a term that only a trace held is freed
+    # the tables live for one call: a term that only a trace held is freed
     # once export_trace and verify_trace return
     thm = kernel.assume(toy.theory, kernel.mk_eq(Var('only_here', IND), X))
     text = export_trace(thm)
@@ -512,16 +583,16 @@ def test_claim_of_another_step_rejected_at_its_step(toy):
 
 
 def test_non_canonical_claims_are_rejected(toy):
-    # an alpha-equal claim in any other written form is not the judgement
+    # a claim names terms by id, each written one way; any other text in a
+    # field, even the judgement's own printing, is a mismatch there
     (r,) = parser.parse(toy, 'fajdo blt', 2)
     text = export_trace(r.sem_proof)
     lines = _content_lines(text)
     head, _, claim = lines[-1].partition(' ==> ')
     concl = claim.split(' |- ')[1]
-    infix = syntax.pretty_term(r.sem_proof.concl)
-    assert ' = ' in infix
-    for edited, what in (('  |- ' + concl.replace(' ', '  '), 'conclusion'),
-                         (' |- ' + infix, 'conclusion'),
+    for edited, what in ((' |-  ' + concl, 'conclusion'),
+                         (' |- 0' + concl, 'conclusion'),
+                         (' |- ' + syntax.canonical_term(r.sem_proof.concl), 'conclusion'),
                          ('  |- ' + concl, 'hypothesis')):
         with pytest.raises(TraceError) as e:
             verify_trace(text.replace(lines[-1], '%s ==> %s' % (head, edited)), toy.theory)
@@ -555,10 +626,11 @@ def test_tampered_hypotheses_rejected(toy):
 
 
 def test_tampered_argument_rejected(toy):
+    # the term of reflexivity x = x swapped for its conclusion
     text = export_trace(kernel.reflexivity(toy.theory, X))
     line = _content_lines(text)[0]
     lit = line[line.index('{'):line.index('}') + 1]
-    bad = text.replace(lit, '{true}')
+    bad = text.replace(lit, '{%s}' % line.rpartition(' |- ')[2])
     with pytest.raises(TraceError) as e:
         verify_trace(bad, toy.theory)
     assert 'mismatch' in str(e.value) and e.value.step == 0
@@ -577,7 +649,31 @@ def test_wrong_theory_rejected(toy):
 # ---------------------------------------------------------------------------
 # Malformed traces
 
-_PRELUDE = '# hogc trace v1\n'
+# A version line and a small table.  The cases below write a term argument
+# or claim field as the canonical printing of a term of _TERMS, which
+# ``_ids`` replaces by its id; other text stays as it is.
+_TYPES = ('#B Bool', '#B Ind')
+_TERMS = {'true': '#c true', 'false': '#c false', 'eq[Bool]': '#c eq 0',
+          '(eq[Bool] true)': '#a 2 0', '((eq[Bool] true) true)': '#a 3 0',
+          'x:Ind': '#v x 1', 'p:Bool': '#v p 0', 'q:Bool': '#v q 0'}
+_PRELUDE = '\n'.join(('# hogc trace v2',) + _TYPES + tuple(_TERMS.values())) + '\n'
+_ID = {t: str(i) for i, t in enumerate(_TERMS)}
+
+
+def _ids(body):
+    def field(s):
+        return _ID.get(s, s)
+
+    out = []
+    for line in body.split('\n'):
+        head, sep, claim = line.partition(' ==> ')
+        head = re.sub(r'\{([^{}]*)\}', lambda m: '{%s}' % field(m.group(1)), head)
+        hyps, turnstile, concl = claim.partition(' |- ')
+        if turnstile:
+            hyps = ' ; '.join(map(field, hyps.split(' ; '))) if hyps else ''
+            claim = '%s |- %s' % (hyps, field(concl))
+        out.append(head + sep + claim)
+    return '\n'.join(out)
 
 
 @pytest.mark.parametrize('body,frag', [
@@ -589,7 +685,7 @@ _PRELUDE = '# hogc trace v1\n'
     ('0 pair_beta {(fst (pair[Bool,Bool] true false))} ==>  |- true', 'unknown rule pair_beta'),
     ('0 symmetry @5 ==>  |- true', 'dangling reference'),
     ('0 reflexivity wat ==>  |- true', 'bad argument syntax'),
-    ('0 reflexivity {true ==>  |- true', 'unterminated term literal'),
+    ('0 reflexivity {true ==>  |- true', 'unterminated term argument'),
     ('0 reflexivity {true} {false} ==>  |- true = true', 'malformed arguments'),
     ('0 reflexivity {moo} ==>  |- true = true', 'bad term'),
     ('0 reflexivity {true} ==> true = true', 'malformed judgement'),
@@ -615,8 +711,52 @@ _PRELUDE = '# hogc trace v1\n'
 def test_malformed_traces(body, frag):
     th = kernel.core_theory()
     with pytest.raises(TraceError) as e:
-        verify_trace(_PRELUDE + body, th)
+        verify_trace(_PRELUDE + _ids(body), th)
     assert frag in str(e.value)
+
+
+@pytest.mark.parametrize('line,frag', [
+    ('#a 0', 'malformed'),
+    ('#a 0 9', "bad id '9'"),
+    ('#a 0 0', 'applying non-function'),
+    ('#c moo', 'unknown constant moo'),
+    ('#c eq', 'eq takes 1 type arguments, got 0'),
+    ('#c true 0', 'true takes 0 type arguments, got 1'),
+    ('#l 0 0', 'binder must be a variable'),
+    ('#F 0 7', "bad id '7'"),
+])
+def test_malformed_table_lines(line, frag):
+    # a table line is checked when it is read, before any step
+    with pytest.raises(TraceError) as e:
+        verify_trace(_PRELUDE + line + '\n0 reflexivity {0} ==>  |- 4', kernel.core_theory())
+    assert e.value.step is None
+    assert str(e.value).startswith('table line %r: ' % line) and frag in str(e.value)
+
+
+def test_a_declared_constant_takes_no_types(toy):
+    with pytest.raises(TraceError) as e:
+        verify_trace(_PRELUDE + '#c fido 1\n', toy.theory)
+    assert str(e.value) == "table line '#c fido 1': declared constant fido takes no types"
+
+
+def test_an_abstraction_binder_of_an_undeclared_type_is_rejected():
+    # the binder's type is checked against the theory like any term a rule
+    # takes in
+    body = ('#B Und\n#v y 2\n0 reflexivity {true} ==>  |- ((eq[Bool] true) true)\n'
+            '1 abstraction {8} @0 ==>  |- true')
+    with pytest.raises(TraceError) as e:
+        verify_trace(_PRELUDE + _ids(body), kernel.core_theory())
+    assert e.value.step == 1 and 'rule failed: unknown base type Und' in str(e.value)
+
+
+@pytest.mark.parametrize('text', ['', '# hogc trace v1\n', '# hogc trace v2 \n0 wibble',
+                                  '0 reflexivity {0} ==>  |- 4\n'])
+def test_the_first_line_must_be_the_version_line(text):
+    with pytest.raises(TraceError) as e:
+        verify_trace(text, kernel.core_theory())
+    first = text.split('\n')[0]
+    assert str(e.value) == ("the first line is %r, not the version line "
+                            "'# hogc trace v2'" % first)
 
 
 @pytest.mark.parametrize('rule,args', [
@@ -627,7 +767,7 @@ def test_equation_rules_reject_a_non_equation_at_their_step(rule, args):
     # where a missing check would let a Python TypeError escape the verifier
     body = '0 assume {p:Bool} ==> p:Bool |- p:Bool\n1 %s %s ==>  |- true' % (rule, args)
     with pytest.raises(TraceError) as e:
-        verify_trace(_PRELUDE + body, kernel.core_theory())
+        verify_trace(_PRELUDE + _ids(body), kernel.core_theory())
     assert e.value.step == 1
     assert re.search('%s needs (an equation|equations)$' % rule, str(e.value))
 
@@ -674,25 +814,29 @@ def test_strict_theory_line_must_precede_the_first_step(toy):
     ('def.no_such[Ind]', 'unknown axiom'),
 ])
 def test_bad_axiom_names_rejected_at_their_step(name, frag):
-    # the claim is the honest bool-cases judgement, so only the name is wrong
+    # the claim is the honest bool-cases judgement, so only the name is
+    # wrong; the trace names each type of it by its id
     th = kernel.core_theory()
-    line = _content_lines(export_trace(kernel.axiom(th, 'bool-cases')))[0]
-    bad = line.replace('"bool-cases"', '"%s"' % name).replace('0 axiom', '1 axiom')
-    body = '0 reflexivity {true} ==>  |- ((eq[Bool] true) true)\n' + bad
+    text = export_trace([kernel.reflexivity(th, true_c()), kernel.axiom(th, 'bool-cases')])
+    ids = {t: str(i) for i, t in enumerate(_type_names(text) + ['Ind', 'Und'])}
+    text = text.replace('\n0 ', '\n#B Ind\n#B Und\n0 ', 1)
+    named = re.sub('[A-Z][a-z]+', lambda m: ids[m.group(0)], name)
     with pytest.raises(TraceError) as e:
-        verify_trace(_PRELUDE + body, th)
+        verify_trace(text.replace('"bool-cases"', '"%s"' % named), th)
     assert e.value.step == 1 and frag in str(e.value)
 
 
 def test_claim_mismatch_names_rule_and_both_judgements(toy):
+    # the term id of true added as a hypothesis of |- true = true
     text = export_trace(kernel.reflexivity(toy.theory, true_c()))
     line = _content_lines(text)[0]
     head, _, claim = line.partition(' ==> ')
-    bad = text.replace(line, '%s ==> false %s' % (head, claim.strip()))
+    true = re.search(r'\{([0-9]+)\}', head).group(1)
+    bad = text.replace(line, '%s ==> %s%s' % (head, true, claim))
     with pytest.raises(TraceError) as e:
         verify_trace(bad, toy.theory)
-    assert str(e.value) == ('step 0: reflexivity: hypothesis mismatch: claimed false '
-                            '%s, derived %s' % (claim.strip(), claim.strip()))
+    assert str(e.value) == ('step 0: reflexivity: hypothesis mismatch: claimed true '
+                            '|- ((eq[Bool] true) true), derived |- ((eq[Bool] true) true)')
 
 
 def test_trace_error_carries_step(toy):
