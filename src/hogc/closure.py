@@ -2,10 +2,14 @@
 
 The fragment consists of boolean variables, ``true``, ``false``, ``~``,
 ``/\\``, ``\\/``, ``=`` between booleans, and the boolean conditional; it
-is defined once, by ``rules.fragment_vars``.  Validity in the fragment is
-decided by ``bool_valid``, a bit-parallel truth-table evaluator with no
-connection to the proof kernel; the kernel only enters when a certificate
-theorem is built from a decision.
+is defined once, by the table ``rules.FRAGMENT_CONNECTIVES``, which reads
+each connective from a node's head constant with its number of operands.
+Validity in the fragment is decided by ``bool_valid``, a bit-parallel
+truth-table evaluator with no connection to the proof kernel; the kernel
+only enters when a certificate theorem is built from a decision.
+``bool_valid`` and ``TermUniverse`` classify each distinct subterm once,
+through ``rules.fragment_dag``, and evaluate it once, after its operands,
+in a memo that the call owns and drops when it returns.
 
 A *universe* is a finite set of fragment terms.  A subset M of the universe
 is logically closed when every universe term a with ``|= (a = b) \\/ (a = c)``
@@ -27,11 +31,11 @@ from itertools import compress
 
 from . import kernel, rules, syntax
 from .grammar import Word
-from .kernel import (App, Var, Term, Theorem, BOOL, dest_eq, mk_cond, mk_disj, mk_eq,
-                     true_c, false_c)
+from .kernel import (App, Var, Term, Theorem, BOOL, mk_cond, mk_disj, mk_eq, true_c,
+                     false_c)
 from .parser import ParseResult
 from .rules import FragmentError, fragment_vars
-from .terms import dest_cond, dest_conj, dest_disj, dest_not, is_false, is_true, substitute
+from .terms import dest_disj, substitute
 
 
 class ClosureError(Exception):
@@ -60,35 +64,37 @@ def _var_masks(vs):
     return masks, (1 << rows) - 1
 
 
-def _truth_vector(t, masks, full):
-    """The truth vector of a fragment term in one walk, all assignments at
-    once: each connective is a bitwise operation on the columns."""
-    if isinstance(t, Var):
-        return masks[t]
-    if is_true(t):
-        return full
-    if is_false(t):
-        return 0
-    a = dest_not(t)
-    if a is not None:
-        return full ^ _truth_vector(a, masks, full)
-    d = dest_conj(t)
-    if d is not None:
-        return _truth_vector(d[0], masks, full) & _truth_vector(d[1], masks, full)
-    d = dest_disj(t)
-    if d is not None:
-        return _truth_vector(d[0], masks, full) | _truth_vector(d[1], masks, full)
-    d = dest_eq(t)
-    if d is not None:
-        return full ^ _truth_vector(d[0], masks, full) ^ _truth_vector(d[1], masks, full)
-    x, y, z = (_truth_vector(u, masks, full) for u in dest_cond(t))
-    return (z & x) | ((full ^ z) & y)
+def _truth_vectors(terms):
+    """(the variables of ``terms`` sorted by name, the truth vector of each
+    distinct subterm, the all-true vector), all assignments at once.  Each
+    subterm of ``rules.fragment_dag`` is evaluated once, after its operands,
+    each connective as a bitwise operation on their vectors."""
+    nodes = rules.fragment_dag(terms)
+    vs = sorted((t for t, (c, _) in nodes.items() if c is None), key=lambda v: v.name)
+    vec, full = _var_masks(vs)    # a variable's vector is its column
+    for t, (c, ops) in nodes.items():
+        if c == 'and':
+            vec[t] = vec[ops[0]] & vec[ops[1]]
+        elif c == 'or':
+            vec[t] = vec[ops[0]] | vec[ops[1]]
+        elif c == 'eq':
+            vec[t] = full ^ vec[ops[0]] ^ vec[ops[1]]
+        elif c == 'not':
+            vec[t] = full ^ vec[ops[0]]
+        elif c == 'cond':
+            z = vec[ops[2]]
+            vec[t] = (z & vec[ops[0]]) | ((full ^ z) & vec[ops[1]])
+        elif c == 'true':
+            vec[t] = full
+        elif c == 'false':
+            vec[t] = 0
+    return vs, vec, full
 
 
 def bool_valid(t):
     """Truth-table validity for a fragment term.  Independent of the kernel."""
-    masks, full = _var_masks(fragment_vars(t))
-    return _truth_vector(t, masks, full) == full
+    _, vec, full = _truth_vectors((t,))
+    return vec[t] == full
 
 
 # ---------------------------------------------------------------------------
@@ -106,17 +112,11 @@ class TermUniverse:
     """
 
     def __init__(self, terms):
-        seen = {}
-        vs = set()
-        for t in terms:
-            if t not in seen:
-                vs.update(fragment_vars(t))
-                seen[t] = None
         self.type = BOOL
-        self.terms = tuple(seen)
-        self.vars = tuple(sorted(vs, key=lambda v: v.name))
-        masks, full = _var_masks(self.vars)
-        self.vectors = {t: _truth_vector(t, masks, full) for t in self.terms}
+        self.terms = tuple(dict.fromkeys(terms))
+        vs, vec, full = _truth_vectors(self.terms)
+        self.vars = tuple(vs)
+        self.vectors = {t: vec[t] for t in self.terms}
         index = {}      # realized vector -> class index
         self._class_of = {t: index.setdefault(v, len(index))
                           for t, v in self.vectors.items()}
@@ -128,6 +128,7 @@ class TermUniverse:
         self._rows = tuple(sum(1 << k for k, v in enumerate(index) if v >> r & 1)
                            for r in range(full.bit_length()))
         self._printed = None    # term -> its printing, made by the first report
+        self._term_column = None    # the header cell and the printings, padded alike
 
     @classmethod
     def from_text(cls, text, theory=None):
@@ -305,20 +306,14 @@ def closure_report(universe, subset):
     closedset = set(closed)
     inset = closedset.difference(witness)
     if universe._printed is None:
-        # fragment terms have no binders, so their printing is fixed
+        # fragment terms have no binders, so their printing is fixed, and so
+        # is the term column, the header's cell first
         universe._printed = {t: syntax.pretty_term(t) for t in universe.terms}
-    printed = universe._printed
-    rows = []
-    for t in universe.terms:
-        wit = '-'
-        if t in witness:
-            wit = '%s ; %s' % (printed[witness[t][0]], printed[witness[t][1]])
-        rows.append((printed[t],
-                     'yes' if t in inset else 'no',
-                     'yes' if t in closedset else 'no',
-                     wit))
-    head = ('term', 'input', 'closure', 'witness')
-    widths = [max(len(r[i]) for r in rows + [head]) for i in range(4)]
+        cells = ('term', *universe._printed.values())
+        width = max(map(len, cells))
+        universe._term_column = tuple(s.ljust(width) for s in cells)
+    printed, column = universe._printed, universe._term_column
+    wit = {t: '%s ; %s' % (printed[b], printed[c]) for t, (b, c) in witness.items()}
     lines = []
     lines.append('universe: %d terms over variables %s'
                  % (len(universe), ' '.join(v.name for v in universe.vars) or '(none)'))
@@ -327,10 +322,14 @@ def closure_report(universe, subset):
     lines.append('input logically closed: %s'
                  % ('yes' if len(closed) == len(inset) else 'no'))
     lines.append('')
-    fmt = '  '.join('%%-%ds' % w for w in widths)
-    lines.append(fmt % head)
-    for r in rows:
-        lines.append((fmt % r).rstrip())
+    # the witness column comes last: rows leave it unpadded, and only the
+    # header pads it, to the widest witness
+    lines.append('%s  input  closure  %-*s'
+                 % (column[0], max(map(len, wit.values()), default=0), 'witness'))
+    for t, cell in zip(universe.terms, column[1:]):
+        lines.append('%s  %-5s  %-7s  %s' % (cell, 'yes' if t in inset else 'no',
+                                             'yes' if t in closedset else 'no',
+                                             wit.get(t, '-')))
     return '\n'.join(lines) + '\n'
 
 

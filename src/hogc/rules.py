@@ -9,8 +9,9 @@ about the subterms it leaves unchanged and keeps what it proves in a memo
 that later passes with the same rule read), the derived rules for the
 if-then-else constants C and their laws, and a case-split tautology prover
 for the quantifier-free boolean fragment.
-That fragment is defined here once, by ``fragment_vars``; the closure lab
-decides it with the same scanner.
+That fragment is defined here once, by the table ``FRAGMENT_CONNECTIVES``
+of its connectives and the one classifier ``fragment_node`` that reads it;
+``fragment_vars`` and the closure lab's truth tables walk terms with it.
 
 Rule schemas (the propositional rules, the C laws, the boolean
 simplification lemmas) are derived once per theory and type and cached on
@@ -630,31 +631,65 @@ class FragmentError(RuleError):
     """A term outside the decidable boolean fragment."""
 
 
-def fragment_vars(t):
-    """The variables of a boolean-fragment term, sorted by name.
+# The fragment's connectives, each read from a node's head constant with the
+# number of operands it takes.  The leaves are true, false and the Bool
+# variables.  = and C need no type test: every node accepted here is Bool,
+# so operands at another type are rejected when they are classified.
+FRAGMENT_CONNECTIVES = {'true': 0, 'false': 0, 'not': 1, 'and': 2, 'or': 2, 'eq': 2,
+                        'cond': 3}
 
-    The fragment is Bool variables, true, false, ~, /\\, \\/, and = and C
-    at Bool.  Raises FragmentError for any other term.  = and C need no
-    type test: every term accepted here is Bool, so operands at another
-    type are rejected when they are scanned.
+
+def fragment_node(t):
+    """(connective, operands) of one node of a fragment term: the name of
+    its head constant and the arguments in order, or (None, ()) for a Bool
+    variable.  Raises FragmentError for any other node; the operands are
+    not looked at."""
+    if isinstance(t, Var):
+        if t.ty != BOOL:
+            raise FragmentError('variable %s is not Bool' % t.name)
+        return None, ()
+    head, args = t, []
+    while isinstance(head, App):
+        args.append(head.arg)
+        head = head.fn
+    if not (isinstance(head, kernel.Const)
+            and FRAGMENT_CONNECTIVES.get(head.name) == len(args)):
+        raise FragmentError('term outside the boolean fragment: %r' % (t,))
+    args.reverse()
+    return head.name, tuple(args)
+
+
+def fragment_dag(terms):
+    """Each distinct subterm of ``terms`` mapped to its ``fragment_node``,
+    with every subterm after its operands.
+
+    Each term is walked from the root, a node before its operands and the
+    last operand first, and a subterm already in the dict is not entered
+    again, as it holds no bad node.  So each distinct subterm is classified
+    once, and a bad input raises at the node that a walk of each term in
+    turn would meet first.  The dict is keyed by the term object and keeps
+    its keys alive: terms are hash-consed, one object per alpha-class, with
+    no ``__eq__``, so a lookup is an identity test.
     """
-    found = set()
-    todo = [t]
-    while todo:
-        t = todo.pop()
-        if isinstance(t, Var):
-            if t.ty != BOOL:
-                raise FragmentError('variable %s is not Bool' % t.name)
-            found.add(t)
-        elif is_true(t) or is_false(t):
-            pass
-        elif (a := dest_not(t)) is not None:
-            todo.append(a)
-        elif d := dest_conj(t) or dest_disj(t) or dest_eq(t) or dest_cond(t):
-            todo.extend(d)
-        else:
-            raise FragmentError('term outside the boolean fragment: %r' % (t,))
-    return sorted(found, key=lambda v: v.name)
+    nodes = {}
+    for root in terms:
+        todo = [root]   # terms to enter, and (term, node) once its operands are in
+        while todo:
+            t = todo.pop()
+            if type(t) is tuple:
+                nodes[t[0]] = t[1]
+            elif t not in nodes:
+                node = fragment_node(t)
+                todo.append((t, node))
+                todo.extend(node[1])
+    return nodes
+
+
+def fragment_vars(t):
+    """The variables of a boolean-fragment term, sorted by name.  Raises
+    FragmentError for a term outside the fragment."""
+    return sorted((u for u, (c, _) in fragment_dag((t,)).items() if c is None),
+                  key=lambda v: v.name)
 
 
 # ---------------------------------------------------------------------------

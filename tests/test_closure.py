@@ -21,6 +21,7 @@ from hogc.kernel import (
     App, BOOL, IND, Var, false_c, mk_conj, mk_cond, mk_disj, mk_eq,
     mk_forall, mk_imp, mk_not, true_c,
 )
+from hogc.terms import dest_cond, dest_not
 
 import helpers
 from test_kernel import FRAG
@@ -118,6 +119,120 @@ def test_universe_rejects_bad_terms():
         TermUniverse([Var('x', IND)])
     with pytest.raises(FragmentError):
         TermUniverse([mk_imp(P, Q)])
+
+
+# Bad terms after terms that share their good subterms, with pinned
+# messages.  The walk enters a node before its operands and the last operand
+# first, and a universe must name the bad node that a walk of the bad term
+# alone meets first.
+PQ, NOT_PQ = mk_conj(P, Q), mk_not(mk_conj(P, Q))
+X_IND, Y_IND = Var('x', IND), Var('y', IND)
+SHARED_BAD = [
+    ([PQ, NOT_PQ, mk_disj(NOT_PQ, mk_imp(P, Q))],
+     'term outside the boolean fragment: p => q'),
+    ([PQ, NOT_PQ, mk_conj(mk_eq(X_IND, Y_IND), mk_disj(NOT_PQ, mk_imp(PQ, P)))],
+     'term outside the boolean fragment: p /\\ q => p'),
+    ([PQ, NOT_PQ, mk_cond(mk_imp(Q, P), mk_eq(X_IND, Y_IND), mk_conj(NOT_PQ, mk_imp(P, Q)))],
+     'term outside the boolean fragment: p => q'),
+    ([PQ, mk_disj(PQ, Var('r', BOOL)),
+      mk_conj(mk_disj(PQ, Var('r', BOOL)), mk_not(mk_forall(P, mk_disj(PQ, Var('r', BOOL)))))],
+     'term outside the boolean fragment: !p:Bool. p /\\ q \\/ r'),
+    ([PQ, mk_conj(NOT_PQ, mk_eq(X_IND, Y_IND)), mk_imp(P, Q)],
+     'variable y is not Bool'),
+    ([PQ, NOT_PQ, mk_eq(mk_cond(X_IND, Y_IND, PQ), X_IND)],
+     'variable x is not Bool'),
+]
+
+
+@pytest.mark.parametrize('terms,message', SHARED_BAD)
+def test_universe_error_names_the_first_bad_subterm(terms, message):
+    bad = next(t for t in terms if not in_fragment(t))
+    with pytest.raises(FragmentError) as alone:
+        rules.fragment_vars(bad)
+    with pytest.raises(FragmentError) as in_universe:
+        TermUniverse(terms)
+    with pytest.raises(FragmentError) as valid:
+        bool_valid(bad)
+    assert str(in_universe.value) == str(alone.value) == str(valid.value) == message
+
+
+def _shared_universe(rng, names, nterms):
+    """Variables and constants, then terms that each apply a connective to
+    earlier terms, each at most 60 nodes as a tree."""
+    terms = [Var(n, BOOL) for n in names] + [true_c(), false_c()]
+    size = dict.fromkeys(terms, 1)
+    builders = [mk_not, mk_conj, mk_disj, mk_eq, mk_cond]
+    for _ in range(nterms):
+        mk = rng.choice(builders)
+        ops = [rng.choice(terms) for _ in range({mk_not: 1, mk_cond: 3}.get(mk, 2))]
+        n = 1 + sum(size[u] for u in ops)
+        t = mk(*ops)
+        if n <= 60 and t not in size:
+            size[t] = n
+            terms.append(t)
+    return terms
+
+
+@given(st.randoms(use_true_random=False), st.integers(0, 3), st.integers(0, 40),
+       st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_universe_over_shared_subterms(rng, nvars, nterms, reverse):
+    names = ('p', 'q', 'r')[:nvars]
+    terms = _shared_universe(rng, names, nterms)
+    if reverse:
+        terms.reverse()     # every term before its operands
+    u = TermUniverse(terms)
+    assert u.terms == tuple(terms)
+    assert [v.name for v in u.vars] == list(names)
+    classes = {}            # vector -> class, numbered in first-seen order
+    for t in terms:
+        vector = sum(helpers.eval_fragment(t, dict(zip(names, bits))) << i
+                     for i, bits in enumerate(itertools.product((False, True),
+                                                                repeat=nvars)))
+        assert u.vectors[t] == vector, t
+        assert u._class_of[t] == classes.setdefault(vector, len(classes))
+    assert u._class_vectors == tuple(classes)
+    assert u._first == tuple(next(t for t in terms if u.vectors[t] == v) for v in classes)
+    assert u._rows == tuple(sum(1 << k for k, v in enumerate(classes) if v >> r & 1)
+                            for r in range(1 << nvars))
+
+
+def _fragment_subterms(t, out):
+    """Add to ``out`` every subterm of a fragment term that is a variable, a
+    constant or a connective applied to all its operands, found with the
+    recognisers of ``hogc.terms``."""
+    out.add(t)
+    a = dest_not(t)
+    ops = (a,) if a is not None else (kernel.dest_bin('and', t) or kernel.dest_bin('or', t)
+                                      or kernel.dest_bin('eq', t) or dest_cond(t) or ())
+    for u in ops:
+        _fragment_subterms(u, out)
+    return out
+
+
+def test_universe_classifies_each_distinct_subterm_once(monkeypatch):
+    terms = _shared_universe(random.Random(25), ('p', 'q', 'r'), 300)
+    terms += [mk_conj(t, u) for t, u in zip(terms, reversed(terms))]
+    calls = []
+    classify = rules.fragment_node
+    monkeypatch.setattr(rules, 'fragment_node', lambda t: calls.append(t) or classify(t))
+    TermUniverse(terms)
+    distinct = set()
+    for t in terms:
+        _fragment_subterms(t, distinct)
+    assert len(calls) == len(set(calls)) == len(distinct)
+    assert set(calls) == distinct
+
+
+def test_universe_evaluates_deep_terms():
+    # no walk over the fragment recurses, so nesting is not bounded by the
+    # interpreter's recursion limit
+    t = P
+    for _ in range(20000):
+        t = mk_not(t)
+    u = TermUniverse([t, mk_not(t)])
+    assert u.vectors[t] == 0b10 and u.vectors[mk_not(t)] == 0b01
+    assert not bool_valid(t)
 
 
 def test_universe_from_text():
