@@ -234,6 +234,7 @@ class RuleItem:
     operand_vars: tuple
     sem_template: Term
     const: Term
+    reads_phon: bool        # the meaning uses some phon($i)
 
 
 class Grammar:
@@ -411,7 +412,7 @@ def elaborate(spec, name='g'):
             raise GrammarError('rule %s: meaning may only use operands $1..$%d '
                                '(free: %s)' % (r.name, n,
                                                ' '.join(sorted(v.name for v in extra))))
-        _check_projections('rule %s' % r.name, sem_tmpl, projections, opvars)
+        reads_phon = _check_projections('rule %s' % r.name, sem_tmpl, projections, opvars)
         rhs = cat(*(App(th.const('phon_%s' % r.operands[i - 1]), opvars[i - 1])
                     for i in pattern))
         prop = mk_conj(mk_eq(App(th.const('phon_%s' % r.result), sign), rhs),
@@ -420,7 +421,7 @@ def elaborate(spec, name='g'):
             prop = mk_forall(v, prop)
         th.add_axiom('rule.%s' % r.name, prop)
         rule_items.append(RuleItem(r.name, r.operands, r.result, pattern,
-                                   opvars, sem_tmpl, th.const(r.name)))
+                                   opvars, sem_tmpl, th.const(r.name), reads_phon))
 
     th.freeze()
     return Grammar(spec, th, sem_types, lex_items, rule_items)
@@ -429,15 +430,17 @@ def elaborate(spec, name='g'):
 def _check_projections(where, t, projections, operands):
     """Meanings may use phon_T/sem_T only as phon($i)/sem($i): applied to a
     free operand variable, so parse proofs can replace every one of them by
-    the operand's proven value and none is left for a parent to rewrite."""
+    the operand's proven value and none is left for a parent to rewrite.
+    Whether t uses some phon($i)."""
     if isinstance(t, kernel.Const) and t.name in projections:
         raise GrammarError('%s: meaning mentions %s; sign projections may '
                            'only appear as phon($i) or sem($i)' % (where, t.name))
     if isinstance(t, App) and isinstance(t.fn, kernel.Const) and t.arg in operands:
-        return
-    # a binder's own variable is a Bound index in its body, never an operand
-    for f in t._children:
-        _check_projections(where, getattr(t, f), projections, operands)
+        return t.fn.name.startswith('phon_')
+    # a binder's own variable is a Bound index in its body, never an operand;
+    # a list, not a generator, so every child is checked
+    return any([_check_projections(where, getattr(t, f), projections, operands)
+                for f in t._children])
 
 
 def _parse_lex_phon(th, lx):
@@ -493,32 +496,6 @@ def _phon_schemas(th):
 _X, _Y, _Z = Var('x', PHON), Var('y', PHON), Var('z', PHON)
 
 
-def _append_vars(n):
-    return [Var('x%d' % i, PHON) for i in range(1, n + 1)]
-
-
-def _append_schema(th, n):
-    """|- (x1 ++ ... ++ xn) ++ z = x1 ++ ... ++ xn ++ z, right-nested, for
-    n >= 2.  Derived once per theory and length, shortest first: n = 2 is an
-    instance of phon.assoc, and each longer schema is assoc followed by the
-    one before it under x1 ++ _."""
-    cache = th._derived_cache
-    if ('phon_append', n) not in cache:
-        assoc = _phon_schemas(th)['assoc']
-        for k in range(2, n + 1):
-            if ('phon_append', k) in cache:
-                continue
-            xs = _append_vars(k)
-            e = kernel.instantiate(assoc, {_X: xs[0], _Y: syntax.mk_conc(*xs[1:])})
-            if k > 2:
-                # |- (x2 ++ ... ++ xk) ++ z = x2 ++ ... ++ xk ++ z
-                shifted = kernel.instantiate(cache[('phon_append', k - 1)],
-                                             dict(zip(xs, xs[1:])))
-                e = kernel.transitivity(e, rules.ap_term(rules.rhs(e).fn, shifted))
-            cache[('phon_append', k)] = e
-    return cache[('phon_append', n)]
-
-
 def _dest_cat(t):
     return kernel.dest_bin('conc', t)
 
@@ -527,56 +504,57 @@ def _is_unit(t):
     return isinstance(t, kernel.Const) and t.name == '//'
 
 
-def phon_step(th, t):
-    """One normalising step at a ``++`` node, or None: a unit operand goes,
-    and a left operand x1 ++ ... ++ xn moves right by one instance of the
-    append schema for n.  The rewrite pass applies it bottom-up."""
+def phon_step(th, t, memo=None):
+    """|- t = nf, or None when t is nf already, where nf is the right-nested
+    unit-free normal form of the top ``++`` spine of t.  Only that spine is
+    normalised: every other node is an atom, a ``++`` tree under another
+    constant too.  The proof uses phon.assoc, phon.lunit and phon.runit
+    alone: for t = x ++ y, y is normalised first and x joined to it, a unit
+    by its law and a ++ b by one assoc step that joins b, then a.  Each step
+    adds O(1) terms, a subterm of t ++ a suffix of nf.  ``memo`` maps each
+    term proved to its result and each nf to None."""
+    if memo is None:
+        memo = {}
     d = _dest_cat(t)
-    if d is None:
-        return None
-    l, r = d
-    if _is_unit(l):
-        return kernel.instantiate(_phon_schemas(th)['lunit'], {_X: r})
-    if _is_unit(r):
-        return kernel.instantiate(_phon_schemas(th)['runit'], {_X: l})
-    parts = []
-    while (inner := _dest_cat(l)) is not None:
-        parts.append(inner[0])
-        l = inner[1]
-    if not parts:
-        return None
-    parts.append(l)
-    m = dict(zip(_append_vars(len(parts)), parts))
-    m[_Z] = r
-    return kernel.instantiate(_append_schema(th, len(parts)), m)
+    if d is None or t in memo:
+        return memo.get(t)
+    x, y = d
+    e = phon_step(th, y, memo)
+    if e is not None:
+        e = rules.ap_term(t.fn, e)      # x ++ y = x ++ y', x still to join
+    elif _is_unit(y):
+        e = kernel.instantiate(_phon_schemas(th)['runit'], {_X: x})
+    elif _is_unit(x):
+        e = kernel.instantiate(_phon_schemas(th)['lunit'], {_X: y})
+    elif _dest_cat(x) is not None:
+        # (a ++ b) ++ y = a ++ (b ++ y), whose step joins b to y, then a
+        assoc = _phon_schemas(th)['assoc']
+        e = kernel.instantiate(assoc, {_X: x.fn.arg, _Y: x.arg, _Z: y})
+    if e is not None:
+        rest = phon_step(th, rules.rhs(e), memo)
+        if rest is not None:
+            e = kernel.transitivity(e, rest)
+        memo[rules.rhs(e)] = None
+    memo[t] = e
+    return e
 
 
 def phon_norm(g, t):
-    """|- t = nf where nf is the right-nested unit-free normal form."""
-    return rules.depth_rewrite(g.theory, t, phon_step)
+    """|- t = nf, nf the right-nested unit-free normal form of the top
+    ``++`` spine of t, as phon_step gives it; any other node is an atom."""
+    return phon_step(g.theory, t) or kernel.reflexivity(g.theory, t)
 
 
 def phon_to_word(g, t):
     """Read a normal-form phonology term back as a Word; None otherwise."""
+    if _is_unit(t):
+        return Word(())
     toks = []
-    while True:
-        d = _dest_cat(t)
-        if d is not None:
-            head, t = d
-            tok = _const_token(g, head)
-            if tok is None:
-                return None
-            toks.append(tok)
-            continue
-        if _is_unit(t):
-            if toks:
-                return None
-            return Word(())
-        tok = _const_token(g, t)
-        if tok is None:
-            return None
-        toks.append(tok)
-        return Word(tuple(toks))
+    while (d := _dest_cat(t)) is not None:
+        head, t = d
+        toks.append(_const_token(g, head))
+    toks.append(_const_token(g, t))
+    return None if None in toks else Word(tuple(toks))
 
 
 def _const_token(g, t):

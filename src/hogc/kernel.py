@@ -248,6 +248,8 @@ class App(Term):
         key = ('a', id(fn), id(arg))
         t = _live(key)
         if t is None:
+            if not isinstance(fn, Term) or not isinstance(arg, Term):
+                raise KernelError('not a term: %r' % (arg if isinstance(fn, Term) else fn,))
             fty = fn.ty
             if not isinstance(fty, FunType):
                 raise TypingError('applying non-function of type %s' % type_to_str(fty))
@@ -273,6 +275,8 @@ class Abs(Term):
     def __new__(cls, var, body, hint=None):
         if type(var) is not Var:
             raise TypingError('binder must be a variable')
+        if not isinstance(body, Term):
+            raise KernelError('not a term: %r' % (body,))
         if body._loose:
             raise TypingError('abstraction body has loose bound variables')
         return _abs(var.name if hint is None else hint, var.ty, _close(body, var, 0))
@@ -689,12 +693,13 @@ def _thm(th, hyps, concl, rule, args):
 
 
 def _same_theory(*thms):
-    th = thms[0].theory
-    for t in thms[1:]:
-        if t.theory is not th:
+    for t in thms:
+        if type(t) is not Theorem:
+            raise RuleError('not a theorem: %r' % (t,))
+        if t.theory is not thms[0].theory:
             raise RuleError('mixing theorems from theories %s and %s'
-                            % (th.name, t.theory.name))
-    return th
+                            % (thms[0].theory.name, t.theory.name))
+    return thms[0].theory
 
 
 # ---------------------------------------------------------------------------
@@ -708,11 +713,12 @@ def reflexivity(th, t):
 
 def symmetry(thm):
     """From A |- a = b derive A |- b = a."""
+    th = _same_theory(thm)
     e = dest_eq(thm.concl)
     if e is None:
         raise RuleError('symmetry needs an equation')
     a, b = e
-    return _thm(thm.theory, thm.hyps, mk_eq(b, a), 'symmetry', (thm,))
+    return _thm(th, thm.hyps, mk_eq(b, a), 'symmetry', (thm,))
 
 
 def transitivity(thm1, thm2):
@@ -741,6 +747,7 @@ def congruence(thm_fun, thm_arg):
 
 def abstraction(v, thm):
     """From A |- a = b derive A |- (\\v. a) = (\\v. b), v not free in A."""
+    th = _same_theory(thm)
     e = dest_eq(thm.concl)
     if e is None:
         raise RuleError('abstraction needs an equation')
@@ -748,7 +755,7 @@ def abstraction(v, thm):
         if v in h.free_vars:
             raise RuleError('abstraction variable %s free in a hypothesis' % v.name)
     a, b = e
-    return _thm(thm.theory, thm.hyps, mk_eq(Abs(v, a), Abs(v, b)),
+    return _thm(th, thm.hyps, mk_eq(Abs(v, a), Abs(v, b)),
                 'abstraction', (v, thm))
 
 
@@ -790,13 +797,13 @@ def deduct_antisym(thm1, thm2):
 
 def instantiate(thm, mapping):
     """Parallel substitution of terms for free variables, in hypotheses too."""
+    th = _same_theory(thm)
+    for r in mapping.values():
+        type_of(r, th)
+    hyps = tuple(subst_parallel(h, mapping) for h in thm.hyps)
+    concl = subst_parallel(thm.concl, mapping)
     items = sorted(mapping.items(), key=lambda kv: (kv[0].name, type_to_str(kv[0].ty)))
-    for _, r in items:
-        type_of(r, thm.theory)
-    m = dict(items)
-    hyps = tuple(subst_parallel(h, m) for h in thm.hyps)
-    concl = subst_parallel(thm.concl, m)
-    return _thm(thm.theory, hyps, concl, 'instantiate', (thm, tuple(items)))
+    return _thm(th, hyps, concl, 'instantiate', (thm, tuple(items)))
 
 
 PRIMITIVE_RULES = ('reflexivity', 'symmetry', 'transitivity', 'congruence',

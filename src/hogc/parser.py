@@ -59,7 +59,7 @@ class _Chart:
 
     def __init__(self, g, word, depth_bound):
         self.index = {}
-        self.deriv = {}     # sign -> (axiom name, operand variables, children)
+        self.deriv = {}     # sign -> (axiom name, operand variables, children, reads_phon)
         self._fill(g, word, depth_bound)
 
     def _add(self, i, j, sign, sty, depth, deriv):
@@ -71,7 +71,7 @@ class _Chart:
         if bound < 1:
             return
         for lx in g.lexicon:
-            lex = ('lex.%s' % lx.name, (), ())
+            lex = ('lex.%s' % lx.name, (), (), False)
             k = len(lx.word)
             for i in range(n - k + 1):
                 if word.tokens[i:i + k] == lx.word.tokens:
@@ -85,7 +85,8 @@ class _Chart:
                         for c in children:
                             sign = App(sign, c)
                         pending.append((i, j, sign, rule.result,
-                                        ('rule.%s' % rule.name, rule.operand_vars, children)))
+                                        ('rule.%s' % rule.name, rule.operand_vars, children,
+                                         rule.reads_phon)))
             if not pending:
                 break
             for i, j, sign, sty, deriv in pending:
@@ -140,31 +141,36 @@ def _phon_var(i):
 
 class _ProofBuilder:
     """The proofs of a parse's chart signs, each sign's built once.  The
-    rewrite memos, one per side, keep what the passes proved for the whole
-    parse, so each child's value is walked once."""
+    memos serve the whole parse: the sem rewrite's, so each child's value is
+    walked once, and phon_step's, so normalisations share their joins."""
 
     def __init__(self, g):
         self.th = g.theory
-        self.memo = {}
-        self.phon_memo, self.sem_memo = {}, {}
+        self.memo, self.sem_memo, self.phon_memo = {}, {}, {}
+
+    def normal_phon(self, phon):
+        """A phon proof carried on to the normal form of its word."""
+        nf = gmod.phon_step(self.th, rules.rhs(phon), self.phon_memo)
+        return phon if nf is None else kernel.transitivity(phon, nf)
 
     def build(self, sign, deriv_map):
         """(phon_proof, sem_proof) for a chart sign.  The phon proof is one
-        instance of the rule's phon schema, each hypothesis discharged by
-        the child's phon proof, and then normalised.  The sem proof is the
-        axiom's sem conjunct at the children, rewritten in one bottom-up
-        pass that takes each child's equations from the memo as they
-        stand."""
+        instance of the rule's phon schema, each hypothesis discharged by the
+        child's phon proof, in the rule's tree form.  The sem proof is the
+        axiom's sem conjunct at the children, rewritten in one pass that
+        takes each child's equations from the memo as they stand."""
         if sign in self.memo:
             return self.memo[sign]
         th = self.th
-        axname, opvars, children = deriv_map[sign]
+        axname, opvars, children, reads_phon = deriv_map[sign]
         phon, sem = _sign_conjuncts(th, axname, opvars)
         child_phon = []
         for c in children:   # a plain loop: one frame per level of the sign
             cp, cs = self.build(c, deriv_map)
             child_phon.append(cp)
-            self.sem_memo[rules.lhs(cp)] = cp
+            # phon($i) stands for the child's word, so it gets the normal form
+            if reads_phon and rules.lhs(cp) not in self.sem_memo:
+                self.sem_memo[rules.lhs(cp)] = self.normal_phon(cp)
             self.sem_memo[rules.lhs(cs)] = cs
         if children:
             inst = dict(zip(opvars, children))
@@ -175,7 +181,6 @@ class _ProofBuilder:
             for cp in child_phon:
                 if cp.concl in phon.hyps:   # two equal children share one
                     phon = rules.prove_hyp(cp, phon)
-            phon = rules.rewrite_rhs(phon, gmod.phon_step, self.phon_memo)
         out = (phon, rules.rewrite_rhs(sem, rules._bp_step, self.sem_memo))
         self.memo[sign] = out
         return out
@@ -196,6 +201,7 @@ def parse(g, word, depth_bound):
            for j, sign, depth in items if j == n]
     for sign, sty, depth in top:
         phon, sem = builder.build(sign, chart.deriv)
+        phon = builder.normal_phon(phon)   # once, at the root
         if rules.rhs(phon) != phon_term:
             raise GrammarError('phonology proof does not match the word')
         results.append(ParseResult(word, sign, sty, rules.rhs(sem), phon, sem, depth))

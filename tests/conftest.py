@@ -57,6 +57,11 @@ def perm():
 
 
 @pytest.fixture(scope='session')
+def quote():
+    return grammar.elaborate(helpers.QUOTE, name='quote')
+
+
+@pytest.fixture(scope='session')
 def universe():
     """All 272 fragment terms over p, q up to size 4."""
     return closure.TermUniverse(helpers.bool_universe_terms(4))

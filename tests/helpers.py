@@ -6,6 +6,8 @@ validity checker, and the random term generators build kernel terms
 directly from the constructors.
 """
 
+import random
+
 from hogc import kernel, rules, terms
 from hogc.closure import bool_valid
 from hogc.kernel import (
@@ -69,6 +71,24 @@ lex BARK : S { phon = /blt/; sem = wag(it); }
 rule PAD : E S -> S { phon = $1 ++ $2; sem = sem($2); }
 """
 
+# a meaning that reads a phonology: QUOTE's sem is q(phon($1)), and its
+# operand may be left-branching (L) or padded by the empty lexeme U (PAD)
+QUOTE = r"""
+alphabet: a b
+signtype S sem Bool
+signtype W sem Bool
+signtype E sem Bool
+signtype Q sem Bool
+const t : Bool
+const q : Phon -> Bool
+lex A : W { phon = /a/; sem = t; }
+lex B : S { phon = /b/; sem = t; }
+lex U : E { phon = //; sem = t; }
+rule L : S W -> S { phon = $1 ++ $2; sem = sem($1) /\ sem($2); }
+rule PAD : E S -> S { phon = $1 ++ $2; sem = sem($2); }
+rule QUOTE : S -> Q { phon = $1; sem = q(phon($1)); }
+"""
+
 # surface order differs from operand order: TRI spells its operands 3, 1, 2,
 # and its operand 1 (E) may be empty, so /c b/ is TRI(GAP, BE, SEE) as well
 # as FLIP(BE, SEE), whose two operands are swapped on the surface
@@ -121,6 +141,28 @@ rule L : S W -> S { phon = $1 ++ $2; sem = sem($1) /\ sem($2); }
 def left_chain_word(n):
     """The n-token word of LEFT_CHAIN."""
     return ' '.join(['b'] + ['a'] * (n - 1))
+
+
+# LEFT_CHAIN with a second W token: a seeded word b x2 ... xn over a and c
+# has one left-branching parse too, but the flat phonologies of its
+# prefixes end in different runs of tokens, so they share few suffixes
+LEFT_MIXED = r"""
+alphabet: a b c
+signtype S sem Bool
+signtype W sem Bool
+const t : Bool
+lex A : W { phon = /a/; sem = t; }
+lex C : W { phon = /c/; sem = t; }
+lex B : S { phon = /b/; sem = t; }
+rule L : S W -> S { phon = $1 ++ $2; sem = sem($1) /\ sem($2); }
+"""
+
+
+def left_mixed_word(n, seed=14):
+    """The n-token word of LEFT_MIXED for the seed; a shorter word of the
+    same seed is a prefix of a longer one."""
+    rng = random.Random(seed)
+    return ' '.join(['b'] + [rng.choice('ac') for _ in range(n - 1)])
 
 
 AMBIG_WORD = 'fajdo blt'

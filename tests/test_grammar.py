@@ -8,7 +8,7 @@ from hogc.grammar import (
     GrammarError, GrammarSpec, Word, elaborate, load_grammar,
     phon_homomorphism, phon_norm, phon_to_word, word_to_phon,
 )
-from hogc.kernel import App, BOOL, FunType, IND, PHON, Var, mk_eq
+from hogc.kernel import App, BOOL, FunType, IND, PHON, mk_eq
 
 import helpers
 
@@ -256,30 +256,6 @@ def test_phon_homomorphism(toy):
     # empty sides normalize through the unit laws
     e2 = phon_homomorphism(toy, Word(()), v)
     assert kernel.dest_eq(e2.concl)[1] == word_to_phon(toy, v)
-
-
-def _spine(t):
-    """The operands of a right-nested ++ chain, left to right."""
-    parts = []
-    while (d := grammar._dest_cat(t)) is not None:
-        parts.append(d[0])
-        t = d[1]
-    return parts + [t]
-
-
-def test_append_schema_per_length():
-    # |- (x1 ++ ... ++ xn) ++ z = x1 ++ ... ++ xn ++ z for n = 2..16, each
-    # derived once per theory and without hypotheses, the longest first here
-    th = grammar.elaborate(helpers.TOY, name='toy').theory
-    z = Var('z', PHON)
-    for n in range(16, 1, -1):
-        e = grammar._append_schema(th, n)
-        xs = [Var('x%d' % i, PHON) for i in range(1, n + 1)]
-        assert e.hyps == ()
-        assert e.concl == mk_eq(syntax.mk_conc(syntax.mk_conc(*xs), z),
-                                syntax.mk_conc(*xs, z))
-        assert _spine(rules.rhs(e)) == xs + [z]
-        assert grammar._append_schema(th, n) is e
 
 
 def _phon_trees(th):

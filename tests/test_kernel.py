@@ -177,6 +177,10 @@ _MALFORMED = {
                     'constant c needs Types'),
     'abs_binder': (lambda: Abs(true_c(), true_c()), kernel.TypingError,
                    'binder must be a variable'),
+    'abs_body': (lambda: Abs(Var('x', IND), 'x'), kernel.KernelError, "not a term: 'x'"),
+    'app_fn': (lambda: App('f', true_c()), kernel.KernelError, "not a term: 'f'"),
+    'app_arg': (lambda: App(kernel.logical_const('not'), 'x'), kernel.KernelError,
+                "not a term: 'x'"),
     'type_to_str': (lambda: kernel.type_to_str('Ind'), kernel.TypingError, "not a type: 'Ind'"),
     'type_of': (lambda: kernel.type_of('x', kernel.core_theory()), kernel.KernelError,
                 "not a term: 'x'"),
@@ -739,6 +743,60 @@ def test_rules_reject_mixed_theories(th):
     with pytest.raises(kernel.KernelError):
         kernel.transitivity(kernel.reflexivity(th, x),
                             kernel.reflexivity(other, x))
+
+
+class _LooksLikeATheorem:
+    """Every field a rule reads, but not made by a kernel rule."""
+    hyps = ()
+    concl = mk_eq(true_c(), false_c())
+
+    def __init__(self, theory):
+        self.theory = theory
+
+
+def _wrong_kind_calls(th):
+    """(rule, argument position, call) for each primitive rule and each
+    argument that must be a theorem, a term or a variable."""
+    refl = kernel.reflexivity(th, true_c())
+    p = Var('p', BOOL)
+    fake = _LooksLikeATheorem(th)
+    return [
+        ('reflexivity', 'term', lambda: kernel.reflexivity(th, 'x')),
+        ('symmetry', 'theorem', lambda: kernel.symmetry('x')),
+        ('symmetry', 'look-alike', lambda: kernel.symmetry(fake)),
+        ('transitivity', 'first', lambda: kernel.transitivity('x', refl)),
+        ('transitivity', 'second', lambda: kernel.transitivity(refl, fake)),
+        ('congruence', 'function', lambda: kernel.congruence(fake, refl)),
+        ('congruence', 'argument', lambda: kernel.congruence(refl, 'x')),
+        ('abstraction', 'variable', lambda: kernel.abstraction('x', refl)),
+        ('abstraction', 'theorem', lambda: kernel.abstraction(p, fake)),
+        ('beta_conversion', 'term', lambda: kernel.beta_conversion(th, 'x')),
+        ('assume', 'term', lambda: kernel.assume(th, 'x')),
+        ('modus_ponens_eq', 'equation', lambda: kernel.modus_ponens_eq(fake, refl)),
+        ('modus_ponens_eq', 'premise', lambda: kernel.modus_ponens_eq(refl, 'x')),
+        ('deduct_antisym', 'first', lambda: kernel.deduct_antisym(fake, refl)),
+        ('deduct_antisym', 'second', lambda: kernel.deduct_antisym(refl, 'x')),
+        ('instantiate', 'theorem', lambda: kernel.instantiate(fake, {})),
+        ('instantiate', 'key', lambda: kernel.instantiate(refl, {'p': true_c()})),
+        ('instantiate', 'value', lambda: kernel.instantiate(refl, {p: 'x'})),
+        ('axiom', 'name', lambda: kernel.axiom(th, 5)),
+        ('axiom', 'type argument', lambda: kernel.axiom(th, 'def.forall', ('Ind',))),
+    ]
+
+
+def test_every_rule_rejects_a_wrong_kind_argument(th):
+    # a KernelError, not a Python error from deeper down, and never a
+    # theorem: the look-alike carries every field a rule reads
+    calls = _wrong_kind_calls(th)
+    assert {rule for rule, _pos, _call in calls} == set(kernel.PRIMITIVE_RULES)
+    for rule, pos, call in calls:
+        try:
+            got = call()
+        except kernel.KernelError:
+            continue
+        except Exception as e:
+            pytest.fail('%s with a wrong-kind %s raised %r' % (rule, pos, e))
+        pytest.fail('%s with a wrong-kind %s gave %r' % (rule, pos, got))
 
 
 # Kernel functions that no kernel code uses; they stay only because the

@@ -103,12 +103,13 @@ def test_empty_word_parse(eps):
         App(eps.theory.const('phon_E'), r.sign), eps.theory.const('//'))
 
 
-def test_parse_agrees_with_enumeration(toy, ambig, boolsem, eps, perm):
+def test_parse_agrees_with_enumeration(toy, ambig, boolsem, eps, perm, quote):
     # parse finds exactly the enumerated signs and meanings of every
     # enumerated word, and nothing for any other word over the alphabet up
     # to 4 tokens.  PERM spells operands out of order, one possibly empty:
-    # the chart walks surface slots, and children must land at their operands
-    for g, top in ((toy, 3), (ambig, 3), (boolsem, 3), (eps, 3), (perm, 4)):
+    # the chart walks surface slots, and children must land at their
+    # operands.  QUOTE's meanings hold its operand's word
+    for g, top in ((toy, 3), (ambig, 3), (boolsem, 3), (eps, 3), (perm, 4), (quote, 5)):
         for k in range(1, top + 1):
             by_word = {}
             for sign, w, meaning in parser.enumerate_signs(g, k):
@@ -123,6 +124,20 @@ def test_parse_agrees_with_enumeration(toy, ambig, boolsem, eps, perm):
                 for tokens in itertools.product(g.alphabet, repeat=n):
                     if Word(tokens) not in by_word:
                         assert parser.parse(g, tokens, k) == [], (g.theory.name, tokens, k)
+
+
+def test_phon_in_a_meaning_is_the_childs_word(quote):
+    # phon($1) stands for the child's flat word, not the tree of its phon
+    # proof: (/b/ ++ /a/) ++ /a/ for a left-branching child, // ++ /b/ for
+    # one padded by the empty lexeme; membership holds for q of the word
+    q = quote.theory.const('q')
+    for w, k, count in (('b', 3, 2), ('b a', 4, 3), ('b a a', 4, 1), ('b a a a', 6, 5)):
+        quoted = [r for r in parser.parse(quote, w, k) if r.sign_type == 'Q']
+        assert len(quoted) == count
+        for r in quoted:
+            assert r.meaning == App(q, word_to_phon(quote, w)), (w, r.sign)
+            assert r.sem_proof.hyps == () and rules.rhs(r.sem_proof) == r.meaning
+        assert parser.check_membership(quote, w, App(q, word_to_phon(quote, w)), k) is not None
 
 
 def test_permuted_surface_order_children(perm):
@@ -320,7 +335,8 @@ def test_parse_proofs_have_no_identity_congruences(name, word, k):
     ('perm', 4, ''),
     # constants named like the congruence schemas' variables, at their type
     ('boolsem', 3, ''.join('const %s : Phon\n' % n for n in 'xyuvh')),
-    # and like the append and phon schemas' variables
+    # and like the variables of the monoid laws, the rule operands and the
+    # phon schemas
     ('boolsem', 3, ''.join('const %s : Phon\n' % n
                            for n in ('z', 'x1', 'x2', 'x3', 'w1', 'w2', 'w3'))),
 ], ids=['boolsem', 'perm', 'boolsem-schema-variable-names',

@@ -244,17 +244,53 @@ def test_long_chain_word_round_trip():
 
 def test_left_chain_word_round_trip():
     # a left-branching word 60 tokens long: its phonology proof uses the
-    # append schema of every length from 2 to 59, and its trace re-verifies
-    # in a fresh elaboration
+    # monoid laws alone, with no schema cached for any length, and its trace
+    # re-verifies in a fresh elaboration
     g = grammar.elaborate(helpers.LEFT_CHAIN, name='left_chain')
     word = helpers.left_chain_word(60)
     (r,) = parser.parse(g, word, 60)
     assert rules.rhs(r.phon_proof) == grammar.word_to_phon(g, word)
-    assert all(('phon_append', n) in g.theory._derived_cache for n in range(2, 60))
+    assert not any(isinstance(k, tuple) and k[0] == 'phon_append'
+                   for k in g.theory._derived_cache)
     text = export_trace([r.phon_proof, r.sem_proof])
     fresh = grammar.elaborate(helpers.LEFT_CHAIN, name='left_chain')
     got = verify_trace(text, fresh.theory, strict_fingerprint=True)
     assert [t.concl for t in got] == [r.phon_proof.concl, r.sem_proof.concl]
+
+
+# Run in a fresh interpreter: the parser, printer and kernel recurse about
+# twice per level of a 480-deep sign, more than pytest's frames leave room for.
+_LEFT_BRANCHING_SIZES = '''
+import sys
+sys.path.insert(0, sys.argv[1])
+import helpers
+from hogc import grammar, parser
+from hogc.trace import export_trace, verify_trace
+
+src, word_of = getattr(helpers, sys.argv[2]), getattr(helpers, sys.argv[3])
+for n in (240, 480):
+    (r,) = parser.parse(grammar.elaborate(src, name='left'), word_of(n), n)
+    text = export_trace([r.phon_proof, r.sem_proof])
+    got = verify_trace(text, grammar.elaborate(src, name='left').theory,
+                       strict_fingerprint=True)
+    assert [t.concl for t in got] == [r.phon_proof.concl, r.sem_proof.concl]
+    print(n, len(text.encode()))
+'''
+
+
+@pytest.mark.parametrize('src,word_of', [('LEFT_CHAIN', 'left_chain_word'),
+                                         ('LEFT_MIXED', 'left_mixed_word')])
+def test_left_branching_trace_size_is_linear(src, word_of):
+    # a left-branching word's root is normalised once, by steps that each
+    # add O(1) terms, so bytes per token stay flat from 240 to 480 tokens;
+    # each trace re-verifies in a fresh elaboration
+    r = subprocess.run([sys.executable, '-c', _LEFT_BRANCHING_SIZES, os.path.dirname(__file__),
+                        src, word_of], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    size = dict(map(int, line.split()) for line in r.stdout.splitlines())
+    if src == 'LEFT_CHAIN':
+        assert size[240] <= 450_000
+    assert size[480] / 480 <= 1.10 * size[240] / 240, size
 
 
 @pytest.mark.parametrize('name', ['%0', 'two words', ''])
