@@ -14,7 +14,8 @@ in a memo that the call owns and drops when it returns.
 A *universe* is a finite set of fragment terms.  A subset M of the universe
 is logically closed when every universe term a with ``|= (a = b) \\/ (a = c)``
 for some b, c already in M is itself in M; ``closure_saturate`` computes the
-least closed superset and records a witness pair for every term it adds.
+least closed superset, and ``closure_report`` and ``closure_violation`` also
+give a witness pair for every term it adds.
 
 ``merge_parses`` is the certificate rule: given two parses of the same word
 at the same sign type and a theorem ``|- (a = a1) \\/ (a = a2)`` about their
@@ -27,7 +28,6 @@ sign is s2, and the certificate's second disjunct gives a2 = a.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 
 from . import kernel, rules, syntax
 from .grammar import Word
@@ -100,15 +100,34 @@ def bool_valid(t):
 # ---------------------------------------------------------------------------
 # Term universes
 
+class _Bound(dict):
+    """Truth vector v -> the classes true on every row where v is true
+    (``up``), or false on every row where v is false (not ``up``): an AND of
+    row bitmaps or of their complements, made once, on first use."""
+
+    def __init__(self, rows, up):
+        self.rows, self.up = rows, up
+
+    def __missing__(self, v):
+        b = -1
+        for r, row in enumerate(self.rows):
+            if (v >> r & 1) == self.up:
+                b &= row if self.up else ~row
+        self[v] = b
+        return b
+
+
 class TermUniverse:
     """A finite, duplicate-free, ordered set of fragment terms.
 
     ``vectors`` maps each term to its truth vector over ``vars``, an int
     whose bit i is the term's value under the i-th assignment of
     ``itertools.product((False, True), repeat=len(vars))``.  Terms with
-    one vector form a class; classes are numbered in first-seen order, and
-    for each truth-table row, bit k of ``_rows[row]`` says whether class k
-    is true on that row.
+    one vector form a class; classes are numbered in first-seen order,
+    ``_positions[k]`` lists the positions of class k's terms, and for each
+    truth-table row, bit k of ``_rows[row]`` says whether class k is true on
+    that row.  ``_up`` and ``_down`` are the memoised bounds that saturation
+    tests pairs with.
     """
 
     def __init__(self, terms):
@@ -118,15 +137,19 @@ class TermUniverse:
         self.vars = tuple(vs)
         self.vectors = {t: vec[t] for t in self.terms}
         index = {}      # realized vector -> class index
-        self._class_of = {t: index.setdefault(v, len(index))
-                          for t, v in self.vectors.items()}
+        class_of, positions = {}, []    # term -> class; class -> its terms' positions
+        for i, (t, v) in enumerate(self.vectors.items()):
+            k = class_of[t] = index.setdefault(v, len(index))
+            if k == len(positions):
+                positions.append([i])
+            else:
+                positions[k].append(i)
+        self._class_of, self._positions = class_of, positions
         self._class_vectors = tuple(index)
-        first = {}      # class index -> first term realizing it
-        for t, k in self._class_of.items():
-            first.setdefault(k, t)
-        self._first = tuple(first.values())
         self._rows = tuple(sum(1 << k for k, v in enumerate(index) if v >> r & 1)
                            for r in range(full.bit_length()))
+        self._up = _Bound(self._rows, True)
+        self._down = _Bound(self._rows, False)
         self._printed = None    # term -> its printing, made by the first report
         self._term_column = None    # the header cell and the printings, padded alike
 
@@ -156,53 +179,52 @@ class TermUniverse:
         return t in self.vectors
 
 
-def _saturate(universe, subset):
-    """(members in universe order, witness dict added-term -> (b, c) in the
-    same order).  The one check that each subset term is in the universe.
+def _saturate(universe, subset, witnesses=False):
+    """(members in universe order, and with ``witnesses`` a dict added-term
+    -> (b, c) in the same order, else None).  The one check that each subset
+    term is in the universe.
 
     A term a is in the closure iff its truth vector u agrees with b or with
     c on every row for two members b, c, that is ``b & c <= u <= b | c``.
     Saturation is a semi-naive fixpoint over truth-vector classes: when a
     class joins, each pair it makes with a member is tested once, and the
-    classes that pair produces, an AND of row bitmaps, go into ``cover``.
-    Passes run over the classes in universe order and a covered class joins
-    when its pass reaches it, as a scan of every pair on every pass would
-    have it.  A witness is looked up only when its class joins: the first
-    member b in member order, and with it the first member c.  Then one
-    scan assigns terms to classes.
+    classes that pair produces, ``up(b & c) & down(b | c)`` from the
+    universe's memoised bounds, go into ``cover``, until no class is left
+    open.  Passes run over the classes in universe order and a covered
+    class joins when its pass reaches it, as a scan of every pair on every
+    pass would have it.  The members are the terms at the member classes'
+    positions.  Only with ``witnesses`` is a witness looked up, when its
+    class joins: the first member b in member order, and with it the first
+    member c.
     """
     class_of, cvec, rows = universe._class_of, universe._class_vectors, universe._rows
+    terms, positions, up, down = universe.terms, universe._positions, universe._up, universe._down
     rep = {}
-    inset = set()
     for t in subset:
         if t not in universe:
             raise ClosureError('term not in the universe: %s'
                                % syntax.pretty_term(t))
-        inset.add(t)
         rep.setdefault(class_of[t], t)
     members = []                    # class indices, in the order they joined
     member_rows = [0] * len(rows)   # per row, the member positions true on it
     cover = 0                       # non-members that a pair of members produces
     open_ = (1 << len(cvec)) - 1    # classes neither members nor covered
-    full = (1 << len(rows)) - 1
 
     def join(k):
         nonlocal cover, open_
         x = cvec[k]
-        bit = 1 << len(members)
-        for r in range(len(rows)):
-            if x >> r & 1:
-                member_rows[r] |= bit
+        if witnesses:
+            bit = 1 << len(members)
+            for r in range(len(rows)):
+                if x >> r & 1:
+                    member_rows[r] |= bit
         cover &= ~(1 << k)
         open_ &= ~(1 << k)
         for b in members:
-            same = full ^ x ^ cvec[b]
-            s = open_
-            while same and s:
-                low = same & -same
-                row = rows[low.bit_length() - 1]
-                s &= row if x & low else ~row
-                same ^= low
+            if not open_:
+                break       # every class is a member or covered
+            y = cvec[b]
+            s = open_ & up[x & y] & down[x | y]
             cover |= s
             open_ ^= s
         members.append(k)
@@ -230,11 +252,15 @@ def _saturate(universe, subset):
             start = 0
             continue
         k = (todo & -todo).bit_length() - 1
-        wit[k] = witness_pair(cvec[k])
-        rep[k] = universe._first[k]
+        if witnesses:
+            wit[k] = witness_pair(cvec[k])
+            rep[k] = terms[positions[k][0]]
         join(k)
         start = k + 1
-    out = list(compress(universe.terms, map(rep.__contains__, class_of.values())))
+    out = [terms[i] for i in sorted([i for k in members for i in positions[k]])]
+    if not witnesses:
+        return out, None
+    inset = set(subset)
     witness = {}
     for t in out:
         if t not in inset:
@@ -250,13 +276,13 @@ def closure_saturate(universe, subset):
 
 
 def is_logically_closed(universe, subset):
-    return not _saturate(universe, subset)[1]
+    return len(_saturate(universe, subset)[0]) == len(set(subset))
 
 
 def closure_violation(universe, subset):
     """None when closed, else (a, (b, c)): a joins the closure because of
     members b and c but is not in the subset."""
-    return next(iter(_saturate(universe, subset)[1].items()), None)
+    return next(iter(_saturate(universe, subset, witnesses=True)[1].items()), None)
 
 
 def sets_equivalent(universe, s1, s2):
@@ -302,7 +328,7 @@ def language_logically_closed(universe, pairs):
 
 def closure_report(universe, subset):
     """A plain-text closure table, deterministic byte for byte."""
-    closed, witness = _saturate(universe, subset)
+    closed, witness = _saturate(universe, subset, witnesses=True)
     closedset = set(closed)
     inset = closedset.difference(witness)
     if universe._printed is None:

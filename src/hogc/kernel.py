@@ -618,18 +618,27 @@ def type_of(t, th, _allow_unfrozen=False):
     against a frozen theory is marked with its serial number and not
     visited again for it.
     """
-    if th.frozen:
-        mark = th._serial
-    elif _allow_unfrozen:
-        mark = object()    # dedups shared nodes within this one walk only
-    else:
-        raise TheoryError('theory %s is not frozen' % th.name)
+    mark = _theory_mark(th, _allow_unfrozen)
     if not isinstance(t, Term):
         raise KernelError('not a term: %r' % (t,))
     _validate(t, th, mark)
     if t._loose:
         raise TypingError('term has loose bound variables')
     return t.ty
+
+
+def _theory_mark(th, allow_unfrozen=False):
+    """What validation against ``th`` marks a node with: a frozen theory's
+    serial number, or with ``allow_unfrozen`` a mark that dedups shared
+    nodes within one walk only.  Anything but a ``Theory`` is rejected, and
+    so is an unfrozen theory without ``allow_unfrozen``."""
+    if type(th) is not Theory:
+        raise TheoryError('not a theory: %r' % (th,))
+    if th.frozen:
+        return th._serial
+    if allow_unfrozen:
+        return object()
+    raise TheoryError('theory %s is not frozen' % th.name)
 
 
 def _validate(t, th, mark):
@@ -826,8 +835,7 @@ def axiom(th, name, targs=()):
     theorem records an instance as ``name[T1,...]``.  Named (grammar) axioms
     take no type arguments and are looked up in the theory's axiom table.
     """
-    if not th.frozen:
-        raise TheoryError('theory %s is not frozen' % th.name)
+    _theory_mark(th)
     targs = tuple(targs)
     label = '%s[%s]' % (name, ','.join(map(type_to_str, targs))) if targs else name
     arity = _SCHEMA_ARITY.get(name)

@@ -205,8 +205,9 @@ def parse(g, word, depth_bound):
         if rules.rhs(phon) != phon_term:
             raise GrammarError('phonology proof does not match the word')
         results.append(ParseResult(word, sign, sty, rules.rhs(sem), phon, sem, depth))
-    memo = {}
-    results.sort(key=lambda r: (r.depth, syntax.canonical_term(r.sign, memo)))
+    if len(results) > 1:
+        memo = {}
+        results.sort(key=lambda r: (r.depth, syntax.canonical_term(r.sign, memo)))
     return results
 
 

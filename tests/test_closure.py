@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import os
 import random
 
 import pytest
@@ -192,9 +193,17 @@ def test_universe_over_shared_subterms(rng, nvars, nterms, reverse):
         assert u.vectors[t] == vector, t
         assert u._class_of[t] == classes.setdefault(vector, len(classes))
     assert u._class_vectors == tuple(classes)
-    assert u._first == tuple(next(t for t in terms if u.vectors[t] == v) for v in classes)
+    assert u._positions == [[i for i, t in enumerate(terms) if u.vectors[t] == v]
+                            for v in classes]
     assert u._rows == tuple(sum(1 << k for k, v in enumerate(classes) if v >> r & 1)
                             for r in range(1 << nvars))
+    # the memoised bounds, on every truth vector over the rows
+    everyone = (1 << len(classes)) - 1
+    for v in range(1 << (1 << nvars)):
+        assert u._up[v] & everyone == sum(1 << k for k, c in enumerate(classes)
+                                          if v & c == v)
+        assert u._down[v] & everyone == sum(1 << k for k, c in enumerate(classes)
+                                            if v | c == v)
 
 
 def _fragment_subterms(t, out):
@@ -320,12 +329,12 @@ def _report_witnesses(u, report):
     return out
 
 
-@given(st.randoms(use_true_random=False), st.integers(0, 4), st.integers(0, 8))
+@given(st.randoms(use_true_random=False), st.integers(0, 5), st.integers(0, 8))
 @settings(max_examples=60, deadline=None)
 def test_saturate_properties_on_generated_universes(rng, nvars, nterms):
-    # 1 to 16 truth-table rows, as every variable is a universe term;
+    # 1 to 32 truth-table rows, as every variable is a universe term;
     # nvars = nterms = 0 is the empty universe
-    names = ('p', 'q', 'r', 's')[:nvars]
+    names = ('p', 'q', 'r', 's', 't')[:nvars]
     u = TermUniverse([Var(n, BOOL) for n in names]
                      + [helpers.random_fragment(rng, names, 2) for _ in range(nterms)])
     assert [v.name for v in u.vars] == list(names)
@@ -336,7 +345,7 @@ def test_saturate_properties_on_generated_universes(rng, nvars, nterms):
     witnesses = list(_report_witnesses(u, closure_report(u, subset)).items())
     assert {t for t, _ in witnesses} == set(closed) - set(subset)
     v = closure_violation(u, subset)
-    assert (v is None) == (len(closed) == len(subset))
+    assert is_logically_closed(u, subset) == (v is None) == (set(closed) == set(subset))
     if v is not None:
         witnesses.append(v)
     for a, (b, c) in witnesses:
@@ -400,6 +409,34 @@ def test_closure_report_witnesses_pinned(universe2, universe3):
             subset = rng.sample(terms, rng.randint(0, min(5, len(terms))))
             h.update(closure_report(u, subset).encode())
     assert h.hexdigest() == WITNESS_DIGEST
+
+
+# Four variables, so sixteen rows.  The reports of seeded subsets,
+# witnesses included, are pinned byte for byte in REPORTS_4VAR; rewrite it
+# with ``python -c 'import test_closure as t; print(t.four_var_reports(),
+# end="")' > data/closure-reports-4var.txt`` from ``tests/`` (with ``src``
+# on the path) only for a deliberate change of the report.
+FOUR_VAR_TERMS = [Var(n, BOOL) for n in 'pqrs'] + [
+    helpers.random_fragment(random.Random(4096 + i), ('p', 'q', 'r', 's'), 2)
+    for i in range(28)]
+REPORTS_4VAR = os.path.join(os.path.dirname(__file__), 'data', 'closure-reports-4var.txt')
+
+
+def four_var_reports():
+    """A line naming each seeded subset, then its closure report."""
+    u = TermUniverse(FOUR_VAR_TERMS)
+    rng = random.Random(16)
+    out = []
+    for _ in range(10):
+        subset = rng.sample(u.terms, rng.randint(0, 5))
+        out.append('== subset: %s\n' % ' ; '.join(map(syntax.pretty_term, subset)))
+        out.append(closure_report(u, subset))
+    return ''.join(out)
+
+
+def test_closure_reports_pinned_over_four_variables():
+    with open(REPORTS_4VAR) as f:
+        assert four_var_reports() == f.read()
 
 
 # ---------------------------------------------------------------------------

@@ -467,6 +467,26 @@ def test_unfrozen_theory_proves_nothing():
         kernel.reflexivity(t, true_c())
 
 
+class _LooksLikeATheory:
+    """Every field that type_of and axiom read from a frozen theory."""
+
+    def __init__(self, th):
+        self.__dict__.update(vars(th))
+
+
+@pytest.mark.parametrize('bad', ['th', None, 'look-alike'])
+def test_a_theory_argument_must_be_a_theory(th, bad):
+    if bad == 'look-alike':
+        bad = _LooksLikeATheory(th)
+    p = Var('p', BOOL)
+    calls = [lambda: kernel.reflexivity(bad, p), lambda: kernel.assume(bad, p),
+             lambda: kernel.beta_conversion(bad, App(Abs(p, p), true_c())),
+             lambda: kernel.type_of(p, bad), lambda: kernel.axiom(bad, 'bool-cases')]
+    for call in calls:
+        with pytest.raises(kernel.TheoryError, match='^not a theory: '):
+            call()
+
+
 def test_type_of_rejects_foreign_constants(th):
     c = kernel.Const('mystery', IND)
     with pytest.raises(kernel.KernelError):

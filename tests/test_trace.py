@@ -258,24 +258,16 @@ def test_left_chain_word_round_trip():
     assert [t.concl for t in got] == [r.phon_proof.concl, r.sem_proof.concl]
 
 
-# Run in a fresh interpreter: the parser, printer and kernel recurse about
-# twice per level of a 480-deep sign, more than pytest's frames leave room for.
-_LEFT_BRANCHING_SIZES = '''
-import sys
-sys.path.insert(0, sys.argv[1])
-import helpers
-from hogc import grammar, parser
-from hogc.trace import export_trace, verify_trace
-
-src, word_of = getattr(helpers, sys.argv[2]), getattr(helpers, sys.argv[3])
-for n in (240, 480):
-    (r,) = parser.parse(grammar.elaborate(src, name='left'), word_of(n), n)
+def test_long_left_chain_word_round_trip_in_process():
+    # a left-branching word 600 tokens long parses, exports and re-verifies
+    # in this process: a single parse is not sorted, so no sort key walks
+    # its 600-deep sign
+    g = grammar.elaborate(helpers.LEFT_CHAIN, name='left_chain')
+    (r,) = parser.parse(g, helpers.left_chain_word(600), 600)
     text = export_trace([r.phon_proof, r.sem_proof])
-    got = verify_trace(text, grammar.elaborate(src, name='left').theory,
-                       strict_fingerprint=True)
+    fresh = grammar.elaborate(helpers.LEFT_CHAIN, name='left_chain')
+    got = verify_trace(text, fresh.theory, strict_fingerprint=True)
     assert [t.concl for t in got] == [r.phon_proof.concl, r.sem_proof.concl]
-    print(n, len(text.encode()))
-'''
 
 
 @pytest.mark.parametrize('src,word_of', [('LEFT_CHAIN', 'left_chain_word'),
@@ -284,10 +276,15 @@ def test_left_branching_trace_size_is_linear(src, word_of):
     # a left-branching word's root is normalised once, by steps that each
     # add O(1) terms, so bytes per token stay flat from 240 to 480 tokens;
     # each trace re-verifies in a fresh elaboration
-    r = subprocess.run([sys.executable, '-c', _LEFT_BRANCHING_SIZES, os.path.dirname(__file__),
-                        src, word_of], capture_output=True, text=True)
-    assert r.returncode == 0, r.stderr
-    size = dict(map(int, line.split()) for line in r.stdout.splitlines())
+    text_of, words = getattr(helpers, src), getattr(helpers, word_of)
+    size = {}
+    for n in (240, 480):
+        (r,) = parser.parse(grammar.elaborate(text_of, name='left'), words(n), n)
+        text = export_trace([r.phon_proof, r.sem_proof])
+        got = verify_trace(text, grammar.elaborate(text_of, name='left').theory,
+                           strict_fingerprint=True)
+        assert [t.concl for t in got] == [r.phon_proof.concl, r.sem_proof.concl]
+        size[n] = len(text.encode())
     if src == 'LEFT_CHAIN':
         assert size[240] <= 450_000
     assert size[480] / 480 <= 1.10 * size[240] / 240, size
