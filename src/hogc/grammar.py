@@ -246,6 +246,7 @@ class Grammar:
         self.sem_types = sem_types
         self.lexicon = lexicon
         self.rules = rule_items
+        self.proofs = None      # every parsed sign's proofs, made at the first parse
 
     @property
     def alphabet(self):

@@ -51,7 +51,7 @@ from __future__ import annotations
 import functools
 import itertools
 from types import MappingProxyType
-from weakref import KeyedRef
+from weakref import ref as _weakref
 from _weakref import _remove_dead_weakref
 
 
@@ -134,16 +134,17 @@ def type_to_str(ty):
 # Terms
 
 _terms = {}   # intern key -> weak reference to the one live term with that key
+_NO_REF = type(None)   # what _terms.get(key, _NO_REF)() calls for a missing key: None
 _NO_VARS = frozenset()
+
+
+class _Ref(_weakref):
+    """A weak reference that knows its key; the C constructor builds it."""
+    __slots__ = ('key',)
 
 
 def _forget(ref):
     _remove_dead_weakref(_terms, ref.key)
-
-
-def _live(key):
-    ref = _terms.get(key)
-    return None if ref is None else ref()
 
 
 def _intern(t, key, ty, h, free_vars, loose):
@@ -154,7 +155,8 @@ def _intern(t, key, ty, h, free_vars, loose):
     t.ty, t._h, t._loose, t._checked = ty, h, loose, None
     # hashed before its free-variable set, which holds a variable itself
     t.free_vars = frozenset((t,)) if free_vars is None else free_vars
-    ref = KeyedRef(t, _forget, key)
+    ref = _Ref(t, _forget)
+    ref.key = key
     while True:
         old = _terms.setdefault(key, ref)
         if old is ref:
@@ -194,7 +196,7 @@ class Var(Term):
 
     def __new__(cls, name, ty):
         key = ('v', name, id(ty))
-        t = _live(key)
+        t = _terms.get(key, _NO_REF)()
         if t is None:
             if not isinstance(ty, Type):
                 raise TypingError('variable %s needs a Type' % name)
@@ -211,7 +213,7 @@ class Const(Term):
     def __new__(cls, name, ty, targs=()):
         targs = tuple(targs)
         key = ('c', name, id(ty), *map(id, targs))
-        t = _live(key)
+        t = _terms.get(key, _NO_REF)()
         if t is None:
             if not all(isinstance(a, Type) for a in (ty,) + targs):
                 raise TypingError('constant %s needs Types' % name)
@@ -232,7 +234,7 @@ class Bound(Term):
 
     def __new__(cls, index, ty):
         key = ('b', index, id(ty))
-        t = _live(key)
+        t = _terms.get(key, _NO_REF)()
         if t is None:
             t = object.__new__(cls)
             t.index = index
@@ -246,7 +248,7 @@ class App(Term):
 
     def __new__(cls, fn, arg):
         key = ('a', id(fn), id(arg))
-        t = _live(key)
+        t = _terms.get(key, _NO_REF)()
         if t is None:
             if not isinstance(fn, Term) or not isinstance(arg, Term):
                 raise KernelError('not a term: %r' % (arg if isinstance(fn, Term) else fn,))
@@ -287,7 +289,7 @@ class Abs(Term):
 
 def _abs(hint, dom, body):
     key = ('l', id(dom), id(body))
-    t = _live(key)
+    t = _terms.get(key, _NO_REF)()
     if t is None:
         t = object.__new__(Abs)
         t.hint, t.body = hint, body

@@ -9,7 +9,10 @@ new in round d - 1.  Items may be empty spans, so empty-phonology entries
 participate.  Every result carries two theorems derived from the
 grammar's axioms: the phonology equation ``phon_sigma(sign) = /w/`` and the
 meaning equation ``sem_sigma(sign) = meaning`` with the meaning in beta
-normal form.
+normal form.  A sign's proofs depend on the sign alone, so the grammar
+keeps them: ``Grammar.proofs`` holds every sign's proofs and every parsed
+word's normal form from the first parse on, and a later parse builds only
+the signs no earlier parse built.  Dropping the grammar frees them.
 
 ``enumerate_signs`` is an independent oracle: it generates every derivable
 sign up to the depth bound by plain recursion, without touching the proof
@@ -48,11 +51,12 @@ class _Chart:
     """The signs over the spans of a word, found depth by depth.
 
     ``index`` maps (start, sign type) to the items ``(end, sign, depth)``
-    starting there.  A rule's round at depth d walks its surface slots left to right through
-    the index, each slot continuing at the end of the item chosen for the
-    one before, and keeps a combination only if some child has depth
-    d - 1: every child already has a smaller depth, so each combination is
-    built once, at the depth it belongs to.  No item needs deduplication: a
+    starting there.  A rule's round at depth d walks its surface slots left
+    to right through the index, from each start with an item of the first
+    slot's type, each slot continuing at the end of the item chosen for the
+    one before, and keeps a combination only if some child has depth d - 1:
+    every child already has a smaller depth, so each combination is built
+    once, at the depth it belongs to.  No item needs deduplication: a
     sign fixes its children and so the words they span, so an item has one
     combination.
     """
@@ -76,36 +80,42 @@ class _Chart:
             for i in range(n - k + 1):
                 if word.tokens[i:i + k] == lx.word.tokens:
                     self._add(i, i + k, lx.const, lx.sign_type, 1, lex)
+        # each rule's slot types in surface order, and the order that puts
+        # the slots' children back in operand order
+        plans = [(rule, 'rule.%s' % rule.name,
+                  tuple(rule.operands[p - 1] for p in rule.pattern),
+                  sorted(range(len(rule.pattern)), key=rule.pattern.__getitem__))
+                 for rule in g.rules]
         for d in range(2, bound + 1):
             pending = []
-            for rule in g.rules:
+            for rule, axname, wants, order in plans:
                 for i in range(n + 1):
-                    for j, children in self._extend(rule, i, d - 1):
+                    if (i, wants[0]) not in self.index:
+                        continue
+                    for j, combo, _fresh in self._extend(wants, i, d - 1):
+                        children = tuple(combo[s] for s in order)
                         sign = rule.const
                         for c in children:
                             sign = App(sign, c)
                         pending.append((i, j, sign, rule.result,
-                                        ('rule.%s' % rule.name, rule.operand_vars, children,
-                                         rule.reads_phon)))
+                                        (axname, rule.operand_vars, children, rule.reads_phon)))
             if not pending:
                 break
             for i, j, sign, sty, deriv in pending:
                 self._add(i, j, sign, sty, d, deriv)
 
-    def _extend(self, rule, start, top):
-        """(end, children in operand order) for each way to fill the rule's
-        surface slots from ``start`` with a child of depth ``top`` among
-        them."""
+    def _extend(self, wants, start, top):
+        """(end, children in surface order, True) for each way to fill
+        surface slots of the types ``wants`` from ``start`` with a child of
+        depth ``top`` among them."""
         partial = [(start, (), False)]
-        last = len(rule.pattern) - 1
-        for s, p in enumerate(rule.pattern):
-            want = rule.operands[p - 1]
+        last = len(wants) - 1
+        for s, want in enumerate(wants):
             partial = [(end, combo + (sign,), fresh or depth == top)
                        for pos, combo, fresh in partial
                        for end, sign, depth in self.index.get((pos, want), ())
                        if s < last or fresh or depth == top]
-        order = sorted(range(last + 1), key=lambda s: rule.pattern[s])
-        return [(end, tuple(combo[s] for s in order)) for end, combo, _fresh in partial]
+        return partial
 
 
 def _sign_conjuncts(th, axname, opvars):
@@ -140,18 +150,28 @@ def _phon_var(i):
 
 
 class _ProofBuilder:
-    """The proofs of a parse's chart signs, each sign's built once.  The
-    memos serve the whole parse: the sem rewrite's, so each child's value is
-    walked once, and phon_step's, so normalisations share their joins."""
+    """The proofs of a grammar's chart signs, each sign's built once and
+    kept on the ``Grammar`` for every later parse.  A sign's proofs depend
+    on the sign alone, so a parse gets the same ones whichever words came
+    before, and a repeated parse derives nothing.  The memos serve every
+    parse too: the sem rewrite's, which also holds each built sign's sem
+    proof and normal phon proof, so each child's value is walked once, and
+    phon_step's, so normalisations share their joins.  Threads may share
+    them: a race at worst builds a sign twice, both times the same way."""
 
-    def __init__(self, g):
-        self.th = g.theory
+    def __init__(self, th):
+        self.th = th
         self.memo, self.sem_memo, self.phon_memo = {}, {}, {}
 
     def normal_phon(self, phon):
-        """A phon proof carried on to the normal form of its word."""
-        nf = gmod.phon_step(self.th, rules.rhs(phon), self.phon_memo)
-        return phon if nf is None else kernel.transitivity(phon, nf)
+        """A sign's phon proof carried on to the normal form of its word,
+        built once."""
+        out = self.sem_memo.get(rules.lhs(phon))
+        if out is None:
+            nf = gmod.phon_step(self.th, rules.rhs(phon), self.phon_memo)
+            out = phon if nf is None else kernel.transitivity(phon, nf)
+            self.sem_memo[rules.lhs(phon)] = out
+        return out
 
     def build(self, sign, deriv_map):
         """(phon_proof, sem_proof) for a chart sign.  The phon proof is one
@@ -159,19 +179,18 @@ class _ProofBuilder:
         child's phon proof, in the rule's tree form.  The sem proof is the
         axiom's sem conjunct at the children, rewritten in one pass that
         takes each child's equations from the memo as they stand."""
-        if sign in self.memo:
-            return self.memo[sign]
+        out = self.memo.get(sign)
+        if out is not None:
+            return out
         th = self.th
         axname, opvars, children, reads_phon = deriv_map[sign]
         phon, sem = _sign_conjuncts(th, axname, opvars)
         child_phon = []
         for c in children:   # a plain loop: one frame per level of the sign
-            cp, cs = self.build(c, deriv_map)
+            cp, _cs = self.build(c, deriv_map)
             child_phon.append(cp)
-            # phon($i) stands for the child's word, so it gets the normal form
-            if reads_phon and rules.lhs(cp) not in self.sem_memo:
-                self.sem_memo[rules.lhs(cp)] = self.normal_phon(cp)
-            self.sem_memo[rules.lhs(cs)] = cs
+            if reads_phon:   # phon($i) stands for the child's word: its normal form
+                self.normal_phon(cp)
         if children:
             inst = dict(zip(opvars, children))
             sem = kernel.instantiate(sem, inst)
@@ -181,8 +200,9 @@ class _ProofBuilder:
             for cp in child_phon:
                 if cp.concl in phon.hyps:   # two equal children share one
                     phon = rules.prove_hyp(cp, phon)
-        out = (phon, rules.rewrite_rhs(sem, rules._bp_step, self.sem_memo))
-        self.memo[sign] = out
+        sem = rules.rewrite_rhs(sem, rules._bp_step, self.sem_memo)
+        self.sem_memo[rules.lhs(sem)] = sem
+        out = self.memo[sign] = (phon, sem)
         return out
 
 
@@ -194,14 +214,16 @@ def parse(g, word, depth_bound):
         word = Word(word)
     phon_term = word_to_phon(g, word)  # rejects tokens outside the alphabet
     chart = _Chart(g, word, depth_bound)
-    builder = _ProofBuilder(g)
+    builder = g.proofs
+    if builder is None:
+        builder = g.proofs = _ProofBuilder(g.theory)
     results = []
     n = len(word)
     top = [(sign, sty, depth) for (i, sty), items in chart.index.items() if i == 0
            for j, sign, depth in items if j == n]
     for sign, sty, depth in top:
         phon, sem = builder.build(sign, chart.deriv)
-        phon = builder.normal_phon(phon)   # once, at the root
+        phon = builder.normal_phon(phon)   # the root's word in normal form
         if rules.rhs(phon) != phon_term:
             raise GrammarError('phonology proof does not match the word')
         results.append(ParseResult(word, sign, sty, rules.rhs(sem), phon, sem, depth))

@@ -1,8 +1,15 @@
 """Chart parsing with proofs, the enumeration oracle, membership."""
 
+import gc
 import itertools
+import os
+import subprocess
+import sys
+import threading
+import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hogc import grammar, kernel, parser, rules, syntax, trace
 from hogc.grammar import GrammarError, Word, word_to_phon
@@ -138,6 +145,16 @@ def test_phon_in_a_meaning_is_the_childs_word(quote):
             assert r.meaning == App(q, word_to_phon(quote, w)), (w, r.sign)
             assert r.sem_proof.hyps == () and rules.rhs(r.sem_proof) == r.meaning
         assert parser.check_membership(quote, w, App(q, word_to_phon(quote, w)), k) is not None
+    # QA quotes part of the word: its quoted child is no parse of the whole
+    # word, so no root has carried that child's phon proof to normal form
+    g = grammar.elaborate(_QUOTE_PART)
+    c = g.theory.const
+    quoted = App(c('QUOTE'), App(App(c('L'), c('B')), c('A')))
+    r, = [r for r in parser.parse(g, 'b a a', 4) if r.sign == App(App(c('QA'), quoted), c('A'))]
+    assert r.meaning == kernel.mk_conj(App(q, word_to_phon(g, 'b a')), c('t'))
+
+
+_QUOTE_PART = helpers.QUOTE + 'rule QA : Q W -> Q { phon = $1 ++ $2; sem = sem($1) /\\ sem($2); }\n'
 
 
 def test_permuted_surface_order_children(perm):
@@ -272,10 +289,11 @@ def _instance_premise(thm):
 
 def test_parses_share_cached_axiom_conjuncts(boolsem):
     # the rule axiom's sem conjunct and its phon schema are derived once per
-    # theory; every sign instantiates the same theorem objects
+    # theory; every sign instantiates the same theorem objects, and the
+    # grammar keeps each sign's proofs, so a repeated parse returns them
     r1, = parser.parse(boolsem, 'nicht ja', 2)
     r2, = parser.parse(boolsem, 'nicht ja', 2)
-    assert r1.sem_proof is not r2.sem_proof
+    assert r1.sem_proof is r2.sem_proof and r1.phon_proof is r2.phon_proof
     for a, b in ((r1.phon_proof, r2.phon_proof), (r1.sem_proof, r2.sem_proof)):
         assert _instance_premise(a) is _instance_premise(b)
     # the sem premise is the sem conjunct at the rule's operand variables
@@ -379,3 +397,132 @@ def test_meanings_mentioning_sign_projections_rejected():
     ok = helpers.BOOLSEM + 'rule R : S -> S { phon = $1; sem = sem_S(x1:S); }\n'
     assert [r.meaning for r in parser.parse(grammar.elaborate(ok), 'ja', 2)
             if r.depth == 2] == [kernel.true_c()]
+
+
+def _proof_trace(results):
+    return trace.export_trace([t for r in results for t in (r.phon_proof, r.sem_proof)])
+
+
+def test_repeated_parse_runs_no_kernel_rule(monkeypatch):
+    # the grammar keeps every sign's proofs and the normal form of each
+    # parsed word, so a word parsed again derives nothing, and a new word
+    # derives only the signs it does not share with earlier ones
+    word = 'nicht ja en nee en ja'
+    g = grammar.elaborate(helpers.BOOLSEM, name='boolsem')
+    first = parser.parse(g, word, 4)
+    rules_run = []
+    real = kernel._thm
+    monkeypatch.setattr(kernel, '_thm', lambda *a: rules_run.append(a[3]) or real(*a))
+    again = parser.parse(g, word, 4)
+    assert rules_run == []
+    assert ([(r.phon_proof, r.sem_proof) for r in again]
+            == [(r.phon_proof, r.sem_proof) for r in first])
+    parser.parse(g, 'nicht ja en nee', 4)
+    warm = len(rules_run)
+    del rules_run[:]
+    parser.parse(grammar.elaborate(helpers.BOOLSEM, name='boolsem'), 'nicht ja en nee', 4)
+    assert 0 < warm < len(rules_run)
+
+
+def test_dropping_a_grammar_frees_its_proofs():
+    g = grammar.elaborate(helpers.BOOLSEM, name='boolsem')
+    sem = parser.parse(g, 'nicht ja en nee en ja', 4)[0].sem_proof
+    built = weakref.ref(g.proofs)
+    terms = len(kernel._terms)
+    del g, sem
+    gc.collect()
+    assert built() is None and len(kernel._terms) < terms
+
+
+_SOURCES = {'boolsem': (helpers.BOOLSEM, 3), 'quote': (helpers.QUOTE, 5),
+            'quote_part': (_QUOTE_PART, 4), 'left_mixed': (helpers.LEFT_MIXED, 4)}
+# every word with a parse, per grammar; QUOTE's meanings read phon($1), of
+# the whole word or, with QA, of a part
+_CORPUS = [(name, word, k) for name, (src, k) in _SOURCES.items()
+           for word in sorted({' '.join(w.tokens) for _sign, w, _meaning
+                               in parser.enumerate_signs(grammar.elaborate(src), k)})]
+
+
+@given(st.lists(st.sampled_from(_CORPUS), min_size=1, max_size=8))
+@settings(max_examples=25, deadline=None)
+def test_a_parse_does_not_depend_on_the_words_parsed_before(seq):
+    # one grammar per name parses the drawn words in turn; each result is
+    # what a fresh elaboration gives for that word alone, trace text included
+    grammars = {}
+    for name, word, k in seq:
+        src = _SOURCES[name][0]
+        if name not in grammars:
+            grammars[name] = grammar.elaborate(src, name=name)
+        got = parser.parse(grammars[name], word, k)
+        want = parser.parse(grammar.elaborate(src, name=name), word, k)
+        assert [(r.sign, r.meaning) for r in got] == [(r.sign, r.meaning) for r in want]
+        assert _proof_trace(got) == _proof_trace(want)
+        assert all(r.sem_proof.theory is grammars[name].theory for r in got)
+
+
+def test_threads_parsing_with_one_grammar_agree_with_one_thread():
+    # 4 threads, more than the cores, parse 40 words with one grammar at a
+    # tiny switch interval, so they race on its memos; every trace must be
+    # the one a single thread gets
+    words = [w for name, w, _k in _CORPUS if name == 'boolsem'][-40:]
+    ref = grammar.elaborate(helpers.BOOLSEM, name='boolsem')
+    want = {w: _proof_trace(parser.parse(ref, w, 3)) for w in words}
+    g = grammar.elaborate(helpers.BOOLSEM, name='boolsem')
+    got = [{} for _ in range(4)]
+    start = threading.Barrier(4, timeout=10)
+
+    def work(n):
+        start.wait()
+        for w in words[n * 10:] + words[:n * 10]:
+            got[n][w] = _proof_trace(parser.parse(g, w, 3))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(n,)) for n in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(old)
+    assert got == [want] * 4
+
+
+_REPORT_AFTER_PARSES = '''
+import itertools, sys
+sys.path.insert(0, sys.argv[1])
+import helpers
+from hogc import cli, grammar, parser, syntax
+
+g = grammar.elaborate(helpers.BOOLSEM, name='boolsem')
+shown = ('nicht ja', 'ja en nicht nee', 'nicht ja en nee en ja')
+others = (' '.join(w) for n in range(6) for w in itertools.product(g.alphabet, repeat=n))
+for word in itertools.islice((w for w in others if w not in shown), int(sys.argv[2])):
+    parser.parse(g, word, 4)
+rep = cli._Report(cli.RunConfig('parse'))
+for n in sorted(g.theory.axioms):
+    rep.add('%s %s' % (n, syntax.pretty_term(g.theory.axioms[n])))
+for word in shown:
+    for i, r in enumerate(parser.parse(g, word, 4)):
+        cli._result_block(rep, r, i)
+print('\\n'.join(rep.lines))
+'''
+
+
+def test_reports_do_not_depend_on_the_parses_before():
+    # the grammar keeps the terms of every parse alive, and a binder's name
+    # is the first one interned for its alpha-class: the axioms and three
+    # words' result blocks read the same after 400 other parses.  Processes
+    # of their own, as other tests here keep terms alive.
+    def report(n_before):
+        r = subprocess.run([sys.executable, '-c', _REPORT_AFTER_PARSES,
+                            os.path.dirname(__file__), str(n_before)],
+                           capture_output=True, text=True, timeout=300)
+        assert r.returncode == 0, r.stderr
+        return r.stdout
+
+    fresh = report(0)
+    assert 'lex.NOT' in fresh and '[1] sign type S, depth 4' in fresh
+    assert report(400) == fresh
