@@ -19,10 +19,12 @@ give a witness pair for every term it adds.
 
 ``merge_parses`` is the certificate rule: given two parses of the same word
 at the same sign type and a theorem ``|- (a = a1) \\/ (a = a2)`` about their
-meanings, it builds the conditional sign ``C(s1, s2, a = a1)`` and derives
-its phonology and meaning equations, each by one case split on ``a = a1``:
-where that holds the sign is s1, whose meaning a1 is a; where it fails the
-sign is s2, and the certificate's second disjunct gives a2 = a.
+meanings, it builds the conditional sign ``C(s1, s2, a = a1)`` and proves its
+phonology and meaning equations by one instance of the sign type's merge
+law, which is proved once per theory; the parse proofs and the certificate
+discharge its hypotheses.  ``certificate_cases`` is an instance of a law too.
+Each law has fixed variables, and instantiation is parallel, so nothing can
+be captured and no rule here names a variable at run time.
 """
 
 from __future__ import annotations
@@ -31,11 +33,10 @@ from dataclasses import dataclass
 
 from . import kernel, rules, syntax
 from .grammar import Word
-from .kernel import (App, Var, Term, Theorem, BOOL, mk_cond, mk_disj, mk_eq, true_c,
-                     false_c)
+from .kernel import (App, Var, Term, Theorem, BOOL, mk_cond, mk_conj, mk_disj, mk_eq,
+                     true_c, false_c)
 from .parser import ParseResult
 from .rules import FragmentError, fragment_vars
-from .terms import dest_disj, substitute
 
 
 class ClosureError(Exception):
@@ -397,18 +398,21 @@ def certificate_right(th, a1, a2):
 
 
 def certificate_cases(th, a1, a2, q):
-    """target = C(a1, a2, q), by case analysis on the boolean q."""
+    """target = C(a1, a2, q), by case analysis on the boolean q: an instance
+    of |- (C(x, y, z) = x) \\/ (C(x, y, z) = y), proved once per type by one
+    case split on z."""
     if q.ty != BOOL:
         raise ClosureError('case condition must be Bool')
-    avoid = rules._avoid_from(a1, a2, q)
-    h = Var(rules.fresh_name('h', avoid), BOOL)
-    tmpl = mk_disj(mk_eq(mk_cond(a1, a2, h), a1), mk_eq(mk_cond(a1, a2, h), a2))
-    t_true = substitute(tmpl, h, true_c())
-    t_false = substitute(tmpl, h, false_c())
-    bt = rules.disj1(rules.cond_true(th, a1, a2), dest_disj(t_true)[1])
-    bf = rules.disj2(dest_disj(t_false)[0], rules.cond_false(th, a1, a2))
-    thm = rules.bool_cases_split(th, q, h, tmpl, bt, bf)
-    return ClosureCertificate(mk_cond(a1, a2, q), a1, a2, thm)
+    x, y, z = Var('x', a1.ty), Var('y', a1.ty), Var('z', BOOL)
+
+    def build():
+        c = mk_cond(x, y, z)
+        bt = rules.disj1(rules.cond_true(th, x, y), mk_eq(mk_cond(x, y, true_c()), y))
+        bf = rules.disj2(mk_eq(mk_cond(x, y, false_c()), x), rules.cond_false(th, x, y))
+        return rules.bool_cases_split(th, z, z, mk_disj(mk_eq(c, x), mk_eq(c, y)), bt, bf)
+    law = rules._cached(th, ('cond_cases', a1.ty), build)
+    return ClosureCertificate(mk_cond(a1, a2, q), a1, a2,
+                              kernel.instantiate(law, {x: a1, y: a2, z: q}))
 
 
 def certificate_taut(th, target, a1, a2):
@@ -476,12 +480,52 @@ def certificate_from_script(th, text, a1, a2):
 # ---------------------------------------------------------------------------
 # The certificate rule: merging two parses into a conditional sign
 
+def _merge_law(th, sty, *args):
+    """The merge law of sign type ``sty``, proved once per theory by one case
+    split on ``a = a1``, at ``args``, the values of s1, s2, w, a1, a2 and a::
+
+        {phon_S s1 = w, phon_S s2 = w, sem_S s1 = a1, sem_S s2 = a2,
+         (a = a1) \\/ (a = a2)}
+        |- phon_S C(s1, s2, a = a1) = w /\\ sem_S C(s1, s2, a = a1) = a
+    """
+    vs = [Var(n, t.ty) for n, t in zip(('s1', 's2', 'w', 'a1', 'a2', 'a'), args)]
+
+    def build():
+        phon_c, sem_c = th.const('phon_%s' % sty), th.const('sem_%s' % sty)
+        s1, s2, w, a1, a2, a = vs
+        c, h = mk_eq(a, a1), Var('h', BOOL)
+
+        def branch(cond_law, s, a_s, a_s_a):
+            # {phon_S s = w, sem_S s = a_s, ...} |- the template at a truth value
+            phon = kernel.transitivity(rules.ap_term(phon_c, cond_law),
+                                       kernel.assume(th, mk_eq(App(phon_c, s), w)))
+            sem = kernel.transitivity(rules.ap_term(sem_c, cond_law),
+                                      kernel.assume(th, mk_eq(App(sem_c, s), a_s)))
+            return rules.conj(phon, kernel.transitivity(sem, a_s_a))
+
+        a1_a = kernel.symmetry(rules.eqt_elim(kernel.assume(th, mk_eq(c, true_c()))))
+        # {c = false} |- a2 = a, as c = false refutes the first disjunct
+        refuted = kernel.modus_ponens_eq(kernel.assume(th, mk_eq(c, false_c())),
+                                         kernel.assume(th, c))
+        a2_a = rules.disj_cases(kernel.assume(th, mk_disj(c, mk_eq(a, a2))),
+                                rules.contr(mk_eq(a2, a), refuted),
+                                kernel.symmetry(kernel.assume(th, mk_eq(a, a2))))
+        sign = mk_cond(s1, s2, h)
+        tmpl = mk_conj(mk_eq(App(phon_c, sign), w), mk_eq(App(sem_c, sign), a))
+        return rules.bool_cases_split(
+            th, c, h, tmpl, branch(rules.cond_true(th, s1, s2), s1, a1, a1_a),
+            branch(rules.cond_false(th, s1, s2), s2, a2, a2_a))
+    law = rules._cached(th, ('merge_law', sty), build)
+    return kernel.instantiate(law, dict(zip(vs, args)))
+
+
 def merge_parses(th, p1, p2, cert):
     """From parses of one word at one sign type and a certificate
     ``|- (a = a1) \\/ (a = a2)`` about their meanings, build the sign
     ``C(s1, s2, a = a1)`` with kernel-checked equations: its phonology is
-    the shared word and its meaning is a, each by one case split on
-    ``a = a1``.  Accepts the grammar's theory or the grammar itself."""
+    the shared word and its meaning is a: an instance of the sign type's
+    ``_merge_law`` whose hypotheses the parse proofs and the certificate
+    discharge.  Accepts the grammar's theory or the grammar itself."""
     th = getattr(th, 'theory', th)
     if p1.word != p2.word:
         raise ClosureError('parses disagree on the word')
@@ -500,26 +544,10 @@ def merge_parses(th, p1, p2, cert):
             raise ClosureError('parse proofs are not about the parse signs')
         if rules.rhs(p.phon_proof) != w:
             raise ClosureError('merged phonologies differ')
-    s1, s2, c = p1.sign, p2.sign, mk_eq(a, a1)
-    sign = mk_cond(s1, s2, c)
-    h = Var(rules.fresh_name('h', rules._avoid_from(sign, a, w)), BOOL)
-
-    def by_cases(k, value, thm1, thm2):
-        # |- k(sign) = value from k(s1) = value given c, k(s2) = value given ~c
-        bt = kernel.transitivity(rules.ap_term(k, rules.cond_true(th, s1, s2)), thm1)
-        bf = kernel.transitivity(rules.ap_term(k, rules.cond_false(th, s1, s2)), thm2)
-        tmpl = mk_eq(App(k, mk_cond(s1, s2, h)), value)
-        return rules.bool_cases_split(th, c, h, tmpl, bt, bf)
-
-    phon = by_cases(phon_c, w, p1.phon_proof, p2.phon_proof)
-    a1_a = kernel.symmetry(rules.eqt_elim(kernel.assume(th, mk_eq(c, true_c()))))
-    # {c = false} |- a2 = a, as c = false refutes the first disjunct
-    refuted = kernel.modus_ponens_eq(kernel.assume(th, mk_eq(c, false_c())),
-                                     kernel.assume(th, c))
-    a2_a = rules.disj_cases(cert.proof, rules.contr(mk_eq(a2, a), refuted),
-                            kernel.symmetry(kernel.assume(th, mk_eq(a, a2))))
-    sem = by_cases(sem_c, a, kernel.transitivity(p1.sem_proof, a1_a),
-                   kernel.transitivity(p2.sem_proof, a2_a))
-    sem = rules.rewrite_rhs(sem, rules._bp_step)
-    return ParseResult(p1.word, sign, sty, rules.rhs(sem), phon, sem,
-                       max(p1.depth, p2.depth))
+    law = _merge_law(th, sty, p1.sign, p2.sign, w, a1, a2, a)
+    both = rules._discharge(law, p1.phon_proof, p2.phon_proof, p1.sem_proof,
+                            p2.sem_proof, cert.proof)
+    phon = rules.conjunct1(both)
+    sem = rules.rewrite_rhs(rules.conjunct2(both), rules._bp_step)
+    return ParseResult(p1.word, mk_cond(p1.sign, p2.sign, mk_eq(a, a1)), sty,
+                       rules.rhs(sem), phon, sem, max(p1.depth, p2.depth))

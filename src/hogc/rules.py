@@ -68,25 +68,6 @@ def ap_thm(thm, a):
     return congruence(thm, reflexivity(thm.theory, a))
 
 
-def _avoid_from(*sources):
-    """The names of the free variables of terms and theorems."""
-    avoid = set()
-    for s in sources:
-        terms = s.hyps + (s.concl,) if isinstance(s, kernel.Theorem) else (s,)
-        for t in terms:
-            avoid |= {v.name for v in t.free_vars}
-    return avoid
-
-
-def fresh_name(base, avoid):
-    """First of base, base_1, base_2, ... whose name is not in ``avoid``."""
-    name, i = base, 0
-    while name in avoid:
-        i += 1
-        name = '%s_%d' % (base, i)
-    return name
-
-
 def _cached(th, key, build):
     cache = th._derived_cache
     if key not in cache:
@@ -287,18 +268,6 @@ def spec(a, thm):
     bl = beta_conversion(th, lhs(ap))
     br = beta_conversion(th, rhs(ap))
     return eqt_elim(transitivity(symmetry(bl), transitivity(ap, br)))
-
-
-def spec_all(thm):
-    """Strip all outer universal quantifiers, specializing to their own
-    variables: the binders' hints, which are first-come for each
-    alpha-class.  Code that then names the variables specializes with
-    ``spec`` at them instead."""
-    while True:
-        d = dest_forall(thm.concl)
-        if d is None:
-            return thm
-        thm = spec(d[0], thm)
 
 
 def _disj_schema(th, first):

@@ -671,6 +671,30 @@ def test_merged_parse_merges_again(ambig):
     assert mm.sem_proof.hyps == ()
 
 
+def test_merges_on_a_warm_theory_instantiate_the_merge_law(monkeypatch):
+    # the first merge proves the sign type's merge law; a later merge, by
+    # left or by cases, is one instance of it: no new cached lemma, and 17
+    # primitive rules (one instantiate, five discharges, two projections)
+    g = grammar.elaborate(helpers.AMBIG, name='ambig')
+    th = g.theory
+    p1, p2 = parser.parse(g, helpers.AMBIG_WORD, 2)
+    cases = certificate_cases(th, p1.meaning, p2.meaning, Q)
+    left = certificate_left(th, p1.meaning, p2.meaning)
+    before = set(th._derived_cache)
+    merge_parses(g, p1, p2, cases)
+    assert ('merge_law', 'S') in th._derived_cache.keys() - before
+    cached = dict(th._derived_cache)
+    rules_run = []
+    real = kernel._thm
+    monkeypatch.setattr(kernel, '_thm', lambda *a: rules_run.append(a[3]) or real(*a))
+    for cert in (left, cases):
+        del rules_run[:]
+        m = merge_parses(g, p1, p2, cert)
+        assert m.meaning == cert.target and m.sem_proof.hyps == ()
+        assert 0 < len(rules_run) <= 20
+        assert th._derived_cache == cached
+
+
 def test_sign_axioms_stay_consistent_under_merge(ambig):
     # the merged sign's meaning equation is a theorem, not a new axiom:
     # the axiom count of the theory is untouched

@@ -77,13 +77,6 @@ def test_gen_spec_roundtrip(th):
         rules.spec(y, s)
 
 
-def test_spec_all(th):
-    bc = kernel.axiom(th, 'bool-cases')
-    s = rules.spec_all(bc)
-    z = Var('z', BOOL)
-    assert s.concl == mk_disj(mk_eq(z, true_c()), mk_eq(z, false_c()))
-
-
 def test_disj_intro_and_cases(th):
     p, q = Var('p', BOOL), Var('q', BOOL)
     l = rules.disj1(kernel.assume(th, p), q)

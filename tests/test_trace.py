@@ -180,7 +180,7 @@ def test_pinned_merge_trace_bytes(seed):
                        capture_output=True, env=env, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.split() == [
-        '651', '41593', 'c2f4b2d23b83576f70437061cbeb9b24607239b371d99b454ef938323d726769']
+        '645', '42824', 'e8449041e106c624215d3dca9a407f4d79dff4811442dca9f4d1f6b9a90a9818']
 
 
 _PROVE_AFTER_VERIFY = '''
@@ -350,32 +350,41 @@ def test_roundtrip_merged_parse(ambig):
 
 
 @pytest.mark.parametrize('route', ['left', 'cases q', 'cases p', 'cases h',
-                                   'cases h_1', 'cases const h', 'taut'])
+                                   'cases h_1', 'cases const h', 'taut', 'cases z',
+                                   'cases a1', 'cases s1 and w', 'cases const z',
+                                   'cases const s1 or a1', 'taut z h s1 w a1'])
 def test_roundtrip_merge_with_constant_named_like_a_schema_variable(route):
-    # derived-rule schemas use a variable p, printed p:Bool in traces, and
-    # the merge splits cases through a fresh hole h; the grammar constants p
-    # and h must not capture them on replay, and a free h or h_1 in the case
-    # condition must push the hole to the next free name
-    if route == 'taut':
+    # derived-rule schemas use a variable p, printed p:Bool in traces, the
+    # cases certificate is an instance of a law in x, y, z, and the merge an
+    # instance of a law in s1, s2, w, a1, a2, a proved through a hole h; grammar
+    # constants and certificate variables with those names must not capture
+    # them, in the proof or on replay
+    if route.startswith('taut'):
         src, name, word, k = helpers.BOOLSEM, 'boolsem', 'nicht ja en nee', 3
     else:
         src, name, word, k = helpers.AMBIG, 'ambig', helpers.AMBIG_WORD, 2
-    src += 'const p : Bool\nconst h : Bool\n'
+    src += ''.join('const %s : Bool\n' % n for n in ('p', 'h', 'z', 's1', 'w', 'a1'))
     g = grammar.elaborate(src, name=name)
     p1, p2 = parser.parse(g, word, k)
     th = g.theory
+    v = {n: Var(n, BOOL) for n in ('h', 'h_1', 'z', 's1', 'w', 'a1')}
     if route == 'left':
         cert = closure.certificate_left(th, p1.meaning, p2.meaning)
-    elif route == 'taut':
-        # h /\ ~h /\ h_1 is false, as is the first meaning ~true /\ false
-        h, h1 = Var('h', BOOL), Var('h_1', BOOL)
-        target = kernel.mk_conj(h, kernel.mk_conj(kernel.mk_not(h), h1))
+    elif route.startswith('taut'):
+        # z /\ ~z /\ rest is false, as is the first meaning ~true /\ false
+        z, rest = (v['h'], v['h_1']) if route == 'taut' else (v['z'], kernel.mk_disj(
+            v['h'], kernel.mk_disj(v['s1'], kernel.mk_disj(v['w'], v['a1']))))
+        target = kernel.mk_conj(z, kernel.mk_conj(kernel.mk_not(z), rest))
         cert = closure.certificate_taut(th, target, p1.meaning, p2.meaning)
     else:
-        q = {'cases p': th.const('p'), 'cases const h': th.const('h')}.get(
-            route, Var(route.split()[1], BOOL))
+        q = {'cases p': th.const('p'), 'cases const h': th.const('h'),
+             'cases const z': th.const('z'),
+             'cases s1 and w': kernel.mk_conj(v['s1'], v['w']),
+             'cases const s1 or a1': kernel.mk_disj(th.const('s1'), th.const('a1'))
+             }.get(route, Var(route.split()[1], BOOL))
         cert = closure.certificate_cases(th, p1.meaning, p2.meaning, q)
     m = closure.merge_parses(g, p1, p2, cert)
+    assert m.meaning == cert.target and m.phon_proof.hyps == m.sem_proof.hyps == ()
     text = export_trace([m.phon_proof, m.sem_proof])
     fresh = grammar.elaborate(src, name=name)
     got = verify_trace(text, fresh.theory, strict_fingerprint=True)
