@@ -87,15 +87,15 @@ def _meaning_env(g):
     return g.term_env(default_var_type=kernel.BOOL)
 
 
-def _result_block(rep, r, idx=None):
+def _result_block(rep, g, r, idx=None):
     head = 'sign type %s, depth %d' % (r.sign_type, r.depth)
     if idx is not None:
         head = '[%d] %s' % (idx, head)
     rep.add(head)
-    rep.add('    sign:    %s' % syntax.pretty_term(r.sign))
-    rep.add('    meaning: %s' % syntax.pretty_term(r.meaning))
-    rep.add('    phon:    %s' % syntax.pretty_theorem(r.phon_proof))
-    rep.add('    sem:     %s' % syntax.pretty_theorem(r.sem_proof))
+    rep.add('    sign:    %s' % syntax.pretty_term(r.sign, g.names))
+    rep.add('    meaning: %s' % syntax.pretty_term(r.meaning, g.names))
+    rep.add('    phon:    %s' % syntax.pretty_theorem(r.phon_proof, g.names))
+    rep.add('    sem:     %s' % syntax.pretty_theorem(r.sem_proof, g.names))
 
 
 def _emit_proofs(path, results, comment):
@@ -115,7 +115,7 @@ def _run_check(config, rep):
     names = sorted(g.theory.axioms)
     rep.add('axioms (%d):' % len(names))
     for n in names:
-        rep.add('  %-14s %s' % (n, syntax.pretty_term(g.theory.axioms[n])))
+        rep.add('  %-14s %s' % (n, syntax.pretty_term(g.theory.axioms[n], g.names)))
     rep.add('check ok')
     return 0
 
@@ -132,9 +132,9 @@ def _run_parse(config, rep):
             rep.add('meaning: %s' % config.meaning.strip())
             rep.add('member: no')
             return 1
-        rep.add('meaning: %s' % syntax.pretty_term(r.meaning))
+        rep.add('meaning: %s' % syntax.pretty_term(r.meaning, g.names))
         rep.add('member: yes')
-        _result_block(rep, r)
+        _result_block(rep, g, r)
         if config.emit_proof:
             _emit_proofs(config.emit_proof, [r], 'membership of %s' % ' '.join(word.tokens))
         rep.add('parse ok')
@@ -142,7 +142,7 @@ def _run_parse(config, rep):
     results = parser.parse(g, word, config.depth)
     rep.add('parses: %d' % len(results))
     for i, r in enumerate(results):
-        _result_block(rep, r, i)
+        _result_block(rep, g, r, i)
     if config.emit_proof:
         _emit_proofs(config.emit_proof, results, 'parses of %s' % ' '.join(word.tokens))
     rep.add('parse ok')
@@ -168,8 +168,8 @@ def _run_merge(config, rep):
     merged = cmod.merge_parses(g, p1, p2, cert)
     rep.add('word: %s' % (' '.join(word.tokens) or '(empty)'))
     rep.add('merged parses %d and %d' % (i, j))
-    rep.add('certificate: %s' % syntax.pretty_theorem(cert.proof))
-    _result_block(rep, merged)
+    rep.add('certificate: %s' % syntax.pretty_theorem(cert.proof, g.names))
+    _result_block(rep, g, merged)
     if config.emit_proof:
         _emit_proofs(config.emit_proof, [merged], 'merge for %s' % ' '.join(word.tokens))
     rep.add('merge ok')
@@ -203,7 +203,7 @@ def _run_trace_verify(config, rep):
     rep.add('verified roots: %d' % len(roots))
     for t in roots:
         # a trace carries no binder names, so none are printed
-        rep.add('  %s' % syntax.pretty_theorem(t, depth_names=True))
+        rep.add('  %s' % syntax.pretty_theorem(t))
     rep.add('trace-verify ok')
     return 0
 

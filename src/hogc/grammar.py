@@ -28,10 +28,10 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from . import kernel, rules, syntax
-from .kernel import (App, BaseType, FunType, PHON, Term, Theory, Var, mk_conj, mk_eq,
-                     mk_forall)
+from .kernel import App, BaseType, FunType, PHON, Term, Theory, Var, mk_conj, mk_eq, mk_forall
 
 
 class GrammarError(Exception):
@@ -238,14 +238,17 @@ class RuleItem:
 
 
 class Grammar:
-    """An elaborated grammar: the frozen theory plus lookup tables."""
+    """An elaborated grammar: the frozen theory plus lookup tables.  Reports
+    print with ``names``, which maps each binder of the source, in meanings
+    and ``!`` prefixes, to the first name it was written with."""
 
-    def __init__(self, spec, theory, sem_types, lexicon, rule_items):
+    def __init__(self, spec, theory, sem_types, lexicon, rule_items, names):
         self.spec = spec
         self.theory = theory
         self.sem_types = sem_types
         self.lexicon = lexicon
         self.rules = rule_items
+        self.names = names
         self.proofs = None      # every parsed sign's proofs, made at the first parse
 
     @property
@@ -353,13 +356,12 @@ def elaborate(spec, name='g'):
         th.add_constant(r.name, ty)
 
     # free monoid axioms
+    names = {}      # binder -> name, filled by the term reader and _forall
     x, y, z = Var('x', PHON), Var('y', PHON), Var('z', PHON)
     cat, unit = syntax.mk_conc, th.const('//')
-    th.add_axiom('phon.assoc',
-                 mk_forall(x, mk_forall(y, mk_forall(z, mk_eq(
-                     cat(cat(x, y), z), cat(x, cat(y, z)))))))
-    th.add_axiom('phon.lunit', mk_forall(x, mk_eq(cat(unit, x), x)))
-    th.add_axiom('phon.runit', mk_forall(x, mk_eq(cat(x, unit), x)))
+    th.add_axiom('phon.assoc', _forall((x, y, z), mk_eq(cat(cat(x, y), z), cat(x, y, z)), names))
+    th.add_axiom('phon.lunit', _forall((x,), mk_eq(cat(unit, x), x), names))
+    th.add_axiom('phon.runit', _forall((x,), mk_eq(cat(x, unit), x), names))
 
     projections = {'%s_%s' % (kind, sty) for kind in ('phon', 'sem')
                    for sty in spec.sign_types}
@@ -367,7 +369,7 @@ def elaborate(spec, name='g'):
     for lx in spec.lexicon:
         word, phon_term = _parse_lex_phon(th, lx)
         try:
-            sem = syntax.parse_term(lx.sem_src, syntax.TermEnv(theory=th))
+            sem = syntax.parse_term(lx.sem_src, syntax.TermEnv(th, names=names))
         except (syntax.ParseError, kernel.KernelError) as e:
             raise GrammarError('lex %s: bad meaning %r: %s' % (lx.name, lx.sem_src, e))
         want = sem_types[lx.sign_type]
@@ -397,7 +399,7 @@ def elaborate(spec, name='g'):
         sign = th.const(r.name)
         for v in opvars:
             sign = App(sign, v)
-        env = syntax.TermEnv(theory=th, sem_fn=sem_fn, phon_fn=phon_fn,
+        env = syntax.TermEnv(theory=th, sem_fn=sem_fn, phon_fn=phon_fn, names=names,
                              placeholders={i + 1: v for i, v in enumerate(opvars)})
         try:
             sem_tmpl = syntax.parse_term(r.sem_src, env)
@@ -418,14 +420,20 @@ def elaborate(spec, name='g'):
                     for i in pattern))
         prop = mk_conj(mk_eq(App(th.const('phon_%s' % r.result), sign), rhs),
                        mk_eq(App(th.const('sem_%s' % r.result), sign), sem_tmpl))
-        for v in reversed(opvars):
-            prop = mk_forall(v, prop)
-        th.add_axiom('rule.%s' % r.name, prop)
+        th.add_axiom('rule.%s' % r.name, _forall(opvars, prop, names))
         rule_items.append(RuleItem(r.name, r.operands, r.result, pattern,
                                    opvars, sem_tmpl, th.const(r.name), reads_phon))
 
     th.freeze()
-    return Grammar(spec, th, sem_types, lex_items, rule_items)
+    return Grammar(spec, th, sem_types, lex_items, rule_items, MappingProxyType(names))
+
+
+def _forall(vs, body, names):
+    """``!v1 ... vn. body``, each binder recorded in ``names`` by its name."""
+    for v in reversed(vs):
+        body = mk_forall(v, body)
+        names.setdefault(body.arg, v.name)
+    return body
 
 
 def _check_projections(where, t, projections, operands):
@@ -480,8 +488,7 @@ def word_to_phon(g, word):
 
 
 def _phon_schemas(th):
-    """The monoid axioms specialised to _X, _Y and _Z by name, not to the
-    binders' hints, which are first-come for each alpha-class."""
+    """The monoid axioms specialised to _X, _Y and _Z."""
     def build():
         assoc = kernel.axiom(th, 'phon.assoc')
         for v in (_X, _Y, _Z):

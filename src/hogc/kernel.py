@@ -18,10 +18,9 @@ Design points that matter for soundness:
   building an alpha-equivalent term gives the same object, and term ``==``
   is identity.  Each node's structural hash and free-variable set are
   computed once, when it is interned.  The table holds terms weakly.
-* An ``Abs`` keeps its variable's name only as a display hint, outside its
-  identity: the first hint interned for an alpha-class is the one printed.
-  ``dest_abs`` opens a binder, renaming the hint only when it clashes with
-  a free variable of the body.  Substitution cannot capture.
+* An ``Abs`` is its binder's type and its body, and keeps no name.
+  ``dest_abs`` opens a binder at a name its caller gives, renamed only when
+  it clashes with a free variable of the body.  Substitution cannot capture.
 * Terms are typed eagerly: ill-typed applications cannot be constructed at
   all, so a rule leaves the typing of the terms it builds to the
   constructors.  Validating a term against a theory checks only its
@@ -267,32 +266,30 @@ class App(Term):
 
 class Abs(Term):
     """``Abs(v, body)`` binds ``v`` in ``body``.  The node keeps the body
-    with ``v`` closed to ``Bound(0)``, and ``v``'s name (or ``hint``) only
-    as a display hint outside its identity: an alpha-class keeps the first
-    hint interned for it.  ``dest_abs`` opens it again."""
+    with ``v`` closed to ``Bound(0)``, and not ``v``'s name: ``dest_abs``
+    opens it again at a name its caller gives."""
 
-    __slots__ = ('hint', 'body')
-    _children = ('body',)
+    __slots__ = _children = ('body',)
 
-    def __new__(cls, var, body, hint=None):
+    def __new__(cls, var, body):
         if type(var) is not Var:
             raise TypingError('binder must be a variable')
         if not isinstance(body, Term):
             raise KernelError('not a term: %r' % (body,))
         if body._loose:
             raise TypingError('abstraction body has loose bound variables')
-        return _abs(var.name if hint is None else hint, var.ty, _close(body, var, 0))
+        return _abs(var.ty, _close(body, var, 0))
 
     def __reduce__(self):
-        return _abs, (self.hint, self.ty.dom, self.body)
+        return _abs, (self.ty.dom, self.body)
 
 
-def _abs(hint, dom, body):
+def _abs(dom, body):
     key = ('l', id(dom), id(body))
     t = _terms.get(key, _NO_REF)()
     if t is None:
         t = object.__new__(Abs)
-        t.hint, t.body = hint, body
+        t.body = body
         t = _intern(t, key, FunType(dom, body.ty), hash(('l', dom._hash, body._h)),
                     body.free_vars, max(body._loose - 1, 0))
     return t
@@ -302,7 +299,7 @@ def _rebuild(t, f, x, d):
     # t with f(child, x, depth) for each child, d the binder depth at t
     if type(t) is App:
         return App(f(t.fn, x, d), f(t.arg, x, d))
-    return _abs(t.hint, t.ty.dom, f(t.body, x, d + 1))
+    return _abs(t.ty.dom, f(t.body, x, d + 1))
 
 
 def _close(t, v, d):
@@ -326,11 +323,11 @@ def _subst(t, m, d):
     return m[0][t] if type(t) is Var else _rebuild(t, _subst, m, d)
 
 
-def dest_abs(t, base=None):
-    """Open ``\\x. b`` into (x, b).  x is named ``base`` (by default the
-    hint), renamed to base_1, base_2, ... only when a free variable of b has
-    that name, so ``Abs(x, b)`` is ``t`` again."""
-    base = name = t.hint if base is None else base
+def dest_abs(t, base):
+    """Open ``\\x. b`` into (x, b).  x is named ``base``, renamed to base_1,
+    base_2, ... only when a free variable of b has that name, so
+    ``Abs(x, b)`` is ``t`` again."""
+    name = base
     names = {v.name for v in t.free_vars}
     i = 0
     while name in names:
@@ -366,7 +363,7 @@ def beta_normalize(t):
     if cls is Var or cls is Const:
         return t
     if cls is Abs:
-        v, body = dest_abs(t)
+        v, body = dest_abs(t, 'x')
         return Abs(v, beta_normalize(body))
     if cls is App:
         fn, arg = beta_normalize(t.fn), beta_normalize(t.arg)

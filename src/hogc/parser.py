@@ -120,9 +120,7 @@ class _Chart:
 
 def _sign_conjuncts(th, axname, opvars):
     """The phon and sem conjuncts of a lexeme or rule axiom, specialised to
-    its operand variables ``opvars``; derived once per theory.  They are
-    named, not taken from the binders: a binder's hint is whichever name its
-    alpha-class was first built with."""
+    its operand variables ``opvars``; derived once per theory."""
     def build():
         ax = kernel.axiom(th, axname)
         for v in opvars:
@@ -244,7 +242,7 @@ def _plain_replace(t, target, repl):
         return App(_plain_replace(t.fn, target, repl),
                    _plain_replace(t.arg, target, repl))
     if isinstance(t, kernel.Abs):
-        v, body = kernel.dest_abs(t)
+        v, body = kernel.dest_abs(t, 'x')
         return kernel.Abs(v, _plain_replace(body, target, repl))
     return t
 

@@ -475,7 +475,8 @@ def _children_rewrite(th, t, node_fn, memo):
         return congruence(reflexivity(th, t.fn) if ef is None else ef,
                           reflexivity(th, t.arg) if ea is None else ea)
     if isinstance(t, Abs):
-        v, body = kernel.dest_abs(t)
+        # one fixed name, the one def.cond gives the binder that merges open
+        v, body = kernel.dest_abs(t, 'w')
         eb = _rewrite(th, body, node_fn, memo)
         return None if eb is None else abstraction(v, eb)
     return None
@@ -518,8 +519,6 @@ def bool_cases_split(th, z, hole, tmpl, thm_true, thm_false):
     |- tmpl[z/hole], so each branch may assume its own case."""
     if z.ty != BOOL:
         raise RuleError('case split needs a Bool term')
-    # specialised to _Z itself, not to the binder's hint, which is whatever
-    # name the axiom's alpha-class was first built with
     bc = instantiate(_cached(th, ('rule', 'bool_cases'),
                              lambda: spec(_Z, axiom(th, 'bool-cases'))), {_Z: z})
     et = assume(th, mk_eq(z, true_c()))

@@ -7,9 +7,10 @@ alpha-equal.  It is the stable machine form of fingerprints, sort keys and
 trace-verify messages, and it round-trips through ``parse_term``, which
 reads ``%d`` only as a bound variable.  A caller that prints many terms
 passes them one memo dict, so a subterm that recurs is printed once (see
-``_canon``).  ``pretty_term`` names a binder's variable by the kernel's hint
-for it, the name its alpha-class was first built with, and uses infix
-notation for the connectives; it is for reports and error messages only.
+``_canon``).  ``pretty_term`` uses infix notation for the connectives and
+names a binder's variable from a table the caller passes, such as the one
+the term reader fills, or else ``%d`` as above; it is for reports and error
+messages only.
 
 Term syntax summary (loosest to tightest):
 
@@ -104,40 +105,35 @@ def _canon(t, depth, memo):
 # ---------------------------------------------------------------------------
 # Pretty printing
 
-def pretty_term(t, depth_names=False):
-    """Infix rendering with the binders' hints as variable names; with
-    ``depth_names`` the variable of a binder at depth d is named ``%d``, as
-    in canonical printing."""
-    return _pretty(t, 0, 0 if depth_names else None)
+def pretty_term(t, names=None):
+    """Infix rendering.  ``names`` maps ``Abs`` nodes to their variables'
+    names, as the term reader records them; the variable of a binder it does
+    not name, at depth d, is named ``%d``, as in canonical printing."""
+    return _pretty(t, 0, 0, names or {})
 
 
-def _binder(mark, t, depth):
-    # depth is None when binders print their hints
-    if depth is None:
-        v, body = dest_abs(t)
-    else:
-        v, body = dest_abs(t, '%%%d' % depth)
-        depth += 1
-    return '%s%s:%s. %s' % (mark, v.name, type_to_str(v.ty), _pretty(body, 0, depth))
+def _binder(mark, t, depth, names):
+    v, body = dest_abs(t, names.get(t) or '%%%d' % depth)
+    return '%s%s:%s. %s' % (mark, v.name, type_to_str(v.ty), _pretty(body, 0, depth + 1, names))
 
 
 def _wrap(s, prec, ctx):
     return '(%s)' % s if prec < ctx else s
 
 
-def _pretty(t, ctx, depth):
+def _pretty(t, ctx, depth, names):
     if isinstance(t, Var):
         return t.name
     if isinstance(t, Const):
         return t.display_name
     if isinstance(t, Abs):
-        return _wrap(_binder('\\', t, depth), 0, ctx)
+        return _wrap(_binder('\\', t, depth, names), 0, ctx)
     if isinstance(t, App):
-        return _pretty_app(t, ctx, depth)
+        return _pretty_app(t, ctx, depth, names)
     raise ParseError('not a term: %r' % (t,))
 
 
-def _pretty_app(t, ctx, depth):
+def _pretty_app(t, ctx, depth, names):
     # walks the spine of a plain application f(a)(b)... in a loop, down to a
     # head that prints on its own, then appends the arguments
     args = []
@@ -147,38 +143,38 @@ def _pretty_app(t, ctx, depth):
         # an infix operator applied to its two operands
         if isinstance(head, Const) and head.name in _BY_CONST:
             sym, prec = _BY_CONST[head.name]
-            s = _wrap('%s %s %s' % (_pretty(fn.arg, prec + 1, depth), sym,
-                                    _pretty(arg, prec + (sym == '='), depth)), prec, ctx)
+            s = _wrap('%s %s %s' % (_pretty(fn.arg, prec + 1, depth, names), sym,
+                                    _pretty(arg, prec + (sym == '='), depth, names)), prec, ctx)
             break
         # cond[T] x y z, written cond[T](x, y, z)
         if isinstance(head, App) and isinstance(head.fn, Const) and head.fn.name == 'cond':
-            parts = ', '.join(_pretty(a, 0, depth) for a in (head.arg, fn.arg, arg))
+            parts = ', '.join(_pretty(a, 0, depth, names) for a in (head.arg, fn.arg, arg))
             s = '%s(%s)' % (head.fn.display_name, parts)
             break
         if isinstance(fn, Const) and fn.name == 'not':
-            s = _wrap('~%s' % _pretty(arg, _NOT, depth), _NOT, ctx)
+            s = _wrap('~%s' % _pretty(arg, _NOT, depth, names), _NOT, ctx)
             break
         if isinstance(fn, Const) and fn.name in ('forall', 'exists') and isinstance(arg, Abs):
-            s = _wrap(_binder('!' if fn.name == 'forall' else '?', arg, depth), 0, ctx)
+            s = _wrap(_binder('!' if fn.name == 'forall' else '?', arg, depth, names), 0, ctx)
             break
         if isinstance(fn, Abs):
-            s = '(%s)(%s)' % (_pretty(fn, 0, depth), _pretty(arg, 0, depth))
+            s = '(%s)(%s)' % (_pretty(fn, 0, depth, names), _pretty(arg, 0, depth, names))
             break
         args.append(arg)
         if not isinstance(fn, App):
-            s = _pretty(fn, _APP, depth)
+            s = _pretty(fn, _APP, depth, names)
             break
         t, ctx = fn, _APP
     for a in reversed(args):
-        s += '(%s)' % _pretty(a, 0, depth)
+        s += '(%s)' % _pretty(a, 0, depth, names)
     return s
 
 
-def pretty_theorem(thm, depth_names=False):
-    concl = pretty_term(thm.concl, depth_names)
+def pretty_theorem(thm, names=None):
+    concl = pretty_term(thm.concl, names)
     if not thm.hyps:
         return '|- %s' % concl
-    return '%s |- %s' % (', '.join(pretty_term(h, depth_names) for h in thm.hyps), concl)
+    return '%s |- %s' % (', '.join(pretty_term(h, names) for h in thm.hyps), concl)
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +264,14 @@ class TermEnv:
     ``default_var_type`` (when set) types unannotated unknown identifiers;
     ``placeholders`` maps operand indexes to variables, and ``sem_fn`` /
     ``phon_fn`` interpret the rule-body keywords sem(...) and phon(...).
+    ``names`` maps each ``Abs`` node the reader builds to the name it was
+    read with, the first one it met, but never a ``%d`` name.
     """
 
     def __init__(self, theory=None, var_types=None, default_var_type=None,
-                 placeholders=None, sem_fn=None, phon_fn=None):
+                 placeholders=None, sem_fn=None, phon_fn=None, names=None):
         self.theory = theory
+        self.names = {} if names is None else names
         self.var_types = dict(var_types or {})
         self.default_var_type = default_var_type
         self.placeholders = placeholders
@@ -324,9 +323,9 @@ class _Parser:
             self.bound.append(v)
             body = self.term()
             self.bound.pop()
-            # a canonical name %d is no identifier, so it is no hint either: a
-            # binder opened under it would give a trace a variable no reader takes
-            lam = Abs(v, body, 'x' if name[0] == '%' else name)
+            lam = Abs(v, body)
+            if name[0] != '%':
+                self.env.names.setdefault(lam, name)
             if t.val == '\\':
                 return lam
             return App(kernel.logical_const('forall' if t.val == '!' else 'exists', (ty,)), lam)

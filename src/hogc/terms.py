@@ -46,7 +46,7 @@ def dest_forall(t):
     that shape."""
     if (isinstance(t, App) and isinstance(t.fn, Const)
             and t.fn.name == 'forall' and isinstance(t.arg, Abs)):
-        return dest_abs(t.arg)
+        return dest_abs(t.arg, 'x')
     return None
 
 

@@ -19,8 +19,8 @@ written twice, so each type, and each term outside a binder, has one id,
 numbered by first appearance.  A constant lists its type arguments: none
 for a declared one.  ``#l v b`` binds the variable term ``v`` in ``b``; the
 exporter names the variable of a binder at depth d ``%d``, which no
-identifier can spell, and the reader gives every binder it builds the hint
-``x``.
+identifier can spell.  A term keeps no binder names, so none reach a
+trace.
 
 A step line is
 
@@ -331,7 +331,7 @@ def _read_entry(line, types, terms, th):
         raise TraceError('table line %r: malformed' % line)
     try:
         if tag == 'l':
-            entry = Abs(terms[f[0]], terms[f[1]], 'x')
+            entry = Abs(terms[f[0]], terms[f[1]])
         elif tag == 'v':
             entry = Var(f[0], types[f[1]])
         elif tag == 'c':

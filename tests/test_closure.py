@@ -137,7 +137,8 @@ SHARED_BAD = [
      'term outside the boolean fragment: p => q'),
     ([PQ, mk_disj(PQ, Var('r', BOOL)),
       mk_conj(mk_disj(PQ, Var('r', BOOL)), mk_not(mk_forall(P, mk_disj(PQ, Var('r', BOOL)))))],
-     'term outside the boolean fragment: !p:Bool. p /\\ q \\/ r'),
+     # built in code, so no name table names its binder
+     'term outside the boolean fragment: !%0:Bool. %0 /\\ q \\/ r'),
     ([PQ, mk_conj(NOT_PQ, mk_eq(X_IND, Y_IND)), mk_imp(P, Q)],
      'variable y is not Bool'),
     ([PQ, NOT_PQ, mk_eq(mk_cond(X_IND, Y_IND, PQ), X_IND)],

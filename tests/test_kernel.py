@@ -238,13 +238,16 @@ def test_free_vars():
     assert true_c().free_vars == frozenset()
 
 
-def test_alpha_equivalent_terms_are_one_object_with_the_first_hint():
+def test_alpha_equivalent_terms_are_one_object():
     barks = Const('barks', FunType(IND, BOOL))
     x, y = Var('x', IND), Var('y', IND)
     first = Abs(x, App(barks, x))
     second = Abs(y, App(barks, y))
     assert second is first
-    assert syntax.pretty_term(second) == '\\x:Ind. barks(x)'
+    # the node keeps no name: the printer takes one from its caller's table
+    assert Abs.__slots__ == ('body',)
+    assert syntax.pretty_term(second) == '\\%0:Ind. barks(%0)'
+    assert syntax.pretty_term(first, {second: 'y'}) == '\\y:Ind. barks(y)'
     assert copy.deepcopy(second) is first and pickle.loads(pickle.dumps(second)) is first
     assert Var('x', IND) is x and Const('barks', FunType(IND, BOOL)) is barks
 
@@ -260,18 +263,24 @@ def test_intern_table_holds_terms_weakly():
     assert len(kernel._terms) <= before
 
 
-def test_dest_abs_renames_the_hint_only_on_a_clash():
+def test_dest_abs_renames_only_on_a_clash():
     x, x1, y = Var('x', IND), Var('x_1', IND), Var('y', IND)
     f = Var('f', FunType(IND, FunType(IND, BOOL)))
-    v, body = kernel.dest_abs(Abs(x, App(App(f, y), x)))
+    t = Abs(x, App(App(f, y), x))
+    v, body = kernel.dest_abs(t, 'x')
     assert v is x and body is App(App(f, y), x)
+    # the caller names the variable; there is no default
+    v, body = kernel.dest_abs(t, 'z')
+    assert v is Var('z', IND) and body is App(App(f, y), v) and Abs(v, body) is t
+    with pytest.raises(TypeError):
+        kernel.dest_abs(t)
     # x and x_1 are free in the body, so the bound variable opens as x_2
     g = Var('g', FunType(IND, FunType(IND, FunType(IND, BOOL))))
     t = terms.substitute(Abs(x, App(App(App(g, y), x1), x)), y, x)
-    v, body = kernel.dest_abs(t)
+    v, body = kernel.dest_abs(t, 'x')
     assert v.name == 'x_2' and body is App(App(App(g, x), x1), v)
     assert Abs(v, body) is t
-    assert syntax.pretty_term(t) == '\\x_2:Ind. g(x)(x_1)(x_2)'
+    assert syntax.pretty_term(t, {t: 'x'}) == '\\x_2:Ind. g(x)(x_1)(x_2)'
 
 
 def test_loose_bound_variables_are_rejected(th):
@@ -707,7 +716,7 @@ def test_hypotheses_keep_derivation_order(th):
 
 
 def test_alpha_equal_hypotheses_are_kept_once(th):
-    # alpha-equal hypotheses are one object, which keeps the first hint
+    # alpha-equal hypotheses are one object, kept once
     f = Var('f', FunType(IND, BOOL))
     x, y = Var('x', IND), Var('y', IND)
     a, b = mk_forall(x, App(f, x)), mk_forall(y, App(f, y))

@@ -496,6 +496,8 @@ sys.path.insert(0, sys.argv[1])
 import helpers
 from hogc import cli, grammar, parser, syntax
 
+# alpha-equal to lex.NOT's and lex.AND's meanings, under other names
+held = [syntax.parse_term(s) for s in sys.argv[3:]]
 g = grammar.elaborate(helpers.BOOLSEM, name='boolsem')
 shown = ('nicht ja', 'ja en nicht nee', 'nicht ja en nee en ja')
 others = (' '.join(w) for n in range(6) for w in itertools.product(g.alphabet, repeat=n))
@@ -503,26 +505,29 @@ for word in itertools.islice((w for w in others if w not in shown), int(sys.argv
     parser.parse(g, word, 4)
 rep = cli._Report(cli.RunConfig('parse'))
 for n in sorted(g.theory.axioms):
-    rep.add('%s %s' % (n, syntax.pretty_term(g.theory.axioms[n])))
+    rep.add('%s %s' % (n, syntax.pretty_term(g.theory.axioms[n], g.names)))
 for word in shown:
     for i, r in enumerate(parser.parse(g, word, 4)):
-        cli._result_block(rep, r, i)
+        cli._result_block(rep, g, r, i)
 print('\\n'.join(rep.lines))
 '''
 
 
 def test_reports_do_not_depend_on_the_parses_before():
-    # the grammar keeps the terms of every parse alive, and a binder's name
-    # is the first one interned for its alpha-class: the axioms and three
-    # words' result blocks read the same after 400 other parses.  Processes
-    # of their own, as other tests here keep terms alive.
-    def report(n_before):
+    # the grammar keeps the terms of every parse alive, and the process may
+    # hold terms alpha-equal to the grammar's under other binder names: the
+    # axioms and three words' result blocks read the same after 400 other
+    # parses, and with such terms built before the grammar.  Processes of
+    # their own, as other tests here keep terms alive.
+    def report(n_before, *held):
         r = subprocess.run([sys.executable, '-c', _REPORT_AFTER_PARSES,
-                            os.path.dirname(__file__), str(n_before)],
+                            os.path.dirname(__file__), str(n_before), *held],
                            capture_output=True, text=True, timeout=300)
         assert r.returncode == 0, r.stderr
         return r.stdout
 
     fresh = report(0)
-    assert 'lex.NOT' in fresh and '[1] sign type S, depth 4' in fresh
+    assert 'lex.NOT phon_NEG(NOT) = /nicht/ /\\ sem_NEG(NOT) = (\\p:Bool. ~p)\n' in fresh
+    assert '[1] sign type S, depth 4' in fresh
     assert report(400) == fresh
+    assert report(0, '\\y:Bool. ~y', '\\a:Bool. \\b:Bool. a /\\ b') == fresh

@@ -292,13 +292,19 @@ def _clash_term(ty, depth, scope=()):
 _CHILDREN = {App: ('fn', 'arg'), Abs: ('body',)}
 
 
+def _open(t, depth):
+    # the binder at ``depth`` opens at %<depth>, a name no free variable of a
+    # clash term has, so each binder's variable is its own
+    return kernel.dest_abs(t, '%%%d' % depth)
+
+
 def _leaf_sites(t, scope=()):
     """(path, leaf, variables bound around it) for every leaf of ``t``."""
     if isinstance(t, (Var, kernel.Const)):
         yield (), t, scope
         return
     if isinstance(t, Abs):
-        v, body = kernel.dest_abs(t)
+        v, body = _open(t, len(scope))
         for path, leaf, bound in _leaf_sites(body, scope + (v,)):
             yield ('body',) + path, leaf, bound
         return
@@ -307,14 +313,16 @@ def _leaf_sites(t, scope=()):
             yield (attr,) + path, leaf, bound
 
 
-def _replace(t, path, new):
+def _replace(t, path, new, depth=0):
+    """``t`` with the leaf at ``path`` replaced by ``new``, which may be a
+    bound variable as ``_leaf_sites`` opened it."""
     if not path:
         return new
     if isinstance(t, Abs):
-        v, body = kernel.dest_abs(t)
-        return Abs(v, _replace(body, path[1:], new))
-    return type(t)(*(_replace(getattr(t, a), path[1:], new) if a == path[0] else getattr(t, a)
-                     for a in _CHILDREN[type(t)]))
+        v, body = _open(t, depth)
+        return Abs(v, _replace(body, path[1:], new, depth + 1))
+    return type(t)(*(_replace(getattr(t, a), path[1:], new, depth) if a == path[0]
+                     else getattr(t, a) for a in _CHILDREN[type(t)]))
 
 
 _CLASH_TERMS = st.sampled_from(_CLASH_TYPES).flatmap(lambda ty: _clash_term(ty, 3))

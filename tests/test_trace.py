@@ -159,8 +159,9 @@ _PINNED_MERGE = '''
 import hashlib, sys
 sys.path.insert(0, sys.argv[1])
 import helpers
-from hogc import closure, grammar, parser, trace
+from hogc import closure, grammar, parser, syntax, trace
 from hogc.kernel import BOOL, Var
+held = [syntax.parse_term(s) for s in sys.argv[2:]]
 g = grammar.elaborate(helpers.AMBIG, name='ambig')
 p1, p2 = parser.parse(g, helpers.AMBIG_WORD, 2)
 cert = closure.certificate_cases(g.theory, p1.meaning, p2.meaning, Var('q', BOOL))
@@ -171,16 +172,23 @@ print(steps, len(text.encode()), hashlib.sha256(text.encode()).hexdigest())
 '''
 
 
+# alpha-equal to def.cond's description binder at Bool, under another name
+_COND_BINDER = ('(\\v:Bool. ((or ((and true) ((eq[Bool] v) x:Bool)))'
+                ' ((and (not true)) ((eq[Bool] v) y:Bool))))')
+
+
 @pytest.mark.parametrize('seed', ['0', '1'])
 def test_pinned_merge_trace_bytes(seed):
     # the AMBIG /fajdo blt/ merge by cases on q, the benchmark's pinned job;
-    # these figures change only with a deliberate change to the audited trace
+    # these figures change only with a deliberate change to the audited trace,
+    # not with the terms the process holds before it
     env = dict(os.environ, PYTHONHASHSEED=seed)
-    r = subprocess.run([sys.executable, '-c', _PINNED_MERGE, os.path.dirname(__file__)],
-                       capture_output=True, env=env, text=True)
-    assert r.returncode == 0, r.stderr
-    assert r.stdout.split() == [
-        '645', '42824', 'e8449041e106c624215d3dca9a407f4d79dff4811442dca9f4d1f6b9a90a9818']
+    for held in ((), (_COND_BINDER,)):
+        r = subprocess.run([sys.executable, '-c', _PINNED_MERGE, os.path.dirname(__file__),
+                            *held], capture_output=True, env=env, text=True)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.split() == [
+            '645', '42824', 'e8449041e106c624215d3dca9a407f4d79dff4811442dca9f4d1f6b9a90a9818']
 
 
 _PROVE_AFTER_VERIFY = '''
@@ -217,11 +225,11 @@ for src, word in ((helpers.TOY, 'fajdo blt'), (helpers.BOOLSEM, 'nicht ja en nee
 
 
 def test_proofs_after_a_verify_name_their_own_variables():
-    # the reader gives every binder it builds the hint x, and an alpha-class
-    # keeps the first hint interned for it; parses and merges made while
-    # verified theorems are alive, on the verifying theory and on a fresh
-    # one, must prove what they prove without them.  A process of its own:
-    # in this one, other tests keep these alpha-classes alive.
+    # parses and merges made while verified theorems are alive, on the
+    # verifying theory and on a fresh one, must prove what they prove
+    # without them: a term keeps no binder names, so no proof opens a binder
+    # at a name that a trace's terms brought in.  A process of its own: in
+    # this one, other tests keep these alpha-classes alive.
     r = subprocess.run([sys.executable, '-c', _PROVE_AFTER_VERIFY, os.path.dirname(__file__)],
                        capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
