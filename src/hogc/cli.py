@@ -115,7 +115,11 @@ def _run_check(config, rep):
     names = sorted(g.theory.axioms)
     rep.add('axioms (%d):' % len(names))
     for n in names:
-        rep.add('  %-14s %s' % (n, syntax.pretty_term(g.theory.axioms[n], g.names)))
+        # a free variable prints typed, as canonical_term prints it, so the
+        # line reads back as the axiom even where a constant shares its name
+        ax = g.theory.axioms[n]
+        shown = {**g.names, **{v: syntax.canonical_term(v) for v in ax.free_vars}}
+        rep.add('  %-14s %s' % (n, syntax.pretty_term(ax, shown)))
     rep.add('check ok')
     return 0
 

@@ -4,10 +4,13 @@ A grammar declares an alphabet, sign types with their meaning types, a
 lexicon and combination rules.  ``elaborate`` turns the declaration into a
 frozen theory: each sign type becomes a base type sigma with constants
 ``phon_sigma : sigma -> Phon`` and ``sem_sigma : sigma -> Sem(sigma)``,
-lexical entries and rules become constants with one defining axiom each,
-and phonology lives in the free monoid over the alphabet (constants
-``/token/``, unit ``//``, concatenation ``conc`` with associativity and
-unit axioms).
+lexical entries and rules become constants, and phonology lives in the free
+monoid over the alphabet (constants ``/token/``, unit ``//``, concatenation
+``conc`` with associativity and unit axioms).  Each lexeme or rule c gets two
+axioms, ``lex.c.phon``/``rule.c.phon`` and ``.sem``: the plain equations
+``phon_T(c x1 ... xn) = P`` and ``sem_T(c x1 ... xn) = M``, whose operand
+variables ``xi`` are free, so a proof instantiates them as they stand.  The
+monoid laws state theirs with ``x``, ``y`` and ``z`` free in the same way.
 
 Grammar file syntax, one declaration per entry (``#`` starts a comment):
 
@@ -31,7 +34,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from . import kernel, rules, syntax
-from .kernel import App, BaseType, FunType, PHON, Term, Theory, Var, mk_conj, mk_eq, mk_forall
+from .kernel import App, BaseType, FunType, PHON, Term, Theory, Var, mk_eq
 
 
 class GrammarError(Exception):
@@ -43,6 +46,7 @@ _TOKEN_RE = re.compile(r"^[a-z0-9'][a-z0-9'_-]*$")
 _RESERVED = frozenset(('pair', 'fst', 'snd', 'sem', 'phon', 'conc', 'true', 'false',
                        'not', 'and', 'or', 'imp', 'eq', 'iota', 'forall',
                        'exists', 'cond', 'Bool', 'Ind', 'Phon'))
+_X, _Y, _Z = Var('x', PHON), Var('y', PHON), Var('z', PHON)     # free in the monoid laws
 
 
 class Word:
@@ -239,8 +243,8 @@ class RuleItem:
 
 class Grammar:
     """An elaborated grammar: the frozen theory plus lookup tables.  Reports
-    print with ``names``, which maps each binder of the source, in meanings
-    and ``!`` prefixes, to the first name it was written with."""
+    print with ``names``, which maps each binder of the source's meanings to
+    the first name it was written with."""
 
     def __init__(self, spec, theory, sem_types, lexicon, rule_items, names):
         self.spec = spec
@@ -356,12 +360,11 @@ def elaborate(spec, name='g'):
         th.add_constant(r.name, ty)
 
     # free monoid axioms
-    names = {}      # binder -> name, filled by the term reader and _forall
-    x, y, z = Var('x', PHON), Var('y', PHON), Var('z', PHON)
+    names = {}      # binder -> name, filled by the term reader
     cat, unit = syntax.mk_conc, th.const('//')
-    th.add_axiom('phon.assoc', _forall((x, y, z), mk_eq(cat(cat(x, y), z), cat(x, y, z)), names))
-    th.add_axiom('phon.lunit', _forall((x,), mk_eq(cat(unit, x), x), names))
-    th.add_axiom('phon.runit', _forall((x,), mk_eq(cat(x, unit), x), names))
+    th.add_axiom('phon.assoc', mk_eq(cat(cat(_X, _Y), _Z), cat(_X, _Y, _Z)))
+    th.add_axiom('phon.lunit', mk_eq(cat(unit, _X), _X))
+    th.add_axiom('phon.runit', mk_eq(cat(_X, unit), _X))
 
     projections = {'%s_%s' % (kind, sty) for kind in ('phon', 'sem')
                    for sty in spec.sign_types}
@@ -383,9 +386,7 @@ def elaborate(spec, name='g'):
                                % (lx.name, ' '.join(sorted(v.name for v in sem.free_vars))))
         _check_projections('lex %s' % lx.name, sem, projections, ())
         k = th.const(lx.name)
-        prop = mk_conj(mk_eq(App(th.const('phon_%s' % lx.sign_type), k), phon_term),
-                       mk_eq(App(th.const('sem_%s' % lx.sign_type), k), sem))
-        th.add_axiom('lex.%s' % lx.name, prop)
+        _add_sign_axioms(th, sem_types, 'lex.%s' % lx.name, k, phon_term, sem)
         lex_items.append(LexItem(lx.name, lx.sign_type, word, sem, k))
 
     sem_fn = functools.partial(_projection, th, sem_types, 'sem')
@@ -418,9 +419,7 @@ def elaborate(spec, name='g'):
         reads_phon = _check_projections('rule %s' % r.name, sem_tmpl, projections, opvars)
         rhs = cat(*(App(th.const('phon_%s' % r.operands[i - 1]), opvars[i - 1])
                     for i in pattern))
-        prop = mk_conj(mk_eq(App(th.const('phon_%s' % r.result), sign), rhs),
-                       mk_eq(App(th.const('sem_%s' % r.result), sign), sem_tmpl))
-        th.add_axiom('rule.%s' % r.name, _forall(opvars, prop, names))
+        _add_sign_axioms(th, sem_types, 'rule.%s' % r.name, sign, rhs, sem_tmpl)
         rule_items.append(RuleItem(r.name, r.operands, r.result, pattern,
                                    opvars, sem_tmpl, th.const(r.name), reads_phon))
 
@@ -428,12 +427,11 @@ def elaborate(spec, name='g'):
     return Grammar(spec, th, sem_types, lex_items, rule_items, MappingProxyType(names))
 
 
-def _forall(vs, body, names):
-    """``!v1 ... vn. body``, each binder recorded in ``names`` by its name."""
-    for v in reversed(vs):
-        body = mk_forall(v, body)
-        names.setdefault(body.arg, v.name)
-    return body
+def _add_sign_axioms(th, sem_types, name, sign, phon, sem):
+    """The axioms ``name.phon``, phon_T(sign) = phon, and ``name.sem``,
+    sem_T(sign) = sem, for a sign of type T."""
+    for kind, rhs in (('phon', phon), ('sem', sem)):
+        th.add_axiom('%s.%s' % (name, kind), mk_eq(_projection(th, sem_types, kind, sign), rhs))
 
 
 def _check_projections(where, t, projections, operands):
@@ -487,21 +485,10 @@ def word_to_phon(g, word):
         raise GrammarError(str(e))
 
 
-def _phon_schemas(th):
-    """The monoid axioms specialised to _X, _Y and _Z."""
-    def build():
-        assoc = kernel.axiom(th, 'phon.assoc')
-        for v in (_X, _Y, _Z):
-            assoc = rules.spec(v, assoc)
-        return {
-            'assoc': assoc,
-            'lunit': rules.spec(_X, kernel.axiom(th, 'phon.lunit')),
-            'runit': rules.spec(_X, kernel.axiom(th, 'phon.runit')),
-        }
-    return rules._cached(th, 'phon_schemas', build)
-
-
-_X, _Y, _Z = Var('x', PHON), Var('y', PHON), Var('z', PHON)
+def law(th, name):
+    """The axiom ``name`` of a grammar's theory as a theorem, made once per
+    theory, so the proofs that instantiate it share one step."""
+    return rules._cached(th, ('axiom', name), lambda: kernel.axiom(th, name))
 
 
 def _dest_cat(t):
@@ -531,13 +518,12 @@ def phon_step(th, t, memo=None):
     if e is not None:
         e = rules.ap_term(t.fn, e)      # x ++ y = x ++ y', x still to join
     elif _is_unit(y):
-        e = kernel.instantiate(_phon_schemas(th)['runit'], {_X: x})
+        e = kernel.instantiate(law(th, 'phon.runit'), {_X: x})
     elif _is_unit(x):
-        e = kernel.instantiate(_phon_schemas(th)['lunit'], {_X: y})
+        e = kernel.instantiate(law(th, 'phon.lunit'), {_X: y})
     elif _dest_cat(x) is not None:
         # (a ++ b) ++ y = a ++ (b ++ y), whose step joins b to y, then a
-        assoc = _phon_schemas(th)['assoc']
-        e = kernel.instantiate(assoc, {_X: x.fn.arg, _Y: x.arg, _Z: y})
+        e = kernel.instantiate(law(th, 'phon.assoc'), {_X: x.fn.arg, _Y: x.arg, _Z: y})
     if e is not None:
         rest = phon_step(th, rules.rhs(e), memo)
         if rest is not None:

@@ -9,10 +9,13 @@ new in round d - 1.  Items may be empty spans, so empty-phonology entries
 participate.  Every result carries two theorems derived from the
 grammar's axioms: the phonology equation ``phon_sigma(sign) = /w/`` and the
 meaning equation ``sem_sigma(sign) = meaning`` with the meaning in beta
-normal form.  A sign's proofs depend on the sign alone, so the grammar
-keeps them: ``Grammar.proofs`` holds every sign's proofs and every parsed
-word's normal form from the first parse on, and a later parse builds only
-the signs no earlier parse built.  Dropping the grammar frees them.
+normal form.  Each starts from the ``.phon`` or ``.sem`` axiom of the
+sign's lexeme or rule, an equation whose operand variables are free, so it
+is instantiated at the children as it stands.  A sign's proofs depend on
+the sign alone, so the grammar keeps them: ``Grammar.proofs`` holds every
+sign's proofs and every parsed word's normal form from the first parse on,
+and a later parse builds only the signs no earlier parse built.  Dropping
+the grammar frees them.
 
 ``enumerate_signs`` is an independent oracle: it generates every derivable
 sign up to the depth bound by plain recursion, without touching the proof
@@ -63,7 +66,7 @@ class _Chart:
 
     def __init__(self, g, word, depth_bound):
         self.index = {}
-        self.deriv = {}     # sign -> (axiom name, operand variables, children, reads_phon)
+        self.deriv = {}     # sign -> (axiom prefix, operand variables, children, reads_phon)
         self._fill(g, word, depth_bound)
 
     def _add(self, i, j, sign, sty, depth, deriv):
@@ -118,28 +121,16 @@ class _Chart:
         return partial
 
 
-def _sign_conjuncts(th, axname, opvars):
-    """The phon and sem conjuncts of a lexeme or rule axiom, specialised to
-    its operand variables ``opvars``; derived once per theory."""
-    def build():
-        ax = kernel.axiom(th, axname)
-        for v in opvars:
-            ax = rules.spec(v, ax)
-        return rules.conjunct1(ax), rules.conjunct2(ax)
-    return rules._cached(th, ('sign_conjuncts', axname), build)
-
-
 def _phon_schema(th, axname, opvars):
     """{phon_T1(x1) = w1, ..., phon_Tm(xm) = wm} |- phon_T(R x1 ... xm) =
-    w_p1 ++ ... ++ w_pm: the rule's phon conjunct with each operand's
+    w_p1 ++ ... ++ w_pm: the rule's phon axiom with each operand's
     phonology replaced by a variable; derived once per theory."""
     def build():
         memo = {}
         for i, v in enumerate(opvars):
             p = App(th.const('phon_%s' % v.ty.name), v)
             memo[p] = kernel.assume(th, kernel.mk_eq(p, _phon_var(i)))
-        phon, _sem = _sign_conjuncts(th, axname, opvars)
-        return rules.rewrite_rhs(phon, lambda th, t: None, memo)
+        return rules.rewrite_rhs(gmod.law(th, axname + '.phon'), lambda th, t: None, memo)
     return rules._cached(th, ('phon_schema', axname), build)
 
 
@@ -174,15 +165,16 @@ class _ProofBuilder:
     def build(self, sign, deriv_map):
         """(phon_proof, sem_proof) for a chart sign.  The phon proof is one
         instance of the rule's phon schema, each hypothesis discharged by the
-        child's phon proof, in the rule's tree form.  The sem proof is the
-        axiom's sem conjunct at the children, rewritten in one pass that
-        takes each child's equations from the memo as they stand."""
+        child's phon proof, in the rule's tree form, and a lexeme's its phon
+        axiom.  The sem proof is the sem axiom at the children, rewritten in
+        one pass that takes each child's equations from the memo as they
+        stand."""
         out = self.memo.get(sign)
         if out is not None:
             return out
         th = self.th
         axname, opvars, children, reads_phon = deriv_map[sign]
-        phon, sem = _sign_conjuncts(th, axname, opvars)
+        sem = gmod.law(th, axname + '.sem')
         child_phon = []
         for c in children:   # a plain loop: one frame per level of the sign
             cp, _cs = self.build(c, deriv_map)
@@ -198,6 +190,8 @@ class _ProofBuilder:
             for cp in child_phon:
                 if cp.concl in phon.hyps:   # two equal children share one
                     phon = rules.prove_hyp(cp, phon)
+        else:
+            phon = gmod.law(th, axname + '.phon')
         sem = rules.rewrite_rhs(sem, rules._bp_step, self.sem_memo)
         self.sem_memo[rules.lhs(sem)] = sem
         out = self.memo[sign] = (phon, sem)

@@ -108,7 +108,8 @@ def _canon(t, depth, memo):
 def pretty_term(t, names=None):
     """Infix rendering.  ``names`` maps ``Abs`` nodes to their variables'
     names, as the term reader records them; the variable of a binder it does
-    not name, at depth d, is named ``%d``, as in canonical printing."""
+    not name, at depth d, is named ``%d``, as in canonical printing.  It may
+    also map a free variable to its text, which is otherwise its name."""
     return _pretty(t, 0, 0, names or {})
 
 
@@ -123,7 +124,7 @@ def _wrap(s, prec, ctx):
 
 def _pretty(t, ctx, depth, names):
     if isinstance(t, Var):
-        return t.name
+        return names.get(t, t.name)
     if isinstance(t, Const):
         return t.display_name
     if isinstance(t, Abs):

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from hogc import cli, grammar, trace
+from hogc import cli, grammar, syntax, trace
 from hogc.cli import RunConfig, main
 
 import helpers
@@ -45,6 +45,28 @@ def test_check(files, capsys):
     assert 'lexemes: 3  rules: 1' in out
     assert 'lex.FIDO' in out and 'rule.SUBJ' in out
     assert out.endswith('check ok\n')
+
+
+# TOY with constants named like the axioms' free variables
+_TOY_VAR_CONSTS = helpers.TOY + ''.join('const %s : Ind\n' % n
+                                         for n in ('x', 'y', 'z', 'x1', 'x2'))
+
+
+@pytest.mark.parametrize('name', [*helpers.GRAMMARS, 'quote', 'toy_var_consts'])
+def test_check_lines_read_back_as_the_axioms(tmp_path, capsys, name):
+    # each axiom line, read with the grammar's theory, is that axiom: a free
+    # variable prints typed, so it reads as the variable, not as a constant
+    # of its name
+    path = tmp_path / ('%s.hog' % name)
+    path.write_text(_TOY_VAR_CONSTS if name == 'toy_var_consts'
+                    else getattr(helpers, name.upper()))
+    code, out = _run(capsys, ['check', '-g', str(path)])
+    th = grammar.load_grammar(str(path)).theory
+    lines = out.split('axioms (%d):\n' % len(th.axioms))[1].splitlines()[:-1]
+    assert code == 0 and len(lines) == len(th.axioms)
+    for line in lines:
+        n, src = line.split(None, 1)
+        assert syntax.parse_term(src, syntax.TermEnv(theory=th)) is th.axioms[n]
 
 
 def test_check_requires_grammar(capsys):
@@ -203,16 +225,16 @@ def test_emit_proof_then_verify(files, capsys):
 
 
 @pytest.mark.parametrize('name,word,lex,sem,meaning,verified', [
-    ('toy', 'blt', 'lex.BARKS      phon_IV(BARKS) = /blt/', 'sem_IV(BARKS)',
+    ('toy', 'blt', 'lex.BARKS.sem  sem_IV(BARKS)', 'sem_IV(BARKS)',
      '\\x:Ind. barks(x)', '\\%0:Ind. barks(%0)'),
-    ('boolsem', 'en', 'lex.AND        phon_CONJ(AND) = /en/', 'sem_CONJ(AND)',
+    ('boolsem', 'en', 'lex.AND.sem    sem_CONJ(AND)', 'sem_CONJ(AND)',
      '\\p:Bool. \\q:Bool. p /\\ q', '\\%0:Bool. \\%1:Bool. %0 /\\ %1')], ids=['toy', 'boolsem'])
 def test_reports_print_binder_hints_and_trace_verify_depth_names(
         files, capsys, name, word, lex, sem, meaning, verified):
     # the verified root holds the grammar's own term object, but a trace
     # carries no binder names, so trace-verify prints the canonical ones
     _, out = _run(capsys, ['check', '-g', files[name]])
-    assert '  %s /\\ %s = (%s)\n' % (lex, sem, meaning) in out
+    assert '  %s = (%s)\n' % (lex, meaning) in out
     tr = str(files['dir'] / ('%s-hints.trace' % name))
     _, out = _run(capsys, ['parse', '-g', files[name], '-w', word, '-k', '1',
                            '--emit-proof', tr])

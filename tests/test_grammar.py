@@ -8,7 +8,7 @@ from hogc.grammar import (
     GrammarError, GrammarSpec, Word, elaborate, load_grammar,
     phon_homomorphism, phon_norm, phon_to_word, word_to_phon,
 )
-from hogc.kernel import App, BOOL, FunType, IND, PHON, mk_eq
+from hogc.kernel import App, BOOL, FunType, IND, PHON, Var, mk_eq
 
 import helpers
 
@@ -66,8 +66,9 @@ def test_source_errors(src, frag):
 def test_toy_theory_signature(toy):
     th = toy.theory
     assert {'phon.assoc', 'phon.lunit', 'phon.runit',
-            'lex.FIDO', 'lex.BARKS', 'lex.HOWLS',
-            'rule.SUBJ'} == set(th.axioms)
+            'lex.FIDO.phon', 'lex.FIDO.sem', 'lex.BARKS.phon', 'lex.BARKS.sem',
+            'lex.HOWLS.phon', 'lex.HOWLS.sem',
+            'rule.SUBJ.phon', 'rule.SUBJ.sem'} == set(th.axioms)
     assert th.frozen
     # sign types became base types, tokens became Phon constants
     assert 'S' in th.base_types and 'NP' in th.base_types
@@ -82,22 +83,21 @@ def test_toy_theory_signature(toy):
 
 def test_lex_axiom_shape(toy):
     th = toy.theory
-    ax = th.axioms['lex.FIDO']
-    phon_eq, sem_eq = terms.dest_conj(ax)
     fido_sign = th.const('FIDO')
-    assert phon_eq == mk_eq(App(th.const('phon_NP'), fido_sign),
-                            th.const('/fajdo/'))
-    assert sem_eq == mk_eq(App(th.const('sem_NP'), fido_sign),
-                           th.const('fido'))
+    assert th.axioms['lex.FIDO.phon'] == mk_eq(App(th.const('phon_NP'), fido_sign),
+                                               th.const('/fajdo/'))
+    assert th.axioms['lex.FIDO.sem'] == mk_eq(App(th.const('sem_NP'), fido_sign),
+                                              th.const('fido'))
 
 
 def test_rule_axiom_shape(toy):
+    # two plain equations with the operand variables free: no binder, no
+    # conjunction
     th = toy.theory
-    ax = th.axioms['rule.SUBJ']
-    v1, body = terms.dest_forall(ax)
-    v2, body = terms.dest_forall(body)
-    phon_eq, sem_eq = terms.dest_conj(body)
+    v1, v2 = Var('x1', kernel.BaseType('NP')), Var('x2', kernel.BaseType('IV'))
     sign = App(App(th.const('SUBJ'), v1), v2)
+    phon_eq, sem_eq = th.axioms['rule.SUBJ.phon'], th.axioms['rule.SUBJ.sem']
+    assert phon_eq.free_vars == sem_eq.free_vars == {v1, v2}
     l, _ = kernel.dest_eq(phon_eq)
     assert l == App(th.const('phon_S'), sign)
     l, r = kernel.dest_eq(sem_eq)
@@ -110,6 +110,9 @@ def test_elaborate_all_corpus_grammars():
         g = elaborate(text, name=name)
         assert g.theory.frozen
         assert g.lexicon and g.alphabet
+        # every axiom is a plain equation, with no ! or /\ at its top
+        for ax in g.theory.axioms.values():
+            assert terms.dest_forall(ax) is None and terms.dest_conj(ax) is None
 
 
 @pytest.mark.parametrize('src,frag', [
@@ -297,7 +300,5 @@ def test_grammar_term_env(toy):
 
 def test_empty_phonology_lexeme(eps):
     th = eps.theory
-    ax = th.axioms['lex.NULL']
-    phon_eq, _sem_eq = terms.dest_conj(ax)
-    assert phon_eq == mk_eq(App(th.const('phon_E'), th.const('NULL')),
-                            th.const('//'))
+    assert th.axioms['lex.NULL.phon'] == mk_eq(App(th.const('phon_E'), th.const('NULL')),
+                                               th.const('//'))

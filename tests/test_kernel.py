@@ -13,7 +13,7 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hogc import kernel, rules, syntax, terms
+from hogc import grammar, kernel, rules, syntax, terms
 from hogc.kernel import (
     Abs, App, BOOL, BaseType, Const, FunType, IND, PHON, ProdType, Var,
     eq_c, false_c, mk_conj, mk_cond, mk_disj, mk_eq, mk_forall, mk_not, true_c,
@@ -601,9 +601,67 @@ def test_axiom_schemas_have_fixed_arity(th):
 
 
 def test_named_axioms_take_no_type_arguments(toy):
-    assert kernel.axiom(toy.theory, 'lex.FIDO').args == ('lex.FIDO',)
+    assert kernel.axiom(toy.theory, 'lex.FIDO.phon').args == ('lex.FIDO.phon',)
     with pytest.raises(kernel.TheoryError):
-        kernel.axiom(toy.theory, 'lex.FIDO', (IND,))
+        kernel.axiom(toy.theory, 'lex.FIDO.phon', (IND,))
+
+
+def _closed_statements(g):
+    """(the closed statement, its variables, the axioms that replace it) for
+    each lexeme, rule and monoid law of a grammar: a sign constructor once
+    stated !x1 ... xn. phon_T(c x1 ... xn) = P /\\ sem_T(c x1 ... xn) = M,
+    and a monoid law its equation under !.  Built here from the grammar's
+    items, as elaboration built them before."""
+    th = g.theory
+    def proj(kind, sty, t):
+        return App(th.const('%s_%s' % (kind, sty)), t)
+    def closed(vs, body):
+        for v in reversed(vs):
+            body = mk_forall(v, body)
+        return body
+    out = []
+    for lx in g.lexicon:
+        phon = grammar.word_to_phon(g, lx.word)
+        body = mk_conj(mk_eq(proj('phon', lx.sign_type, lx.const), phon),
+                       mk_eq(proj('sem', lx.sign_type, lx.const), lx.sem))
+        out.append((body, (), ('lex.%s.phon' % lx.name, 'lex.%s.sem' % lx.name)))
+    for r in g.rules:
+        vs, sign = r.operand_vars, r.const
+        for v in vs:
+            sign = App(sign, v)
+        phon = syntax.mk_conc(*(proj('phon', r.operands[i - 1], vs[i - 1]) for i in r.pattern))
+        body = mk_conj(mk_eq(proj('phon', r.result, sign), phon),
+                       mk_eq(proj('sem', r.result, sign), r.sem_template))
+        out.append((closed(vs, body), vs, ('rule.%s.phon' % r.name, 'rule.%s.sem' % r.name)))
+    x, y, z = Var('x', PHON), Var('y', PHON), Var('z', PHON)
+    cat, unit = syntax.mk_conc, th.const('//')
+    assoc = mk_eq(cat(cat(x, y), z), cat(x, y, z))
+    out += [(closed((x, y, z), assoc), (x, y, z), ('phon.assoc',)),
+            (closed((x,), mk_eq(cat(unit, x), x)), (x,), ('phon.lunit',)),
+            (closed((x,), mk_eq(cat(x, unit), x)), (x,), ('phon.runit',))]
+    return out
+
+
+@pytest.mark.parametrize('name', ['toy', 'ambig', 'boolsem', 'eps'])
+def test_sign_axioms_prove_the_closed_statements_and_back(name):
+    # the free-variable equations and the closed statements they replace
+    # prove each other, so the theory proves what it proved before
+    g = grammar.elaborate(helpers.GRAMMARS[name], name=name)
+    th = g.theory
+    statements = _closed_statements(g)
+    assert sorted(n for _, _, ns in statements for n in ns) == sorted(th.axioms)
+    for stmt, vs, names in statements:
+        axioms = [kernel.axiom(th, n) for n in names]
+        thm = rules.conj(*axioms) if len(axioms) == 2 else axioms[0]
+        for v in reversed(vs):
+            thm = rules.gen(v, thm)
+        assert thm.concl is stmt and thm.hyps == ()
+        thm = kernel.assume(th, stmt)
+        for v in vs:
+            thm = rules.spec(v, thm)
+        parts = (rules.conjunct1(thm), rules.conjunct2(thm)) if len(names) == 2 else (thm,)
+        for n, part in zip(names, parts):
+            assert part.concl is th.axioms[n] and part.hyps == (stmt,)
 
 
 def test_add_axiom_rejects_schema_names():

@@ -424,6 +424,23 @@ def test_repeated_parse_runs_no_kernel_rule(monkeypatch):
     assert 0 < warm < len(rules_run)
 
 
+def test_a_cold_grammar_instantiates_its_axioms_as_they_stand(monkeypatch):
+    # the lexeme and rule axioms are plain equations, so the first parse of
+    # a fresh grammar specialises no universal and splits no conjunction,
+    # and its two proofs are a short trace, of which every rule run is a step
+    g = grammar.elaborate(helpers.TOY, name='toy')
+    rules_run = []
+    real = kernel._thm
+    monkeypatch.setattr(kernel, '_thm', lambda *a: rules_run.append(a[3]) or real(*a))
+    (r,) = parser.parse(g, 'fajdo blt', 2)
+    cache = g.theory._derived_cache
+    assert not {('rule', 'conjunct1'), ('rule', 'conjunct2'), 'phon_schemas'} & cache.keys()
+    text = _proof_trace([r])
+    steps = sum(1 for l in text.splitlines() if not l.startswith('#'))
+    assert steps <= 30 and len(rules_run) <= 30
+    assert len(rules_run) == steps
+
+
 def test_dropping_a_grammar_frees_its_proofs():
     g = grammar.elaborate(helpers.BOOLSEM, name='boolsem')
     sem = parser.parse(g, 'nicht ja en nee en ja', 4)[0].sem_proof
@@ -527,7 +544,7 @@ def test_reports_do_not_depend_on_the_parses_before():
         return r.stdout
 
     fresh = report(0)
-    assert 'lex.NOT phon_NEG(NOT) = /nicht/ /\\ sem_NEG(NOT) = (\\p:Bool. ~p)\n' in fresh
+    assert 'lex.NOT.sem sem_NEG(NOT) = (\\p:Bool. ~p)\n' in fresh
     assert '[1] sign type S, depth 4' in fresh
     assert report(400) == fresh
     assert report(0, '\\y:Bool. ~y', '\\a:Bool. \\b:Bool. a /\\ b') == fresh

@@ -188,7 +188,7 @@ def test_pinned_merge_trace_bytes(seed):
                             *held], capture_output=True, env=env, text=True)
         assert r.returncode == 0, r.stderr
         assert r.stdout.split() == [
-            '645', '42824', 'e8449041e106c624215d3dca9a407f4d79dff4811442dca9f4d1f6b9a90a9818']
+            '595', '39557', 'e82cd24d76d2c3714154eec43c32336ffc7f9be6101f6e54c318748e350e136f']
 
 
 _PROVE_AFTER_VERIFY = '''
@@ -570,9 +570,10 @@ def test_a_respelled_term_id_is_rejected(toy):
 
 def test_a_literal_swapped_for_another_printed_subterm_is_rejected(toy):
     # a reflexivity term replaced by the conclusion of an earlier step: the
-    # step replays on that term, and its claim no longer matches
+    # step replays on that term, and its claim no longer matches.  The
+    # reflexivity step is the phon schema's, of the ++ in SUBJ's phon axiom
     (r,) = parser.parse(toy, 'fajdo blt', 2)
-    text = export_trace(r.sem_proof)
+    text = export_trace([r.phon_proof, r.sem_proof])
     lines = _content_lines(text)
     steps = _all_steps(text, toy.theory)
     concls = [l.rpartition(' |- ')[2] for l in lines]
