@@ -113,13 +113,14 @@ def _run_check(config, rep):
     rep.add('sign types: %s' % (' '.join(g.spec.sign_types) or '(none)'))
     rep.add('lexemes: %d  rules: %d' % (len(g.lexicon), len(g.rules)))
     names = sorted(g.theory.axioms)
+    width = max(map(len, names), default=0)
     rep.add('axioms (%d):' % len(names))
     for n in names:
         # a free variable prints typed, as canonical_term prints it, so the
         # line reads back as the axiom even where a constant shares its name
         ax = g.theory.axioms[n]
         shown = {**g.names, **{v: syntax.canonical_term(v) for v in ax.free_vars}}
-        rep.add('  %-14s %s' % (n, syntax.pretty_term(ax, shown)))
+        rep.add('  %-*s %s' % (width, n, syntax.pretty_term(ax, shown)))
     rep.add('check ok')
     return 0
 

@@ -641,28 +641,36 @@ def _theory_mark(th, allow_unfrozen=False):
 
 
 def _validate(t, th, mark):
-    if t._checked is mark:
+    if t._checked is mark:   # one test for a root validated before
         return
-    cls = type(t)
-    if cls is Const:
-        declared = th.constants.get(t.name)
-        if declared is None:
-            th._check_type(t.ty)
-            if t.name not in LOGICAL_NAMES:
-                raise TheoryError('unknown constant %s' % t.name)
-            if logical_const(t.name, t.targs) is not t:
-                raise TypingError('logical constant %s at wrong type' % t.display_name)
-        elif declared is not t.ty:
-            th._check_type(t.ty)
-            raise TypingError('constant %s at type %s, declared %s'
-                              % (t.name, type_to_str(t.ty), type_to_str(declared)))
-    elif cls is Var:
-        th._check_type(t.ty)
-    elif cls is Abs:
-        th._check_type(t.ty.dom)
-    for a in cls._children:
-        _validate(getattr(t, a), th, mark)
-    t._checked = mark
+    todo = [t]   # None above a node: all of its children passed
+    while todo:
+        t = todo.pop()
+        if t is None:
+            todo.pop()._checked = mark
+        elif t._checked is not mark:
+            cls = type(t)
+            if cls is App:   # most nodes: no check of their own
+                todo += (t, None, t.arg, t.fn)
+            elif cls is Abs:
+                th._check_type(t.ty.dom)
+                todo += (t, None, t.body)
+            else:
+                if cls is Const:
+                    declared = th.constants.get(t.name)
+                    if declared is None:
+                        th._check_type(t.ty)
+                        if t.name not in LOGICAL_NAMES:
+                            raise TheoryError('unknown constant %s' % t.name)
+                        if logical_const(t.name, t.targs) is not t:
+                            raise TypingError('logical constant %s at wrong type' % t.display_name)
+                    elif declared is not t.ty:
+                        th._check_type(t.ty)
+                        raise TypingError('constant %s at type %s, declared %s'
+                                          % (t.name, type_to_str(t.ty), type_to_str(declared)))
+                elif cls is Var:
+                    th._check_type(t.ty)
+                t._checked = mark
 
 
 # ---------------------------------------------------------------------------

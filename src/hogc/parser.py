@@ -11,11 +11,14 @@ grammar's axioms: the phonology equation ``phon_sigma(sign) = /w/`` and the
 meaning equation ``sem_sigma(sign) = meaning`` with the meaning in beta
 normal form.  Each starts from the ``.phon`` or ``.sem`` axiom of the
 sign's lexeme or rule, an equation whose operand variables are free, so it
-is instantiated at the children as it stands.  A sign's proofs depend on
-the sign alone, so the grammar keeps them: ``Grammar.proofs`` holds every
-sign's proofs and every parsed word's normal form from the first parse on,
-and a later parse builds only the signs no earlier parse built.  Dropping
-the grammar frees them.
+is instantiated at the children as it stands and rewritten at the
+children's proofs: no step assumes or discharges a hypothesis.  A sign
+term is its own derivation, its head constant the lexeme or rule and its
+arguments the children, so the chart keeps no other.  A sign's proofs
+depend on the sign alone, so the grammar keeps them: ``Grammar.proofs``
+holds every sign's proofs and every parsed word's normal form from the
+first parse on, and a later parse builds only the signs no earlier parse
+built.  Dropping the grammar frees them.
 
 ``enumerate_signs`` is an independent oracle: it generates every derivable
 sign up to the depth bound by plain recursion, without touching the proof
@@ -31,7 +34,7 @@ from dataclasses import dataclass, replace
 from . import grammar as gmod
 from . import kernel, rules, syntax
 from .grammar import GrammarError, Word, word_to_phon
-from .kernel import App, BOOL, PHON, Term, Theorem, Var, beta_normalize
+from .kernel import App, BOOL, Term, Theorem, beta_normalize
 
 
 @dataclass
@@ -66,46 +69,40 @@ class _Chart:
 
     def __init__(self, g, word, depth_bound):
         self.index = {}
-        self.deriv = {}     # sign -> (axiom prefix, operand variables, children, reads_phon)
         self._fill(g, word, depth_bound)
 
-    def _add(self, i, j, sign, sty, depth, deriv):
+    def _add(self, i, j, sign, sty, depth):
         self.index.setdefault((i, sty), []).append((j, sign, depth))
-        self.deriv[sign] = deriv
 
     def _fill(self, g, word, bound):
         n = len(word)
         if bound < 1:
             return
         for lx in g.lexicon:
-            lex = ('lex.%s' % lx.name, (), (), False)
             k = len(lx.word)
             for i in range(n - k + 1):
                 if word.tokens[i:i + k] == lx.word.tokens:
-                    self._add(i, i + k, lx.const, lx.sign_type, 1, lex)
+                    self._add(i, i + k, lx.const, lx.sign_type, 1)
         # each rule's slot types in surface order, and the order that puts
         # the slots' children back in operand order
-        plans = [(rule, 'rule.%s' % rule.name,
-                  tuple(rule.operands[p - 1] for p in rule.pattern),
+        plans = [(rule, tuple(rule.operands[p - 1] for p in rule.pattern),
                   sorted(range(len(rule.pattern)), key=rule.pattern.__getitem__))
                  for rule in g.rules]
         for d in range(2, bound + 1):
             pending = []
-            for rule, axname, wants, order in plans:
+            for rule, wants, order in plans:
                 for i in range(n + 1):
                     if (i, wants[0]) not in self.index:
                         continue
                     for j, combo, _fresh in self._extend(wants, i, d - 1):
-                        children = tuple(combo[s] for s in order)
                         sign = rule.const
-                        for c in children:
-                            sign = App(sign, c)
-                        pending.append((i, j, sign, rule.result,
-                                        (axname, rule.operand_vars, children, rule.reads_phon)))
+                        for s in order:
+                            sign = App(sign, combo[s])
+                        pending.append((i, j, sign, rule.result))
             if not pending:
                 break
-            for i, j, sign, sty, deriv in pending:
-                self._add(i, j, sign, sty, d, deriv)
+            for i, j, sign, sty in pending:
+                self._add(i, j, sign, sty, d)
 
     def _extend(self, wants, start, top):
         """(end, children in surface order, True) for each way to fill
@@ -121,36 +118,25 @@ class _Chart:
         return partial
 
 
-def _phon_schema(th, axname, opvars):
-    """{phon_T1(x1) = w1, ..., phon_Tm(xm) = wm} |- phon_T(R x1 ... xm) =
-    w_p1 ++ ... ++ w_pm: the rule's phon axiom with each operand's
-    phonology replaced by a variable; derived once per theory."""
-    def build():
-        memo = {}
-        for i, v in enumerate(opvars):
-            p = App(th.const('phon_%s' % v.ty.name), v)
-            memo[p] = kernel.assume(th, kernel.mk_eq(p, _phon_var(i)))
-        return rules.rewrite_rhs(gmod.law(th, axname + '.phon'), lambda th, t: None, memo)
-    return rules._cached(th, ('phon_schema', axname), build)
-
-
-def _phon_var(i):
-    return Var('w%d' % (i + 1), PHON)
-
-
 class _ProofBuilder:
     """The proofs of a grammar's chart signs, each sign's built once and
     kept on the ``Grammar`` for every later parse.  A sign's proofs depend
     on the sign alone, so a parse gets the same ones whichever words came
-    before, and a repeated parse derives nothing.  The memos serve every
-    parse too: the sem rewrite's, which also holds each built sign's sem
-    proof and normal phon proof, so each child's value is walked once, and
-    phon_step's, so normalisations share their joins.  Threads may share
-    them: a race at worst builds a sign twice, both times the same way."""
+    before, and a repeated parse derives nothing.  ``ctors`` maps each
+    sign constructor to its axioms' prefix, operand variables and whether
+    its meaning reads phon($i).  The memos serve every parse too: the phon
+    rewrite's, which holds each built sign's tree-form phon proof; the sem
+    rewrite's, which also holds each built sign's sem proof and normal phon
+    proof, so each child's value is walked once; and phon_step's, so
+    normalisations share their joins.  Threads may share them: a race at
+    worst builds a sign twice, both times the same way."""
 
-    def __init__(self, th):
-        self.th = th
-        self.memo, self.sem_memo, self.phon_memo = {}, {}, {}
+    def __init__(self, g):
+        self.th = g.theory
+        self.ctors = {lx.const: ('lex.' + lx.name, (), False) for lx in g.lexicon}
+        self.ctors.update((r.const, ('rule.' + r.name, r.operand_vars, r.reads_phon))
+                          for r in g.rules)
+        self.memo, self.tree_memo, self.sem_memo, self.phon_memo = {}, {}, {}, {}
 
     def normal_phon(self, phon):
         """A sign's phon proof carried on to the normal form of its word,
@@ -162,36 +148,31 @@ class _ProofBuilder:
             self.sem_memo[rules.lhs(phon)] = out
         return out
 
-    def build(self, sign, deriv_map):
-        """(phon_proof, sem_proof) for a chart sign.  The phon proof is one
-        instance of the rule's phon schema, each hypothesis discharged by the
-        child's phon proof, in the rule's tree form, and a lexeme's its phon
-        axiom.  The sem proof is the sem axiom at the children, rewritten in
-        one pass that takes each child's equations from the memo as they
-        stand."""
+    def build(self, sign):
+        """(phon_proof, sem_proof) for a chart sign: the phon and sem axioms
+        of its head constant's lexeme or rule, instantiated at its children
+        and each rewritten in one pass that takes the children's equations
+        from a memo as they stand.  The phon proof, in the rule's tree form,
+        cites the children's phon proofs; the sem proof their sem proofs and
+        the normal phon proofs of those whose word the meaning reads."""
         out = self.memo.get(sign)
         if out is not None:
             return out
-        th = self.th
-        axname, opvars, children, reads_phon = deriv_map[sign]
-        sem = gmod.law(th, axname + '.sem')
-        child_phon = []
+        head, children = sign, ()
+        while isinstance(head, App):
+            head, children = head.fn, (head.arg,) + children
+        axname, opvars, reads_phon = self.ctors[head]
         for c in children:   # a plain loop: one frame per level of the sign
-            cp, _cs = self.build(c, deriv_map)
-            child_phon.append(cp)
+            cp, _cs = self.build(c)
             if reads_phon:   # phon($i) stands for the child's word: its normal form
                 self.normal_phon(cp)
+        phon, sem = gmod.law(self.th, axname + '.phon'), gmod.law(self.th, axname + '.sem')
         if children:
             inst = dict(zip(opvars, children))
+            phon = rules.rewrite_rhs(kernel.instantiate(phon, inst), lambda th, t: None,
+                                     self.tree_memo)
             sem = kernel.instantiate(sem, inst)
-            for i, cp in enumerate(child_phon):
-                inst[_phon_var(i)] = rules.rhs(cp)
-            phon = kernel.instantiate(_phon_schema(th, axname, opvars), inst)
-            for cp in child_phon:
-                if cp.concl in phon.hyps:   # two equal children share one
-                    phon = rules.prove_hyp(cp, phon)
-        else:
-            phon = gmod.law(th, axname + '.phon')
+        self.tree_memo[rules.lhs(phon)] = phon
         sem = rules.rewrite_rhs(sem, rules._bp_step, self.sem_memo)
         self.sem_memo[rules.lhs(sem)] = sem
         out = self.memo[sign] = (phon, sem)
@@ -208,13 +189,13 @@ def parse(g, word, depth_bound):
     chart = _Chart(g, word, depth_bound)
     builder = g.proofs
     if builder is None:
-        builder = g.proofs = _ProofBuilder(g.theory)
+        builder = g.proofs = _ProofBuilder(g)
     results = []
     n = len(word)
     top = [(sign, sty, depth) for (i, sty), items in chart.index.items() if i == 0
            for j, sign, depth in items if j == n]
     for sign, sty, depth in top:
-        phon, sem = builder.build(sign, chart.deriv)
+        phon, sem = builder.build(sign)
         phon = builder.normal_phon(phon)   # the root's word in normal form
         if rules.rhs(phon) != phon_term:
             raise GrammarError('phonology proof does not match the word')

@@ -149,26 +149,36 @@ class _Tables:
         return i
 
     def term(self, t, depth=0):
-        """The id of ``t`` under ``depth`` binders."""
-        key = (t, depth) if t._loose else t
-        i = self.memo.get(key)
-        if i is not None:
-            return i
-        # applications are most of the nodes, so they are tested first
-        cls = type(t)
-        if cls is App:
-            line = '#a %d %d' % (self.term(t.fn, depth), self.term(t.arg, depth))
-        elif cls is Const:
-            line = ' '.join(['#c', _name(t.name)] + [str(self.type(a)) for a in t.targs])
-        elif cls is Var:
-            line = '#v %s %d' % (_name(t.name), self.type(t.ty))
-        elif cls is Bound:
-            line = '#v %%%d %d' % (depth - 1 - t.index, self.type(t.ty))
-        else:
-            v = self._line('#v %%%d %d' % (depth, self.type(t.ty.dom)))
-            line = '#l %d %d' % (v, self.term(t.body, depth + 1))
-        i = self.memo[key] = self._line(line)
-        return i
+        """The id of ``t`` under ``depth`` binders, by an explicit stack, so no
+        term is too deep: fn before arg, a binder's ``#v`` line before its body."""
+        ids, todo = [], [(t, depth, None)]
+        while todo:
+            t, depth, v = todo.pop()   # v is None on the way down
+            key = (t, depth) if t._loose else t
+            i = self.memo.get(key) if v is None else None
+            if i is None:
+                # applications are most of the nodes, so they are tested first
+                cls = type(t)
+                if cls is App and v is None:
+                    todo += ((t, depth, ()), (t.arg, depth, None), (t.fn, depth, None))
+                    continue
+                elif cls is App:
+                    line = '#a %d %d' % (ids.pop(-2), ids.pop())
+                elif cls is Const:
+                    line = ' '.join(['#c', _name(t.name)] + [str(self.type(a)) for a in t.targs])
+                elif cls is Var:
+                    line = '#v %s %d' % (_name(t.name), self.type(t.ty))
+                elif cls is Bound:
+                    line = '#v %%%d %d' % (depth - 1 - t.index, self.type(t.ty))
+                elif v is None:
+                    v = self._line('#v %%%d %d' % (depth, self.type(t.ty.dom)))
+                    todo += ((t, depth, v), (t.body, depth + 1, None))
+                    continue
+                else:
+                    line = '#l %d %d' % (v, ids.pop())
+                i = self.memo[key] = self._line(line)
+            ids.append(i)
+        return ids.pop()
 
     def _line(self, line):
         i = self.ids.get(line)

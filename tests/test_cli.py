@@ -227,7 +227,7 @@ def test_emit_proof_then_verify(files, capsys):
 @pytest.mark.parametrize('name,word,lex,sem,meaning,verified', [
     ('toy', 'blt', 'lex.BARKS.sem  sem_IV(BARKS)', 'sem_IV(BARKS)',
      '\\x:Ind. barks(x)', '\\%0:Ind. barks(%0)'),
-    ('boolsem', 'en', 'lex.AND.sem    sem_CONJ(AND)', 'sem_CONJ(AND)',
+    ('boolsem', 'en', 'lex.AND.sem      sem_CONJ(AND)', 'sem_CONJ(AND)',
      '\\p:Bool. \\q:Bool. p /\\ q', '\\%0:Bool. \\%1:Bool. %0 /\\ %1')], ids=['toy', 'boolsem'])
 def test_reports_print_binder_hints_and_trace_verify_depth_names(
         files, capsys, name, word, lex, sem, meaning, verified):

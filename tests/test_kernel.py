@@ -809,6 +809,15 @@ def test_beta_conversion_validates_the_redex(th):
         kernel.beta_conversion(th, App(Abs(x, x), Const('mystery', IND)))
 
 
+def test_a_term_with_an_undeclared_constant_fails_again(th):
+    # a node is marked validated only once all its children pass, so a term
+    # that failed fails again, and so does the part of it that failed
+    bad = App(Const('mystery', FunType(IND, BOOL)), Var('x', IND))
+    for t in (bad, bad, bad.fn):
+        with pytest.raises(kernel.TheoryError, match='^unknown constant mystery$'):
+            kernel.type_of(t, th)
+
+
 def test_instantiate_respects_binders(th):
     x, y = Var('x', BOOL), Var('y', BOOL)
     t = mk_forall(y, mk_disj(x, y))

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from hogc import grammar, kernel, parser, rules, syntax, trace
 from hogc.grammar import GrammarError, Word, word_to_phon
-from hogc.kernel import App, BaseType, PHON, Var, mk_eq
+from hogc.kernel import App, BaseType, Var, mk_eq
 
 import helpers
 
@@ -279,41 +279,42 @@ def _steps(thm):
 
 def _instance_premise(thm):
     """The premise of the instantiate step a parse proof starts from: the
-    rewrite's transitivities and each child's discharge lead back to it."""
-    while thm.rule in ('transitivity', 'modus_ponens_eq'):
-        # prove_hyp(c, e) is modus_ponens_eq(deduct_antisym(c, e), c)
-        thm = thm.args[0] if thm.rule == 'transitivity' else thm.args[0].args[1]
+    rewrite's transitivity leads back to it."""
+    if thm.rule == 'transitivity':
+        thm = thm.args[0]
     assert thm.rule == 'instantiate'
     return thm.args[0]
 
 
 def test_parses_share_cached_axiom_conjuncts(boolsem):
-    # the rule axiom's sem conjunct and its phon schema are derived once per
-    # theory; every sign instantiates the same theorem objects, and the
-    # grammar keeps each sign's proofs, so a repeated parse returns them
+    # the rule's phon and sem axioms are made theorems once per theory;
+    # every sign instantiates the same theorem objects, and the grammar
+    # keeps each sign's proofs, so a repeated parse returns them
     r1, = parser.parse(boolsem, 'nicht ja', 2)
     r2, = parser.parse(boolsem, 'nicht ja', 2)
     assert r1.sem_proof is r2.sem_proof and r1.phon_proof is r2.phon_proof
     for a, b in ((r1.phon_proof, r2.phon_proof), (r1.sem_proof, r2.sem_proof)):
         assert _instance_premise(a) is _instance_premise(b)
-    # the sem premise is the sem conjunct at the rule's operand variables
+    # the sem premise is the sem axiom at the rule's operand variables
     conj = _instance_premise(r1.sem_proof).concl
     assert {v.name for v in conj.free_vars} == {'x1', 'x2'}
-    # the phon premise is the rule's phon schema, one hypothesis per operand
+    # the phon premise is the rule's phon axiom as it stands, no hypotheses
     th = boolsem.theory
     x1, x2 = Var('x1', BaseType('NEG')), Var('x2', BaseType('S'))
-    w1, w2 = Var('w1', PHON), Var('w2', PHON)
-    schema = _instance_premise(r1.phon_proof)
-    assert schema.concl == mk_eq(
+    premise = _instance_premise(r1.phon_proof)
+    assert premise is grammar.law(th, 'rule.NEGATE.phon')
+    assert premise.rule == 'axiom' and premise.hyps == ()
+    assert premise.concl == mk_eq(
         App(th.const('phon_S'), App(App(th.const('NEGATE'), x1), x2)),
-        syntax.mk_conc(w1, w2))
-    assert set(schema.hyps) == {mk_eq(App(th.const('phon_NEG'), x1), w1),
-                                mk_eq(App(th.const('phon_S'), x2), w2)}
+        syntax.mk_conc(App(th.const('phon_NEG'), x1), App(th.const('phon_S'), x2)))
+    assert not any(isinstance(k, tuple) and k[0] == 'phon_schema'
+                   for k in th._derived_cache)
 
 
 def test_coordination_of_a_sign_with_itself(boolsem):
-    # COORD(YES)(AND)(YES): two operands share one hypothesis of the phon
-    # schema's instance, which the first child's phon proof discharges
+    # COORD(YES)(AND)(YES): the phon axiom's instance names phon_S(YES)
+    # twice, and the rewrite takes both from its memo, so the shared
+    # child's phon proof is one theorem, cited as one step
     (r,) = parser.parse(boolsem, 'ja en ja', 2)
     th = boolsem.theory
     yes = th.const('YES')
@@ -321,14 +322,16 @@ def test_coordination_of_a_sign_with_itself(boolsem):
     assert r.meaning == kernel.mk_conj(kernel.true_c(), kernel.true_c())
     assert r.phon_proof.hyps == r.sem_proof.hyps == ()
     assert rules.rhs(r.phon_proof) == word_to_phon(boolsem, 'ja en ja')
-    inst, discharged = r.phon_proof, []
-    while inst.rule == 'modus_ponens_eq':
-        discharged.append(inst.args[1].concl)
-        inst = inst.args[0].args[1]
-    assert inst.rule == 'instantiate' and len(inst.hyps) == 2
-    assert sorted(map(str, discharged)) == sorted(map(str, inst.hyps))
-    fresh = grammar.elaborate(helpers.BOOLSEM, name='boolsem')
+    yes_phon = App(th.const('phon_S'), yes)
+    inst = r.phon_proof.args[0]
+    assert r.phon_proof.rule == 'transitivity' and inst.rule == 'instantiate'
+    assert rules.rhs(inst) == syntax.mk_conc(
+        yes_phon, syntax.mk_conc(App(th.const('phon_CONJ'), th.const('AND')), yes_phon))
+    shared = [t for t in _steps(r.phon_proof) if rules.lhs(t) == yes_phon]
+    assert shared == [grammar.law(th, 'lex.YES.phon')]
     text = trace.export_trace([r.phon_proof, r.sem_proof])
+    assert sum(1 for l in text.splitlines() if '"lex.YES.phon"' in l) == 1
+    fresh = grammar.elaborate(helpers.BOOLSEM, name='boolsem')
     got = trace.verify_trace(text, fresh.theory, strict_fingerprint=True)
     assert [t.concl for t in got] == [r.phon_proof.concl, r.sem_proof.concl]
 
@@ -346,6 +349,26 @@ def test_parse_proofs_have_no_identity_congruences(name, word, k):
             for t in _steps(proof):
                 if t.rule in ('congruence', 'abstraction'):
                     assert rules.lhs(t) != rules.rhs(t), t
+
+
+_PARSE_RULES = {'axiom', 'instantiate', 'reflexivity', 'congruence', 'transitivity',
+                'beta_conversion'}
+
+
+@pytest.mark.parametrize('name', ['toy', 'ambig', 'boolsem', 'eps'])
+def test_parse_proofs_are_axiom_instances_rewritten(name):
+    # every parse proof is its lexemes' and rules' axioms, instantiated and
+    # carried along by congruence, transitivity and beta: no step assumes a
+    # hypothesis or discharges one, and no parse derives a phon schema
+    g = grammar.elaborate(helpers.GRAMMARS[name], name=name)
+    for tokens in sorted({w.tokens for _sign, w, _m in parser.enumerate_signs(g, 3)}):
+        for r in parser.parse(g, Word(tokens), 3):
+            steps = [l.split()[1] for l in _proof_trace([r]).splitlines()
+                     if not l.startswith('#')]
+            assert set(steps) <= _PARSE_RULES, (tokens, set(steps) - _PARSE_RULES)
+            assert r.phon_proof.hyps == r.sem_proof.hyps == ()
+    assert not any(isinstance(k, tuple) and k[0] == 'phon_schema'
+                   for k in g.theory._derived_cache)
 
 
 @pytest.mark.parametrize('name,k,extra', [
