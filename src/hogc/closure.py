@@ -104,16 +104,26 @@ def bool_valid(t):
 class _Bound(dict):
     """Truth vector v -> the classes true on every row where v is true
     (``up``), or false on every row where v is false (not ``up``): an AND of
-    row bitmaps or of their complements, made once, on first use."""
+    row bitmaps or of their complements, made once, on first use.  Each four
+    rows have a table of the ANDs over each subset of them, so a bound ANDs
+    one entry per four rows."""
 
     def __init__(self, rows, up):
-        self.rows, self.up = rows, up
+        self.flip = 0 if up else -1     # v ^ flip sets the bits of the rows to AND
+        rows = [row if up else ~row for row in rows]
+        rows += [-1] * (-len(rows) % 4)     # rows past the last hold every class
+        self.tables = []
+        for at in range(0, len(rows), 4):
+            table = [-1]    # entry i: the AND over the rows of i's set bits
+            for row in rows[at:at + 4]:
+                table += [b & row for b in table]
+            self.tables.append(table)
 
     def __missing__(self, v):
-        b = -1
-        for r, row in enumerate(self.rows):
-            if (v >> r & 1) == self.up:
-                b &= row if self.up else ~row
+        b, s = -1, v ^ self.flip
+        for table in self.tables:
+            b &= table[s & 15]
+            s >>= 4
         self[v] = b
         return b
 

@@ -10,14 +10,14 @@ defined here; no other way of constructing a ``Theorem`` exists.
 Design points that matter for soundness:
 
 * Types are interned: building a type twice gives the same object, so type
-  ``==`` is identity.  Type hashes are structural, so set and dict order
-  never depends on object addresses.
+  ``==`` is identity; type hashes are structural, not by address.
 * Terms are interned too, locally nameless: a bound variable is a de Bruijn
   index (``Bound``), made only by ``Abs`` closing its body, so it has its
   binder's type; free variables and constants keep their names.  So
   building an alpha-equivalent term gives the same object, and term ``==``
-  is identity.  Each node's structural hash and free-variable set are
-  computed once, when it is interned.  The table holds terms weakly.
+  and hash are by identity, so code that prints or proves sorts a set of
+  terms before it iterates it.  Each node's free-variable set is computed
+  once, when it is interned.  The table holds terms weakly.
 * An ``Abs`` is its binder's type and its body, and keeps no name.
   ``dest_abs`` opens a binder at a name its caller gives, renamed only when
   it clashes with a free variable of the body.  Substitution cannot capture.
@@ -146,13 +146,12 @@ def _forget(ref):
     _remove_dead_weakref(_terms, ref.key)
 
 
-def _intern(t, key, ty, h, free_vars, loose):
+def _intern(t, key, ty, free_vars, loose):
     """Enter the new node ``t``, its own fields already set, under ``key``
-    with its type, structural hash, free variables (None for a variable,
-    whose set holds itself) and the number of binders it needs around it to
-    be closed; the term already there wins when threads race."""
-    t.ty, t._h, t._loose, t._checked = ty, h, loose, None
-    # hashed before its free-variable set, which holds a variable itself
+    with its type, free variables (None for a variable, whose set holds
+    itself) and the number of binders it needs around it to be closed; the
+    term already there wins when threads race."""
+    t.ty, t._loose, t._checked = ty, loose, None
     t.free_vars = frozenset((t,)) if free_vars is None else free_vars
     ref = _Ref(t, _forget)
     ref.key = key
@@ -175,11 +174,8 @@ class Term:
     holds its children's ids, which stay valid while the node lives, and
     the table holds terms weakly, so dead terms go."""
 
-    __slots__ = ('ty', 'free_vars', '_h', '_loose', '_checked', '__weakref__')
+    __slots__ = ('ty', 'free_vars', '_loose', '_checked', '__weakref__')
     _children = ()   # the attributes that hold subterms
-
-    def __hash__(self):
-        return self._h
 
     def __reduce__(self):   # a copied or unpickled term is the interned one
         return type(self), tuple(getattr(self, a) for a in self._args)
@@ -201,7 +197,7 @@ class Var(Term):
                 raise TypingError('variable %s needs a Type' % name)
             t = object.__new__(cls)
             t.name = name
-            t = _intern(t, key, ty, hash(('v', name, ty._hash)), None, 0)
+            t = _intern(t, key, ty, None, 0)
         return t
 
 
@@ -220,7 +216,7 @@ class Const(Term):
             display = '%s[%s]' % (name, ','.join(map(type_to_str, targs))) if targs else name
             t = object.__new__(cls)
             t.name, t.targs, t.display_name = name, targs, display
-            t = _intern(t, key, ty, hash(('c', name, ty._hash, targs)), _NO_VARS, 0)
+            t = _intern(t, key, ty, _NO_VARS, 0)
         return t
 
 
@@ -237,7 +233,7 @@ class Bound(Term):
         if t is None:
             t = object.__new__(cls)
             t.index = index
-            t = _intern(t, key, ty, hash(('b', index, ty._hash)), _NO_VARS, index + 1)
+            t = _intern(t, key, ty, _NO_VARS, index + 1)
         return t
 
 
@@ -259,7 +255,7 @@ class App(Term):
                                   % (type_to_str(arg.ty), type_to_str(fty.dom)))
             t = object.__new__(cls)
             t.fn, t.arg = fn, arg
-            t = _intern(t, key, fty.cod, hash(('a', fn._h, arg._h)),
+            t = _intern(t, key, fty.cod,
                         _union(fn.free_vars, arg.free_vars), max(fn._loose, arg._loose))
         return t
 
@@ -290,7 +286,7 @@ def _abs(dom, body):
     if t is None:
         t = object.__new__(Abs)
         t.body = body
-        t = _intern(t, key, FunType(dom, body.ty), hash(('l', dom._hash, body._h)),
+        t = _intern(t, key, FunType(dom, body.ty),
                     body.free_vars, max(body._loose - 1, 0))
     return t
 

@@ -612,19 +612,17 @@ def fragment_node(t):
     its head constant and the arguments in order, or (None, ()) for a Bool
     variable.  Raises FragmentError for any other node; the operands are
     not looked at."""
-    if isinstance(t, Var):
-        if t.ty != BOOL:
+    if type(t) is Var:
+        if t.ty is not BOOL:
             raise FragmentError('variable %s is not Bool' % t.name)
         return None, ()
-    head, args = t, []
-    while isinstance(head, App):
-        args.append(head.arg)
+    head, ops = t, ()
+    while type(head) is App:
+        ops = (head.arg, *ops)
         head = head.fn
-    if not (isinstance(head, kernel.Const)
-            and FRAGMENT_CONNECTIVES.get(head.name) == len(args)):
+    if type(head) is not kernel.Const or FRAGMENT_CONNECTIVES.get(head.name) != len(ops):
         raise FragmentError('term outside the boolean fragment: %r' % (t,))
-    args.reverse()
-    return head.name, tuple(args)
+    return head.name, ops
 
 
 def fragment_dag(terms):

@@ -151,6 +151,9 @@ class _Tables:
     def term(self, t, depth=0):
         """The id of ``t`` under ``depth`` binders, by an explicit stack, so no
         term is too deep: fn before arg, a binder's ``#v`` line before its body."""
+        i = self.memo.get((t, depth) if t._loose else t)
+        if i is not None:   # most calls: no stack to build
+            return i
         ids, todo = [], [(t, depth, None)]
         while todo:
             t, depth, v = todo.pop()   # v is None on the way down

@@ -519,6 +519,35 @@ def test_reports_hash_seed_independent(files):
         assert run_with_seed('0', argv) == run_with_seed('1', argv)
 
 
+def test_reports_and_traces_do_not_depend_on_object_addresses(files, tmp_path):
+    # terms hash by identity, so a set of terms iterates in address order;
+    # the malloc allocator puts every object elsewhere than pymalloc does
+    cert = tmp_path / 'cases.cert'
+    cert.write_text('target cond[Bool](barks(fido), howls(fido), q:Bool)\nby cases q:Bool\n')
+    trace_path = tmp_path / 'run.trace'
+
+    def run(argv, malloc):
+        env = dict(os.environ, PYTHONHASHSEED='0')
+        env.pop('HOGC_COLOR', None)
+        env.pop('PYTHONMALLOC', None)
+        if malloc:
+            env['PYTHONMALLOC'] = 'malloc'
+        trace_path.unlink(missing_ok=True)
+        r = subprocess.run([sys.executable, '-m', 'hogc.cli'] + argv,
+                           capture_output=True, env=env)
+        assert r.returncode == 0, r.stderr
+        return r.stdout, trace_path.read_bytes() if '--emit-proof' in argv else None
+
+    emit = ['--emit-proof', str(trace_path)]
+    for argv in (['check', '-g', files['boolsem']],
+                 ['parse', '-g', files['boolsem'], '-w', 'nicht ja en nee en ja', '-k', '4',
+                  '-m', '~(true /\\ false /\\ true)', *emit],
+                 ['merge', '-g', files['ambig'], '-w', helpers.AMBIG_WORD, '-k', '2', '0', '1',
+                  '--cert', str(cert), *emit],
+                 ['closure', '-u', files['universe'], 'p', 'q']):
+        assert run(argv, False) == run(argv, True), argv
+
+
 # ---------------------------------------------------------------------------
 # the README's examples
 

@@ -250,6 +250,8 @@ def test_alpha_equivalent_terms_are_one_object():
     assert syntax.pretty_term(first, {second: 'y'}) == '\\y:Ind. barks(y)'
     assert copy.deepcopy(second) is first and pickle.loads(pickle.dumps(second)) is first
     assert Var('x', IND) is x and Const('barks', FunType(IND, BOOL)) is barks
+    # so a term hashes by identity, with no Python code per lookup
+    assert kernel.Term.__hash__ is object.__hash__
 
 
 def test_intern_table_holds_terms_weakly():
