@@ -630,12 +630,12 @@ def fragment_dag(terms):
     with every subterm after its operands.
 
     Each term is walked from the root, a node before its operands and the
-    last operand first, and a subterm already in the dict is not entered
-    again, as it holds no bad node.  So each distinct subterm is classified
-    once, and a bad input raises at the node that a walk of each term in
-    turn would meet first.  The dict is keyed by the term object and keeps
-    its keys alive: terms are hash-consed, one object per alpha-class, with
-    no ``__eq__``, so a lookup is an identity test.
+    last operand first, and a subterm already in the dict is neither pushed
+    nor entered again, as it holds no bad node.  So each distinct subterm is
+    classified once, and a bad input raises at the node that a walk of each
+    term in turn would meet first.  The dict is keyed by the term object and
+    keeps its keys alive: terms are hash-consed, one object per alpha-class,
+    with no ``__eq__``, so a lookup is an identity test.
     """
     nodes = {}
     for root in terms:
@@ -647,7 +647,9 @@ def fragment_dag(terms):
             elif t not in nodes:
                 node = fragment_node(t)
                 todo.append((t, node))
-                todo.extend(node[1])
+                for u in node[1]:
+                    if u not in nodes:
+                        todo.append(u)
     return nodes
 
 

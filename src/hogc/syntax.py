@@ -199,6 +199,10 @@ class _Tok:
     def __repr__(self):
         return '%s(%r)' % (self.kind, self.val)
 
+    def shown(self):
+        """The token as an error message names it."""
+        return 'end of input' if self.kind == 'eof' else repr(self.val)
+
 
 def _lex(s):
     toks = []
@@ -301,7 +305,7 @@ class _Parser:
     def expect(self, kind, val=None):
         t = self.next()
         if t.kind != kind or (val is not None and t.val != val):
-            raise ParseError('expected %s at %d, found %r' % (val or kind, t.pos, t.val))
+            raise ParseError('expected %s at %d, found %s' % (val or kind, t.pos, t.shown()))
         return t
 
     def at_sym(self, val):
@@ -379,7 +383,7 @@ class _Parser:
             return self.env.placeholders[t.val]
         if t.kind == 'ident':
             return self.ident_expr(t.val)
-        raise ParseError('unexpected %r at %d' % (t.val, t.pos))
+        raise ParseError('unexpected %s at %d' % (t.shown(), t.pos))
 
     def ident_expr(self, name):
         if name in ('fst', 'snd') and not self.at_sym('['):

@@ -47,7 +47,6 @@ trusting the process that produced it, or the printer and parser.
 
 from __future__ import annotations
 
-import hashlib
 import re
 
 from . import kernel, syntax
@@ -67,7 +66,10 @@ class TraceError(Exception):
 
 def theory_fingerprint(th, theory_name=None):
     """Stable digest of a theory's name (or ``theory_name``), declared
-    signature and axioms."""
+    signature and axioms.  ``hashlib``, and with it OpenSSL, loads at the
+    first call, so a process that never exports or verifies a trace does
+    not map it."""
+    import hashlib
     h = hashlib.sha256()
     h.update((th.name if theory_name is None else theory_name).encode())
     for name in sorted(th.base_types):

@@ -122,6 +122,7 @@ def test_pair_constant_names_are_reserved(files, capsys, name):
 @pytest.mark.parametrize('decl,msg', [
     ('const c : Ind ->', "const c: bad type 'Ind ->': expected a type at 6"),
     ('signtype T sem Ind * Und', "signtype T: bad type 'Ind * Und': unknown base type Und"),
+    ('signtype T sem (Ind', "signtype T: bad type '(Ind': expected ) at 4, found end of input"),
 ])
 def test_bad_declared_type(files, capsys, decl, msg):
     p = files['dir'] / 'badtype.hog'
@@ -181,6 +182,24 @@ def test_parse_bad_inputs(files, capsys):
     assert code == 2 and 'parse error:' in out
     code, out = _run(capsys, ['parse', '-g', files['toy'], '-w', 'zzz'])
     assert code == 2 and 'alphabet' in out
+
+
+@pytest.mark.parametrize('text,msg', [
+    ('barks(', 'unexpected end of input at 6'),
+    ('(fido', 'expected ) at 5, found end of input'),
+    ('\\x:Ind.', 'unexpected end of input at 7'),
+    ('<fido,', 'unexpected end of input at 6'),
+    ('fido = ', 'unexpected end of input at 7'),
+    ('~', 'unexpected end of input at 1'),
+    ('cond[Bool', 'expected ] at 9, found end of input'),
+    ('', 'unexpected end of input at 0'),
+])
+def test_truncated_meaning_names_end_of_input(files, capsys, text, msg):
+    # the end-of-input token has no value; the reader names it in words
+    code, out = _run(capsys, ['parse', '-g', files['toy'], '-w', 'fajdo blt', '-m', text])
+    assert code == 2
+    assert 'None' not in out
+    assert out.splitlines()[-1] == 'parse error: ' + msg
 
 
 def test_parse_negative_depth_bound(files, capsys):

@@ -61,6 +61,46 @@ def test_fingerprint_sensitive(toy, ambig):
     assert theory_fingerprint(toy.theory) != theory_fingerprint(other.theory)
 
 
+_HASHLIB_ON_FIRST_FINGERPRINT = '''
+import contextlib, io, sys
+if 'hashlib' in sys.modules:
+    print('preloaded')
+    sys.exit()
+import hogc, hogc.cli
+from hogc import cli, closure, grammar, parser, trace
+from hogc.kernel import BOOL, Var, mk_conj
+path = sys.argv[1]
+with open(path) as f:
+    src = f.read()
+g = grammar.elaborate(src, name='toy')
+(r,) = parser.parse(g, 'fajdo blt', 2)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.run(cli.RunConfig('check', grammar=path)) == 0
+p, q = Var('p', BOOL), Var('q', BOOL)
+universe = closure.TermUniverse([p, q, mk_conj(p, q)])
+closure.closure_report(universe, [p])
+print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))
+text = trace.export_trace([r.phon_proof, r.sem_proof])
+print('hashlib' in sys.modules)
+fresh = grammar.elaborate(src, name='toy')
+print(len(trace.verify_trace(text, fresh.theory, strict_fingerprint=True)))
+'''
+
+
+def test_hashlib_loads_at_the_first_fingerprint(tmp_path):
+    # only trace export and replay hash, so a process that imports hogc and
+    # elaborates, parses, checks and builds closure reports maps no OpenSSL
+    p = tmp_path / 'toy.hog'
+    p.write_text(helpers.TOY)
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), '..', 'src'))
+    r = subprocess.run([sys.executable, '-c', _HASHLIB_ON_FIRST_FINGERPRINT, str(p)],
+                       capture_output=True, env=env, text=True)
+    assert r.returncode == 0, r.stderr
+    if r.stdout == 'preloaded\n':
+        pytest.skip('hashlib is loaded before hogc is imported')
+    assert r.stdout.split('\n') == ['[]', 'True', '2', '']
+
+
 # ---------------------------------------------------------------------------
 # Export format
 
