@@ -69,6 +69,21 @@ def test_check_lines_read_back_as_the_axioms(tmp_path, capsys, name):
         assert syntax.parse_term(src, syntax.TermEnv(theory=th)) is th.axioms[n]
 
 
+_CHECKED = ('toy', 'ambig', 'boolsem', 'eps', 'quote', 'perm', 'chain', 'left_chain',
+            'left_mixed')
+
+
+@pytest.mark.parametrize('name', _CHECKED)
+def test_check_report_bytes(tmp_path, capsys, name):
+    # the whole check report of each helper grammar, byte for byte
+    path = tmp_path / ('%s.hog' % name)
+    path.write_text(getattr(helpers, name.upper()))
+    code, out = _run(capsys, ['check', '-g', str(path)])
+    want = os.path.join(os.path.dirname(__file__), 'data', 'check', '%s.txt' % name)
+    with open(want) as f:
+        assert (code, out) == (0, f.read())
+
+
 def test_check_requires_grammar(capsys):
     code, out = _run(capsys, ['check'])
     assert code == 2

@@ -115,40 +115,51 @@ def test_elaborate_all_corpus_grammars():
             assert terms.dest_forall(ax) is None and terms.dest_conj(ax) is None
 
 
-@pytest.mark.parametrize('src,frag', [
+_BAD = 'alphabet: a\nsigntype S sem Bool\n'
+_BAD_A = _BAD + 'lex A : S { phon = /a/; sem = true; }\n'
+
+
+@pytest.mark.parametrize('src,msg', [
     # unknown sign type in a lexeme
-    ('alphabet: a\nsigntype S sem Bool\n'
-     'lex A : T { phon = /a/; sem = true; }', 'unknown sign type'),
+    (_BAD + 'lex A : T { phon = /a/; sem = true; }', 'lex A: unknown sign type T'),
     # phonology token outside the alphabet
-    ('alphabet: a\nsigntype S sem Bool\n'
-     'lex A : S { phon = /b/; sem = true; }', 'not in the alphabet'),
+    (_BAD + 'lex A : S { phon = /b/; sem = true; }', "lex A: token 'b' not in the alphabet"),
     # meaning at the wrong type
-    ('alphabet: a\nsigntype S sem Bool\nconst c : Ind\n'
-     'lex A : S { phon = /a/; sem = c; }', 'needs'),
+    (_BAD + 'const c : Ind\nlex A : S { phon = /a/; sem = c; }',
+     'lex A: meaning has type Ind, sign type S needs Bool'),
     # open lexical meaning
-    ('alphabet: a\nsigntype S sem Bool\n'
-     'lex A : S { phon = /a/; sem = p:Bool; }', 'must be closed'),
+    (_BAD + 'lex A : S { phon = /a/; sem = p:Bool; }',
+     'lex A: meaning must be closed (free: p); declare constants instead'),
+    # a lexeme has no operands, so no sem(...)
+    (_BAD + 'lex A : S { phon = /a/; sem = sem(A); }',
+     "lex A: bad meaning 'sem(A)': unknown identifier sem"),
+    # unknown sign type in a rule
+    (_BAD_A + 'rule R : S T -> S { phon = $1 ++ $2; sem = sem($1); }',
+     'rule R: unknown sign type T'),
+    # rule meaning at the wrong type
+    (_BAD_A + 'const c : Ind\nrule R : S -> S { phon = $1; sem = c; }',
+     'rule R: meaning has type Ind, result S needs Bool'),
     # rule meaning may not invent free variables
-    ('alphabet: a\nsigntype S sem Bool\n'
-     'lex A : S { phon = /a/; sem = true; }\n'
-     'rule R : S -> S { phon = $1; sem = sem($1) /\\ (stray:Bool); }',
-     'may only use operands'),
+    (_BAD_A + 'rule R : S -> S { phon = $1; sem = sem($1) /\\ (stray:Bool); }',
+     'rule R: meaning may only use operands $1..$1 (free: stray)'),
+    # a projection constant applied to anything but an operand
+    (_BAD_A + 'rule R : S -> S { phon = $1; sem = sem_S(A); }',
+     'rule R: meaning mentions sem_S; sign projections may only appear as '
+     'phon($i) or sem($i)'),
     # rule phonology must use each operand exactly once
-    ('alphabet: a\nsigntype S sem Bool\n'
-     'lex A : S { phon = /a/; sem = true; }\n'
-     'rule R : S S -> S { phon = $1 ++ $1; sem = sem($1); }', 'phon'),
-    ('alphabet: a\nsigntype S sem Bool\n'
-     'lex A : S { phon = /a/; sem = true; }\n'
-     'rule R : S S -> S { phon = $1; sem = sem($1); }', 'phon'),
+    (_BAD_A + 'rule R : S S -> S { phon = $1 ++ $1; sem = sem($1); }',
+     'phon pattern in rule R must use each of $1..$2 exactly once'),
+    (_BAD_A + 'rule R : S S -> S { phon = $1; sem = sem($1); }',
+     'phon pattern in rule R must use each of $1..$2 exactly once'),
     # circular slash sign types
     ('alphabet: a\nsigntype A = B \\ S\nsigntype B = A \\ S\n'
      'signtype S sem Bool\n'
-     'lex X : A { phon = /a/; sem = true; }', 'circular'),
+     'lex X : A { phon = /a/; sem = true; }', 'circular sign type A'),
 ])
-def test_elaboration_errors(src, frag):
+def test_elaboration_errors(src, msg):
     with pytest.raises(GrammarError) as e:
         elaborate(src, name='bad')
-    assert frag in str(e.value)
+    assert str(e.value) == msg
 
 
 @pytest.mark.parametrize('decl,frag', [
