@@ -5,12 +5,6 @@ logic; parsing a word produces kernel-checked proofs of its phonology and
 meaning, ambiguity is resolved by certificate-driven merging through the
 if-then-else constants, and a small laboratory explores logical closure of
 boolean meaning sets.
-
-``hogc.Pair`` and ``hogc.Proj`` are gone: pairs and their projections are
-the logical constants ``pair[A,B]``, ``fst[A,B]`` and ``snd[A,B]``.  Write
-``hogc.terms.mk_pair(a, b)`` for ``Pair(a, b)``, and
-``App(kernel.logical_const('fst', (A, B)), p)`` for ``Proj(1, p)``; the term
-reader still takes ``<a, b>``, ``(a, b)``, ``fst p`` and ``snd p``.
 """
 
 from .kernel import (Abs, App, BOOL, BaseType, Const, FunType, IND, KernelError,

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import kernel, rules, syntax
-from .grammar import Word
+from .grammar import Word, projection_name
 from .kernel import (App, Var, Term, Theorem, BOOL, mk_cond, mk_conj, mk_disj, mk_eq,
                      true_c, false_c)
 from .parser import ParseResult
@@ -161,8 +161,6 @@ class TermUniverse:
                            for r in range(full.bit_length()))
         self._up = _Bound(self._rows, True)
         self._down = _Bound(self._rows, False)
-        self._printed = None    # term -> its printing, made by the first report
-        self._term_column = None    # the header cell and the printings, padded alike
 
     @classmethod
     def from_text(cls, text, theory=None):
@@ -342,14 +340,11 @@ def closure_report(universe, subset):
     closed, witness = _saturate(universe, subset, witnesses=True)
     closedset = set(closed)
     inset = closedset.difference(witness)
-    if universe._printed is None:
-        # fragment terms have no binders, so their printing is fixed, and so
-        # is the term column, the header's cell first
-        universe._printed = {t: syntax.pretty_term(t) for t in universe.terms}
-        cells = ('term', *universe._printed.values())
-        width = max(map(len, cells))
-        universe._term_column = tuple(s.ljust(width) for s in cells)
-    printed, column = universe._printed, universe._term_column
+    printed = {t: syntax.pretty_term(t) for t in universe.terms}
+    # the term column, the header's cell first, padded alike
+    cells = ('term', *printed.values())
+    width = max(map(len, cells))
+    column = [s.ljust(width) for s in cells]
     wit = {t: '%s ; %s' % (printed[b], printed[c]) for t, (b, c) in witness.items()}
     lines = []
     lines.append('universe: %d terms over variables %s'
@@ -501,7 +496,7 @@ def _merge_law(th, sty, *args):
     vs = [Var(n, t.ty) for n, t in zip(('s1', 's2', 'w', 'a1', 'a2', 'a'), args)]
 
     def build():
-        phon_c, sem_c = th.const('phon_%s' % sty), th.const('sem_%s' % sty)
+        phon_c, sem_c = (th.const(projection_name(k, sty)) for k in ('phon', 'sem'))
         s1, s2, w, a1, a2, a = vs
         c, h = mk_eq(a, a1), Var('h', BOOL)
 
@@ -546,7 +541,7 @@ def merge_parses(th, p1, p2, cert):
     if a1 != p1.meaning or a2 != p2.meaning:
         raise ClosureError('certificate sides do not match the parse meanings')
     sty = p1.sign_type
-    phon_c, sem_c = th.const('phon_%s' % sty), th.const('sem_%s' % sty)
+    phon_c, sem_c = (th.const(projection_name(k, sty)) for k in ('phon', 'sem'))
     w = syntax.phon_term(th, p1.word.tokens)
     for p in (p1, p2):
         if (rules.lhs(p.phon_proof) != App(phon_c, p.sign)

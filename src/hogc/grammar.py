@@ -12,6 +12,10 @@ axioms, ``lex.c.phon``/``rule.c.phon`` and ``.sem``: the plain equations
 variables ``xi`` are free, so a proof instantiates them as they stand.  The
 monoid laws state theirs with ``x``, ``y`` and ``z`` free in the same way.
 
+A lexeme is the sign constructor with no operands: ``lex`` and ``rule``
+lines read into one declaration record, and each is elaborated by one path
+into one ``Constructor`` record, which the chart and the proof builder read.
+
 Grammar file syntax, one declaration per entry (``#`` starts a comment):
 
     alphabet: fajdo blt
@@ -28,7 +32,6 @@ may use ``sem($i)`` and ``phon($i)``.
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -76,20 +79,17 @@ class Word:
 
 
 @dataclass
-class LexDecl:
+class ConstructorDecl:
+    """A ``lex`` or ``rule`` declaration; a lexeme has no operands."""
     name: str
-    sign_type: str
+    operands: tuple         # the operands' sign types
+    result: str             # the sign type it builds
     phon_src: str
     sem_src: str
 
-
-@dataclass
-class RuleDecl:
-    name: str
-    operands: tuple
-    result: str
-    phon_src: str
-    sem_src: str
+    @property
+    def kind(self):
+        return 'rule' if self.operands else 'lex'
 
 
 @dataclass
@@ -98,8 +98,8 @@ class GrammarSpec:
     alphabet: tuple = ()
     sign_types: dict = field(default_factory=dict)   # name -> ('base', src) | ('slash', op, res)
     constants: list = field(default_factory=list)    # (name, type source)
-    lexicon: list = field(default_factory=list)      # LexDecl
-    rules: list = field(default_factory=list)        # RuleDecl
+    lexicon: list = field(default_factory=list)      # ConstructorDecl, no operands
+    rules: list = field(default_factory=list)        # ConstructorDecl
 
     @classmethod
     def from_text(cls, text):
@@ -182,22 +182,17 @@ def parse_grammar_text(text):
             _check_name(name)
             spec.constants.append((name, m.group(2).strip()))
             continue
-        m = re.match(r'^lex\s+(\S+)\s*:\s*(\S+)\s*\{(.*)\}$', line)
+        m = (re.match(r'^(lex)\s+(\S+)\s*:()\s*(\S+)\s*\{(.*)\}$', line)
+             or re.match(r'^(rule)\s+(\S+)\s*:\s*(.+?)\s*->\s*(\S+)\s*\{(.*)\}$', line))
         if m:
-            name, sty, body = m.groups()
-            _check_name(name)
-            phon, sem = _parse_block(body, 'lex %s' % name)
-            spec.lexicon.append(LexDecl(name, sty, phon, sem))
-            continue
-        m = re.match(r'^rule\s+(\S+)\s*:\s*(.+?)\s*->\s*(\S+)\s*\{(.*)\}$', line)
-        if m:
-            name, ops, res, body = m.groups()
+            kind, name, ops, res, body = m.groups()
             _check_name(name)
             operands = tuple(ops.split())
-            if not operands:
+            if kind == 'rule' and not operands:
                 raise GrammarError('rule %s has no operands' % name)
-            phon, sem = _parse_block(body, 'rule %s' % name)
-            spec.rules.append(RuleDecl(name, operands, res, phon, sem))
+            phon, sem = _parse_block(body, '%s %s' % (kind, name))
+            (spec.rules if operands else spec.lexicon).append(
+                ConstructorDecl(name, operands, res, phon, sem))
             continue
         raise GrammarError('cannot parse declaration: %s' % line)
     return spec
@@ -221,37 +216,35 @@ def _declare_signtype(spec, name, decl):
 # Elaboration
 
 @dataclass
-class LexItem:
+class Constructor:
+    """An elaborated lexeme or rule: the constant ``const`` builds a sign of
+    type ``result`` from signs of the types ``operands``, none for a
+    lexeme, and its axioms are ``prefix.phon`` and ``prefix.sem``."""
     name: str
-    sign_type: str
-    word: Word
-    sem: Term
-    const: Term
-
-
-@dataclass
-class RuleItem:
-    name: str
+    prefix: str             # lex.<name> or rule.<name>
     operands: tuple
     result: str
-    pattern: tuple          # operand indexes (1-based) in surface order
+    surface: object         # a lexeme's Word; a rule's operand indexes (1-based) in surface order
     operand_vars: tuple
-    sem_template: Term
+    meaning: Term           # over the operand variables
     const: Term
     reads_phon: bool        # the meaning uses some phon($i)
+    slots: tuple            # the operands' sign types in surface order
+    order: tuple            # the slots' places in operand order
 
 
 class Grammar:
-    """An elaborated grammar: the frozen theory plus lookup tables.  Reports
-    print with ``names``, which maps each binder of the source's meanings to
-    the first name it was written with."""
+    """An elaborated grammar: the frozen theory plus its constructors, the
+    lexemes in ``lexicon`` and the rules in ``rules``, and ``constructors``
+    maps each one's constant to its record.  Reports print with ``names``,
+    which maps each binder of the source's meanings to the first name it
+    was written with."""
 
-    def __init__(self, spec, theory, sem_types, lexicon, rule_items, names):
+    def __init__(self, spec, theory, sem_types, names):
         self.spec = spec
         self.theory = theory
         self.sem_types = sem_types
-        self.lexicon = lexicon
-        self.rules = rule_items
+        self.lexicon, self.rules, self.constructors = [], [], {}    # filled by elaborate
         self.names = names
         self.proofs = None      # every parsed sign's proofs, made at the first parse
 
@@ -259,27 +252,25 @@ class Grammar:
     def alphabet(self):
         return self.spec.alphabet
 
-    def phon_fn(self, t):
-        return _projection(self.theory, self.sem_types, 'phon', t)
-
-    def sem_fn(self, t):
-        return _projection(self.theory, self.sem_types, 'sem', t)
+    def projection(self, kind, t):
+        """``phon_T(t)`` or ``sem_T(t)``, by ``kind``, for a term t of sign
+        type T."""
+        if isinstance(t.ty, BaseType) and t.ty.name in self.sem_types:
+            return App(self.theory.const(projection_name(kind, t.ty.name)), t)
+        raise syntax.ParseError('%s(...) needs a sign-typed argument' % kind)
 
     def term_env(self, **kw):
         kw.setdefault('theory', self.theory)
-        kw.setdefault('sem_fn', self.sem_fn)
-        kw.setdefault('phon_fn', self.phon_fn)
+        kw.setdefault('projection', self.projection)
         return syntax.TermEnv(**kw)
 
     def parse_term(self, src, **kw):
         return syntax.parse_term(src, self.term_env(**kw))
 
 
-def _projection(th, sem_types, kind, t):
-    """``phon_T(t)`` or ``sem_T(t)`` for a term t of sign type T."""
-    if isinstance(t.ty, BaseType) and t.ty.name in sem_types:
-        return App(th.const('%s_%s' % (kind, t.ty.name)), t)
-    raise syntax.ParseError('%s(...) needs a sign-typed argument' % kind)
+def projection_name(kind, sty):
+    """The name of sign type sty's projection ``phon_sty`` or ``sem_sty``."""
+    return '%s_%s' % (kind, sty)
 
 
 def _declared_type(th, src, where):
@@ -342,96 +333,81 @@ def elaborate(spec, name='g'):
         th.add_constant('/%s/' % tok, PHON)
     for sty in spec.sign_types:
         sigma = BaseType(sty)
-        th.add_constant('phon_%s' % sty, FunType(sigma, PHON))
-        th.add_constant('sem_%s' % sty, FunType(sigma, sem_types[sty]))
+        th.add_constant(projection_name('phon', sty), FunType(sigma, PHON))
+        th.add_constant(projection_name('sem', sty), FunType(sigma, sem_types[sty]))
     for cname, tsrc in spec.constants:
         th.add_constant(cname, _declared_type(th, tsrc, 'const %s' % cname))
-    for lx in spec.lexicon:
-        if lx.sign_type not in spec.sign_types:
-            raise GrammarError('lex %s: unknown sign type %s' % (lx.name, lx.sign_type))
-        th.add_constant(lx.name, BaseType(lx.sign_type))
-    for r in spec.rules:
-        for o in r.operands + (r.result,):
+    decls = spec.lexicon + spec.rules
+    for d in decls:
+        for o in d.operands + (d.result,):
             if o not in spec.sign_types:
-                raise GrammarError('rule %s: unknown sign type %s' % (r.name, o))
-        ty = BaseType(r.result)
-        for o in reversed(r.operands):
+                raise GrammarError('%s %s: unknown sign type %s' % (d.kind, d.name, o))
+        # a lexeme's type is its sign type, a rule's the curried function type
+        ty = BaseType(d.result)
+        for o in reversed(d.operands):
             ty = FunType(BaseType(o), ty)
-        th.add_constant(r.name, ty)
+        th.add_constant(d.name, ty)
 
-    # free monoid axioms
     names = {}      # binder -> name, filled by the term reader
+    g = Grammar(spec, th, sem_types, MappingProxyType(names))
+    # free monoid axioms
     cat, unit = syntax.mk_conc, th.const('//')
     th.add_axiom('phon.assoc', mk_eq(cat(cat(_X, _Y), _Z), cat(_X, _Y, _Z)))
     th.add_axiom('phon.lunit', mk_eq(cat(unit, _X), _X))
     th.add_axiom('phon.runit', mk_eq(cat(_X, unit), _X))
 
-    projections = {'%s_%s' % (kind, sty) for kind in ('phon', 'sem')
+    projections = {projection_name(kind, sty) for kind in ('phon', 'sem')
                    for sty in spec.sign_types}
-    lex_items = []
-    for lx in spec.lexicon:
-        word, phon_term = _parse_lex_phon(th, lx)
-        try:
-            sem = syntax.parse_term(lx.sem_src, syntax.TermEnv(th, names=names))
-        except (syntax.ParseError, kernel.KernelError) as e:
-            raise GrammarError('lex %s: bad meaning %r: %s' % (lx.name, lx.sem_src, e))
-        want = sem_types[lx.sign_type]
-        if sem.ty != want:
-            raise GrammarError('lex %s: meaning has type %s, sign type %s needs %s'
-                               % (lx.name, kernel.type_to_str(sem.ty), lx.sign_type,
-                                  kernel.type_to_str(want)))
-        if sem.free_vars:
-            raise GrammarError('lex %s: meaning must be closed (free: %s); '
-                               'declare constants instead'
-                               % (lx.name, ' '.join(sorted(v.name for v in sem.free_vars))))
-        _check_projections('lex %s' % lx.name, sem, projections, ())
-        k = th.const(lx.name)
-        _add_sign_axioms(th, sem_types, 'lex.%s' % lx.name, k, phon_term, sem)
-        lex_items.append(LexItem(lx.name, lx.sign_type, word, sem, k))
-
-    sem_fn = functools.partial(_projection, th, sem_types, 'sem')
-    phon_fn = functools.partial(_projection, th, sem_types, 'phon')
-    rule_items = []
-    for r in spec.rules:
-        n = len(r.operands)
-        pattern = _parse_phon_pattern(r.phon_src, n, 'rule %s' % r.name)
-        opvars = tuple(Var('x%d' % (i + 1), BaseType(o))
-                       for i, o in enumerate(r.operands))
-        sign = th.const(r.name)
+    for d in decls:
+        where, n = '%s %s' % (d.kind, d.name), len(d.operands)
+        opvars = tuple(Var('x%d' % i, BaseType(o)) for i, o in enumerate(d.operands, 1))
+        sign = th.const(d.name)
         for v in opvars:
             sign = App(sign, v)
-        env = syntax.TermEnv(theory=th, sem_fn=sem_fn, phon_fn=phon_fn, names=names,
-                             placeholders={i + 1: v for i, v in enumerate(opvars)})
+        if n:
+            surface = _parse_phon_pattern(d.phon_src, n, where)
+            phon = cat(*(g.projection('phon', opvars[i - 1]) for i in surface))
+            slots = tuple(d.operands[i - 1] for i in surface)
+            order = tuple(sorted(range(n), key=surface.__getitem__))
+        else:
+            (surface, phon), slots, order = _parse_lex_phon(th, d, where), (), ()
+        # sem(...) and phon(...) read operands, which a lexeme has none of
+        env = syntax.TermEnv(theory=th, placeholders=dict(enumerate(opvars, 1)),
+                             projection=g.projection if n else None, names=names)
         try:
-            sem_tmpl = syntax.parse_term(r.sem_src, env)
+            sem = syntax.parse_term(d.sem_src, env)
         except (syntax.ParseError, kernel.KernelError) as e:
-            raise GrammarError('rule %s: bad meaning %r: %s' % (r.name, r.sem_src, e))
-        want = sem_types[r.result]
-        if sem_tmpl.ty != want:
-            raise GrammarError('rule %s: meaning has type %s, result %s needs %s'
-                               % (r.name, kernel.type_to_str(sem_tmpl.ty), r.result,
+            raise GrammarError('%s: bad meaning %r: %s' % (where, d.sem_src, e))
+        want = sem_types[d.result]
+        if sem.ty != want:
+            raise GrammarError('%s: meaning has type %s, %s %s needs %s'
+                               % (where, kernel.type_to_str(sem.ty),
+                                  'result' if n else 'sign type', d.result,
                                   kernel.type_to_str(want)))
-        extra = sem_tmpl.free_vars - set(opvars)
+        extra = sem.free_vars - set(opvars)
         if extra:
-            raise GrammarError('rule %s: meaning may only use operands $1..$%d '
-                               '(free: %s)' % (r.name, n,
-                                               ' '.join(sorted(v.name for v in extra))))
-        reads_phon = _check_projections('rule %s' % r.name, sem_tmpl, projections, opvars)
-        rhs = cat(*(App(th.const('phon_%s' % r.operands[i - 1]), opvars[i - 1])
-                    for i in pattern))
-        _add_sign_axioms(th, sem_types, 'rule.%s' % r.name, sign, rhs, sem_tmpl)
-        rule_items.append(RuleItem(r.name, r.operands, r.result, pattern,
-                                   opvars, sem_tmpl, th.const(r.name), reads_phon))
+            free = ' '.join(sorted(v.name for v in extra))
+            raise GrammarError('%s: meaning may only use operands $1..$%d (free: %s)'
+                               % (where, n, free) if n else
+                               '%s: meaning must be closed (free: %s); declare '
+                               'constants instead' % (where, free))
+        reads_phon = _check_projections(where, sem, projections, opvars)
+        prefix = '%s.%s' % (d.kind, d.name)
+        _add_sign_axioms(g, prefix, sign, phon, sem)
+        c = Constructor(d.name, prefix, d.operands, d.result, surface, opvars, sem,
+                        th.const(d.name), reads_phon, slots, order)
+        (g.rules if n else g.lexicon).append(c)
+        g.constructors[c.const] = c
 
     th.freeze()
-    return Grammar(spec, th, sem_types, lex_items, rule_items, MappingProxyType(names))
+    return g
 
 
-def _add_sign_axioms(th, sem_types, name, sign, phon, sem):
+def _add_sign_axioms(g, name, sign, phon, sem):
     """The axioms ``name.phon``, phon_T(sign) = phon, and ``name.sem``,
     sem_T(sign) = sem, for a sign of type T."""
     for kind, rhs in (('phon', phon), ('sem', sem)):
-        th.add_axiom('%s.%s' % (name, kind), mk_eq(_projection(th, sem_types, kind, sign), rhs))
+        g.theory.add_axiom('%s.%s' % (name, kind), mk_eq(g.projection(kind, sign), rhs))
 
 
 def _check_projections(where, t, projections, operands):
@@ -450,17 +426,17 @@ def _check_projections(where, t, projections, operands):
                 for f in t._children])
 
 
-def _parse_lex_phon(th, lx):
-    src = lx.phon_src.strip()
+def _parse_lex_phon(th, d, where):
+    src = d.phon_src.strip()
     m = re.match(r'^/([^/]*)/$', src)
     if not m:
-        raise GrammarError('lex %s: phon must be a single /word/ literal, '
-                           'found %r' % (lx.name, src))
+        raise GrammarError('%s: phon must be a single /word/ literal, '
+                           'found %r' % (where, src))
     word = Word(m.group(1))
     try:
         return word, syntax.phon_term(th, word.tokens)
     except syntax.ParseError as e:
-        raise GrammarError('lex %s: %s' % (lx.name, e))
+        raise GrammarError('%s: %s' % (where, e))
 
 
 def load_grammar(path, name=None):

@@ -79,24 +79,19 @@ class _Chart:
         if bound < 1:
             return
         for lx in g.lexicon:
-            k = len(lx.word)
+            k = len(lx.surface)
             for i in range(n - k + 1):
-                if word.tokens[i:i + k] == lx.word.tokens:
-                    self._add(i, i + k, lx.const, lx.sign_type, 1)
-        # each rule's slot types in surface order, and the order that puts
-        # the slots' children back in operand order
-        plans = [(rule, tuple(rule.operands[p - 1] for p in rule.pattern),
-                  sorted(range(len(rule.pattern)), key=rule.pattern.__getitem__))
-                 for rule in g.rules]
+                if word.tokens[i:i + k] == lx.surface.tokens:
+                    self._add(i, i + k, lx.const, lx.result, 1)
         for d in range(2, bound + 1):
             pending = []
-            for rule, wants, order in plans:
+            for rule in g.rules:
                 for i in range(n + 1):
-                    if (i, wants[0]) not in self.index:
+                    if (i, rule.slots[0]) not in self.index:
                         continue
-                    for j, combo, _fresh in self._extend(wants, i, d - 1):
+                    for j, combo, _fresh in self._extend(rule.slots, i, d - 1):
                         sign = rule.const
-                        for s in order:
+                        for s in rule.order:    # the children back in operand order
                             sign = App(sign, combo[s])
                         pending.append((i, j, sign, rule.result))
             if not pending:
@@ -122,20 +117,18 @@ class _ProofBuilder:
     """The proofs of a grammar's chart signs, each sign's built once and
     kept on the ``Grammar`` for every later parse.  A sign's proofs depend
     on the sign alone, so a parse gets the same ones whichever words came
-    before, and a repeated parse derives nothing.  ``ctors`` maps each
-    sign constructor to its axioms' prefix, operand variables and whether
-    its meaning reads phon($i).  The memos serve every parse too: the phon
-    rewrite's, which holds each built sign's tree-form phon proof; the sem
-    rewrite's, which also holds each built sign's sem proof and normal phon
-    proof, so each child's value is walked once; and phon_step's, so
-    normalisations share their joins.  Threads may share them: a race at
-    worst builds a sign twice, both times the same way."""
+    before, and a repeated parse derives nothing.  ``constructors`` is the
+    grammar's map from each sign constructor to its record.  The memos serve
+    every parse too: the phon rewrite's, which holds each built sign's
+    tree-form phon proof; the sem rewrite's, which also holds each built
+    sign's sem proof and normal phon proof, so each child's value is walked
+    once; and phon_step's, so normalisations share their joins.  Threads
+    may share them: a race at worst builds a sign twice, both times the
+    same way."""
 
     def __init__(self, g):
         self.th = g.theory
-        self.ctors = {lx.const: ('lex.' + lx.name, (), False) for lx in g.lexicon}
-        self.ctors.update((r.const, ('rule.' + r.name, r.operand_vars, r.reads_phon))
-                          for r in g.rules)
+        self.constructors = g.constructors
         self.memo, self.tree_memo, self.sem_memo, self.phon_memo = {}, {}, {}, {}
 
     def normal_phon(self, phon):
@@ -161,14 +154,14 @@ class _ProofBuilder:
         head, children = sign, ()
         while isinstance(head, App):
             head, children = head.fn, (head.arg,) + children
-        axname, opvars, reads_phon = self.ctors[head]
+        ctor = self.constructors[head]
         for c in children:   # a plain loop: one frame per level of the sign
             cp, _cs = self.build(c)
-            if reads_phon:   # phon($i) stands for the child's word: its normal form
+            if ctor.reads_phon:  # phon($i) stands for the child's word: its normal form
                 self.normal_phon(cp)
-        phon, sem = gmod.law(self.th, axname + '.phon'), gmod.law(self.th, axname + '.sem')
+        phon, sem = (gmod.law(self.th, ctor.prefix + k) for k in ('.phon', '.sem'))
         if children:
-            inst = dict(zip(opvars, children))
+            inst = dict(zip(ctor.operand_vars, children))
             phon = rules.rewrite_rhs(kernel.instantiate(phon, inst), lambda th, t: None,
                                      self.tree_memo)
             sem = kernel.instantiate(sem, inst)
@@ -223,14 +216,10 @@ def _plain_replace(t, target, repl):
 
 
 def _compose_meaning(g, rule, children, child_words, child_meanings):
-    t = rule.sem_template
-    t = kernel.subst_parallel(t, dict(zip(rule.operand_vars, children)))
+    t = kernel.subst_parallel(rule.meaning, dict(zip(rule.operand_vars, children)))
     for i, c in enumerate(children):
-        sty = rule.operands[i]
-        sem_c = App(g.theory.const('sem_%s' % sty), c)
-        phon_c = App(g.theory.const('phon_%s' % sty), c)
-        t = _plain_replace(t, sem_c, child_meanings[i])
-        t = _plain_replace(t, phon_c, word_to_phon(g, child_words[i]))
+        t = _plain_replace(t, g.projection('sem', c), child_meanings[i])
+        t = _plain_replace(t, g.projection('phon', c), word_to_phon(g, child_words[i]))
     return beta_normalize(t)
 
 
@@ -240,7 +229,7 @@ def enumerate_signs(g, depth_bound):
     Computed by plain recursive generation, independent of the chart and of
     the proof machinery.
     """
-    levels = {1: [(lx.const, lx.sign_type, lx.word, beta_normalize(lx.sem))
+    levels = {1: [(lx.const, lx.result, lx.surface, beta_normalize(lx.meaning))
                   for lx in g.lexicon]}
     for d in range(2, depth_bound + 1):
         level = []
@@ -257,9 +246,7 @@ def enumerate_signs(g, depth_bound):
                     sign = rule.const
                     for c in children:
                         sign = App(sign, c)
-                    word = Word(())
-                    for s in range(m):
-                        word = word + words[rule.pattern[s] - 1]
+                    word = Word(sum((words[i - 1].tokens for i in rule.surface), ()))
                     meaning = _compose_meaning(g, rule, children, words, meanings)
                     level.append((sign, rule.result, word, meaning))
                     return

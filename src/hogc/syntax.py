@@ -267,21 +267,21 @@ class TermEnv:
     ``theory`` supplies declared constants and resolves /word/ literals (see
     ``phon_term``); ``var_types`` maps free variable names to types;
     ``default_var_type`` (when set) types unannotated unknown identifiers;
-    ``placeholders`` maps operand indexes to variables, and ``sem_fn`` /
-    ``phon_fn`` interpret the rule-body keywords sem(...) and phon(...).
+    ``placeholders`` maps operand indexes to variables, and
+    ``projection(kind, t)`` interprets the rule-body keywords sem(...) and
+    phon(...), ``kind`` being the keyword.
     ``names`` maps each ``Abs`` node the reader builds to the name it was
     read with, the first one it met, but never a ``%d`` name.
     """
 
     def __init__(self, theory=None, var_types=None, default_var_type=None,
-                 placeholders=None, sem_fn=None, phon_fn=None, names=None):
+                 placeholders=None, projection=None, names=None):
         self.theory = theory
         self.names = {} if names is None else names
         self.var_types = dict(var_types or {})
         self.default_var_type = default_var_type
         self.placeholders = placeholders
-        self.sem_fn = sem_fn
-        self.phon_fn = phon_fn
+        self.projection = projection
 
 
 _BINDERS = ('\\', '!', '?')
@@ -303,9 +303,11 @@ class _Parser:
         return t
 
     def expect(self, kind, val=None):
+        """The next token, which must be of ``kind``: a symbol is asked for
+        by its value ``val``, an identifier as a name."""
         t = self.next()
         if t.kind != kind or (val is not None and t.val != val):
-            raise ParseError('expected %s at %d, found %s' % (val or kind, t.pos, t.shown()))
+            raise ParseError('expected %s at %d, found %s' % (val or 'a name', t.pos, t.shown()))
         return t
 
     def at_sym(self, val):
@@ -391,14 +393,11 @@ class _Parser:
             if not isinstance(arg.ty, ProdType):
                 raise ParseError('%s of a term of type %s' % (name, type_to_str(arg.ty)))
             return App(kernel.logical_const(name, (arg.ty.left, arg.ty.right)), arg)
-        if name in ('sem', 'phon') and (self.env.sem_fn or self.env.phon_fn):
+        if name in ('sem', 'phon') and self.env.projection:
             self.expect('sym', '(')
             arg = self.term()
             self.expect('sym', ')')
-            fn = self.env.sem_fn if name == 'sem' else self.env.phon_fn
-            if fn is None:
-                raise ParseError('%s(...) not available here' % name)
-            return fn(arg)
+            return self.env.projection(name, arg)
         targs = self._type_args()
         if targs is not None:
             if name not in kernel.LOGICAL_NAMES:
@@ -472,7 +471,7 @@ class _Parser:
             return ty
         if t.kind == 'ident' and t.val[0] != '%':
             return self._named_type(t.val)
-        raise ParseError('expected a type at %d' % t.pos)
+        raise ParseError('expected a type at %d, found %s' % (t.pos, t.shown()))
 
     def type_expr(self):
         left = self.type_prod()

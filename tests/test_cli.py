@@ -135,7 +135,7 @@ def test_pair_constant_names_are_reserved(files, capsys, name):
 
 
 @pytest.mark.parametrize('decl,msg', [
-    ('const c : Ind ->', "const c: bad type 'Ind ->': expected a type at 6"),
+    ('const c : Ind ->', "const c: bad type 'Ind ->': expected a type at 6, found end of input"),
     ('signtype T sem Ind * Und', "signtype T: bad type 'Ind * Und': unknown base type Und"),
     ('signtype T sem (Ind', "signtype T: bad type '(Ind': expected ) at 4, found end of input"),
 ])
@@ -208,6 +208,11 @@ def test_parse_bad_inputs(files, capsys):
     ('~', 'unexpected end of input at 1'),
     ('cond[Bool', 'expected ] at 9, found end of input'),
     ('', 'unexpected end of input at 0'),
+    ('\\', 'expected a name at 1, found end of input'),
+    ('!', 'expected a name at 1, found end of input'),
+    ('?', 'expected a name at 1, found end of input'),
+    ('\\x:', 'expected a type at 3, found end of input'),
+    ('x:', 'expected a type at 2, found end of input'),
 ])
 def test_truncated_meaning_names_end_of_input(files, capsys, text, msg):
     # the end-of-input token has no value; the reader names it in words

@@ -623,17 +623,17 @@ def _closed_statements(g):
         return body
     out = []
     for lx in g.lexicon:
-        phon = grammar.word_to_phon(g, lx.word)
-        body = mk_conj(mk_eq(proj('phon', lx.sign_type, lx.const), phon),
-                       mk_eq(proj('sem', lx.sign_type, lx.const), lx.sem))
+        phon = grammar.word_to_phon(g, lx.surface)
+        body = mk_conj(mk_eq(proj('phon', lx.result, lx.const), phon),
+                       mk_eq(proj('sem', lx.result, lx.const), lx.meaning))
         out.append((body, (), ('lex.%s.phon' % lx.name, 'lex.%s.sem' % lx.name)))
     for r in g.rules:
         vs, sign = r.operand_vars, r.const
         for v in vs:
             sign = App(sign, v)
-        phon = syntax.mk_conc(*(proj('phon', r.operands[i - 1], vs[i - 1]) for i in r.pattern))
+        phon = syntax.mk_conc(*(proj('phon', r.operands[i - 1], vs[i - 1]) for i in r.surface))
         body = mk_conj(mk_eq(proj('phon', r.result, sign), phon),
-                       mk_eq(proj('sem', r.result, sign), r.sem_template))
+                       mk_eq(proj('sem', r.result, sign), r.meaning))
         out.append((closed(vs, body), vs, ('rule.%s.phon' % r.name, 'rule.%s.sem' % r.name)))
     x, y, z = Var('x', PHON), Var('y', PHON), Var('z', PHON)
     cat, unit = syntax.mk_conc, th.const('//')

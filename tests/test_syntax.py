@@ -125,7 +125,7 @@ def test_bound_names_read_back_only_as_bound(th):
     ('\\%0:Ind. %1', 'unbound variable %1'),
     ('%', 'bad bound name at 0'),
     ('\\%x:Ind. %x', 'bad bound name at 1'),
-    ('\\x:%0. x', 'expected a type at 3'),
+    ('\\x:%0. x', "expected a type at 3, found '%0'"),
 ])
 def test_bad_bound_names_rejected(th, text, msg):
     with pytest.raises(syntax.ParseError) as e:
