@@ -168,6 +168,27 @@ def left_mixed_word(n, seed=14):
 AMBIG_WORD = 'fajdo blt'
 
 
+# the pieces that lex_inputs joins: every symbol, /word/ literals, $n and %n
+# and identifiers, which lex; then an unterminated literal, a literal with a
+# bad character, a bare $ and %, and bad characters, which do not alone
+LEX_PIECES = ('=>', '\\/', '/\\', '=', '++', '->', '(', ')', '<', '>', ',', '.', ':',
+              '\\', '!', '?', '~', '[', ']', '*', '//', '/a b/', "/a-b'c/", '$1', '$23',
+              '%0', '%12', 'x', 'fido', '_a1', 'Ind', 'B9')
+LEX_BAD_PIECES = ('/ab', '/a@b/', '$', '%', '/', '7', '-', '+', "'", '@', '#', '"')
+
+
+def lex_inputs(n, seed=1):
+    """n seeded ASCII strings of one to eight pieces, each followed by
+    nothing, a space or a tab; about one piece in ten is a bad one."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n):
+        parts = [rng.choice(LEX_BAD_PIECES if rng.random() < 0.1 else LEX_PIECES)
+                 for _ in range(rng.randint(1, 8))]
+        out.append(''.join(p + rng.choice(('', '', ' ', '\t')) for p in parts))
+    return out
+
+
 def bool_universe_terms(max_size=4):
     """Every boolean-fragment term over p, q up to the given size.
 

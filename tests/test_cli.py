@@ -105,6 +105,23 @@ def test_undecodable_file_is_bad_input(files, capsys, argv):
     assert out.startswith('%s error: ' % argv[0]) and "can't decode byte 0xff" in out
 
 
+@pytest.mark.parametrize('command,line', [
+    ('parse', 'parse error: bad placeholder at 0'),
+    ('check', "check error: signtype NP: bad type '$\u00b2': bad placeholder at 0"),
+])
+def test_non_ascii_placeholder_digit_is_bad_input(files, command, line):
+    # a superscript two is no digit of a $n placeholder, in a meaning or a
+    # declared type alike
+    p = files['dir'] / 'superscript.hog'
+    p.write_text(helpers.TOY.replace('signtype NP sem Ind', 'signtype NP sem $\u00b2'))
+    argv = (['parse', '-g', files['toy'], '-w', 'fajdo blt', '-m', '$\u00b2']
+            if command == 'parse' else ['check', '-g', str(p)])
+    r = subprocess.run([sys.executable, '-m', 'hogc.cli'] + argv, capture_output=True,
+                       text=True, encoding='utf-8', env=dict(os.environ, PYTHONIOENCODING='utf-8'))
+    assert (r.returncode, r.stdout.splitlines()[-1]) == (2, line)
+    assert 'Traceback' not in r.stdout + r.stderr
+
+
 @pytest.mark.parametrize('depth,code,last', [
     (100, 0, 'check ok'), (1000, 2, 'check error: input nested too deeply')])
 def test_deeply_nested_meaning(files, capsys, depth, code, last):

@@ -1,6 +1,8 @@
 """Term parsing and printing: round trips, precedence, resolution errors."""
 
 import functools
+import json
+import os
 import sys
 
 import pytest
@@ -14,6 +16,7 @@ from hogc.kernel import (
 from hogc.terms import mk_exists, mk_pair
 from hogc.syntax import TermEnv, canonical_term, parse_term, pretty_term
 
+import helpers
 from test_kernel import FRAG
 
 
@@ -412,3 +415,35 @@ def test_roundtrip_every_operator(t):
     env = TermEnv(theory=_OPS_TH, var_types=_OPS_VARS)
     assert parse_term(pretty_term(t), env) == t
     assert parse_term(canonical_term(t), TermEnv(theory=_OPS_TH)) == t
+
+
+# ---------------------------------------------------------------------------
+# The lexer, pinned
+
+_LEX_PINS = os.path.join(os.path.dirname(__file__), 'data', 'lex.txt')
+
+
+def _lexed(s):
+    """The lexer's tokens for s as 'kind value pos', or its ParseError text."""
+    try:
+        return {'tokens': ['%s %r %d' % (t.kind, t.val, t.pos) for t in syntax._lex(s)]}
+    except syntax.ParseError as e:
+        return {'error': str(e)}
+
+
+def test_lexer_pins():
+    # tests/data/lex.txt holds, after its comment lines, one JSON object per
+    # input of helpers.lex_inputs(1000): the input and what it lexes to
+    with open(_LEX_PINS) as f:
+        cases = [json.loads(line) for line in f if not line.startswith('#')]
+    assert [c['input'] for c in cases] == helpers.lex_inputs(1000)
+    for case in cases:
+        assert dict(_lexed(case['input']), input=case['input']) == case
+
+
+@pytest.mark.parametrize('text', ['$\u00b2', '$1\u00b2', '%0\u00b2', '$\u0663', '%\u0663'])
+def test_non_ascii_digits_are_bad_input(th, text):
+    # the digits of $n and %n are ASCII 0-9: a superscript two or an
+    # Arabic-Indic three is no digit of a placeholder or a bound name
+    with pytest.raises(syntax.ParseError):
+        parse_term(text, TermEnv(theory=th, placeholders={1: Var('x', IND), 3: Var('y', IND)}))
