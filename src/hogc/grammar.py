@@ -44,11 +44,10 @@ class GrammarError(Exception):
     pass
 
 
-_NAME_RE = re.compile(r'^[A-Za-z_][A-Za-z0-9_]*$')
 _TOKEN_RE = re.compile(r"^[a-z0-9'][a-z0-9'_-]*$")
-_RESERVED = frozenset(('pair', 'fst', 'snd', 'sem', 'phon', 'conc', 'true', 'false',
-                       'not', 'and', 'or', 'imp', 'eq', 'iota', 'forall',
-                       'exists', 'cond', 'Bool', 'Ind', 'Phon'))
+# the logical constants, the reader's keywords sem and phon, the monoid's
+# conc and the core base types
+_RESERVED = kernel.LOGICAL_NAMES | {'sem', 'phon', 'conc'} | set(kernel.CORE_BASE_TYPES)
 _X, _Y, _Z = Var('x', PHON), Var('y', PHON), Var('z', PHON)     # free in the monoid laws
 
 
@@ -199,7 +198,7 @@ def parse_grammar_text(text):
 
 
 def _check_name(name):
-    if not _NAME_RE.match(name):
+    if not re.fullmatch(syntax.IDENT, name):
         raise GrammarError('bad name %r' % name)
     if name in _RESERVED:
         raise GrammarError('%s is reserved' % name)

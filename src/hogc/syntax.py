@@ -36,6 +36,8 @@ variables may be annotated with their type (``x:(Ind -> Bool)``).  ``%0``,
 
 from __future__ import annotations
 
+import re
+
 from . import kernel, terms
 from .kernel import (App, Abs, Bound, Const, FunType, PHON, ProdType, Var, dest_abs,
                      type_to_str)
@@ -181,11 +183,18 @@ def pretty_theorem(thm, names=None):
 # ---------------------------------------------------------------------------
 # Lexer
 
-_TWO_CHAR = frozenset([sym for sym, _ in INFIX if len(sym) == 2] + ['->'])
-_ONE_CHAR = frozenset([sym for sym, _ in INFIX if len(sym) == 1] + list('()<>,.:\\!?~[]*'))
-_IDENT_START = set('abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_')
-_IDENT_CHAR = _IDENT_START | set('0123456789')
-_WORD_CHAR = _IDENT_CHAR | set("'-")
+# An identifier; a grammar's declared names are identifiers too.
+IDENT = '[A-Za-z_][A-Za-z0-9_]*'
+_WORD_CHAR = r"[A-Za-z0-9_'\s-]"
+_SYMBOLS = sorted([sym for sym, _ in INFIX] + ['->'] + list('()<>,.:\\!?~[]*'),
+                  key=len, reverse=True)
+# after blanks, one token: a symbol, longest first, so that /\\ is never a
+# /word/ literal; a literal; a $<digits> placeholder; an identifier or
+# %<digits>, the name of a bound variable in canonical printing; or else one
+# bad character, which _bad_token names.  The group that matched is the kind.
+_TOKEN = re.compile(r'\s*(?:(%s)|(/%s*/)|(\$[0-9]+)|(%%[0-9]+|%s)|(\S))'
+                    % ('|'.join(map(re.escape, _SYMBOLS)), _WORD_CHAR, IDENT))
+_KINDS = (None, 'sym', 'word', 'placeholder', 'ident')
 
 
 class _Tok:
@@ -206,56 +215,32 @@ class _Tok:
 
 def _lex(s):
     toks = []
-    i = 0
-    n = len(s)
-    while i < n:
-        c = s[i]
-        if c.isspace():
-            i += 1
-            continue
-        two = s[i:i + 2]
-        if two in _TWO_CHAR:
-            toks.append(_Tok('sym', two, i))
-            i += 2
-            continue
-        if c == '/':
-            j = s.find('/', i + 1)
-            if j < 0:
-                raise ParseError('unterminated /word/ literal at %d' % i)
-            inner = s[i + 1:j]
-            bad = [ch for ch in inner if ch not in _WORD_CHAR and not ch.isspace()]
-            if bad:
-                raise ParseError('bad character %r in /word/ literal' % bad[0])
-            toks.append(_Tok('word', tuple(inner.split()), i))
-            i = j + 1
-            continue
-        if c in '$%':
-            # $<digits> is a rule-body placeholder, %<digits> the name of a
-            # bound variable in canonical printing
-            j = i + 1
-            while j < n and s[j].isdigit():
-                j += 1
-            if j == i + 1:
-                what = 'placeholder' if c == '$' else 'bound name'
-                raise ParseError('bad %s at %d' % (what, i))
-            toks.append(_Tok('placeholder', int(s[i + 1:j]), i) if c == '$'
-                        else _Tok('ident', s[i:j], i))
-            i = j
-            continue
-        if c in _ONE_CHAR:
-            toks.append(_Tok('sym', c, i))
-            i += 1
-            continue
-        if c in _IDENT_START:
-            j = i
-            while j < n and s[j] in _IDENT_CHAR:
-                j += 1
-            toks.append(_Tok('ident', s[i:j], i))
-            i = j
-            continue
-        raise ParseError('bad character %r at %d in %r' % (c, i, s))
-    toks.append(_Tok('eof', None, n))
+    for m in _TOKEN.finditer(s):
+        k = m.lastindex
+        i, val = m.start(k), m.group(k)
+        if k == 5:
+            raise ParseError(_bad_token(s, i))
+        if k == 2:
+            val = tuple(val[1:-1].split())
+        elif k == 3:
+            val = int(val[1:])
+        toks.append(_Tok(_KINDS[k], val, i))
+    toks.append(_Tok('eof', None, len(s)))
     return toks
+
+
+def _bad_token(s, i):
+    """The message for the character at ``i``, which starts no token."""
+    c = s[i]
+    if c == '/':
+        j = s.find('/', i + 1)
+        if j < 0:
+            return 'unterminated /word/ literal at %d' % i
+        bad = re.search('(?!%s).' % _WORD_CHAR, s[i + 1:j])
+        return 'bad character %r in /word/ literal' % bad.group()
+    if c in '$%':
+        return 'bad %s at %d' % ('placeholder' if c == '$' else 'bound name', i)
+    return 'bad character %r at %d in %r' % (c, i, s)
 
 
 # ---------------------------------------------------------------------------
