@@ -15,7 +15,7 @@ from .terms import substitute
 from .syntax import ParseError, TermEnv, canonical_term, parse_term, pretty_term, \
     pretty_theorem
 from .grammar import Grammar, GrammarError, GrammarSpec, Word, elaborate, \
-    load_grammar, phon_homomorphism, phon_norm, phon_to_word, word_to_phon
+    load_grammar, word_to_phon
 from .parser import ParseResult, check_membership, enumerate_signs, parse
 from .rules import FragmentError
 from .closure import (ClosureCertificate, ClosureError, TermUniverse,
@@ -43,8 +43,7 @@ __all__ = [
     'core_theory', 'elaborate', 'enumerate_signs', 'export_trace',
     'identity_language', 'in_fragment', 'is_logically_closed',
     'language_logically_closed', 'load_grammar', 'logical_singleton',
-    'merge_parses', 'parse', 'parse_term', 'phon_homomorphism',
-    'phon_norm', 'phon_to_word', 'pretty_term', 'pretty_theorem',
+    'merge_parses', 'parse', 'parse_term', 'pretty_term', 'pretty_theorem',
     'sets_equivalent', 'substitute', 'theory_fingerprint', 'type_of',
     'verify_trace', 'word_to_phon',
 ]

@@ -142,7 +142,6 @@ class TermUniverse:
     """
 
     def __init__(self, terms):
-        self.type = BOOL
         self.terms = tuple(dict.fromkeys(terms))
         vs, vec, full = _truth_vectors(self.terms)
         self.vars = tuple(vs)

@@ -70,9 +70,6 @@ class Word:
     def __len__(self):
         return len(self.tokens)
 
-    def __add__(self, other):
-        return Word(self.tokens + other.tokens)
-
     def __repr__(self):
         return '/%s/' % ' '.join(self.tokens)
 
@@ -505,42 +502,4 @@ def phon_step(th, t, memo=None):
             e = kernel.transitivity(e, rest)
         memo[rules.rhs(e)] = None
     memo[t] = e
-    return e
-
-
-def phon_norm(g, t):
-    """|- t = nf, nf the right-nested unit-free normal form of the top
-    ``++`` spine of t, as phon_step gives it; any other node is an atom."""
-    return phon_step(g.theory, t) or kernel.reflexivity(g.theory, t)
-
-
-def phon_to_word(g, t):
-    """Read a normal-form phonology term back as a Word; None otherwise."""
-    if _is_unit(t):
-        return Word(())
-    toks = []
-    while (d := _dest_cat(t)) is not None:
-        head, t = d
-        toks.append(_const_token(g, head))
-    toks.append(_const_token(g, t))
-    return None if None in toks else Word(tuple(toks))
-
-
-def _const_token(g, t):
-    if (isinstance(t, kernel.Const) and t.name.startswith('/')
-            and t.name.endswith('/') and len(t.name) > 2):
-        return t.name[1:-1]
-    return None
-
-
-def phon_homomorphism(g, u, v):
-    """|- /u/ ++ /v/ = /uv/ for words u, v."""
-    if isinstance(u, str):
-        u = Word(u)
-    if isinstance(v, str):
-        v = Word(v)
-    e = phon_norm(g, syntax.mk_conc(word_to_phon(g, u), word_to_phon(g, v)))
-    want = word_to_phon(g, u + v)
-    if rules.rhs(e) != want:
-        raise GrammarError('phonology normalization failed for %r ++ %r' % (u, v))
     return e

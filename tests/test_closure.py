@@ -112,7 +112,6 @@ def test_universe_construction():
     assert len(u) == 3  # duplicates collapse
     assert [v.name for v in u.vars] == ['p', 'q']
     assert P in u and mk_disj(P, Q) not in u
-    assert u.type == BOOL
 
 
 def test_universe_rejects_bad_terms():
