@@ -352,7 +352,7 @@ def elaborate(spec, name='g'):
     th.add_axiom('phon.lunit', mk_eq(cat(unit, _X), _X))
     th.add_axiom('phon.runit', mk_eq(cat(_X, unit), _X))
 
-    projections = {projection_name(kind, sty) for kind in ('phon', 'sem')
+    projections = {projection_name(kind, sty): kind for kind in ('phon', 'sem')
                    for sty in spec.sign_types}
     for d in decls:
         where, n = '%s %s' % (d.kind, d.name), len(d.operands)
@@ -367,9 +367,8 @@ def elaborate(spec, name='g'):
             order = tuple(sorted(range(n), key=surface.__getitem__))
         else:
             (surface, phon), slots, order = _parse_lex_phon(th, d, where), (), ()
-        # sem(...) and phon(...) read operands, which a lexeme has none of
         env = syntax.TermEnv(theory=th, placeholders=dict(enumerate(opvars, 1)),
-                             projection=g.projection if n else None, names=names)
+                             projection=g.projection if n else _no_operand, names=names)
         try:
             sem = syntax.parse_term(d.sem_src, env)
         except (syntax.ParseError, kernel.KernelError) as e:
@@ -399,6 +398,10 @@ def elaborate(spec, name='g'):
     return g
 
 
+def _no_operand(kind, t):
+    raise syntax.ParseError('%s(...) reads an operand, and a lexeme has none' % kind)
+
+
 def _add_sign_axioms(g, name, sign, phon, sem):
     """The axioms ``name.phon``, phon_T(sign) = phon, and ``name.sem``,
     sem_T(sign) = sem, for a sign of type T."""
@@ -410,12 +413,13 @@ def _check_projections(where, t, projections, operands):
     """Meanings may use phon_T/sem_T only as phon($i)/sem($i): applied to a
     free operand variable, so parse proofs can replace every one of them by
     the operand's proven value and none is left for a parent to rewrite.
-    Whether t uses some phon($i)."""
+    Whether t uses some phon($i); ``projections`` maps each projection's
+    name to its kind."""
     if isinstance(t, kernel.Const) and t.name in projections:
         raise GrammarError('%s: meaning mentions %s; sign projections may '
                            'only appear as phon($i) or sem($i)' % (where, t.name))
     if isinstance(t, App) and isinstance(t.fn, kernel.Const) and t.arg in operands:
-        return t.fn.name.startswith('phon_')
+        return projections.get(t.fn.name) == 'phon'
     # a binder's own variable is a Bound index in its body, never an operand;
     # a list, not a generator, so every child is checked
     return any([_check_projections(where, getattr(t, f), projections, operands)

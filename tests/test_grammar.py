@@ -105,6 +105,18 @@ def test_rule_axiom_shape(toy):
 
 
 
+def test_reads_phon_means_a_phon_projection():
+    # a constant whose name starts with phon_ is no phon projection: LONG's
+    # meaning never reads its operand's word, SHORT's does
+    g = elaborate(helpers.TOY + 'const phon_len : NP -> Bool\n'
+                  'const short : Phon -> Bool\n'
+                  'rule LONG : NP -> S { phon = $1; sem = phon_len($1); }\n'
+                  'rule SHORT : NP -> S { phon = $1; sem = short(phon($1)); }\n', name='toy')
+    assert {c.name: c.reads_phon for c in g.rules} == {
+        'SUBJ': False, 'LONG': False, 'SHORT': True}
+    meanings = {syntax.pretty_term(r.meaning) for r in parser.parse(g, 'fajdo', 2)}
+    assert meanings == {'fido', 'phon_len(FIDO)', 'short(/fajdo/)'}
+
 def test_elaborate_all_corpus_grammars():
     for name, text in helpers.GRAMMARS.items():
         g = elaborate(text, name=name)
@@ -130,9 +142,11 @@ _BAD_A = _BAD + 'lex A : S { phon = /a/; sem = true; }\n'
     # open lexical meaning
     (_BAD + 'lex A : S { phon = /a/; sem = p:Bool; }',
      'lex A: meaning must be closed (free: p); declare constants instead'),
-    # a lexeme has no operands, so no sem(...)
+    # a lexeme has no operands, so no sem(...) and no phon(...)
     (_BAD + 'lex A : S { phon = /a/; sem = sem(A); }',
-     "lex A: bad meaning 'sem(A)': unknown identifier sem"),
+     "lex A: bad meaning 'sem(A)': sem(...) reads an operand, and a lexeme has none"),
+    (_BAD + 'lex A : S { phon = /a/; sem = phon(A) = //; }',
+     "lex A: bad meaning 'phon(A) = //': phon(...) reads an operand, and a lexeme has none"),
     # unknown sign type in a rule
     (_BAD_A + 'rule R : S T -> S { phon = $1 ++ $2; sem = sem($1); }',
      'rule R: unknown sign type T'),
