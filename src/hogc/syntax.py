@@ -188,10 +188,11 @@ IDENT = '[A-Za-z_][A-Za-z0-9_]*'
 _WORD_CHAR = r"[A-Za-z0-9_'\s-]"
 _SYMBOLS = sorted([sym for sym, _ in INFIX] + ['->'] + list('()<>,.:\\!?~[]*'),
                   key=len, reverse=True)
-# after blanks, one token: a symbol, longest first, so that /\\ is never a
+# after blanks, one token: a symbol, longest first, so that /\ is never a
 # /word/ literal; a literal; a $<digits> placeholder; an identifier or
 # %<digits>, the name of a bound variable in canonical printing; or else one
-# bad character, which _bad_token names.  The group that matched is the kind.
+# bad character, which _bad_token names.  The number of the group that
+# matched indexes the token's kind in _KINDS.
 _TOKEN = re.compile(r'\s*(?:(%s)|(/%s*/)|(\$[0-9]+)|(%%[0-9]+|%s)|(\S))'
                     % ('|'.join(map(re.escape, _SYMBOLS)), _WORD_CHAR, IDENT))
 _KINDS = (None, 'sym', 'word', 'placeholder', 'ident')
