@@ -104,7 +104,6 @@ def test_rule_axiom_shape(toy):
     assert r == App(App(th.const('sem_IV'), v2), App(th.const('sem_NP'), v1))
 
 
-
 def test_reads_phon_means_a_phon_projection():
     # a constant whose name starts with phon_ is no phon projection: LONG's
     # meaning never reads its operand's word, SHORT's does
@@ -116,6 +115,7 @@ def test_reads_phon_means_a_phon_projection():
         'SUBJ': False, 'LONG': False, 'SHORT': True}
     meanings = {syntax.pretty_term(r.meaning) for r in parser.parse(g, 'fajdo', 2)}
     assert meanings == {'fido', 'phon_len(FIDO)', 'short(/fajdo/)'}
+
 
 def test_elaborate_all_corpus_grammars():
     for name, text in helpers.GRAMMARS.items():
