@@ -185,7 +185,7 @@ def pretty_theorem(thm, names=None):
 
 # An identifier; a grammar's declared names are identifiers too.
 IDENT = '[A-Za-z_][A-Za-z0-9_]*'
-_WORD_CHAR = r"[A-Za-z0-9_'\s-]"
+_LITERAL_CHAR = r"[A-Za-z0-9_'\s-]"
 _SYMBOLS = sorted([sym for sym, _ in INFIX] + ['->'] + list('()<>,.:\\!?~[]*'),
                   key=len, reverse=True)
 # after blanks, one token: a symbol, longest first, so that /\ is never a
@@ -194,7 +194,7 @@ _SYMBOLS = sorted([sym for sym, _ in INFIX] + ['->'] + list('()<>,.:\\!?~[]*'),
 # bad character, which _bad_token names.  The number of the group that
 # matched indexes the token's kind in _KINDS.
 _TOKEN = re.compile(r'\s*(?:(%s)|(/%s*/)|(\$[0-9]+)|(%%[0-9]+|%s)|(\S))'
-                    % ('|'.join(map(re.escape, _SYMBOLS)), _WORD_CHAR, IDENT))
+                    % ('|'.join(map(re.escape, _SYMBOLS)), _LITERAL_CHAR, IDENT))
 _KINDS = (None, 'sym', 'word', 'placeholder', 'ident')
 
 
@@ -237,7 +237,7 @@ def _bad_token(s, i):
         j = s.find('/', i + 1)
         if j < 0:
             return 'unterminated /word/ literal at %d' % i
-        bad = re.search('(?!%s).' % _WORD_CHAR, s[i + 1:j])
+        bad = re.search('(?!%s).' % _LITERAL_CHAR, s[i + 1:j])
         return 'bad character %r in /word/ literal' % bad.group()
     if c in '$%':
         return 'bad %s at %d' % ('placeholder' if c == '$' else 'bound name', i)
