@@ -62,6 +62,11 @@ def quote():
 
 
 @pytest.fixture(scope='session')
+def raised():
+    return grammar.elaborate(helpers.RAISED, name='raised')
+
+
+@pytest.fixture(scope='session')
 def universe():
     """All 272 fragment terms over p, q up to size 4."""
     return closure.TermUniverse(helpers.bool_universe_terms(4))

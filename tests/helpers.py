@@ -107,6 +107,13 @@ rule FLIP : B S -> S { phon = $2 ++ $1; sem = sem($1) \/ ~sem($2); }
 
 GRAMMARS = {'toy': TOY, 'ambig': AMBIG, 'boolsem': BOOLSEM, 'eps': EPS, 'perm': PERM}
 
+# TOY with a type-raised subject: SUBJ's meaning applies FIDO's to the verb's,
+# and the redex (\x. barks(x))(fido) appears only after a first beta step
+RAISED = (TOY.replace('signtype NP sem Ind', 'signtype NP sem (Ind -> Bool) -> Bool')
+          .replace('signtype IV = NP \\ S', 'signtype IV sem Ind -> Bool')
+          .replace('sem = fido;', 'sem = \\P:(Ind -> Bool). P(fido);')
+          .replace('sem = sem($2)(sem($1));', 'sem = sem($1)(sem($2));'))
+
 # right-branching: the n-token word a ... a b has one parse, at depth n, so
 # its terms, proofs and trace lines nest n deep
 CHAIN = r"""

@@ -1,5 +1,6 @@
 """Command-line behavior: reports, exit codes, proof emission, determinism."""
 
+import ast
 import os
 import re
 import shlex
@@ -267,14 +268,18 @@ def test_parse_empty_word(files, capsys):
 # ---------------------------------------------------------------------------
 # proof emission and trace-verify
 
-def test_emit_proof_then_verify(files, capsys):
-    tr = str(files['dir'] / 'parse.trace')
-    code, _ = _run(capsys, ['parse', '-g', files['toy'], '-w', 'fajdo blt',
-                            '--emit-proof', tr])
+@pytest.mark.parametrize('name,args', [
+    ('toy', ['-w', 'fajdo blt']),
+    # a membership answer, its meaning proved equal to the target by taut
+    ('boolsem', ['-w', 'nicht ja en nee', '-k', '4', '-m', 'false /\\ true'])],
+    ids=['toy', 'boolsem-membership'])
+def test_emit_proof_then_verify(files, capsys, name, args):
+    tr = str(files['dir'] / ('%s-parse.trace' % name))
+    code, _ = _run(capsys, ['parse', '-g', files[name], *args, '--emit-proof', tr])
     assert code == 0
     text = open(tr).read()
     assert text.startswith('# hogc trace v2\n')
-    code, out = _run(capsys, ['trace-verify', '-g', files['toy'], tr])
+    code, out = _run(capsys, ['trace-verify', '-g', files[name], tr])
     assert code == 0
     assert 'verified roots: 2' in out
     assert out.endswith('trace-verify ok\n')
@@ -649,3 +654,23 @@ def test_readme_examples_match_the_cli(tmp_path, monkeypatch, capsys):
                     w, g = w[:-3], g[:len(w) - 3]
                 assert g == w, command
     assert commands == 7 and elisions == 1
+
+
+def test_readme_library_block_runs(tmp_path, monkeypatch):
+    # the python block of the Library section runs in a directory that holds
+    # ambig.hog; each line commented with a value evaluates to it, and the
+    # closing verify_trace call returns the merge's two roots
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / 'ambig.hog').write_text(helpers.AMBIG)
+    with open(README) as f:
+        section = f.read().split('\n## Library\n', 1)[1]
+    block = re.match(r'\s*```python\n(.*?)^```', section, re.M | re.S).group(1)
+    tree = ast.parse(block)
+    *body, last = tree.body
+    env = {}
+    exec(compile(ast.Module(body, []), 'README.md', 'exec'), env)
+    assert len(eval(compile(ast.Expression(last.value), 'README.md', 'eval'), env)) == 2
+    shown = re.findall(r'^(\S.*?)\s+# (.*?)(?:\s+\(.*\))?$', block, re.M)
+    assert [(expr, repr(eval(expr, env))) for expr, _ in shown] == shown
+    assert [value for _, value in shown] == [
+        'barks(fido)', '|- sem_S(SUBJ(FIDO)(BARKS)) = barks(fido)']

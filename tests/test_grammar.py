@@ -169,6 +169,27 @@ _BAD_A = _BAD + 'lex A : S { phon = /a/; sem = true; }\n'
     ('alphabet: a\nsigntype A = B \\ S\nsigntype B = A \\ S\n'
      'signtype S sem Bool\n'
      'lex X : A { phon = /a/; sem = true; }', 'circular sign type A'),
+    # a slash sign type over an undeclared one
+    (_BAD + 'signtype A = B \\ S\n', 'unknown sign type B'),
+    # source syntax: a stray brace, a field without =, a name that is no
+    # identifier
+    (_BAD_A + '}', 'unbalanced braces near: }'),
+    (_BAD + 'lex A : S { phon /a/; sem = true; }', "bad field 'phon /a/' in lex A"),
+    (_BAD + 'lex 9c : S { phon = /a/; sem = true; }', "bad name '9c'"),
+    # phonology: a rule's is placeholders, a lexeme's one literal
+    (_BAD_A + 'rule R : S -> S { phon = /a/; sem = sem($1); }',
+     "phon pattern in rule R must be $i placeholders joined by ++, found '/a/'"),
+    (_BAD + 'lex A : S { phon = a; sem = true; }',
+     "lex A: phon must be a single /word/ literal, found 'a'"),
+    # meanings the term reader refuses
+    (_BAD_A + 'rule R : S -> S { phon = $1; sem = sem(true); }',
+     "rule R: bad meaning 'sem(true)': sem(...) needs a sign-typed argument"),
+    (_BAD + 'lex A : S { phon = /a/; sem = $1; }',
+     "lex A: bad meaning '$1': placeholder $1 not available here"),
+    (_BAD + 'lex A : S { phon = /a/; sem = \\x:Bool. x:Ind; }',
+     "lex A: bad meaning '\\\\x:Bool. x:Ind': bound variable x annotated Ind, bound at Bool"),
+    (_BAD + 'lex A : S { phon = /a/; sem = (true ++ //) = //; }',
+     "lex A: bad meaning '(true ++ //) = //': ++ needs Phon operands"),
 ])
 def test_elaboration_errors(src, msg):
     with pytest.raises(GrammarError) as e:

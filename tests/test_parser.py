@@ -110,13 +110,15 @@ def test_empty_word_parse(eps):
         App(eps.theory.const('phon_E'), r.sign), eps.theory.const('//'))
 
 
-def test_parse_agrees_with_enumeration(toy, ambig, boolsem, eps, perm, quote):
+def test_parse_agrees_with_enumeration(toy, ambig, boolsem, eps, perm, quote, raised):
     # parse finds exactly the enumerated signs and meanings of every
     # enumerated word, and nothing for any other word over the alphabet up
     # to 4 tokens.  PERM spells operands out of order, one possibly empty:
     # the chart walks surface slots, and children must land at their
-    # operands.  QUOTE's meanings hold its operand's word
-    for g, top in ((toy, 3), (ambig, 3), (boolsem, 3), (eps, 3), (perm, 4), (quote, 5)):
+    # operands.  QUOTE's meanings hold its operand's word.  RAISED's beta
+    # step makes a new redex, which the meaning must not keep
+    for g, top in ((toy, 3), (ambig, 3), (boolsem, 3), (eps, 3), (perm, 4), (quote, 5),
+                   (raised, 3)):
         for k in range(1, top + 1):
             by_word = {}
             for sign, w, meaning in parser.enumerate_signs(g, k):
