@@ -32,6 +32,7 @@ may use ``sem($i)`` and ``phon($i)``.
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -96,15 +97,6 @@ class GrammarSpec:
     constants: list = field(default_factory=list)    # (name, type source)
     lexicon: list = field(default_factory=list)      # ConstructorDecl, no operands
     rules: list = field(default_factory=list)        # ConstructorDecl
-
-    @classmethod
-    def from_text(cls, text):
-        return parse_grammar_text(text)
-
-    @classmethod
-    def from_file(cls, path):
-        with open(path) as f:
-            return parse_grammar_text(f.read())
 
 
 def _logical_lines(text):
@@ -299,7 +291,7 @@ def _parse_phon_pattern(src, n, where):
     parts = [p.strip() for p in src.split('++')]
     pattern = []
     for p in parts:
-        m = re.match(r'^\$(\d+)$', p)
+        m = re.match(r'^\$([0-9]+)$', p)
         if not m:
             raise GrammarError('phon pattern in %s must be $i placeholders '
                                'joined by ++, found %r' % (where, p))
@@ -310,10 +302,10 @@ def _parse_phon_pattern(src, n, where):
     return tuple(pattern)
 
 
-def elaborate(spec, name='g'):
-    """Build the frozen theory of a grammar and return the Grammar."""
-    if isinstance(spec, str):
-        spec = parse_grammar_text(spec)
+def elaborate(text, name='g'):
+    """Build the frozen theory of a grammar's source text and return the
+    Grammar."""
+    spec = parse_grammar_text(text)
     th = Theory(name)
 
     for sty in spec.sign_types:
@@ -439,12 +431,11 @@ def _parse_lex_phon(th, d, where):
         raise GrammarError('%s: %s' % (where, e))
 
 
-def load_grammar(path, name=None):
-    """Parse and elaborate a grammar file."""
-    import os
-    if name is None:
-        name = os.path.splitext(os.path.basename(path))[0]
-    return elaborate(GrammarSpec.from_file(path), name=name)
+def load_grammar(path):
+    """Elaborate a grammar file into a theory named after the file's stem."""
+    with open(path) as f:
+        text = f.read()
+    return elaborate(text, name=os.path.splitext(os.path.basename(path))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from hogc import grammar, kernel, parser, rules, syntax, terms, trace
 from hogc.grammar import (
-    GrammarError, GrammarSpec, Word, elaborate, load_grammar, phon_step, word_to_phon,
+    GrammarError, Word, elaborate, load_grammar, parse_grammar_text, phon_step, word_to_phon,
 )
 from hogc.kernel import App, BOOL, FunType, IND, PHON, Var, mk_eq
 
@@ -16,7 +16,7 @@ import helpers
 # Source parsing
 
 def test_parse_toy_source():
-    spec = GrammarSpec.from_text(helpers.TOY)
+    spec = parse_grammar_text(helpers.TOY)
     assert spec.alphabet == ('fajdo', 'blt', 'awl')
     assert set(spec.sign_types) == {'S', 'NP', 'IV'}
     assert spec.sign_types['IV'] == ('slash', 'NP', 'S')
@@ -27,7 +27,7 @@ def test_parse_toy_source():
 
 
 def test_comments_and_multiline_blocks():
-    spec = GrammarSpec.from_text("""
+    spec = parse_grammar_text("""
     # a comment
     alphabet: a
     signtype S sem Bool   # trailing comment
@@ -55,7 +55,7 @@ def test_comments_and_multiline_blocks():
 ])
 def test_source_errors(src, frag):
     with pytest.raises(GrammarError) as e:
-        GrammarSpec.from_text(src)
+        parse_grammar_text(src)
     assert frag in str(e.value)
 
 
@@ -165,6 +165,9 @@ _BAD_A = _BAD + 'lex A : S { phon = /a/; sem = true; }\n'
      'phon pattern in rule R must use each of $1..$2 exactly once'),
     (_BAD_A + 'rule R : S S -> S { phon = $1; sem = sem($1); }',
      'phon pattern in rule R must use each of $1..$2 exactly once'),
+    # placeholder digits are ASCII, as in the term reader
+    (_BAD_A + 'rule R : S S -> S { phon = $1 ++ $٢; sem = sem($1); }',
+     "phon pattern in rule R must be $i placeholders joined by ++, found '$٢'"),
     # circular slash sign types
     ('alphabet: a\nsigntype A = B \\ S\nsigntype B = A \\ S\n'
      'signtype S sem Bool\n'

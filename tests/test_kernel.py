@@ -929,6 +929,31 @@ def test_kernel_holds_only_trusted_code():
     assert unused == []
 
 
+# what importing a module loads of the package: an audit that imports the
+# kernel, or the trace verifier, loads no chart parser, closure or grammar code
+_LOADS = {
+    'kernel': {'hogc', 'hogc.kernel'},
+    'trace': {'hogc', 'hogc.kernel', 'hogc.terms', 'hogc.syntax', 'hogc.trace'},
+}
+
+
+@pytest.mark.parametrize('module', ['kernel', 'terms', 'syntax', 'rules', 'grammar',
+                                    'parser', 'closure', 'trace', 'cli'])
+def test_each_module_imports_alone(module):
+    # a fresh interpreter imports hogc.<module> alone and lists the hogc
+    # modules it loaded
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 'src')
+    r = subprocess.run(
+        [sys.executable, '-c', 'import sys, hogc.%s; print(*sorted(m for m in sys.modules '
+         'if m.split(".")[0] == "hogc"))' % module],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert r.returncode == 0, r.stderr
+    loaded = set(r.stdout.split())
+    assert 'hogc.%s' % module in loaded
+    if module in _LOADS:
+        assert loaded == _LOADS[module]
+
+
 _TH = kernel.core_theory()
 
 
