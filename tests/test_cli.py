@@ -48,6 +48,15 @@ def test_check(files, capsys):
     assert out.endswith('check ok\n')
 
 
+
+def test_unwritable_report_path_is_bad_input(files, tmp_path, capsys):
+    # the report cannot be written, so its error goes to stdout instead
+    out_path = str(tmp_path / 'missing' / 'out')
+    code, out = _run(capsys, ['check', '-g', files['toy'], '-o', out_path])
+    assert (code, out) == (2, "check error: [Errno 2] No such file or directory: %r\n"
+                              % out_path)
+
+
 # TOY with constants named like the axioms' free variables
 _TOY_VAR_CONSTS = helpers.TOY + ''.join('const %s : Ind\n' % n
                                          for n in ('x', 'y', 'z', 'x1', 'x2'))
@@ -379,6 +388,20 @@ def test_trace_verify_needs_the_theory_line(files, capsys):
             assert (code, out) == (1, 'trace-verify FAIL: %s\n' % msg)
 
 
+
+def test_theory_name_with_a_blank_verifies_its_own_trace(tmp_path, capsys):
+    # the theory is named after the file's stem, 'my toy', blank included
+    g = tmp_path / 'my toy.hog'
+    g.write_text(helpers.TOY)
+    tr = str(tmp_path / 't.trace')
+    code, _ = _run(capsys, ['parse', '-g', str(g), '-w', 'fajdo blt', '-k', '2',
+                            '--emit-proof', tr])
+    assert code == 0
+    code, out = _run(capsys, ['trace-verify', '-g', str(g), tr])
+    assert code == 0
+    assert out.splitlines()[:2] == ['theory: my toy', 'verified roots: 2']
+
+
 @pytest.mark.parametrize('roots,msg', [
     ('x', "bad roots line '# roots x': want one or more step indexes"),
     ('-1', "bad roots line '# roots -1': want one or more step indexes"),
@@ -419,6 +442,19 @@ def test_trace_verify_names_the_version_line_of_an_old_trace(files, capsys):
 def test_trace_verify_missing_file(capsys):
     code, out = _run(capsys, ['trace-verify', '/nonexistent.trace'])
     assert code == 2
+
+
+@pytest.mark.parametrize('argv', [
+    ['merge', '-w', 'fajdo blt', '0', '1'],
+    ['merge', '-w', 'fajdo blt', '0', '--cert', 'c.cert'],
+    ['trace-verify'],
+])
+def test_incomplete_command_is_a_usage_error(capsys, argv):
+    # argparse refuses the command line before any file is opened
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    assert 'usage: hogc' in capsys.readouterr().err
 
 
 def test_trace_verify_config_without_trace_path(capsys):

@@ -903,6 +903,14 @@ def test_strict_theory_line_must_precede_the_first_step(toy):
     assert str(e.value) == 'no theory line before the first step'
 
 
+def test_export_refuses_a_theory_name_with_a_line_break():
+    # no '# theory <name> <sha256>' line can carry the name
+    th = kernel.core_theory('a\nb')
+    with pytest.raises(TraceError) as e:
+        export_trace(kernel.reflexivity(th, P))
+    assert 'line break' in str(e.value)
+
+
 @pytest.mark.parametrize('name,frag', [
     ('bool-cases[Ind]', 'takes 0 type arguments'),
     ('description[Ind', 'malformed axiom name'),
