@@ -18,28 +18,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, fields
 
 from . import closure as cmod
 from . import grammar as gmod
 from . import kernel, parser, syntax, trace
-
-
-@dataclass
-class RunConfig:
-    command: str
-    grammar: str = None
-    word: str = None
-    meaning: str = None
-    depth: int = 3
-    universe: str = None
-    out: str = None
-    emit_proof: str = None
-    cert: str = None
-    indices: tuple = None
-    terms: tuple = ()
-    trace_path: str = None
-    color: bool = None
 
 
 GREEN = '\x1b[32m'
@@ -48,13 +30,13 @@ RESET = '\x1b[0m'
 
 
 class _Report:
-    def __init__(self, config):
+    def __init__(self, args):
         self.lines = []
-        if config.color is None:
+        if args.color is None:
             self.color = os.environ.get('HOGC_COLOR', '0') == '1'
         else:
-            self.color = config.color
-        self.out = config.out
+            self.color = args.color
+        self.out = args.out
 
     def add(self, line=''):
         self.lines.append(line)
@@ -72,15 +54,15 @@ class _Report:
             sys.stdout.write(shown)
 
 
-def _load_grammar(config):
-    if not config.grammar:
+def _load_grammar(args):
+    if not args.grammar:
         raise gmod.GrammarError('a grammar file is required (-g)')
-    return gmod.load_grammar(config.grammar)
+    return gmod.load_grammar(args.grammar)
 
 
-def _load_theory(config):
+def _load_theory(args):
     """The grammar's theory, or the core theory when no grammar is given."""
-    return _load_grammar(config).theory if config.grammar else kernel.core_theory()
+    return _load_grammar(args).theory if args.grammar else kernel.core_theory()
 
 
 def _meaning_env(g):
@@ -106,10 +88,10 @@ def _emit_proofs(path, results, comment):
         f.write(trace.export_trace(thms, comment=comment))
 
 
-def _run_check(config, rep):
-    g = _load_grammar(config)
+def _run_check(args, rep):
+    g = _load_grammar(args)
     rep.add('grammar: %s' % g.theory.name)
-    rep.add('alphabet: %s' % (' '.join(g.alphabet) or '(empty)'))
+    rep.add('alphabet: %s' % (' '.join(g.spec.alphabet) or '(empty)'))
     rep.add('sign types: %s' % (' '.join(g.spec.sign_types) or '(none)'))
     rep.add('lexemes: %d  rules: %d' % (len(g.lexicon), len(g.rules)))
     names = sorted(g.theory.axioms)
@@ -125,49 +107,45 @@ def _run_check(config, rep):
     return 0
 
 
-def _run_parse(config, rep):
-    g = _load_grammar(config)
-    word = gmod.Word(config.word or '')
+def _run_parse(args, rep):
+    g = _load_grammar(args)
+    word = gmod.Word(args.word)
     rep.add('word: %s' % (' '.join(word.tokens) or '(empty)'))
-    rep.add('depth bound: %d' % config.depth)
-    if config.meaning is not None:
-        target = syntax.parse_term(config.meaning, _meaning_env(g))
-        r = parser.check_membership(g, word, target, config.depth)
+    rep.add('depth bound: %d' % args.depth)
+    if args.meaning is not None:
+        target = syntax.parse_term(args.meaning, _meaning_env(g))
+        r = parser.check_membership(g, word, target, args.depth)
         if r is None:
-            rep.add('meaning: %s' % config.meaning.strip())
+            rep.add('meaning: %s' % args.meaning.strip())
             rep.add('member: no')
             return 1
         rep.add('meaning: %s' % syntax.pretty_term(r.meaning, g.names))
         rep.add('member: yes')
         _result_block(rep, g, r)
-        if config.emit_proof:
-            _emit_proofs(config.emit_proof, [r], 'membership of %s' % ' '.join(word.tokens))
+        if args.emit_proof:
+            _emit_proofs(args.emit_proof, [r], 'membership of %s' % ' '.join(word.tokens))
         rep.add('parse ok')
         return 0
-    results = parser.parse(g, word, config.depth)
+    results = parser.parse(g, word, args.depth)
     rep.add('parses: %d' % len(results))
     for i, r in enumerate(results):
         _result_block(rep, g, r, i)
-    if config.emit_proof:
-        _emit_proofs(config.emit_proof, results, 'parses of %s' % ' '.join(word.tokens))
+    if args.emit_proof:
+        _emit_proofs(args.emit_proof, results, 'parses of %s' % ' '.join(word.tokens))
     rep.add('parse ok')
     return 0
 
 
-def _run_merge(config, rep):
-    g = _load_grammar(config)
-    word = gmod.Word(config.word or '')
-    if not config.cert:
-        raise cmod.ClosureError('merge needs a certificate script (--cert)')
-    if not config.indices or len(config.indices) != 2:
-        raise cmod.ClosureError('merge needs two parse indices')
-    i, j = config.indices
-    results = parser.parse(g, word, config.depth)
+def _run_merge(args, rep):
+    g = _load_grammar(args)
+    word = gmod.Word(args.word)
+    i, j = args.indices
+    results = parser.parse(g, word, args.depth)
     if not (0 <= i < len(results) and 0 <= j < len(results)):
         raise cmod.ClosureError('parse indices out of range (found %d parses)'
                                 % len(results))
     p1, p2 = results[i], results[j]
-    with open(config.cert) as f:
+    with open(args.cert) as f:
         script = f.read()
     cert = cmod.certificate_from_script(g, script, p1.meaning, p2.meaning)
     merged = cmod.merge_parses(g, p1, p2, cert)
@@ -175,29 +153,28 @@ def _run_merge(config, rep):
     rep.add('merged parses %d and %d' % (i, j))
     rep.add('certificate: %s' % syntax.pretty_theorem(cert.proof, g.names))
     _result_block(rep, g, merged)
-    if config.emit_proof:
-        _emit_proofs(config.emit_proof, [merged], 'merge for %s' % ' '.join(word.tokens))
+    if args.emit_proof:
+        _emit_proofs(args.emit_proof, [merged], 'merge for %s' % ' '.join(word.tokens))
     rep.add('merge ok')
     return 0
 
 
-def _run_closure(config, rep):
-    if not config.universe:
+def _run_closure(args, rep):
+    if not args.universe:
         raise cmod.ClosureError('a universe file is required (-u)')
-    th = _load_theory(config)
-    u = cmod.TermUniverse.from_file(config.universe, theory=th)
+    th = _load_theory(args)
+    with open(args.universe) as f:
+        u = cmod.TermUniverse.from_text(f.read(), theory=th)
     env = syntax.TermEnv(theory=th, default_var_type=kernel.BOOL)
-    subset = [syntax.parse_term(s, env) for s in config.terms]
+    subset = [syntax.parse_term(s, env) for s in args.terms]
     rep.add(cmod.closure_report(u, subset).rstrip('\n'))
     rep.add('closure ok')
     return 0
 
 
-def _run_trace_verify(config, rep):
-    if not config.trace_path:
-        raise trace.TraceError('a trace file is required')
-    th = _load_theory(config)
-    with open(config.trace_path) as f:
+def _run_trace_verify(args, rep):
+    th = _load_theory(args)
+    with open(args.trace_path) as f:
         text = f.read()
     try:
         roots = trace.verify_trace(text, th, strict_fingerprint=True)
@@ -220,24 +197,6 @@ _RUNNERS = {
     'closure': _run_closure,
     'trace-verify': _run_trace_verify,
 }
-
-
-def run(config):
-    """Execute one command; returns the exit status after emitting the report."""
-    rep = _Report(config)
-    try:
-        status = _RUNNERS[config.command](config, rep)
-    except (gmod.GrammarError, cmod.ClosureError, syntax.ParseError,
-            kernel.KernelError, trace.TraceError, OSError, UnicodeDecodeError) as e:
-        rep.add('%s error: %s' % (config.command, e))
-        rep.emit()
-        return 2
-    except RecursionError:
-        rep.add('%s error: input nested too deeply' % config.command)
-        rep.emit()
-        return 2
-    rep.emit()
-    return status
 
 
 def _build_argparser():
@@ -283,10 +242,26 @@ def _build_argparser():
 
 
 def main(argv=None):
-    ns = _build_argparser().parse_args(argv)
-    config = RunConfig(**{f.name: getattr(ns, f.name) for f in fields(RunConfig)
-                          if hasattr(ns, f.name)})
-    return run(config)
+    """Run one command line; returns the exit status after emitting the
+    report.  argparse exits with status 2 on a bad command line."""
+    args = _build_argparser().parse_args(argv)
+    rep = _Report(args)
+    try:
+        status = _RUNNERS[args.command](args, rep)
+    except (gmod.GrammarError, cmod.ClosureError, syntax.ParseError,
+            kernel.KernelError, trace.TraceError, OSError, UnicodeDecodeError) as e:
+        rep.add('%s error: %s' % (args.command, e))
+        status = 2
+    except RecursionError:
+        rep.add('%s error: input nested too deeply' % args.command)
+        status = 2
+    try:
+        rep.emit()
+    except OSError as e:
+        # the report file cannot be written, so the error goes to stdout
+        sys.stdout.write('%s error: %s\n' % (args.command, e))
+        return 2
+    return status
 
 
 if __name__ == '__main__':

@@ -172,11 +172,6 @@ class TermUniverse:
                 terms.append(syntax.parse_term(line, env))
         return cls(terms)
 
-    @classmethod
-    def from_file(cls, path, theory=None):
-        with open(path) as f:
-            return cls.from_text(f.read(), theory=theory)
-
     def __len__(self):
         return len(self.terms)
 
@@ -523,14 +518,14 @@ def _merge_law(th, sty, *args):
     return kernel.instantiate(law, dict(zip(vs, args)))
 
 
-def merge_parses(th, p1, p2, cert):
+def merge_parses(g, p1, p2, cert):
     """From parses of one word at one sign type and a certificate
     ``|- (a = a1) \\/ (a = a2)`` about their meanings, build the sign
     ``C(s1, s2, a = a1)`` with kernel-checked equations: its phonology is
     the shared word and its meaning is a: an instance of the sign type's
     ``_merge_law`` whose hypotheses the parse proofs and the certificate
-    discharge.  Accepts the grammar's theory or the grammar itself."""
-    th = getattr(th, 'theory', th)
+    discharge."""
+    th = g.theory
     if p1.word != p2.word:
         raise ClosureError('parses disagree on the word')
     if p1.sign_type != p2.sign_type:

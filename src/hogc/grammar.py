@@ -236,10 +236,6 @@ class Grammar:
         self.names = names
         self.proofs = None      # every parsed sign's proofs, made at the first parse
 
-    @property
-    def alphabet(self):
-        return self.spec.alphabet
-
     def projection(self, kind, t):
         """``phon_T(t)`` or ``sem_T(t)``, by ``kind``, for a term t of sign
         type T."""
@@ -251,9 +247,6 @@ class Grammar:
         kw.setdefault('theory', self.theory)
         kw.setdefault('projection', self.projection)
         return syntax.TermEnv(**kw)
-
-    def parse_term(self, src, **kw):
-        return syntax.parse_term(src, self.term_env(**kw))
 
 
 def projection_name(kind, sty):

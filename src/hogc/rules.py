@@ -37,11 +37,11 @@ from __future__ import annotations
 
 from . import kernel
 from .kernel import (Abs, App, BOOL, FunType, RuleError, Var, abstraction, assume, axiom,
-                     beta_conversion, congruence, deduct_antisym, dest_eq, false_c,
+                     beta_conversion, congruence, deduct_antisym, dest_bin, dest_eq, false_c,
                      instantiate, mk_conj, mk_cond, mk_disj, mk_eq, mk_forall, mk_imp,
-                     mk_not, modus_ponens_eq, reflexivity, symmetry, transitivity, true_c)
-from .terms import (dest_cond, dest_conj, dest_disj, dest_forall, dest_imp, dest_not,
-                    is_false, is_true, substitute)
+                     mk_not, modus_ponens_eq, reflexivity, subst_parallel, symmetry,
+                     transitivity, true_c)
+from .terms import dest_cond, dest_forall, dest_not, is_false, is_true
 
 
 def lhs(thm):
@@ -196,7 +196,7 @@ def _conjunct_schema(th, first):
 
 
 def _conjunct(thm, first):
-    d = dest_conj(thm.concl)
+    d = dest_bin('and', thm.concl)
     if d is None:
         raise RuleError('not a conjunction: %r' % thm)
     e = instantiate(_conjunct_schema(thm.theory, first), {_P: d[0], _Q: d[1]})
@@ -241,7 +241,7 @@ def _mp_schema(th):
 
 def mp(thm_imp, thm):
     """From A |- p => q and B |- p derive A u B |- q."""
-    d = dest_imp(thm_imp.concl)
+    d = dest_bin('imp', thm_imp.concl)
     if d is None:
         raise RuleError('not an implication: %r' % thm_imp)
     if d[0] != thm.concl:
@@ -302,7 +302,7 @@ def _disj_cases_schema(th):
 
 def disj_cases(thm_disj, thm1, thm2):
     """From A |- p \\/ q, B |- s, C |- s derive A u (B-{p}) u (C-{q}) |- s."""
-    d = dest_disj(thm_disj.concl)
+    d = dest_bin('or', thm_disj.concl)
     if d is None:
         raise RuleError('not a disjunction: %r' % thm_disj)
     if thm1.concl != thm2.concl:
@@ -339,7 +339,7 @@ def not_elim(thm):
 def not_intro(thm):
     """From A |- p => false derive A |- ~p."""
     th = thm.theory
-    d = dest_imp(thm.concl)
+    d = dest_bin('imp', thm.concl)
     if d is None or not is_false(d[1]):
         raise RuleError('not_intro needs |- p => false')
     u = unfold_head(th, mk_not(d[0]))
@@ -664,14 +664,14 @@ def fragment_vars(t):
 # Ground boolean evaluation and the tautology rule
 
 def _ground_simp(th, t):
-    d = dest_conj(t)
+    d = dest_bin('and', t)
     if d is not None:
         if is_true(d[0]):
             return _inst1(_bool_lemma(th, 'and_true_l'), d[1])
         if is_false(d[0]):
             return _inst1(_bool_lemma(th, 'and_false_l'), d[1])
         return None
-    d = dest_disj(t)
+    d = dest_bin('or', t)
     if d is not None:
         if is_true(d[0]):
             return _inst1(_bool_lemma(th, 'or_true_l'), d[1])
@@ -734,6 +734,6 @@ def _taut(th, t, vs):
             raise RuleError('not a tautology: %r' % (t,))
         return eqt_elim(e)
     v = vs[0]
-    tt = _taut(th, substitute(t, v, true_c()), vs[1:])
-    tf = _taut(th, substitute(t, v, false_c()), vs[1:])
+    tt = _taut(th, subst_parallel(t, {v: true_c()}), vs[1:])
+    tf = _taut(th, subst_parallel(t, {v: false_c()}), vs[1:])
     return bool_cases_split(th, v, v, t, tt, tf)

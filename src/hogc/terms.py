@@ -7,12 +7,7 @@ and axiom schemas use (``mk_eq``, ``dest_eq``, ``mk_forall``, ``mk_imp`` and
 the like) stay in ``hogc.kernel``.
 """
 
-from .kernel import Abs, App, Const, dest_abs, dest_bin, logical_const, subst_parallel
-
-
-def substitute(t, v, r):
-    """Replace free occurrences of variable ``v`` in ``t`` by ``r``."""
-    return subst_parallel(t, {v: r})
+from .kernel import Abs, App, Const, dest_abs, logical_const
 
 
 def mk_exists(v, body):
@@ -21,18 +16,6 @@ def mk_exists(v, body):
 
 def mk_pair(a, b):
     return App(App(logical_const('pair', (a.ty, b.ty)), a), b)
-
-
-def dest_conj(t):
-    return dest_bin('and', t)
-
-
-def dest_disj(t):
-    return dest_bin('or', t)
-
-
-def dest_imp(t):
-    return dest_bin('imp', t)
 
 
 def dest_not(t):

@@ -4,8 +4,8 @@ A trace is line-oriented text: a header of ``#`` lines, then one primitive
 inference per step line.  The first line is the version line
 ``# hogc trace v2``, and a trace with any other first line is rejected.
 Then come comment lines, ``# theory <name> <sha256>``, which records the
-theory fingerprint, ``# roots <index>...``, the root step indexes, and the
-tables:
+theory fingerprint (a name may hold blanks, not a line break),
+``# roots <index>...``, the root step indexes, and the tables:
 
     #B <name>           base type            #v <name> <type>   variable
     #F <type> <type>    function type        #c <name> <type>...  constant
@@ -227,6 +227,10 @@ def export_trace(thms, comment=None):
     for t in thms:
         if t.theory is not th:
             raise TraceError('theorems from different theories in one trace')
+    # the verifier splits lines with splitlines, at '\r' and the like too
+    if len((th.name + '.').splitlines()) > 1:
+        raise TraceError('theory name %r holds a line break, which no theory line can carry'
+                         % th.name)
     order, step = _steps(thms)
     tables = _Tables(th)
     body = []
@@ -251,7 +255,8 @@ def export_trace(thms, comment=None):
 # a step index or table id: a decimal numeral without leading zeros, of at
 # most 18 digits, which int() reads in any Python version
 _INDEX = re.compile('0|[1-9][0-9]{0,17}')
-_SHA256 = re.compile('[0-9a-f]{64}')
+# the name is all between 'theory' and the fingerprint, blanks included
+_THEORY_LINE = re.compile(r'#\s*theory\s(.*)\s([0-9a-f]{64})\s*')
 
 # rule -> whether it takes the theory first, and the kinds of its
 # arguments: @ a step, { a term, v a variable term
@@ -422,10 +427,11 @@ def verify_trace(text, th, strict_fingerprint=False):
             elif parts[:1] == ['theory'] and strict_fingerprint:
                 if fingerprinted:
                     raise TraceError('more than one theory line: %r' % line)
-                if len(parts) != 3 or not _SHA256.fullmatch(parts[2]):
+                m = _THEORY_LINE.fullmatch(line)
+                if not m:
                     raise TraceError('bad theory line %r: want # theory <name> <sha256>'
                                      % line)
-                _check_fingerprint(parts[1], parts[2], th)
+                _check_fingerprint(m[1], m[2], th)
                 fingerprinted = True
             continue
         if strict_fingerprint and not fingerprinted:

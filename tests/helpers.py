@@ -317,7 +317,7 @@ def eval_fragment(t, env):
 
 def undisch(thm):
     """From A |- p => q derive A u {p} |- q."""
-    d = terms.dest_imp(thm.concl)
+    d = kernel.dest_bin('imp', thm.concl)
     if d is None:
         raise kernel.RuleError('not an implication: %r' % thm)
     return rules.mp(thm, kernel.assume(thm.theory, d[0]))

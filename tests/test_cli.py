@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from hogc import cli, grammar, syntax, trace
-from hogc.cli import RunConfig, main
+from hogc.cli import main
 
 import helpers
 
@@ -457,11 +457,6 @@ def test_incomplete_command_is_a_usage_error(capsys, argv):
     assert 'usage: hogc' in capsys.readouterr().err
 
 
-def test_trace_verify_config_without_trace_path(capsys):
-    assert cli.run(RunConfig(command='trace-verify')) == 2
-    assert capsys.readouterr().out == 'trace-verify error: a trace file is required\n'
-
-
 # ---------------------------------------------------------------------------
 # merge
 
@@ -516,15 +511,6 @@ def test_merge_rejects_a_repeated_certificate_line(files, capsys):
                               '0', '1', '--cert', str(cert)])
     assert code == 2
     assert out == "merge error: duplicate by line: 'by left'\n"
-
-
-def test_merge_config_without_indices(files, capsys):
-    cert = files['dir'] / 'left.cert'
-    cert.write_text('target barks(fido)\nby left\n')
-    code = cli.run(RunConfig(command='merge', grammar=files['ambig'],
-                             word='fajdo blt', cert=str(cert)))
-    assert code == 2
-    assert capsys.readouterr().out == 'merge error: merge needs two parse indices\n'
 
 
 # ---------------------------------------------------------------------------
@@ -592,8 +578,7 @@ def test_color_marks_failures(files, capsys, monkeypatch):
 
 def test_run_config_api(files, tmp_path):
     rpt = tmp_path / 'direct.txt'
-    code = cli.run(RunConfig(command='parse', grammar=files['toy'],
-                             word='fajdo blt', depth=2, out=str(rpt)))
+    code = main(['parse', '-g', files['toy'], '-w', 'fajdo blt', '-k', '2', '-o', str(rpt)])
     assert code == 0
     assert 'parses: 1' in rpt.read_text()
 

@@ -604,7 +604,7 @@ def test_merge_left(ambig):
 def test_merge_right(ambig):
     p1, p2 = _merge_fixture(ambig)
     cert = certificate_right(ambig.theory, p1.meaning, p2.meaning)
-    m = merge_parses(ambig.theory, p1, p2, cert)  # theory works like grammar
+    m = merge_parses(ambig, p1, p2, cert)
     assert m.meaning == p2.meaning
     c = mk_eq(p2.meaning, p1.meaning)
     assert m.sign == mk_cond(p1.sign, p2.sign, c)

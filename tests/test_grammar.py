@@ -121,10 +121,10 @@ def test_elaborate_all_corpus_grammars():
     for name, text in helpers.GRAMMARS.items():
         g = elaborate(text, name=name)
         assert g.theory.frozen
-        assert g.lexicon and g.alphabet
+        assert g.lexicon and g.spec.alphabet
         # every axiom is a plain equation, with no ! or /\ at its top
         for ax in g.theory.axioms.values():
-            assert terms.dest_forall(ax) is None and terms.dest_conj(ax) is None
+            assert terms.dest_forall(ax) is None and kernel.dest_bin('and', ax) is None
 
 
 _BAD = 'alphabet: a\nsigntype S sem Bool\n'
@@ -255,12 +255,12 @@ def test_product_sign_types_parse_and_verify(word, meanings):
     assert [t.concl for t in got] == [t.concl for t in thms]
 
 
-def test_load_grammar_from_file(tmp_path):
+def test_load_grammar_reads_a_file(tmp_path):
     path = tmp_path / 'pet.hog'
     path.write_text(helpers.TOY)
     g = load_grammar(str(path))
     assert g.theory.name == 'pet'
-    assert g.alphabet == ('fajdo', 'blt', 'awl')
+    assert g.spec.alphabet == ('fajdo', 'blt', 'awl')
 
 
 # ---------------------------------------------------------------------------
@@ -325,13 +325,13 @@ def test_phon_norm_flattens_any_tree(t):
 
 
 def test_grammar_term_env(toy):
-    t = toy.parse_term('barks(fido)')
+    t = syntax.parse_term('barks(fido)', toy.term_env())
     th = toy.theory
     assert t == App(th.const('barks'), th.const('fido'))
     # sem/phon keywords resolve against sign typing
-    t2 = toy.parse_term('sem(FIDO)')
+    t2 = syntax.parse_term('sem(FIDO)', toy.term_env())
     assert t2 == App(th.const('sem_NP'), th.const('FIDO'))
-    t3 = toy.parse_term('phon(FIDO)')
+    t3 = syntax.parse_term('phon(FIDO)', toy.term_env())
     assert t3 == App(th.const('phon_NP'), th.const('FIDO'))
 
 

@@ -278,7 +278,7 @@ def test_dest_abs_renames_only_on_a_clash():
         kernel.dest_abs(t)
     # x and x_1 are free in the body, so the bound variable opens as x_2
     g = Var('g', FunType(IND, FunType(IND, FunType(IND, BOOL))))
-    t = terms.substitute(Abs(x, App(App(App(g, y), x1), x)), y, x)
+    t = kernel.subst_parallel(Abs(x, App(App(App(g, y), x1), x)), {y: x})
     v, body = kernel.dest_abs(t, 'x')
     assert v.name == 'x_2' and body is App(App(App(g, x), x1), v)
     assert Abs(v, body) is t
@@ -293,7 +293,7 @@ def test_loose_bound_variables_are_rejected(th):
     with pytest.raises(kernel.TypingError):
         kernel.reflexivity(th, loose)
     with pytest.raises(kernel.TypingError):
-        terms.substitute(b, b, loose)
+        kernel.subst_parallel(b, {b: loose})
 
 
 _HINTS = st.sampled_from(('b0', 'b1', 'b0_', 'p', 'q', 'x', 'z', 'hole', 'slot', '%0'))
@@ -310,7 +310,7 @@ def _binder_pairs(draw):
     for body in (t, u):
         v = Var(draw(_HINTS), BOOL)
         mk = draw(st.sampled_from((Abs, mk_forall)))
-        out.append(mk(v, terms.substitute(body, p, v)))
+        out.append(mk(v, kernel.subst_parallel(body, {p: v})))
     return out
 
 
@@ -327,7 +327,7 @@ def test_identity_is_alpha_equivalence(pair):
 def test_substitute_avoids_capture():
     x, y = Var('x', IND), Var('y', IND)
     t = Abs(y, mk_eq(x, y))
-    s = terms.substitute(t, x, y)
+    s = kernel.subst_parallel(t, {x: y})
     z = Var('z', IND)
     assert s == Abs(z, mk_eq(y, z))
     assert s != Abs(y, mk_eq(y, y))
@@ -343,7 +343,7 @@ def test_subst_parallel_swaps():
 def test_substitute_type_mismatch():
     x = Var('x', IND)
     with pytest.raises(kernel.KernelError):
-        terms.substitute(x, x, true_c())
+        kernel.subst_parallel(x, {x: true_c()})
 
 
 def test_beta_normalize():
@@ -385,7 +385,7 @@ def test_substitute_removes_the_variable(t, r):
     p = Var('p', BOOL)
     if p in r.free_vars:
         return
-    s = terms.substitute(t, p, r)
+    s = kernel.subst_parallel(t, {p: r})
     assert p not in s.free_vars
     assert s.ty == BOOL
 

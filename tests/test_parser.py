@@ -130,7 +130,7 @@ def test_parse_agrees_with_enumeration(toy, ambig, boolsem, eps, perm, quote, ra
                        for r in parser.parse(g, w, k)}
                 assert got == expect, (g.theory.name, w, k)
             for n in range(5):
-                for tokens in itertools.product(g.alphabet, repeat=n):
+                for tokens in itertools.product(g.spec.alphabet, repeat=n):
                     if Word(tokens) not in by_word:
                         assert parser.parse(g, tokens, k) == [], (g.theory.name, tokens, k)
 
@@ -392,7 +392,7 @@ def test_every_parse_verifies_in_a_fresh_elaboration(name, k, extra):
     fresh = grammar.elaborate(src, name=name)
     n_parses = 0
     for n in range(5):
-        for tokens in itertools.product(g.alphabet, repeat=n):
+        for tokens in itertools.product(g.spec.alphabet, repeat=n):
             results = parser.parse(g, tokens, k)
             if not results:
                 continue
@@ -542,10 +542,10 @@ from hogc import cli, grammar, parser, syntax
 held = [syntax.parse_term(s) for s in sys.argv[3:]]
 g = grammar.elaborate(helpers.BOOLSEM, name='boolsem')
 shown = ('nicht ja', 'ja en nicht nee', 'nicht ja en nee en ja')
-others = (' '.join(w) for n in range(6) for w in itertools.product(g.alphabet, repeat=n))
+others = (' '.join(w) for n in range(6) for w in itertools.product(g.spec.alphabet, repeat=n))
 for word in itertools.islice((w for w in others if w not in shown), int(sys.argv[2])):
     parser.parse(g, word, 4)
-rep = cli._Report(cli.RunConfig('parse'))
+rep = cli._Report(cli._build_argparser().parse_args(['parse']))
 for n in sorted(g.theory.axioms):
     rep.add('%s %s' % (n, syntax.pretty_term(g.theory.axioms[n], g.names)))
 for word in shown:

@@ -75,7 +75,7 @@ with open(path) as f:
 g = grammar.elaborate(src, name='toy')
 (r,) = parser.parse(g, 'fajdo blt', 2)
 with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.run(cli.RunConfig('check', grammar=path)) == 0
+    assert cli.main(['check', '-g', path]) == 0
 p, q = Var('p', BOOL), Var('q', BOOL)
 universe = closure.TermUniverse([p, q, mk_conj(p, q)])
 closure.closure_report(universe, [p])
