@@ -29,12 +29,9 @@ be captured and no rule here names a variable at run time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import kernel, rules, syntax
 from .grammar import Word, projection_name
-from .kernel import (App, Var, Term, Theorem, BOOL, mk_cond, mk_conj, mk_disj, mk_eq,
-                     true_c, false_c)
+from .kernel import App, Var, BOOL, mk_cond, mk_conj, mk_disj, mk_eq, true_c, false_c
 from .parser import ParseResult
 from .rules import FragmentError, fragment_vars
 
@@ -362,13 +359,13 @@ def closure_report(universe, subset):
 # ---------------------------------------------------------------------------
 # Certificates
 
-@dataclass
 class ClosureCertificate:
     """A theorem ``|- (target = left) \\/ (target = right)``."""
-    target: Term
-    left: Term
-    right: Term
-    proof: Theorem
+
+    __slots__ = ('target', 'left', 'right', 'proof')
+
+    def __init__(self, target, left, right, proof):
+        self.target, self.left, self.right, self.proof = target, left, right, proof
 
     def __repr__(self):
         return 'ClosureCertificate(%s)' % syntax.pretty_theorem(self.proof)

@@ -34,11 +34,10 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from . import kernel, rules, syntax
-from .kernel import App, BaseType, FunType, PHON, Term, Theory, Var, mk_eq
+from .kernel import App, BaseType, FunType, PHON, Theory, Var, mk_eq
 
 
 class GrammarError(Exception):
@@ -75,28 +74,34 @@ class Word:
         return '/%s/' % ' '.join(self.tokens)
 
 
-@dataclass
 class ConstructorDecl:
     """A ``lex`` or ``rule`` declaration; a lexeme has no operands."""
-    name: str
-    operands: tuple         # the operands' sign types
-    result: str             # the sign type it builds
-    phon_src: str
-    sem_src: str
+
+    __slots__ = ('name', 'operands', 'result', 'phon_src', 'sem_src')
+
+    def __init__(self, name, operands, result, phon_src, sem_src):
+        self.name = name
+        self.operands = operands    # the operands' sign types
+        self.result = result        # the sign type it builds
+        self.phon_src, self.sem_src = phon_src, sem_src
 
     @property
     def kind(self):
         return 'rule' if self.operands else 'lex'
 
 
-@dataclass
 class GrammarSpec:
     """Raw grammar declaration; meaning terms are kept as source strings."""
-    alphabet: tuple = ()
-    sign_types: dict = field(default_factory=dict)   # name -> ('base', src) | ('slash', op, res)
-    constants: list = field(default_factory=list)    # (name, type source)
-    lexicon: list = field(default_factory=list)      # ConstructorDecl, no operands
-    rules: list = field(default_factory=list)        # ConstructorDecl
+
+    __slots__ = ('alphabet', 'sign_types', 'constants', 'lexicon', 'rules')
+
+    def __init__(self, alphabet=(), sign_types=None, constants=None, lexicon=None, rules=None):
+        self.alphabet = alphabet
+        # name -> ('base', src) | ('slash', op, res)
+        self.sign_types = {} if sign_types is None else sign_types
+        self.constants = [] if constants is None else constants   # (name, type source)
+        self.lexicon = [] if lexicon is None else lexicon   # ConstructorDecl, no operands
+        self.rules = [] if rules is None else rules         # ConstructorDecl
 
 
 def _logical_lines(text):
@@ -203,22 +208,27 @@ def _declare_signtype(spec, name, decl):
 # ---------------------------------------------------------------------------
 # Elaboration
 
-@dataclass
 class Constructor:
     """An elaborated lexeme or rule: the constant ``const`` builds a sign of
     type ``result`` from signs of the types ``operands``, none for a
     lexeme, and its axioms are ``prefix.phon`` and ``prefix.sem``."""
-    name: str
-    prefix: str             # lex.<name> or rule.<name>
-    operands: tuple
-    result: str
-    surface: object         # a lexeme's Word; a rule's operand indexes (1-based) in surface order
-    operand_vars: tuple
-    meaning: Term           # over the operand variables
-    const: Term
-    reads_phon: bool        # the meaning uses some phon($i)
-    slots: tuple            # the operands' sign types in surface order
-    order: tuple            # the slots' places in operand order
+
+    __slots__ = ('name', 'prefix', 'operands', 'result', 'surface', 'operand_vars',
+                 'meaning', 'const', 'reads_phon', 'slots', 'order')
+
+    def __init__(self, name, prefix, operands, result, surface, operand_vars, meaning,
+                 const, reads_phon, slots, order):
+        self.name = name
+        self.prefix = prefix            # lex.<name> or rule.<name>
+        self.operands, self.result = operands, result
+        # a lexeme's Word; a rule's operand indexes (1-based) in surface order
+        self.surface = surface
+        self.operand_vars = operand_vars
+        self.meaning = meaning          # over the operand variables
+        self.const = const
+        self.reads_phon = reads_phon    # the meaning uses some phon($i)
+        self.slots = slots              # the operands' sign types in surface order
+        self.order = order              # the slots' places in operand order
 
 
 class Grammar:

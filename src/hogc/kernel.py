@@ -166,7 +166,12 @@ def _intern(t, key, ty, free_vars, loose):
 
 
 def _union(a, b):
-    return a if not b or a is b else b if not a else a | b
+    # a child's own set when it holds the other's, so parents share sets
+    if not b or a is b:
+        return a
+    if not a:
+        return b
+    return a if b <= a else b if a <= b else a | b
 
 
 class Term:
@@ -242,7 +247,7 @@ class App(Term):
     _args = _children = __slots__
 
     def __new__(cls, fn, arg):
-        key = ('a', id(fn), id(arg))
+        key = id(fn) << 64 | id(arg)   # the only int keys; ids are below 2**64
         t = _terms.get(key, _NO_REF)()
         if t is None:
             if not isinstance(fn, Term) or not isinstance(arg, Term):

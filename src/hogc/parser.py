@@ -29,23 +29,21 @@ equation to a non-identical but provably equal boolean meaning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from . import grammar as gmod
 from . import kernel, rules, syntax
 from .grammar import GrammarError, Word, word_to_phon
-from .kernel import App, BOOL, Term, Theorem, beta_normalize
+from .kernel import App, BOOL, beta_normalize
 
 
-@dataclass
 class ParseResult:
-    word: Word
-    sign: Term
-    sign_type: str
-    meaning: Term
-    phon_proof: Theorem
-    sem_proof: Theorem
-    depth: int
+    """A parse of ``word``: its ``sign``, of type ``sign_type``, found at
+    ``depth``, its ``meaning`` and the proofs of its phonology and meaning."""
+
+    __slots__ = ('word', 'sign', 'sign_type', 'meaning', 'phon_proof', 'sem_proof', 'depth')
+
+    def __init__(self, word, sign, sign_type, meaning, phon_proof, sem_proof, depth):
+        self.word, self.sign, self.sign_type, self.meaning = word, sign, sign_type, meaning
+        self.phon_proof, self.sem_proof, self.depth = phon_proof, sem_proof, depth
 
     def __repr__(self):
         return ('ParseResult(%r, sign=%s, type=%s, meaning=%s, depth=%d)'
@@ -289,5 +287,6 @@ def check_membership(g, word, meaning, depth_bound):
             if not closure.bool_valid(kernel.mk_eq(nf, r.meaning)):
                 continue
             eq = kernel.symmetry(rules.taut(th, kernel.mk_eq(nf, r.meaning)))
-            return replace(r, meaning=nf, sem_proof=kernel.transitivity(r.sem_proof, eq))
+            return ParseResult(r.word, r.sign, r.sign_type, nf, r.phon_proof,
+                               kernel.transitivity(r.sem_proof, eq), r.depth)
     return None

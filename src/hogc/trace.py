@@ -53,6 +53,19 @@ from . import kernel, syntax
 from .kernel import (Abs, App, BaseType, Bound, Const, FunType, ProdType, Theorem, Var,
                      type_to_str)
 
+# SHA-256 from CPython's own module (_sha2 from 3.12, _sha256 before), which
+# maps no OpenSSL; hashlib, which maps OpenSSL's libcrypto, only where
+# neither exists, and then at the first fingerprint
+try:
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        def _sha256():
+            import hashlib
+            return hashlib.sha256()
+
 VERSION = '# hogc trace v2'
 
 
@@ -66,11 +79,8 @@ class TraceError(Exception):
 
 def theory_fingerprint(th, theory_name=None):
     """Stable digest of a theory's name (or ``theory_name``), declared
-    signature and axioms.  ``hashlib``, and with it OpenSSL, loads at the
-    first call, so a process that never exports or verifies a trace does
-    not map it."""
-    import hashlib
-    h = hashlib.sha256()
+    signature and axioms: SHA-256, in hex."""
+    h = _sha256()
     h.update((th.name if theory_name is None else theory_name).encode())
     for name in sorted(th.base_types):
         h.update(('T %s\n' % name).encode())

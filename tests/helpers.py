@@ -247,6 +247,17 @@ def naive_closure(universe, subset):
     return [t for t in universe if any(t == m for m in members)]
 
 
+def subterms(t):
+    """The set of the distinct subterms of t, t included."""
+    seen, stack = set(), [t]
+    while stack:
+        t = stack.pop()
+        if t not in seen:
+            seen.add(t)
+            stack.extend(getattr(t, a) for a in t._children)
+    return seen
+
+
 def random_term(rng, ty, depth=2):
     """A random well-typed term of the given type over a small variable pool."""
     if depth <= 0 or rng.random() < 0.35:

@@ -265,6 +265,52 @@ def test_intern_table_holds_terms_weakly():
     assert len(kernel._terms) <= before
 
 
+_BOOL_VARS = [Var(n, BOOL) for n in 'pqr']
+# boolean terms with binders, so free-variable sets both grow and shrink
+_BOUND_FRAG = st.recursive(
+    st.sampled_from(_BOOL_VARS + [true_c()]),
+    lambda sub: st.one_of(
+        sub.map(mk_not),
+        st.tuples(sub, sub).map(lambda ab: mk_conj(*ab)),
+        st.tuples(sub, sub).map(lambda ab: mk_eq(*ab)),
+        st.tuples(st.sampled_from(_BOOL_VARS), sub).map(lambda vt: mk_forall(*vt))),
+    max_leaves=10)
+
+
+def _check_free_vars(t):
+    # every node's free variables are its children's, and a variable's itself
+    for s in helpers.subterms(t):
+        if type(s) is Var:
+            assert s.free_vars == {s}
+        elif type(s) is App:
+            assert s.free_vars == s.fn.free_vars | s.arg.free_vars
+        elif type(s) is Abs:
+            assert s.free_vars == s.body.free_vars
+        else:
+            assert s.free_vars == frozenset()
+
+
+@given(_BOUND_FRAG, _BOUND_FRAG, _BOUND_FRAG, st.integers(0, 60))
+@settings(max_examples=80, deadline=None)
+def test_app_is_one_object_exactly_for_one_argument(t, a, b, churn):
+    f = App(eq_c(BOOL), t)
+    assert (App(f, a) is App(f, b)) == (a is b)
+    for x in (a, b):
+        u = App(f, x)
+        assert u.fn is f and u.arg is x
+        _check_free_vars(u)
+    # dead terms free their ids for new ones; a key made of a reused id must
+    # not find a dead term's entry, nor a live term with other children
+    for rnd in range(2):
+        args = [mk_conj(a, Var('c%d_%d' % (rnd, i), BOOL)) for i in range(churn)]
+        apps = [App(f, x) for x in args]
+        assert [u.arg for u in apps] == args and len(set(apps)) == churn
+        for u in apps:
+            _check_free_vars(u)
+        del args, apps
+        gc.collect()
+
+
 def test_dest_abs_renames_only_on_a_clash():
     x, x1, y = Var('x', IND), Var('x_1', IND), Var('y', IND)
     f = Var('f', FunType(IND, FunType(IND, BOOL)))

@@ -411,15 +411,6 @@ def test_rewrite_rhs_takes_given_equations_as_they_stand(th):
     assert rules.rhs(e) == mk_conj(App(f, x), x)
 
 
-def _subterms(t, out=None):
-    out = set() if out is None else out
-    if t not in out:
-        out.add(t)
-        for a in t._children:
-            _subterms(getattr(t, a), out)
-    return out
-
-
 def test_rewrite_pass_calls_node_fn_once_per_distinct_subterm(th):
     x, y = Var('x', BOOL), Var('y', BOOL)
     a = mk_disj(x, mk_not(y))
@@ -432,7 +423,7 @@ def test_rewrite_pass_calls_node_fn_once_per_distinct_subterm(th):
     memo = {}
     thm = kernel.reflexivity(th, t)
     assert rules.rewrite_rhs(thm, node, memo) is thm
-    assert len(calls) == len(set(calls)) == len(_subterms(t)) == len(memo)
+    assert len(calls) == len(set(calls)) == len(helpers.subterms(t)) == len(memo)
     assert set(memo.values()) == {None}
     # a later pass with the same memo enters only the nodes it has not seen
     calls.clear()

@@ -1,6 +1,8 @@
 """Trace export, independent replay, and tamper detection."""
 
 import gc
+import hashlib
+import importlib.util
 import os
 import re
 import subprocess
@@ -9,7 +11,7 @@ import weakref
 
 import pytest
 
-from hogc import closure, grammar, kernel, parser, rules, syntax
+from hogc import closure, grammar, kernel, parser, rules, syntax, trace
 from hogc.kernel import BOOL, IND, PHON, BaseType, FunType, ProdType, Var, true_c
 from hogc.trace import TraceError, export_trace, theory_fingerprint, verify_trace
 
@@ -61,44 +63,85 @@ def test_fingerprint_sensitive(toy, ambig):
     assert theory_fingerprint(toy.theory) != theory_fingerprint(other.theory)
 
 
-_HASHLIB_ON_FIRST_FINGERPRINT = '''
+_NOT_MAPPED = ('hashlib', '_hashlib', 'dataclasses', 'inspect')
+
+_TRACE_AUDIT = '''
 import contextlib, io, sys
-if 'hashlib' in sys.modules:
+if set(sys.argv[3:]) & set(sys.modules):
     print('preloaded')
     sys.exit()
-import hogc, hogc.cli
+sys.path.insert(0, sys.argv[1])
+import helpers
 from hogc import cli, closure, grammar, parser, trace
 from hogc.kernel import BOOL, Var, mk_conj
-path = sys.argv[1]
-with open(path) as f:
-    src = f.read()
-g = grammar.elaborate(src, name='toy')
-(r,) = parser.parse(g, 'fajdo blt', 2)
+path = sys.argv[2]
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(['check', '-g', path]) == 0
+g = grammar.elaborate(helpers.TOY, name='toy')
+(r,) = parser.parse(g, 'fajdo blt', 2)
 p, q = Var('p', BOOL), Var('q', BOOL)
-universe = closure.TermUniverse([p, q, mk_conj(p, q)])
-closure.closure_report(universe, [p])
-print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))
-text = trace.export_trace([r.phon_proof, r.sem_proof])
-print('hashlib' in sys.modules)
-fresh = grammar.elaborate(src, name='toy')
+closure.closure_report(closure.TermUniverse([p, q, mk_conj(p, q)]), [p])
+g = grammar.elaborate(helpers.AMBIG, name='ambig')
+p1, p2 = parser.parse(g, helpers.AMBIG_WORD, 2)
+cert = closure.certificate_cases(g.theory, p1.meaning, p2.meaning, q)
+m = closure.merge_parses(g, p1, p2, cert)
+text = trace.export_trace([m.phon_proof, m.sem_proof])
+fresh = grammar.elaborate(helpers.AMBIG, name='ambig')
 print(len(trace.verify_trace(text, fresh.theory, strict_fingerprint=True)))
+print(' '.join(sorted(set(sys.argv[3:]) & set(sys.modules))))
 '''
 
 
-def test_hashlib_loads_at_the_first_fingerprint(tmp_path):
-    # only trace export and replay hash, so a process that imports hogc and
-    # elaborates, parses, checks and builds closure reports maps no OpenSSL
+def test_trace_audit_maps_no_openssl(tmp_path):
+    # theory fingerprints hash with CPython's own SHA-256, so a process that
+    # checks, parses, builds a closure report and exports and strictly
+    # re-verifies a merge trace maps no OpenSSL (hashlib), and the records
+    # are plain classes, so it loads no dataclasses (nor inspect with it)
+    if not any(importlib.util.find_spec(m) for m in ('_sha2', '_sha256')):
+        pytest.skip('this interpreter has neither _sha2 nor _sha256, so '
+                    'fingerprints hash with hashlib')
     p = tmp_path / 'toy.hog'
     p.write_text(helpers.TOY)
-    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), '..', 'src'))
-    r = subprocess.run([sys.executable, '-c', _HASHLIB_ON_FIRST_FINGERPRINT, str(p)],
+    tests = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, PYTHONPATH=os.path.join(tests, '..', 'src'))
+    r = subprocess.run([sys.executable, '-c', _TRACE_AUDIT, tests, str(p), *_NOT_MAPPED],
                        capture_output=True, env=env, text=True)
     assert r.returncode == 0, r.stderr
     if r.stdout == 'preloaded\n':
-        pytest.skip('hashlib is loaded before hogc is imported')
-    assert r.stdout.split('\n') == ['[]', 'True', '2', '']
+        pytest.skip('one of %s is loaded before hogc is imported' % ', '.join(_NOT_MAPPED))
+    assert r.stdout.split('\n') == ['2', '', '']
+
+
+def test_fingerprint_is_sha256(monkeypatch):
+    # the built-in SHA-256 gives OpenSSL's digest of the same bytes
+    theories = [grammar.elaborate(src, name=name).theory for name, src in
+                (('toy', helpers.TOY), ('ambig', helpers.AMBIG),
+                 ('boolsem', helpers.BOOLSEM), ('eps', helpers.EPS))]
+    theories.append(kernel.core_theory())
+    fingerprints = [theory_fingerprint(th) for th in theories]
+    monkeypatch.setattr(trace, '_sha256', hashlib.sha256)
+    assert [theory_fingerprint(th) for th in theories] == fingerprints
+
+
+_NO_BUILTIN_SHA256 = '''
+import sys
+sys.modules['_sha2'] = sys.modules['_sha256'] = None   # their import raises
+from hogc import kernel, trace
+print('hashlib' in sys.modules)
+print(trace.theory_fingerprint(kernel.core_theory()))
+print('hashlib' in sys.modules)
+'''
+
+
+def test_fingerprint_falls_back_to_hashlib():
+    # without CPython's own SHA-256 modules, hashlib hashes, loaded at the
+    # first fingerprint, and the fingerprint is the same
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), '..', 'src'))
+    r = subprocess.run([sys.executable, '-c', _NO_BUILTIN_SHA256],
+                       capture_output=True, env=env, text=True)
+    assert r.returncode == 0, r.stderr
+    fingerprint = theory_fingerprint(kernel.core_theory())
+    assert r.stdout.split('\n') == ['False', fingerprint, 'True', '']
 
 
 # ---------------------------------------------------------------------------
