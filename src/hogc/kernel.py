@@ -17,10 +17,14 @@ Design points that matter for soundness:
   building an alpha-equivalent term gives the same object, and term ``==``
   and hash are by identity, so code that prints or proves sorts a set of
   terms before it iterates it.  Each node's free-variable set is computed
-  once, when it is interned.  The table holds terms weakly.
+  once, when it is interned.  The table holds terms weakly.  An ``App``,
+  most nodes, is keyed by its two children themselves and interned inline,
+  with no helper call when the table has no entry for it yet.
 * An ``Abs`` is its binder's type and its body, and keeps no name.
   ``dest_abs`` opens a binder at a name its caller gives, renamed only when
-  it clashes with a free variable of the body.  Substitution cannot capture.
+  it clashes with a free variable of the body.  Substitution cannot capture;
+  it walks only the subterms that hold a substituted variable, and an
+  instantiation checks its mapping once for its conclusion and hypotheses.
 * Terms are typed eagerly: ill-typed applications cannot be constructed at
   all, so a rule leaves the typing of the terms it builds to the
   constructors.  Validating a term against a theory checks only its
@@ -165,19 +169,10 @@ def _intern(t, key, ty, free_vars, loose):
         _remove_dead_weakref(_terms, key)   # only if still dead: no lost update
 
 
-def _union(a, b):
-    # a child's own set when it holds the other's, so parents share sets
-    if not b or a is b:
-        return a
-    if not a:
-        return b
-    return a if b <= a else b if a <= b else a | b
-
-
 class Term:
     """A term.  Building a term twice gives the same object: a node's key
-    holds its children's ids, which stay valid while the node lives, and
-    the table holds terms weakly, so dead terms go."""
+    holds its children, or their ids, which stay valid while the node lives,
+    and the table holds terms weakly, so dead terms go."""
 
     __slots__ = ('ty', 'free_vars', '_loose', '_checked', '__weakref__')
     _children = ()   # the attributes that hold subterms
@@ -247,8 +242,11 @@ class App(Term):
     _args = _children = __slots__
 
     def __new__(cls, fn, arg):
-        key = id(fn) << 64 | id(arg)   # the only int keys; ids are below 2**64
-        t = _terms.get(key, _NO_REF)()
+        key = (fn, arg)   # the only pairs, and what the node holds anyway
+        try:
+            t = _terms.get(key, _NO_REF)()
+        except TypeError:   # an unhashable operand, which no term is
+            t = None
         if t is None:
             if not isinstance(fn, Term) or not isinstance(arg, Term):
                 raise KernelError('not a term: %r' % (arg if isinstance(fn, Term) else fn,))
@@ -258,10 +256,17 @@ class App(Term):
             if fty.dom != arg.ty:
                 raise TypingError('argument type %s does not match domain %s'
                                   % (type_to_str(arg.ty), type_to_str(fty.dom)))
+            # _intern inlined, for most nodes are Apps; a child's own
+            # free-variable set when it holds the other's, so parents share sets
             t = object.__new__(cls)
-            t.fn, t.arg = fn, arg
-            t = _intern(t, key, fty.cod,
-                        _union(fn.free_vars, arg.free_vars), max(fn._loose, arg._loose))
+            t.fn, t.arg, t.ty, t._checked = fn, arg, fty.cod, None
+            a, b = fn.free_vars, arg.free_vars
+            t.free_vars = a if b <= a else b if a <= b else a | b
+            t._loose = fn._loose if fn._loose > arg._loose else arg._loose
+            ref = _Ref(t, _forget)
+            ref.key = key
+            if _terms.setdefault(key, ref) is not ref:   # a racing thread's or a dead entry
+                t = _intern(t, key, t.ty, t.free_vars, t._loose)
         return t
 
 
@@ -317,11 +322,14 @@ def _open(t, r, d):
     return r if type(t) is Bound else _rebuild(t, _open, r, d)
 
 
-def _subst(t, m, d):
-    # m is (mapping, its keys as a frozenset)
-    if m[1].isdisjoint(t.free_vars):
+def _subst(t, m, keys):
+    # t with m[v] for each free variable v in keys, m's keys; m's terms are closed
+    if keys.isdisjoint(t.free_vars):
         return t
-    return m[0][t] if type(t) is Var else _rebuild(t, _subst, m, d)
+    cls = type(t)
+    if cls is App:
+        return App(_subst(t.fn, m, keys), _subst(t.arg, m, keys))
+    return m[t] if cls is Var else _abs(t.ty.dom, _subst(t.body, m, keys))
 
 
 def dest_abs(t, base):
@@ -352,7 +360,7 @@ def subst_parallel(t, mapping):
                               % (type_to_str(r.ty), type_to_str(v.ty), v.name))
         if r._loose:
             raise TypingError('substituting a term with loose bound variables')
-    return _subst(t, (mapping, frozenset(mapping)), 0)
+    return _subst(t, mapping, frozenset(mapping))
 
 
 def beta_normalize(t):
@@ -409,8 +417,12 @@ def logical_const(name, targs=()):
     return Const(name, ty(*targs), targs)
 
 
+_EQS = {}   # id of a type -> its equality constant; types are never freed
+
+
 def eq_c(ty):
-    return logical_const('eq', (ty,))
+    c = _EQS.get(id(ty))
+    return _EQS.setdefault(id(ty), logical_const('eq', (ty,))) if c is None else c
 
 
 def true_c():
@@ -427,7 +439,8 @@ def mk_eq(a, b):
     if a.ty != b.ty:
         raise TypingError('equation between %s and %s'
                           % (type_to_str(a.ty), type_to_str(b.ty)))
-    return App(App(eq_c(a.ty), a), b)
+    c = _EQS.get(id(a.ty))   # eq_c inlined
+    return App(App(eq_c(a.ty) if c is None else c, a), b)
 
 
 def _mk_bin(name, a, b):
@@ -618,10 +631,11 @@ def type_of(t, th, _allow_unfrozen=False):
     against a frozen theory is marked with its serial number and not
     visited again for it.
     """
-    mark = _theory_mark(th, _allow_unfrozen)
+    mark = th._serial if type(th) is Theory and th.frozen else _theory_mark(th, _allow_unfrozen)
     if not isinstance(t, Term):
         raise KernelError('not a term: %r' % (t,))
-    _validate(t, th, mark)
+    if t._checked is not mark:   # one test for a root validated before
+        _validate(t, th, mark)
     if t._loose:
         raise TypingError('term has loose bound variables')
     return t.ty
@@ -642,8 +656,6 @@ def _theory_mark(th, allow_unfrozen=False):
 
 
 def _validate(t, th, mark):
-    if t._checked is mark:   # one test for a root validated before
-        return
     todo = [t]   # None above a node: all of its children passed
     while todo:
         t = todo.pop()
@@ -677,9 +689,6 @@ def _validate(t, th, mark):
 # ---------------------------------------------------------------------------
 # Theorems
 
-_KERNEL_TOKEN = object()
-
-
 class Theorem:
     """A certified judgement ``hyps |- concl`` in a fixed theory.
 
@@ -691,10 +700,8 @@ class Theorem:
 
     __slots__ = ('hyps', 'concl', 'theory', 'rule', 'args')
 
-    def __init__(self, hyps, concl, theory, rule, args, _token=None):
-        if _token is not _KERNEL_TOKEN:
-            raise KernelError('theorems can only be built by kernel rules')
-        self.hyps, self.concl, self.theory, self.rule, self.args = hyps, concl, theory, rule, args
+    def __init__(self, *args, **kwargs):   # _thm makes a theorem without calling this
+        raise KernelError('theorems can only be built by kernel rules')
 
     def __repr__(self):
         from . import syntax
@@ -705,8 +712,10 @@ def _thm(th, hyps, concl, rule, args):
     # concl is Bool: each rule concludes an equation or a term already
     # checked to be Bool.  Each hypothesis is kept once, the first in
     # derivation order.
-    hyps = tuple(dict.fromkeys(hyps)) if len(hyps) > 1 else tuple(hyps)
-    return Theorem(hyps, concl, th, rule, args, _token=_KERNEL_TOKEN)
+    thm = object.__new__(Theorem)
+    thm.hyps = tuple(dict.fromkeys(hyps)) if len(hyps) > 1 else tuple(hyps)
+    thm.concl, thm.theory, thm.rule, thm.args = concl, th, rule, args
+    return thm
 
 
 def _same_theory(*thms):
@@ -817,8 +826,9 @@ def instantiate(thm, mapping):
     th = _same_theory(thm)
     for r in mapping.values():
         type_of(r, th)
-    hyps = tuple(subst_parallel(h, mapping) for h in thm.hyps)
-    concl = subst_parallel(thm.concl, mapping)
+    concl = subst_parallel(thm.concl, mapping)   # checks the mapping for the hypotheses too
+    keys = frozenset(mapping)
+    hyps = tuple(_subst(h, mapping, keys) for h in thm.hyps)
     items = sorted(mapping.items(), key=lambda kv: (kv[0].name, type_to_str(kv[0].ty)))
     return _thm(th, hyps, concl, 'instantiate', (thm, tuple(items)))
 
@@ -861,6 +871,7 @@ def axiom(th, name, targs=()):
     return _thm(th, (), prop, 'axiom', (label,))
 
 
+@functools.lru_cache(maxsize=None)    # like logical_const: a few schemas per type
 def _schema(name, targs):
     if name == 'bool-cases':
         z = Var('z', BOOL)

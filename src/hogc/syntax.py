@@ -188,14 +188,13 @@ IDENT = '[A-Za-z_][A-Za-z0-9_]*'
 _LITERAL_CHAR = r"[A-Za-z0-9_'\s-]"
 _SYMBOLS = sorted([sym for sym, _ in INFIX] + ['->'] + list('()<>,.:\\!?~[]*'),
                   key=len, reverse=True)
-# after blanks, one token: a symbol, longest first, so that /\ is never a
+# blanks, then one token: a symbol, longest first, so that /\ is never a
 # /word/ literal; a literal; a $<digits> placeholder; an identifier or
 # %<digits>, the name of a bound variable in canonical printing; or else one
-# bad character, which _bad_token names.  The number of the group that
-# matched indexes the token's kind in _KINDS.
-_TOKEN = re.compile(r'\s*(?:(%s)|(/%s*/)|(\$[0-9]+)|(%%[0-9]+|%s)|(\S))'
+# bad character, which _bad_token names.  findall gives each token as its
+# blanks and one string per kind, empty for all but the kind that matched.
+_TOKEN = re.compile(r'(\s*)(?:(%s)|(/%s*/)|(\$[0-9]+)|(%%[0-9]+|%s)|(\S))'
                     % ('|'.join(map(re.escape, _SYMBOLS)), _LITERAL_CHAR, IDENT))
-_KINDS = (None, 'sym', 'word', 'placeholder', 'ident')
 
 
 class _Tok:
@@ -215,17 +214,26 @@ class _Tok:
 
 
 def _lex(s):
+    # findall makes no match objects: a token's position is the length of
+    # the text before it, and symbols and identifiers, most tokens, come first
     toks = []
-    for m in _TOKEN.finditer(s):
-        k = m.lastindex
-        i, val = m.start(k), m.group(k)
-        if k == 5:
+    i = 0
+    for blanks, sym, word, placeholder, ident, _bad in _TOKEN.findall(s):
+        i += len(blanks)
+        if sym:
+            toks.append(_Tok('sym', sym, i))
+            i += len(sym)
+        elif ident:
+            toks.append(_Tok('ident', ident, i))
+            i += len(ident)
+        elif word:
+            toks.append(_Tok('word', tuple(word[1:-1].split()), i))
+            i += len(word)
+        elif placeholder:
+            toks.append(_Tok('placeholder', int(placeholder[1:]), i))
+            i += len(placeholder)
+        else:
             raise ParseError(_bad_token(s, i))
-        if k == 2:
-            val = tuple(val[1:-1].split())
-        elif k == 3:
-            val = int(val[1:])
-        toks.append(_Tok(_KINDS[k], val, i))
     toks.append(_Tok('eof', None, len(s)))
     return toks
 

@@ -181,6 +181,7 @@ _MALFORMED = {
     'app_fn': (lambda: App('f', true_c()), kernel.KernelError, "not a term: 'f'"),
     'app_arg': (lambda: App(kernel.logical_const('not'), 'x'), kernel.KernelError,
                 "not a term: 'x'"),
+    'app_unhashable': (lambda: App([], true_c()), kernel.KernelError, 'not a term: []'),
     'type_to_str': (lambda: kernel.type_to_str('Ind'), kernel.TypingError, "not a type: 'Ind'"),
     'type_of': (lambda: kernel.type_of('x', kernel.core_theory()), kernel.KernelError,
                 "not a term: 'x'"),
@@ -646,6 +647,30 @@ def test_axiom_schemas_have_fixed_arity(th):
     with pytest.raises(kernel.TheoryError):
         kernel.axiom(th, 'pairing', (IND, kernel.BaseType('Und')))
     assert kernel.axiom(th, 'ext', (IND, BOOL)).args == ('ext[Ind,Bool]',)
+
+
+def test_memoised_schema_never_crosses_theories():
+    # an axiom schema's instance is built once per type arguments, but each
+    # call checks those against the theory it is asked in, and the theorem
+    # belongs to that theory
+    s = BaseType('S')
+    a, c = kernel.Theory('a'), kernel.Theory('c')
+    a.add_base_type('S')
+    c.add_base_type('S')
+    a, c, b = a.freeze(), c.freeze(), kernel.core_theory('b')
+    first = kernel.axiom(a, 'description', (s,))
+    again, other = kernel.axiom(a, 'description', (s,)), kernel.axiom(c, 'description', (s,))
+    assert again is not first and again.concl is first.concl is other.concl
+    assert (first.theory, again.theory, other.theory) == (a, a, c)
+    for targs in ((s,), (FunType(IND, s),)):
+        with pytest.raises(kernel.TheoryError, match='^unknown base type S$'):
+            kernel.axiom(b, 'description', targs)
+    with pytest.raises(kernel.TheoryError, match='^unknown base type S$'):
+        kernel.axiom(b, 'ext', (IND, s))
+    for targs in ((), (s, s)):
+        with pytest.raises(kernel.TheoryError,
+                           match='^axiom description takes 1 type arguments, got %d$' % len(targs)):
+            kernel.axiom(a, 'description', targs)
 
 
 def test_named_axioms_take_no_type_arguments(toy):
